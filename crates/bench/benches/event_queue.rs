@@ -1,18 +1,67 @@
 //! Microbenchmarks for the event-queue engines and the static-route
 //! fast-forwarding toggle.
 //!
-//! `event_queue/*` pits the reference `BinaryHeap` queue against the
-//! bucketed calendar queue on a synthetic push/pop workload shaped like
-//! the fabric's (hop-quantized times, heavy same-cycle ties, a sprinkle
-//! of far-future events exercising the overflow heap) at 1k/100k/1M
-//! events. `fast_forward/*` runs the real 64×64×6 TPFA apply with
-//! fast-forwarding on and off — the delta is what eliding per-hop events
-//! on the fixed diagonal routes buys end to end.
+//! `event_queue/*` pits a plain `BinaryHeap` (the oracle of
+//! `wse-sim/tests/queue_properties.rs`) against the timing-wheel
+//! `CalendarQueue` on a synthetic push/pop workload shaped like a shallow
+//! column's (hop-quantized times, heavy same-cycle ties, a sprinkle of
+//! events a few thousand cycles out) at 1k/100k/1M events.
+//! `event_queue/train-burst/*` is the deep-column shape: every launch pop
+//! schedules a 1,000-slot one-cycle-apart train 2,000 cycles ahead, so
+//! nearly every event is pushed beyond level 0 of the wheel.
+//! `fast_forward/*` runs the real 64×64×6 TPFA apply with fast-forwarding
+//! on and off — the delta is what eliding per-hop events on the fixed
+//! diagonal routes buys end to end.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use bench::{pressure_for_iteration, standard_problem};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tpfa_dataflow::DataflowFluxSimulator;
-use wse_sim::queue::{CalendarQueue, EventQueue, HeapQueue, Timestamped};
+use wse_sim::queue::{CalendarQueue, EventQueue, Timestamped};
+
+/// The comparison baseline: a binary heap of reversed items.
+struct HeapQueue<T: Ord> {
+    heap: BinaryHeap<Reverse<T>>,
+}
+
+impl<T: Ord> HeapQueue<T> {
+    fn new() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+        }
+    }
+}
+
+impl<T: Timestamped + Ord> EventQueue<T> for HeapQueue<T> {
+    fn push(&mut self, item: T) {
+        self.heap.push(Reverse(item));
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        self.heap.pop().map(|Reverse(e)| e)
+    }
+
+    fn pop_before(&mut self, bound: u64) -> Option<T> {
+        match self.heap.peek() {
+            Some(Reverse(e)) if e.time() < bound => self.pop(),
+            _ => None,
+        }
+    }
+
+    fn next_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(e)| e.time())
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn drain_unordered(&mut self) -> Vec<T> {
+        self.heap.drain().map(|Reverse(e)| e).collect()
+    }
+}
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
@@ -50,7 +99,7 @@ fn churn<Q: EventQueue<Key>>(queue: &mut Q, n: u64) -> u64 {
             x ^= x >> 33;
             let dt = match x % 16 {
                 0..=3 => 0,  // same cycle (ramp deliveries): side-heap path
-                15 => 5_000, // far future (faults, backoff): overflow heap
+                15 => 5_000, // a few epochs out: level 1 of the wheel
                 _ => 1,      // the common hop-quantized case
             };
             queue.push(Key {
@@ -59,6 +108,42 @@ fn churn<Q: EventQueue<Key>>(queue: &mut Q, n: u64) -> u64 {
                 src: (x % 4096) as usize,
             });
             seq += 1;
+        }
+    }
+    popped
+}
+
+/// Ramp slots per launch in [`train_burst`].
+const TRAIN_SLOTS: u64 = 1_000;
+
+/// A deep-column schedule: `launches` launch events one hop apart, each of
+/// which — when popped — flushes a `TRAIN_SLOTS`-slot ramp train starting
+/// `TRAIN_LEAD` cycles later. Returns the number of events popped.
+fn train_burst<Q: EventQueue<Key>>(queue: &mut Q, launches: u64) -> u64 {
+    const TRAIN_LEAD: u64 = 2_000;
+    /// Marks a launch; train events carry their launch's index as `src`.
+    const LAUNCH: usize = usize::MAX;
+    let mut seq = 0u64;
+    for i in 0..launches {
+        queue.push(Key {
+            time: i,
+            seq,
+            src: LAUNCH,
+        });
+        seq += 1;
+    }
+    let mut popped = 0u64;
+    while let Some(k) = queue.pop() {
+        popped += 1;
+        if k.src == LAUNCH {
+            for slot in 0..TRAIN_SLOTS {
+                queue.push(Key {
+                    time: k.time + TRAIN_LEAD + slot,
+                    seq,
+                    src: k.time as usize,
+                });
+                seq += 1;
+            }
         }
     }
     popped
@@ -75,6 +160,23 @@ fn bench_event_queue(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("calendar", n), &n, |b, &n| {
             b.iter(|| churn(&mut CalendarQueue::new(), n));
         });
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("event_queue/train-burst");
+    g.sample_size(10);
+    for launches in [64u64, 1024] {
+        g.throughput(Throughput::Elements(launches * (TRAIN_SLOTS + 1)));
+        g.bench_with_input(
+            BenchmarkId::new("binary-heap", launches),
+            &launches,
+            |b, &n| b.iter(|| train_burst(&mut HeapQueue::new(), n)),
+        );
+        g.bench_with_input(
+            BenchmarkId::new("calendar", launches),
+            &launches,
+            |b, &n| b.iter(|| train_burst(&mut CalendarQueue::new(), n)),
+        );
     }
     g.finish();
 }

@@ -229,6 +229,19 @@ mod tests {
     }
 
     #[test]
+    fn shard_count_zero_is_sequential_and_threads_default_within_the_shards() {
+        let zero = CommonArgs::from_slice(&to_args("--shards 0")).unwrap();
+        assert_eq!(zero.execution, Execution::Sequential);
+        match CommonArgs::from_slice(&to_args("--shards 4"))
+            .unwrap()
+            .execution
+        {
+            Execution::Sharded { shards: 4, threads } => assert!((1..=4).contains(&threads)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn rejects_malformed_values() {
         assert!(CommonArgs::from_slice(&to_args("--shards four")).is_err());
         assert!(CommonArgs::from_slice(&to_args("--faults abc")).is_err());

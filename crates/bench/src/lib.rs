@@ -88,33 +88,6 @@ pub struct DataflowMeasurement {
     pub nz: usize,
 }
 
-/// Parses `--shards N [--threads M]` from a benchmark binary's argument
-/// list into a fabric [`Execution`]. No `--shards` (or `--shards 0`/`1`
-/// with no threads) keeps the sequential reference engine; `--threads`
-/// defaults to the shard count, capped at the available cores.
-pub fn execution_from_arg_slice(args: &[String]) -> Execution {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-    };
-    match value_of("--shards") {
-        None | Some(0) => Execution::Sequential,
-        Some(shards) => {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let threads = value_of("--threads").unwrap_or_else(|| shards.min(cores));
-            Execution::Sharded { shards, threads }
-        }
-    }
-}
-
-/// [`execution_from_arg_slice`] over the process's own CLI arguments.
-pub fn execution_from_args() -> Execution {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    execution_from_arg_slice(&args)
-}
-
 /// Human-readable engine label for benchmark headers.
 pub fn execution_label(execution: Execution) -> String {
     match execution {
@@ -549,30 +522,6 @@ mod tests {
         let m = measure_dataflow(4, 4, 3, 1, false);
         assert_eq!(m.fabric_total.flops(), 0);
         assert!(m.fabric_total.fabric_loads > 0);
-    }
-
-    #[test]
-    fn execution_args_parse_shards_and_threads() {
-        let to_args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
-        assert_eq!(
-            execution_from_arg_slice(&to_args("")),
-            Execution::Sequential
-        );
-        assert_eq!(
-            execution_from_arg_slice(&to_args("--shards 0")),
-            Execution::Sequential
-        );
-        assert_eq!(
-            execution_from_arg_slice(&to_args("--shards 4 --threads 2")),
-            Execution::Sharded {
-                shards: 4,
-                threads: 2
-            }
-        );
-        match execution_from_arg_slice(&to_args("--shards 4")) {
-            Execution::Sharded { shards: 4, threads } => assert!((1..=4).contains(&threads)),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

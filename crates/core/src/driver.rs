@@ -677,7 +677,7 @@ struct DriverMetrics {
     region_ff_jumps: Counter,
     eq_classes: Gauge,
     fabric_time: Gauge,
-    queue_ring: Gauge,
+    queue_wheel: Gauge,
     queue_overflow: Gauge,
     wall_apply_ns: Histogram,
     wall_events_per_sec: Gauge,
@@ -716,8 +716,8 @@ impl DriverMetrics {
             region_ff_jumps: hub.counter("fabric_region_ff_jumps_total", "Region fast-forward jumps: jumps crossing >= 2 identical PEs in one event (engine-DEPENDENT, like ff_jumps)", l),
             eq_classes: hub.gauge("fabric_eq_classes", "Route-table equivalence classes after load (O(1) for SPMD programs; equals PE count with dedup off)", l),
             fabric_time: hub.gauge("fabric_time_cycles", "Simulated fabric time after the last application (deterministic)", l),
-            queue_ring: hub.gauge("fabric_queue_ring_occupancy", "Host calendar-queue items in the near-term ring", l),
-            queue_overflow: hub.gauge("fabric_queue_overflow_occupancy", "Host calendar-queue items parked in the far-future overflow heap", l),
+            queue_wheel: hub.gauge("fabric_queue_wheel_occupancy", "Host event-queue items inside the timing wheel's 2^20-cycle horizon", l),
+            queue_overflow: hub.gauge("fabric_queue_overflow_occupancy", "Host event-queue items parked in the comparison heap beyond the wheel's horizon", l),
             wall_apply_ns: hub.histogram("wall_apply_ns", "Wall-clock nanoseconds per application (host measurement; NOT deterministic)", l),
             wall_events_per_sec: hub.gauge("wall_events_per_sec", "Fabric events drained per wall-clock second over the last application (NOT deterministic)", l),
             pub_stalls: 0,
@@ -771,8 +771,8 @@ impl DriverMetrics {
         self.region_ff_jumps.add(region_d);
         self.eq_classes.set_u64(fabric.eq_classes() as u64);
 
-        let (ring, overflow) = fabric.queue_occupancy();
-        self.queue_ring.set_u64(ring as u64);
+        let (wheel, overflow) = fabric.queue_occupancy();
+        self.queue_wheel.set_u64(wheel as u64);
         self.queue_overflow.set_u64(overflow as u64);
 
         if let Some(started) = self.apply_started.take() {
@@ -1282,6 +1282,13 @@ impl DataflowFluxSimulator {
     /// Per-PE queue-wait cycles (see [`Fabric::queue_wait_by_pe`]).
     pub fn queue_wait_by_pe(&self) -> Vec<u64> {
         self.fabric.queue_wait_by_pe()
+    }
+
+    /// Host event-queue occupancy `(wheel, overflow)` (see
+    /// [`Fabric::queue_occupancy`]). Host-side telemetry, not part of the
+    /// determinism contract.
+    pub fn queue_occupancy(&self) -> (usize, usize) {
+        self.fabric.queue_occupancy()
     }
 
     /// The report of the most recent run.

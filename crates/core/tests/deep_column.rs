@@ -1,0 +1,148 @@
+//! Deep-column pin: an 8×8×64 TPFA apply schedules almost every ramp
+//! event thousands of cycles ahead (a column's launch task costs ≈ 30·nz
+//! cycles before its outbox flushes ≈ 16·nz one-cycle-apart slots), which
+//! is the far-horizon regime of the event queue. The constants below were
+//! recorded at the commit *before* the queue became a two-level timing
+//! wheel, so any change to the pop order shows up here as a changed event
+//! count, final time, residual bit or checkpoint byte.
+//!
+//! The run is chunked with `step_events` on both engines, and at every
+//! pause the host queue must hold nothing in its comparison heap: every
+//! pending event of a deep column is inside the wheel's horizon.
+
+use fv_core::eos::Fluid;
+use fv_core::fields::PermeabilityField;
+use fv_core::mesh::{CartesianMesh3, Extents, Spacing};
+use fv_core::state::FlowState;
+use fv_core::trans::{StencilKind, Transmissibilities};
+use tpfa_dataflow::DataflowFluxSimulator;
+use wse_serve::Checkpoint;
+use wse_sim::fabric::{Execution, RunReport};
+
+const PINNED_EVENTS: u64 = 202_496;
+const PINNED_FINAL_TIME: u64 = 8_843;
+const PINNED_RESIDUAL_FNV: u64 = 0xac81_68ae_2d33_298d;
+const PINNED_HALF_CHECKPOINT_LEN: usize = 1_400_194;
+const PINNED_HALF_CHECKPOINT_FNV: u64 = 0xe27e_61a6_d4be_9a0d;
+
+/// Events per `step_events` call; prime, so pauses land mid-cycle.
+const CHUNK: u64 = 7_919;
+
+const SHARDED: Execution = Execution::Sharded {
+    shards: 4,
+    threads: 2,
+};
+
+struct Problem {
+    mesh: CartesianMesh3,
+    fluid: Fluid,
+    trans: Transmissibilities,
+    pressure: Vec<f32>,
+}
+
+fn problem() -> Problem {
+    let mesh = CartesianMesh3::new(Extents::new(8, 8, 64), Spacing::new(10.0, 10.0, 4.0));
+    let fluid = Fluid::water_like();
+    let perm = PermeabilityField::log_normal(&mesh, 1e-13, 0.4, 15);
+    let trans = Transmissibilities::tpfa(&mesh, &perm, StencilKind::TenPoint);
+    let pressure = FlowState::<f32>::varied(&mesh, 1.0e7, 1.2e7, 3)
+        .pressure()
+        .to_vec();
+    Problem {
+        mesh,
+        fluid,
+        trans,
+        pressure,
+    }
+}
+
+fn build(p: &Problem, execution: Execution) -> DataflowFluxSimulator {
+    DataflowFluxSimulator::builder(&p.mesh)
+        .fluid(&p.fluid)
+        .transmissibilities(&p.trans)
+        .execution(execution)
+        .build()
+        .expect("build failed")
+}
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn residual_fnv(residual: &[f32]) -> u64 {
+    fnv1a(residual.iter().flat_map(|r| r.to_bits().to_le_bytes()))
+}
+
+fn assert_no_overflow(sim: &DataflowFluxSimulator) {
+    let (wheel, overflow) = sim.queue_occupancy();
+    assert_eq!(
+        overflow, 0,
+        "{overflow} events in the comparison heap at a pause ({wheel} in the wheel)"
+    );
+}
+
+/// Steps the in-flight application to completion in `CHUNK`-event slices,
+/// checking the queue at every pause, and returns the residual and report.
+fn finish_chunked(sim: &mut DataflowFluxSimulator) -> (Vec<f32>, RunReport) {
+    loop {
+        let step = sim.step_events(CHUNK).expect("step failed");
+        assert_no_overflow(sim);
+        if step.complete {
+            break;
+        }
+    }
+    let residual = sim.finish_apply().expect("finish failed");
+    (residual, sim.last_run().expect("a run was made"))
+}
+
+fn assert_pinned(residual: &[f32], report: RunReport) {
+    assert_eq!(report.events, PINNED_EVENTS, "event count moved");
+    assert_eq!(report.final_time, PINNED_FINAL_TIME, "final time moved");
+    assert_eq!(
+        residual_fnv(residual),
+        PINNED_RESIDUAL_FNV,
+        "residual bits moved"
+    );
+}
+
+#[test]
+fn chunked_apply_matches_the_pins_on_both_engines() {
+    let p = problem();
+    for execution in [Execution::Sequential, SHARDED] {
+        let mut sim = build(&p, execution);
+        sim.begin_apply(&p.pressure);
+        assert_no_overflow(&sim);
+        let (residual, report) = finish_chunked(&mut sim);
+        assert_pinned(&residual, report);
+    }
+}
+
+#[test]
+fn half_apply_checkpoint_is_pinned_and_resumes_on_the_other_engine() {
+    let p = problem();
+    // The sequential engine pauses exactly at the limit, so the state half
+    // way through the apply is a fixed point of the pop order.
+    let mut seq = build(&p, Execution::Sequential);
+    seq.begin_apply(&p.pressure);
+    let step = seq.step_events(PINNED_EVENTS / 2).expect("step failed");
+    assert!(!step.complete);
+    assert_no_overflow(&seq);
+    let bytes = Checkpoint::capture(&seq).encode();
+    assert_eq!(bytes.len(), PINNED_HALF_CHECKPOINT_LEN, "checkpoint size");
+    assert_eq!(
+        fnv1a(bytes.iter().copied()),
+        PINNED_HALF_CHECKPOINT_FNV,
+        "half-apply checkpoint bytes moved"
+    );
+
+    let mut sharded = build(&p, SHARDED);
+    Checkpoint::decode(&bytes)
+        .expect("decode failed")
+        .restore_into(&mut sharded)
+        .expect("restore failed");
+    assert_no_overflow(&sharded);
+    let (residual, report) = finish_chunked(&mut sharded);
+    assert_pinned(&residual, report);
+}

@@ -267,21 +267,26 @@ pub fn fmov_recv(
 }
 
 /// Reads `src` element-wise for sending — the transmit half of FMOV
-/// (1 fabric store per element). Returns the values in order; the caller
-/// turns them into wavelets.
+/// (1 fabric store per element). Yields the values in order; the caller
+/// turns them into wavelets. The whole transfer is traced and counted up
+/// front, whether or not the iterator is exhausted.
 ///
 /// The send-side memory reads happen in the fabric-output engine and are
 /// **not** counted as PE memory traffic: the paper's Table 4 charges FMOV
 /// with "1 store, 1 fabric load" on the *receiving* side only, so the
 /// per-cell loads+stores total (406) excludes transmit reads.
-pub fn fmov_send(mem: &PeMemory, ctr: &mut OpCounters, trace: &mut PeTracer, src: Dsd) -> Vec<f32> {
+pub fn fmov_send<'m>(
+    mem: &'m PeMemory,
+    ctr: &mut OpCounters,
+    trace: &mut PeTracer,
+    src: Dsd,
+) -> impl Iterator<Item = f32> + 'm {
     trace.dsd(ctr.cycles(), TraceOp::FmovOut, src.len as u32);
-    let out: Vec<f32> = (0..src.len).map(|i| mem.read_f32(src.at(i))).collect();
     let n = src.len as u64;
     ctr.fmov_out += n;
     ctr.fabric_stores += n;
     ctr.comm_cycles += n;
-    out
+    (0..src.len).map(move |i| mem.read_f32(src.at(i)))
 }
 
 /// Scalar density evaluation (Eq. 5, `ρ = ρ_ref·exp(c_f(p − p_ref))`) over
@@ -449,7 +454,7 @@ mod tests {
     #[test]
     fn fmov_pair_counts_fabric_traffic() {
         let (mut mem, mut ctr, mut tr, a, _, d) = setup(4);
-        let vals = fmov_send(&mem, &mut ctr, &mut tr, a);
+        let vals: Vec<f32> = fmov_send(&mem, &mut ctr, &mut tr, a).collect();
         assert_eq!(vals, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(ctr.fmov_out, 4);
         assert_eq!(ctr.fabric_stores, 4);

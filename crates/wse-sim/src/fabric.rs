@@ -56,8 +56,8 @@
 //!
 //! # Event engine
 //!
-//! Events live in a bucketed [`CalendarQueue`] — O(1) push/pop for the
-//! near-term, integer-cycle times the fabric produces (see
+//! Events live in a [`CalendarQueue`] — a two-level timing wheel, O(1)
+//! push/pop for integer-cycle times less than 2²⁰ cycles ahead (see
 //! [`crate::queue`]) — behind the [`EventQueue`] trait both engines share.
 //! On fault-free, untraced runs the engines also **fast-forward static
 //! routes**: a per-`(pe, color)` table of passive-forwarding hops is built
@@ -2718,14 +2718,17 @@ impl Fabric {
         self.scalars.fabric_hops[self.dims.linear(coord)]
     }
 
-    /// Event-queue occupancy `(ring, overflow)`: items resident in the
-    /// calendar queue's near-term ring vs parked in the far-future overflow
-    /// heap. A host-side telemetry probe; reading it does not perturb
+    /// Event-queue occupancy `(wheel, overflow)`: items inside the timing
+    /// wheel's 2²⁰-cycle horizon vs parked in the comparison heap beyond
+    /// it. A host-side telemetry probe; reading it does not perturb
     /// scheduling. During a sharded run the per-shard queues are private to
     /// their workers, so this reflects the host queue only (which is where
     /// all pending events live between runs).
     pub fn queue_occupancy(&self) -> (usize, usize) {
-        (self.queue.ring_occupancy(), self.queue.overflow_occupancy())
+        (
+            self.queue.wheel_occupancy(),
+            self.queue.overflow_occupancy(),
+        )
     }
 
     /// Host access to a PE's memory (SDK `memcpy`).

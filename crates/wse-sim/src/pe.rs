@@ -95,9 +95,8 @@ impl<'a> PeContext<'a> {
     /// per element, with fabric-traffic accounting).
     pub fn send_vector(&mut self, color: Color, src: Dsd) {
         let values = dsd::fmov_send(self.memory, self.counters, self.tracer, src);
-        for v in values {
-            self.outbox.push(Wavelet::data_f32(color, v));
-        }
+        self.outbox
+            .extend(values.map(|v| Wavelet::data_f32(color, v)));
     }
 
     /// Sends a control wavelet (toggles switch positions along its route).

@@ -1,20 +1,32 @@
-//! Event queues for the discrete-event engines.
+//! The event queue of the discrete-event engines.
 //!
 //! Both fabric engines pop events in the strict key order `(time, seq,
-//! src)`. The reference container is a [`BinaryHeap`] of reversed items
-//! ([`HeapQueue`]), which costs O(log n) per hop. Fabric event times are
-//! integer cycles and overwhelmingly near-term (`hop_latency`-quantized),
-//! so the production container is a **bucketed calendar queue**
-//! ([`CalendarQueue`]): a power-of-two ring of one-cycle buckets with an
-//! occupancy bitmap gives O(1) push and near-O(1) pop, while an overflow
-//! heap absorbs far-future items (fault schedules, saturated near-
-//! `u64::MAX` times). Same-cycle ties land in the same bucket, which stays
-//! unsorted until its cycle is reached and is then sorted once — restoring
-//! the full key order, so the pop sequence is *identical* to the reference
-//! heap's (asserted by `tests/queue_properties.rs`).
+//! src)`. Event times are integer cycles, so the container is a **two-level
+//! timing wheel** ([`CalendarQueue`]) whose pop sequence is *identical* to
+//! that of a `BinaryHeap<Reverse<T>>` (asserted by
+//! `tests/queue_properties.rs`, which keeps that heap as its oracle):
 //!
-//! Both containers implement [`EventQueue`], which is what the engines
-//! program against.
+//! * **Level 0** — 1024 one-cycle buckets covering the rest of the cursor's
+//!   *epoch* (an aligned 1024-cycle block). A push is an unsorted append;
+//!   a bucket is sorted exactly once, when the cursor reaches its cycle.
+//! * **Level 1** — 1024 unsorted epoch buckets covering the next 1024
+//!   epochs, so everything less than 2²⁰ cycles ahead is an O(1) push. An
+//!   epoch's bucket is dealt into level 0 when the cursor enters it; an
+//!   item is therefore moved at most once after its push.
+//! * **Overflow** — a comparison heap for what lies beyond the wheel
+//!   (fault schedules, back-offs, saturated `u64::MAX` times); its items
+//!   migrate into the wheel as epochs roll over.
+//!
+//! The horizon matters because of deep columns: a column's launch task
+//! costs ≈ 30·nz cycles (EOS plus two Z faces) before its outbox flushes up
+//! to 16·nz one-cycle-apart ramp slots, so ramp events are pushed ≈ 46·nz
+//! cycles ahead — under 300 cycles at nz = 6 (mostly still level 0),
+//! ≈ 3,000 at nz = 64 and ≈ 11,300 at the paper's nz = 246 (level 1).
+//!
+//! Buckets of both levels keep their items in fixed-size contiguous chunks
+//! drawn from one free list and returned when the bucket empties, so the
+//! memory the queue holds follows the number of *pending* events rather
+//! than 1024 × the largest population any single cycle ever had.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -52,89 +64,104 @@ pub trait EventQueue<T: Timestamped + Ord> {
     fn drain_unordered(&mut self) -> Vec<T>;
 }
 
-/// The reference queue: a binary heap of reversed items.
-#[derive(Debug, Default)]
-pub struct HeapQueue<T: Ord> {
-    heap: BinaryHeap<Reverse<T>>,
+/// Buckets per wheel level. Power of two so slot lookup is a mask; level 0
+/// has one bucket per cycle of an epoch, level 1 one bucket per epoch.
+const WHEEL_BUCKETS: usize = 1024;
+const WHEEL_MASK: u64 = (WHEEL_BUCKETS - 1) as u64;
+/// `time >> EPOCH_SHIFT` is the time's epoch.
+const EPOCH_SHIFT: u32 = WHEEL_BUCKETS.trailing_zeros();
+const BITMAP_WORDS: usize = WHEEL_BUCKETS / 64;
+/// Items per storage chunk: large enough that a dense cycle's bucket is a
+/// few long contiguous runs, small enough that the ≤ 2 × 1024 partly
+/// filled chunks of a sparse schedule stay a few megabytes.
+const CHUNK_ITEMS: usize = 64;
+/// "No chunk": an empty bucket, or the end of a chunk chain.
+const NIL: u32 = u32::MAX;
+
+/// One fixed-capacity run of a bucket's items, linked to the bucket's
+/// earlier (full) chunks — or, when free, to the next free chunk.
+struct Chunk<T> {
+    items: Vec<T>,
+    next: u32,
 }
 
-impl<T: Ord> HeapQueue<T> {
-    /// An empty heap queue.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-        }
+/// An occupancy bitmap over one wheel level (bit = bucket non-empty).
+#[derive(Default)]
+struct Occupancy([u64; BITMAP_WORDS]);
+
+impl Occupancy {
+    #[inline]
+    fn set(&mut self, slot: usize) {
+        self.0[slot / 64] |= 1 << (slot % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, slot: usize) {
+        self.0[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// Circular distance from `start` to the first occupied slot at or
+    /// after it, wrapping around the level once.
+    fn first_from(&self, start: usize) -> Option<usize> {
+        let (w0, b0) = (start / 64, start % 64);
+        let high = !0u64 << b0;
+        let found = (0..=BITMAP_WORDS).find_map(|i| {
+            let w = (w0 + i) % BITMAP_WORDS;
+            let bits = match i {
+                0 => self.0[w] & high,
+                // back at the first word: only the wrapped-around low bits
+                BITMAP_WORDS => self.0[w] & !high,
+                _ => self.0[w],
+            };
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })?;
+        Some((found + WHEEL_BUCKETS - start) % WHEEL_BUCKETS)
     }
 }
 
-impl<T: Timestamped + Ord> EventQueue<T> for HeapQueue<T> {
-    fn push(&mut self, item: T) {
-        self.heap.push(Reverse(item));
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    fn pop_before(&mut self, bound: u64) -> Option<T> {
-        match self.heap.peek() {
-            Some(Reverse(e)) if e.time() < bound => self.pop(),
-            _ => None,
-        }
-    }
-
-    fn next_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.time())
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn drain_unordered(&mut self) -> Vec<T> {
-        self.heap.drain().map(|Reverse(e)| e).collect()
-    }
-}
-
-/// Ring size in buckets (one bucket per cycle). Power of two so the
-/// time→bucket map is a mask. 1024 cycles of lookahead covers every
-/// near-term event the fabric produces (hops are `hop_latency ≈ 1` ahead,
-/// task ends at most a few hundred cycles ahead); anything later waits in
-/// the overflow heap and migrates in as the cursor advances.
-const RING_BUCKETS: usize = 1024;
-const RING_MASK: u64 = (RING_BUCKETS - 1) as u64;
-const BITMAP_WORDS: usize = RING_BUCKETS / 64;
-
-/// A bucketed calendar queue: O(1) push, near-O(1) pop, identical pop
-/// order to [`HeapQueue`]. See the module docs.
+/// A two-level timing wheel over pooled chunk storage: O(1) push for
+/// anything less than 2²⁰ cycles ahead, near-O(1) pop, and the pop order of
+/// a binary heap. See the module docs.
 ///
 /// Lockstep workloads concentrate thousands of events into a handful of
 /// cycles, so per-bucket ordering is the real cost. Buckets are therefore
-/// *unsorted* `Vec`s — a push is a plain append — and a bucket is sorted
-/// exactly once, when the cursor reaches its cycle and it becomes the
-/// *drain*: a descending `Vec` popped from the tail. Items pushed for the
-/// cycle currently being drained (routing emits same-cycle ramp
-/// deliveries) go to a small `side` min-heap, and each pop takes the
-/// smaller of the drain tail and the side head, which is exactly the
-/// global minimum. Pending keys are unique (see the fabric's key
-/// discussion), so the unstable sort is deterministic.
+/// *unsorted* — a push is a plain append — and a cycle's bucket is sorted
+/// exactly once, when the cursor reaches it and it becomes the *drain*: a
+/// descending `Vec` popped from the tail. Items pushed for the cycle
+/// currently being drained (routing emits same-cycle ramp deliveries) go to
+/// a small `side` min-heap, and each pop takes the smaller of the drain
+/// tail and the side head, which is exactly the global minimum. Pending
+/// keys are unique (see the fabric's key discussion), so the unstable sort
+/// is deterministic.
+///
+/// Invariants, with `epoch = cursor >> EPOCH_SHIFT`:
+/// * drain and side items have time = `cursor`;
+/// * level-0 bucket `t & WHEEL_MASK` holds items of time `t` in
+///   `[cursor, (epoch + 1) << EPOCH_SHIFT)`;
+/// * level-1 bucket `e & WHEEL_MASK` holds items of the one epoch `e` in
+///   `[epoch + 1, epoch + WHEEL_BUCKETS]` that maps to it (the cursor's own
+///   slot is free for epoch `epoch + WHEEL_BUCKETS` once it has been dealt);
+/// * overflow items have an epoch beyond `epoch + WHEEL_BUCKETS`.
+///
+/// So every item of an earlier tier precedes every item of a later one.
 pub struct CalendarQueue<T: Ord> {
-    /// One bucket per cycle in `[cursor, horizon)`; bucket `t & RING_MASK`
-    /// holds the ring-resident items of time `t`, unsorted.
-    buckets: Vec<Vec<T>>,
-    /// Occupancy bitmap over `buckets` (bit = bucket non-empty).
-    occupied: [u64; BITMAP_WORDS],
-    /// All ring-resident items have time in `(cursor, horizon)`; all
-    /// overflow items have time ≥ horizon, where
-    /// `horizon = cursor.saturating_add(RING_BUCKETS)`; all drain/side
-    /// items have time = cursor exactly.
+    /// Chunk storage for both levels; a free chunk has no items.
+    chunks: Vec<Chunk<T>>,
+    /// Head of the free-chunk chain.
+    free: u32,
+    /// Per bucket, the chunk being appended to (level 0 then level 1).
+    heads: Vec<u32>,
+    /// Per level-1 bucket, the smallest time in it (`u64::MAX` if empty),
+    /// which lets `next_time` answer without scanning the bucket.
+    epoch_min: Vec<u64>,
+    occupied0: Occupancy,
+    occupied1: Occupancy,
     cursor: u64,
-    /// Items too far in the future for the ring.
+    /// Items too far in the future for the wheel.
     overflow: BinaryHeap<Reverse<T>>,
-    /// Items in `buckets` (excludes drain/side).
-    ring_len: usize,
+    /// All pending items: both levels, drain, side and overflow.
+    len: usize,
     /// The active cycle's items, sorted descending (pop = `Vec::pop`).
-    /// All have time = `cursor`.
     drain: Vec<T>,
     /// Items pushed *for* the active cycle *during* its drain.
     side: BinaryHeap<Reverse<T>>,
@@ -147,30 +174,27 @@ impl<T: Timestamped + Ord> Default for CalendarQueue<T> {
 }
 
 impl<T: Timestamped + Ord> CalendarQueue<T> {
-    /// An empty calendar queue with its cursor at time 0.
+    /// An empty queue with its cursor at time 0. Allocates only the two
+    /// bucket-head tables; chunks are allocated as items arrive.
     pub fn new() -> Self {
         Self {
-            buckets: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; BITMAP_WORDS],
+            chunks: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; 2 * WHEEL_BUCKETS],
+            epoch_min: vec![u64::MAX; WHEEL_BUCKETS],
+            occupied0: Occupancy::default(),
+            occupied1: Occupancy::default(),
             cursor: 0,
             overflow: BinaryHeap::new(),
-            ring_len: 0,
+            len: 0,
             drain: Vec::new(),
             side: BinaryHeap::new(),
         }
     }
 
     #[inline]
-    fn horizon(&self) -> u64 {
-        self.cursor.saturating_add(RING_BUCKETS as u64)
-    }
-
-    #[inline]
-    fn bucket_push(&mut self, item: T) {
-        let b = (item.time() & RING_MASK) as usize;
-        self.buckets[b].push(item);
-        self.occupied[b / 64] |= 1 << (b % 64);
-        self.ring_len += 1;
+    fn epoch(&self) -> u64 {
+        self.cursor >> EPOCH_SHIFT
     }
 
     #[inline]
@@ -178,104 +202,170 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
         self.drain.len() + self.side.len()
     }
 
-    /// Items currently resident in the near-term ring (buckets plus the
-    /// active drain), i.e. everything scheduled before the horizon.
+    /// Items inside the wheel's horizon: both levels plus the active drain.
     /// Telemetry only — does not affect scheduling order.
-    pub fn ring_occupancy(&self) -> usize {
-        self.ring_len + self.active_len()
+    pub fn wheel_occupancy(&self) -> usize {
+        self.len - self.overflow.len()
     }
 
-    /// Items parked in the far-future overflow heap (time ≥ horizon).
+    /// Items parked in the comparison heap beyond the wheel's horizon.
     /// Telemetry only — does not affect scheduling order.
     pub fn overflow_occupancy(&self) -> usize {
         self.overflow.len()
     }
 
-    /// The smallest ring-resident time, via a circular bitmap scan from the
-    /// cursor's bucket. Ring times live in `[cursor, horizon)`, so the
-    /// circular distance from the cursor bucket recovers the absolute time.
-    fn next_ring_time(&self) -> Option<u64> {
-        if self.ring_len == 0 {
-            return None;
-        }
-        let start = (self.cursor & RING_MASK) as usize;
-        let (w0, b0) = (start / 64, start % 64);
-        let first = self.occupied[w0] & (!0u64 << b0);
-        let found = if first != 0 {
-            w0 * 64 + first.trailing_zeros() as usize
-        } else {
-            let mut found = None;
-            for i in 1..=BITMAP_WORDS {
-                let w = (w0 + i) % BITMAP_WORDS;
-                let bits = if i == BITMAP_WORDS {
-                    // back to the first word: only the wrapped-around low bits
-                    self.occupied[w0] & !(!0u64 << b0)
-                } else {
-                    self.occupied[w]
-                };
-                if bits != 0 {
-                    found = Some(w * 64 + bits.trailing_zeros() as usize);
-                    break;
-                }
-            }
-            found?
-        };
-        let dist = (found + RING_BUCKETS - start) % RING_BUCKETS;
-        Some(self.cursor + dist as u64)
+    /// Bytes of item storage the queue currently holds on to, pending or
+    /// not: every chunk, the drain buffer and both heaps. Bounded by a
+    /// constant × the peak number of pending items (plus the partly filled
+    /// chunk of each occupied bucket). Telemetry only.
+    pub fn reserved_bytes(&self) -> usize {
+        let items = self.chunks.len() * CHUNK_ITEMS
+            + self.drain.capacity()
+            + self.side.capacity()
+            + self.overflow.capacity();
+        items * std::mem::size_of::<T>() + self.chunks.capacity() * std::mem::size_of::<Chunk<T>>()
     }
 
-    /// Makes cycle `t` the active drain: moves the cursor there, migrates
-    /// newly near-term overflow items, then sorts `t`'s bucket descending
-    /// into `drain`. The previous drain must be exhausted.
+    /// Appends `item` to bucket `bucket` of the `heads` table.
+    #[inline]
+    fn bucket_push(&mut self, bucket: usize, item: T) {
+        let mut head = self.heads[bucket];
+        if head == NIL || self.chunks[head as usize].items.len() == CHUNK_ITEMS {
+            head = self.grow_bucket(bucket, head);
+        }
+        self.chunks[head as usize].items.push(item);
+    }
+
+    /// Links a free (or new) chunk in front of bucket `bucket`'s chain.
+    fn grow_bucket(&mut self, bucket: usize, old_head: u32) -> u32 {
+        let head = if self.free != NIL {
+            let c = self.free;
+            self.free = self.chunks[c as usize].next;
+            c
+        } else {
+            let c = u32::try_from(self.chunks.len())
+                .ok()
+                .filter(|&c| c != NIL)
+                .expect("event-queue chunk arena exhausted");
+            self.chunks.push(Chunk {
+                items: Vec::with_capacity(CHUNK_ITEMS),
+                next: NIL,
+            });
+            c
+        };
+        self.chunks[head as usize].next = old_head;
+        self.heads[bucket] = head;
+        head
+    }
+
+    /// Empties bucket `bucket`, handing each of its chunks' items to `sink`
+    /// and returning the chunks to the free list.
+    fn bucket_take(&mut self, bucket: usize, mut sink: impl FnMut(&mut Self, &mut Vec<T>)) {
+        let mut c = std::mem::replace(&mut self.heads[bucket], NIL);
+        while c != NIL {
+            let chunk = &mut self.chunks[c as usize];
+            let next = chunk.next;
+            let mut items = std::mem::take(&mut chunk.items);
+            sink(self, &mut items);
+            debug_assert!(items.is_empty());
+            let chunk = &mut self.chunks[c as usize];
+            chunk.items = items;
+            chunk.next = self.free;
+            self.free = c;
+            c = next;
+        }
+    }
+
+    /// Files an item with time ≥ `cursor` into the tier its epoch selects.
+    #[inline]
+    fn place(&mut self, item: T) {
+        let t = item.time();
+        debug_assert!(t >= self.cursor);
+        let ahead = (t >> EPOCH_SHIFT) - self.epoch();
+        if ahead == 0 {
+            let slot = (t & WHEEL_MASK) as usize;
+            self.occupied0.set(slot);
+            self.bucket_push(slot, item);
+        } else if ahead <= WHEEL_BUCKETS as u64 {
+            let slot = ((t >> EPOCH_SHIFT) & WHEEL_MASK) as usize;
+            self.occupied1.set(slot);
+            self.epoch_min[slot] = self.epoch_min[slot].min(t);
+            self.bucket_push(WHEEL_BUCKETS + slot, item);
+        } else {
+            self.overflow.push(Reverse(item));
+        }
+    }
+
+    /// The smallest pending time outside the active drain, tier by tier.
+    fn next_inactive_time(&self) -> Option<u64> {
+        if let Some(d) = self
+            .occupied0
+            .first_from((self.cursor & WHEEL_MASK) as usize)
+        {
+            return Some(self.cursor + d as u64);
+        }
+        let first = ((self.epoch() + 1) & WHEEL_MASK) as usize;
+        if let Some(d) = self.occupied1.first_from(first) {
+            return Some(self.epoch_min[(first + d) % WHEEL_BUCKETS]);
+        }
+        self.overflow.peek().map(|Reverse(e)| e.time())
+    }
+
+    /// Makes cycle `t` — the smallest pending time — the active drain. On
+    /// entering a new epoch, first deals that epoch's level-1 bucket into
+    /// level 0 and lets newly near overflow items into the wheel. The
+    /// previous drain must be exhausted.
     fn activate(&mut self, t: u64) {
         debug_assert!(self.active_len() == 0);
         debug_assert!(t >= self.cursor);
+        let entering = t >> EPOCH_SHIFT != self.epoch();
         self.cursor = t;
-        let horizon = self.horizon();
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|Reverse(e)| e.time() < horizon)
-        {
-            let Reverse(e) = self.overflow.pop().unwrap();
-            self.bucket_push(e);
+        if entering {
+            // Level 0 is empty, or `t` would have been found there. Deal
+            // before admitting: this slot is also where the overflow items
+            // of epoch `epoch + WHEEL_BUCKETS` are about to land, and they
+            // should not be filed twice.
+            let slot = ((t >> EPOCH_SHIFT) & WHEEL_MASK) as usize;
+            self.occupied1.clear(slot);
+            self.epoch_min[slot] = u64::MAX;
+            self.bucket_take(WHEEL_BUCKETS + slot, |q, items| {
+                for item in items.drain(..) {
+                    q.place(item);
+                }
+            });
+            self.admit_overflow();
         }
-        let b = (t & RING_MASK) as usize;
-        if self.buckets[b].is_empty() {
-            return; // t's items are all in the saturated overflow
-        }
-        // Reuse the exhausted drain's capacity for the next cycles' pushes.
-        std::mem::swap(&mut self.buckets[b], &mut self.drain);
-        self.occupied[b / 64] &= !(1 << (b % 64));
-        self.ring_len -= self.drain.len();
+        let slot = (t & WHEEL_MASK) as usize;
+        self.occupied0.clear(slot);
+        // The chain runs newest chunk first; reversing each chunk as well
+        // makes the drain the exact reverse of push order, so a cycle whose
+        // events were pushed in key order arrives already sorted.
+        self.bucket_take(slot, |q, items| q.drain.extend(items.drain(..).rev()));
         self.drain.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// Empties the ring and the active drain back into the overflow heap
-    /// and restarts the window at `t` — the rare out-of-contract push (time
-    /// before the cursor while items are pending, e.g. re-seeding a queue
-    /// in arbitrary order).
-    fn rebase(&mut self, t: u64) {
-        for b in 0..RING_BUCKETS {
-            for item in self.buckets[b].drain(..) {
-                self.overflow.push(Reverse(item));
-            }
-        }
-        for item in self.drain.drain(..) {
-            self.overflow.push(Reverse(item));
-        }
-        self.overflow.append(&mut self.side);
-        self.occupied = [0; BITMAP_WORDS];
-        self.ring_len = 0;
-        self.cursor = t;
-        let horizon = self.horizon();
+    /// Moves every overflow item the wheel now reaches into it.
+    fn admit_overflow(&mut self) {
+        let reach = self.epoch() + WHEEL_BUCKETS as u64;
         while self
             .overflow
             .peek()
-            .is_some_and(|Reverse(e)| e.time() < horizon)
+            .is_some_and(|Reverse(e)| e.time() >> EPOCH_SHIFT <= reach)
         {
-            let Reverse(e) = self.overflow.pop().unwrap();
-            self.bucket_push(e);
+            let Reverse(e) = self.overflow.pop().expect("peeked");
+            self.place(e);
+        }
+    }
+
+    /// Restarts the wheel at `t` and files every pending item again — the
+    /// rare out-of-contract push (time before the cursor while items are
+    /// pending, e.g. re-seeding a queue in arbitrary order).
+    fn rebase(&mut self, t: u64) {
+        let items = self.drain_unordered();
+        self.cursor = t;
+        self.len = items.len();
+        for item in items {
+            self.place(item);
         }
     }
 
@@ -283,53 +373,21 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
     /// engine's stall-time scan uses this to compute exact per-link
     /// earliest-output bounds without disturbing the queue.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buckets
+        self.chunks
             .iter()
-            .flatten()
+            .flat_map(|c| c.items.iter())
             .chain(self.drain.iter())
             .chain(self.side.iter().map(|Reverse(e)| e))
             .chain(self.overflow.iter().map(|Reverse(e)| e))
     }
 
     /// Bulk insertion: moves every item of `batch` into the queue (clearing
-    /// `batch` but keeping its capacity). Within the ring horizon each item
-    /// is a plain O(1) bucket append — the sharded engine injects whole
-    /// cross-shard mailbox batches this way instead of one heap push at a
-    /// time.
+    /// `batch` but keeping its capacity). Within the wheel's horizon each
+    /// item is a plain O(1) bucket append — the sharded engine injects
+    /// whole cross-shard mailbox batches this way.
     pub fn append_batch(&mut self, batch: &mut Vec<T>) {
         for item in batch.drain(..) {
             self.push(item);
-        }
-    }
-
-    fn pop_min(&mut self) -> Option<T> {
-        // The active cycle is at the cursor — nothing pending is earlier.
-        match (self.drain.last(), self.side.peek()) {
-            (Some(d), Some(Reverse(s))) => {
-                return if d <= s {
-                    self.drain.pop()
-                } else {
-                    self.side.pop().map(|Reverse(e)| e)
-                };
-            }
-            (Some(_), None) => return self.drain.pop(),
-            (None, Some(_)) => return self.side.pop().map(|Reverse(e)| e),
-            (None, None) => {}
-        }
-        let t_ring = self.next_ring_time();
-        let t_over = self.overflow.peek().map(|Reverse(e)| e.time());
-        let t = match (t_ring, t_over) {
-            (Some(r), _) => r, // overflow times ≥ horizon > every ring time
-            (None, Some(o)) => o,
-            (None, None) => return None,
-        };
-        if t < self.horizon() {
-            self.activate(t);
-            self.drain.pop()
-        } else {
-            // The horizon is saturated at u64::MAX and so is `t`: the item
-            // can never migrate into the ring — pop it from the overflow.
-            self.overflow.pop().map(|Reverse(e)| e)
         }
     }
 }
@@ -340,34 +398,44 @@ impl<T: Timestamped + Ord> EventQueue<T> for CalendarQueue<T> {
         if t == self.cursor && self.active_len() > 0 {
             // A push for the cycle currently being drained.
             self.side.push(Reverse(item));
+            self.len += 1;
             return;
         }
-        if self.len() == 0 {
-            // An empty queue re-anchors its window at the pushed time, in
+        if self.len == 0 {
+            // An empty queue re-anchors its wheel at the pushed time, in
             // *both* directions. Anchoring forward matters as much as
             // backward: a queue built mid-simulation (the sharded engine
             // seeds fresh per-shard queues from a fabric whose clock is
-            // already past `RING_BUCKETS`) would otherwise leave the cursor
-            // at 0 forever, never activate a ring cycle, and silently
-            // degenerate into its O(log n) overflow heap.
+            // already far along) would otherwise file its first items by
+            // their distance from time 0.
             self.cursor = t;
         } else if t < self.cursor {
             self.rebase(t);
         }
-        if t < self.horizon() {
-            self.bucket_push(item);
-        } else {
-            self.overflow.push(Reverse(item));
-        }
+        self.len += 1;
+        self.place(item);
     }
 
     fn pop(&mut self) -> Option<T> {
-        self.pop_min()
+        // The active cycle is at the cursor — nothing pending is earlier.
+        let item = match (self.drain.last(), self.side.peek()) {
+            (Some(d), Some(Reverse(s))) if d > s => self.side.pop().map(|Reverse(e)| e),
+            (Some(_), _) => self.drain.pop(),
+            (None, Some(_)) => self.side.pop().map(|Reverse(e)| e),
+            (None, None) => {
+                let t = self.next_inactive_time()?;
+                self.activate(t);
+                self.drain.pop()
+            }
+        };
+        debug_assert!(item.is_some());
+        self.len -= 1;
+        item
     }
 
     fn pop_before(&mut self, bound: u64) -> Option<T> {
         match self.next_time() {
-            Some(t) if t < bound => self.pop_min(),
+            Some(t) if t < bound => self.pop(),
             _ => None,
         }
     }
@@ -376,29 +444,30 @@ impl<T: Timestamped + Ord> EventQueue<T> for CalendarQueue<T> {
         if self.active_len() > 0 {
             return Some(self.cursor);
         }
-        match (
-            self.next_ring_time(),
-            self.overflow.peek().map(|Reverse(e)| e.time()),
-        ) {
-            (Some(r), _) => Some(r),
-            (None, o) => o,
-        }
+        self.next_inactive_time()
     }
 
     fn len(&self) -> usize {
-        self.ring_len + self.overflow.len() + self.active_len()
+        self.len
     }
 
     fn drain_unordered(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        for b in 0..RING_BUCKETS {
-            out.append(&mut self.buckets[b]);
+        let mut out = Vec::with_capacity(self.len);
+        // Every chunk goes back on the free list, chained in index order.
+        let mut next = NIL;
+        for (i, chunk) in self.chunks.iter_mut().enumerate().rev() {
+            out.append(&mut chunk.items);
+            chunk.next = std::mem::replace(&mut next, i as u32);
         }
+        self.free = next;
         out.append(&mut self.drain);
         out.extend(self.side.drain().map(|Reverse(e)| e));
-        self.occupied = [0; BITMAP_WORDS];
-        self.ring_len = 0;
         out.extend(self.overflow.drain().map(|Reverse(e)| e));
+        self.heads.fill(NIL);
+        self.epoch_min.fill(u64::MAX);
+        self.occupied0 = Occupancy::default();
+        self.occupied1 = Occupancy::default();
+        self.len = 0;
         out
     }
 }
@@ -426,99 +495,235 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pops_in_time_then_tie_order() {
+    const EPOCH: u64 = WHEEL_BUCKETS as u64;
+    /// The horizon the wheel guarantees: anything nearer never sees the heap.
+    const HORIZON: u64 = EPOCH * EPOCH;
+
+    fn queue_of(items: &[Item]) -> CalendarQueue<Item> {
         let mut q = CalendarQueue::new();
-        for it in [Item(5, 1), Item(3, 2), Item(5, 0), Item(3, 1)] {
+        for &it in items {
             q.push(it);
         }
+        q
+    }
+
+    fn pop_all(q: &mut CalendarQueue<Item>) -> Vec<Item> {
         let popped: Vec<Item> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(popped, vec![Item(3, 1), Item(3, 2), Item(5, 0), Item(5, 1)]);
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.next_time(), None);
+        popped
+    }
+
+    fn sorted(items: &[Item]) -> Vec<Item> {
+        let mut v = items.to_vec();
+        v.sort();
+        v
     }
 
     #[test]
-    fn far_future_items_migrate_from_overflow() {
-        let mut q = CalendarQueue::new();
-        q.push(Item(0, 0));
-        let far = 10 * RING_BUCKETS as u64;
-        q.push(Item(far + 3, 0));
-        q.push(Item(far, 0));
-        assert_eq!(q.len(), 3);
+    fn pops_in_time_then_tie_order() {
+        let items = [Item(5, 1), Item(3, 2), Item(5, 0), Item(3, 1)];
+        assert_eq!(pop_all(&mut queue_of(&items)), sorted(&items));
+    }
+
+    #[test]
+    fn level_boundaries_around_the_cursor() {
+        // From an unaligned cursor, 1023/1024/1025 cycles ahead straddle
+        // the end of the cursor's epoch and of the next one.
+        for base in [0, 7, EPOCH - 1, 5 * EPOCH + 300] {
+            let items = [
+                Item(base, 0),
+                Item(base + 1025, 1),
+                Item(base + 1023, 2),
+                Item(base + 1024, 3),
+                Item(base + 1, 4),
+            ];
+            let mut q = queue_of(&items);
+            assert_eq!(q.overflow_occupancy(), 0);
+            assert_eq!(q.wheel_occupancy(), items.len());
+            assert_eq!(pop_all(&mut q), sorted(&items), "base {base}");
+        }
+    }
+
+    #[test]
+    fn epoch_roll_over_deals_level_one_into_level_zero() {
+        // A train that crosses three epoch boundaries one cycle at a time,
+        // pushed while the cursor follows it (so every epoch is dealt with
+        // later epochs still pending in level 1).
+        let start = EPOCH - 3;
+        let mut q = queue_of(&[Item(start, 0)]);
+        let mut expect = start;
+        let mut seq = 1;
+        while let Some(Item(t, _)) = q.pop() {
+            assert_eq!(t, expect);
+            expect += 1;
+            if seq == 1 {
+                for dt in 1..3 * EPOCH {
+                    q.push(Item(start + dt, seq));
+                    seq += 1;
+                }
+                assert_eq!(q.overflow_occupancy(), 0);
+            }
+            if t % EPOCH == 0 {
+                // a same-cycle push right after entering an epoch
+                q.push(Item(t, u64::MAX));
+                assert_eq!(q.pop(), Some(Item(t, u64::MAX)));
+            }
+        }
+        assert_eq!(expect, start + 3 * EPOCH);
+    }
+
+    #[test]
+    fn wheel_horizon_is_at_least_two_to_the_twenty() {
+        for base in [0, 1, EPOCH - 1, 3 * EPOCH + 17] {
+            let mut q = queue_of(&[Item(base, 0)]);
+            q.push(Item(base + HORIZON - 1, 1));
+            q.push(Item(base + HORIZON, 2));
+            assert_eq!(q.overflow_occupancy(), 0, "base {base}");
+            // One more epoch out is always beyond the wheel.
+            q.push(Item(base + HORIZON + EPOCH, 3));
+            assert_eq!(q.overflow_occupancy(), 1, "base {base}");
+            assert_eq!(q.wheel_occupancy(), 3);
+            assert_eq!(q.pop(), Some(Item(base, 0)));
+            assert_eq!(q.next_time(), Some(base + HORIZON - 1));
+            assert_eq!(q.pop(), Some(Item(base + HORIZON - 1, 1)));
+            // Entering that epoch brought the overflow item into the wheel.
+            assert_eq!(q.overflow_occupancy(), 0);
+            assert_eq!(q.pop(), Some(Item(base + HORIZON, 2)));
+            assert_eq!(q.pop(), Some(Item(base + HORIZON + EPOCH, 3)));
+            assert_eq!(q.pop(), None);
+        }
+    }
+
+    #[test]
+    fn overflow_items_land_in_the_slot_the_entered_epoch_vacates() {
+        // Epoch 1 and epoch 1 + 1024 share a level-1 slot: entering epoch 1
+        // must deal its bucket before admitting the overflow item to it.
+        let near = Item(EPOCH + 5, 1);
+        let far = Item((1 + EPOCH) * EPOCH + 5, 2);
+        let mut q = queue_of(&[Item(0, 0), near, far]);
+        assert_eq!(q.overflow_occupancy(), 1);
         assert_eq!(q.pop(), Some(Item(0, 0)));
-        assert_eq!(q.pop(), Some(Item(far, 0)));
-        assert_eq!(q.pop(), Some(Item(far + 3, 0)));
+        assert_eq!(q.pop(), Some(near));
+        assert_eq!(q.overflow_occupancy(), 0);
+        assert_eq!(q.next_time(), Some(far.0));
+        assert_eq!(q.pop(), Some(far));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn saturated_times_pop_from_overflow() {
-        let mut q = CalendarQueue::new();
-        q.push(Item(u64::MAX, 1));
-        q.push(Item(u64::MAX, 0));
-        q.push(Item(u64::MAX - 3, 0));
-        assert_eq!(q.pop(), Some(Item(u64::MAX - 3, 0)));
-        assert_eq!(q.pop(), Some(Item(u64::MAX, 0)));
-        assert_eq!(q.pop(), Some(Item(u64::MAX, 1)));
-        assert_eq!(q.pop(), None);
+    fn saturated_times_pop_in_order() {
+        let items = [
+            Item(u64::MAX, 1),
+            Item(u64::MAX, 0),
+            Item(u64::MAX - 3, 0),
+            Item(u64::MAX - HORIZON - EPOCH, 0),
+            Item(2, 0),
+        ];
+        assert_eq!(pop_all(&mut queue_of(&items)), sorted(&items));
     }
 
     #[test]
     fn empty_queue_accepts_earlier_times() {
-        let mut q = CalendarQueue::new();
-        q.push(Item(500, 0));
+        let mut q = queue_of(&[Item(500, 0)]);
         assert_eq!(q.pop(), Some(Item(500, 0)));
         q.push(Item(10, 0)); // empty: the cursor rewinds
         assert_eq!(q.pop(), Some(Item(10, 0)));
     }
 
     #[test]
-    fn out_of_contract_push_rebases() {
-        let mut q = CalendarQueue::new();
-        q.push(Item(900, 0));
+    fn out_of_contract_push_rebases_with_both_levels_pending() {
+        let pending = [
+            Item(900, 1),         // active drain once 900 is reached
+            Item(1000, 2),        // level 0
+            Item(40 * EPOCH, 3),  // level 1
+            Item(2 * HORIZON, 4), // overflow
+        ];
+        let mut q = queue_of(&[Item(900, 0)]);
+        for it in pending {
+            q.push(it);
+        }
         assert_eq!(q.pop(), Some(Item(900, 0)));
-        q.push(Item(1000, 0));
-        // 1000 and 80 are RING_BUCKETS apart modulo the ring minus 96 —
-        // distinct buckets either way; what matters is the cursor rewind
-        // with items pending, which forces a rebase.
-        q.push(Item(80, 0));
-        assert_eq!(q.pop(), Some(Item(80, 0)));
-        assert_eq!(q.pop(), Some(Item(1000, 0)));
-        assert_eq!(q.pop(), None);
+        q.push(Item(900, 5)); // side heap
+        q.push(Item(80, 6)); // before the cursor with items pending
+        assert_eq!(q.len(), 6);
+        assert_eq!(q.next_time(), Some(80));
+        let mut expect = sorted(&pending);
+        expect.insert(0, Item(80, 6));
+        expect.insert(2, Item(900, 5));
+        assert_eq!(pop_all(&mut q), expect);
     }
 
     #[test]
-    fn empty_queue_anchors_forward_into_the_ring() {
-        // A queue first used when the clock is already far past
-        // RING_BUCKETS (the sharded engine seeds fresh per-shard queues
-        // mid-simulation) must anchor its window at the pushed time and
-        // stay ring-resident — not leave the cursor at 0 and degenerate
-        // into the overflow heap.
+    fn cursor_jumps_forward_with_level_one_items_pending() {
+        // Nothing in level 0: the next pop re-anchors the cursor inside a
+        // level-1 epoch while later epochs stay pending, and pushes made
+        // from there are filed relative to the new cursor.
+        let mut q = queue_of(&[Item(3, 0)]);
+        q.push(Item(200 * EPOCH + 9, 1));
+        q.push(Item(200 * EPOCH + 4, 2));
+        q.push(Item(900 * EPOCH, 3));
+        assert_eq!(q.pop(), Some(Item(3, 0)));
+        assert_eq!(q.next_time(), Some(200 * EPOCH + 4));
+        assert_eq!(q.pop(), Some(Item(200 * EPOCH + 4, 2)));
+        q.push(Item(200 * EPOCH + HORIZON, 4));
+        assert_eq!(q.overflow_occupancy(), 0);
+        assert_eq!(
+            pop_all(&mut q),
+            vec![
+                Item(200 * EPOCH + 9, 1),
+                Item(900 * EPOCH, 3),
+                Item(200 * EPOCH + HORIZON, 4)
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_queue_anchors_forward_into_the_wheel() {
+        // A queue first used when the clock is already far along (the
+        // sharded engine seeds fresh per-shard queues mid-simulation) must
+        // anchor at the pushed time, not file items by distance from 0.
         let mut q = CalendarQueue::new();
-        let late = 40 * RING_BUCKETS as u64 + 7;
+        let late = 40 * HORIZON + 7;
         q.push(Item(late + 2, 0));
         q.push(Item(late, 0));
         q.push(Item(late + 1, 0));
+        assert_eq!(q.overflow_occupancy(), 0);
         assert_eq!(
-            q.overflow.len(),
-            0,
-            "near-term pushes must stay in the ring"
+            pop_all(&mut q),
+            vec![Item(late, 0), Item(late + 1, 0), Item(late + 2, 0)]
         );
-        assert_eq!(q.pop(), Some(Item(late, 0)));
-        assert_eq!(q.pop(), Some(Item(late + 1, 0)));
-        assert_eq!(q.pop(), Some(Item(late + 2, 0)));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn pop_before_respects_bound() {
-        let mut q = CalendarQueue::new();
-        q.push(Item(4, 0));
-        q.push(Item(9, 0));
+        let mut q = queue_of(&[Item(4, 0), Item(9, 0), Item(5 * EPOCH, 0)]);
         assert_eq!(q.pop_before(5), Some(Item(4, 0)));
         assert_eq!(q.pop_before(5), None);
         assert_eq!(q.next_time(), Some(9));
         assert_eq!(q.pop_before(10), Some(Item(9, 0)));
+        assert_eq!(q.pop_before(5 * EPOCH), None);
+        assert_eq!(q.pop_before(5 * EPOCH + 1), Some(Item(5 * EPOCH, 0)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn emptied_buckets_return_their_chunks() {
+        // A long one-cycle-apart train reuses the chunks the cursor has
+        // already passed instead of growing the arena per bucket.
+        let mut q = queue_of(&[Item(0, 0)]);
+        for t in 0..20 * EPOCH {
+            assert_eq!(q.pop(), Some(Item(t, 0)));
+            q.push(Item(t + 1, 0));
+        }
+        assert!(
+            q.chunks.len() <= 2,
+            "{} chunks for one item",
+            q.chunks.len()
+        );
+        assert_eq!(q.iter().count(), 1);
+        assert_eq!(q.drain_unordered(), vec![Item(20 * EPOCH, 0)]);
+        assert_eq!(q.iter().count(), 0);
     }
 
     #[test]

@@ -113,7 +113,7 @@ proptest! {
         let (mut mem, a, _b, d) = setup(&va, &vb);
         let mut ctr = OpCounters::default();
         let mut tr = PeTracer::null();
-        let sent = dsd::fmov_send(&mem, &mut ctr, &mut tr, a);
+        let sent: Vec<f32> = dsd::fmov_send(&mem, &mut ctr, &mut tr, a).collect();
         for (i, v) in sent.iter().enumerate() {
             dsd::fmov_recv(&mut mem, &mut ctr, &mut tr, d.at(i), *v);
         }

@@ -1,13 +1,59 @@
 //! Property tests of the event-queue contract: under randomized schedules
-//! the [`CalendarQueue`] must pop items in the *exact* order the reference
-//! [`HeapQueue`] (a `BinaryHeap<Reverse<T>>`) produces — including
-//! same-cycle ties broken by `(seq, src)`, items far enough in the future
-//! to land in the overflow heap and migrate back into the ring, and pushes
-//! interleaved with pops (the fabric pushes new events for the cycle it is
-//! currently draining).
+//! the [`CalendarQueue`] must pop items in the *exact* order a
+//! `BinaryHeap<Reverse<T>>` (the [`HeapQueue`] oracle below) produces —
+//! including same-cycle ties broken by `(seq, src)`, items far enough in
+//! the future to sit in level 1 or the overflow heap and move inward as
+//! the cursor advances, and pushes interleaved with pops (the fabric
+//! pushes new events for the cycle it is currently draining).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use wse_sim::queue::{advance_time, CalendarQueue, EventQueue, HeapQueue, Timestamped};
+use wse_sim::queue::{advance_time, CalendarQueue, EventQueue, Timestamped};
+
+/// The reference queue: a binary heap of reversed items.
+#[derive(Debug)]
+struct HeapQueue<T: Ord> {
+    heap: BinaryHeap<Reverse<T>>,
+}
+
+impl<T: Ord> HeapQueue<T> {
+    fn new() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+        }
+    }
+}
+
+impl<T: Timestamped + Ord> EventQueue<T> for HeapQueue<T> {
+    fn push(&mut self, item: T) {
+        self.heap.push(Reverse(item));
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        self.heap.pop().map(|Reverse(e)| e)
+    }
+
+    fn pop_before(&mut self, bound: u64) -> Option<T> {
+        match self.heap.peek() {
+            Some(Reverse(e)) if e.time() < bound => self.pop(),
+            _ => None,
+        }
+    }
+
+    fn next_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(e)| e.time())
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn drain_unordered(&mut self) -> Vec<T> {
+        self.heap.drain().map(|Reverse(e)| e).collect()
+    }
+}
 
 /// A stand-in for the fabric's `Event` key `(time, seq, src)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -22,6 +68,9 @@ impl Timestamped for Key {
         self.time
     }
 }
+
+/// A stand-in for the fabric's `hop_latency`.
+const HOP: u64 = 2;
 
 /// Pops everything from both queues, asserting identical sequences.
 fn assert_same_drain(cal: &mut CalendarQueue<Key>, heap: &mut HeapQueue<Key>) {
@@ -62,8 +111,8 @@ proptest! {
         assert_same_drain(&mut cal, &mut heap);
     }
 
-    /// Times spanning many ring windows: items start in the overflow heap
-    /// and must migrate into ring buckets as the cursor advances.
+    /// Times spanning many epochs: items start in level 1 and are dealt
+    /// into level 0 as the cursor enters their epoch.
     #[test]
     fn overflow_migration_preserves_order(raw in proptest::collection::vec((0u64..1_000_000, 0usize..4), 0..512)) {
         let mut cal = CalendarQueue::new();
@@ -140,11 +189,103 @@ proptest! {
         }
         prop_assert!(cal.is_empty());
     }
+
+    /// The far-horizon walk: every queue operation interleaved, with
+    /// pushes anywhere from the active cycle to beyond the wheel, checking
+    /// `len` and `next_time` against the oracle after every step.
+    #[test]
+    fn far_horizon_walk_matches_heap(
+        steps in proptest::collection::vec((0u8..16, 0u8..7, 0u64..49_000, 0usize..4), 1..400),
+    ) {
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
+        let mut seq = 0u64;
+        // The time of the last pop: in-contract pushes are at or after it.
+        // A saturated pop does not move it — the walk would be stuck at the
+        // end of time — so what follows one is a rewind, like op 15.
+        let mut now = 0u64;
+        let after = |now: u64, popped: Option<Key>| match popped {
+            Some(k) if k.time != u64::MAX => k.time,
+            _ => now,
+        };
+        let mut key = |time: u64, src: usize| {
+            seq += 1;
+            Key { time, seq, src }
+        };
+        for (op, dt_kind, jitter, src) in steps {
+            let dt = match dt_kind {
+                0 => 0,                           // the active cycle (side heap)
+                1 => 1,                           // next cycle
+                2 => HOP,                         // one hop
+                3 => 1_000 + jitter,              // a deep column's ramp train
+                4 => (1 << 20) - 2 + jitter % 5,  // the wheel's horizon ± 2
+                5 => (1 << 20) + 1024 + jitter % 2048, // just beyond: overflow, soon admitted
+                _ => u64::MAX,                    // saturates
+            };
+            let time = advance_time(now, dt);
+            match op {
+                0..=5 => {
+                    let k = key(time, src);
+                    cal.push(k);
+                    heap.push(k);
+                }
+                6..=10 => {
+                    // A short burst, so the walk keeps up with its pushes
+                    // and the cursor does reach the far items.
+                    for _ in 0..1 + jitter % 4 {
+                        let (a, b) = (cal.pop(), heap.pop());
+                        prop_assert_eq!(a, b);
+                        now = after(now, a);
+                    }
+                }
+                11 | 12 => {
+                    let (a, b) = (cal.pop_before(time), heap.pop_before(time));
+                    prop_assert_eq!(a, b);
+                    now = after(now, a);
+                }
+                13 => {
+                    let mut batch: Vec<Key> = (0..1 + jitter % 8)
+                        .map(|i| key(advance_time(time, i * HOP), src))
+                        .collect();
+                    for &k in &batch {
+                        heap.push(k);
+                    }
+                    cal.append_batch(&mut batch);
+                    prop_assert!(batch.is_empty());
+                }
+                14 => {
+                    // Drain and re-seed in whatever order the drain gave:
+                    // earlier-than-cursor pushes with items pending.
+                    let drained = cal.drain_unordered();
+                    prop_assert!(cal.is_empty());
+                    let mut a = drained.clone();
+                    let mut b = heap.drain_unordered();
+                    a.sort();
+                    b.sort();
+                    prop_assert_eq!(a, b);
+                    for k in drained {
+                        cal.push(k);
+                        heap.push(k);
+                    }
+                }
+                _ => {
+                    // Out of contract: before the last popped time.
+                    let k = key(now.saturating_sub(jitter), src);
+                    cal.push(k);
+                    heap.push(k);
+                }
+            }
+            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(cal.next_time(), heap.next_time());
+            prop_assert_eq!(cal.iter().count(), heap.len());
+        }
+        assert_same_drain(&mut cal, &mut heap);
+    }
 }
 
-/// Event times right at the edge of the representable range: the ring
-/// horizon saturates at `u64::MAX`, so these items live permanently in the
-/// overflow heap yet must still pop in exact key order.
+/// Event times right at the edge of the representable range: these items
+/// wait in the overflow heap until the cursor jumps to within the wheel's
+/// reach of them, and must still pop in exact key order.
 #[test]
 fn near_u64_max_times_pop_in_order() {
     let mut cal = CalendarQueue::new();
@@ -152,7 +293,7 @@ fn near_u64_max_times_pop_in_order() {
     let times = [
         u64::MAX,
         u64::MAX - 1,
-        u64::MAX - 1500, // within one ring window of the saturated horizon
+        u64::MAX - 1500, // the last epochs before the end of time
         0,
         1,
         u64::MAX / 2,
@@ -175,7 +316,7 @@ fn near_u64_max_times_pop_in_order() {
 
 /// Re-seeding a queue in arbitrary (unsorted) order after a drain — the
 /// fabric does this when resealing wavelets on fault-plan installation —
-/// must rebase the ring correctly.
+/// must rebase the wheel correctly.
 #[test]
 fn out_of_contract_reseed_rebases() {
     let mut cal = CalendarQueue::new();
@@ -205,4 +346,47 @@ fn out_of_contract_reseed_rebases() {
     cal.push(k);
     heap.push(k);
     assert_same_drain(&mut cal, &mut heap);
+}
+
+/// The queue's storage follows the number of *pending* events, not the
+/// number of buckets the cursor has swept: a lockstep schedule with 4,096
+/// events in every cycle (each pop spawning its successor one cycle later,
+/// every eighth also a same-cycle delivery) must not leave a 4,096-item
+/// buffer behind in each of the 1024 buckets it passes through.
+#[test]
+fn reserved_memory_tracks_pending_items() {
+    const PER_CYCLE: usize = 4_096;
+    const CYCLES: u64 = 5_000;
+    /// Partly filled chunks of the few occupied buckets, table headers.
+    const SLACK_BYTES: usize = 64 * 1024;
+
+    let mut cal = CalendarQueue::new();
+    let mut seq = 0u64;
+    let mut key = |time: u64, src: usize| {
+        seq += 1;
+        Key { time, seq, src }
+    };
+    for src in 0..PER_CYCLE {
+        cal.push(key(0, src));
+    }
+    let mut peak_pending = cal.len();
+    while let Some(k) = cal.pop() {
+        if k.src >= PER_CYCLE {
+            continue; // a same-cycle delivery: no successor
+        }
+        if k.time + 1 < CYCLES {
+            cal.push(key(k.time + 1, k.src));
+        }
+        if k.src % 8 == 0 {
+            cal.push(key(k.time, PER_CYCLE + k.src));
+        }
+        peak_pending = peak_pending.max(cal.len());
+    }
+    // Nothing in this walk releases storage, so the final figure is the peak.
+    let reserved = cal.reserved_bytes();
+    let bound = 4 * peak_pending * std::mem::size_of::<Key>() + SLACK_BYTES;
+    assert!(
+        reserved <= bound,
+        "queue reserved {reserved} B for at most {peak_pending} pending items (bound {bound} B)"
+    );
 }
