@@ -11,8 +11,8 @@
 //!
 //! [`Fabric::run`] dispatches on [`FabricConfig::execution`]:
 //!
-//! * [`Execution::Sequential`] — a single event queue popped in key order
-//!   (the reference engine).
+//! * [`Execution::Sequential`] — a single event queue over the whole
+//!   fabric (the reference engine).
 //! * [`Execution::Sharded`] — the PE grid is partitioned into rectangular
 //!   shards, each with a private event queue, advanced by a scoped-thread
 //!   worker pool under **conservative lookahead** (CMB/null-message style;
@@ -30,53 +30,63 @@
 //!   hop_latency` for anything it may yet receive and relay), which is what
 //!   lets interior work stop throttling boundary neighbors.
 //!
-//! Both engines order events by the same key `(time, seq, src)`, where
-//! `seq` is a counter private to the *creating* PE (or to the host) and
-//! `src` identifies that creator. A pure pass-through hop — a data wavelet
-//! crossing a *fixed* single-cardinal-output route — is **key-preserving**:
-//! the router forwards the event with `(seq, src)` untouched, advancing
-//! only its time, so passive forwarding routers never contribute to the
-//! key. Every other emission (ramp delivery, fan-out, task output, local
-//! activation) gets a fresh `seq` from its creator. The key is causally
-//! local: it depends only on the originating PE's own processing history,
-//! never on global interleaving, so both engines assign identical keys to
-//! identical events. Keys of *pending* events are unique (each creator
-//! numbers its events, and a key-preserved forward consumes its predecessor
-//! and is its only descendant), giving a strict total order, so queue
-//! insertion order is irrelevant. Determinism of the sharded engine then
-//! follows from the channel-clock promise: a shard pops only events with
-//! time strictly below its EIT, and every *future* cross-shard arrival has
-//! time ≥ EIT (clocks are read with `Acquire` *before* the mailbox is
-//! drained, and senders flush their batches *before* publishing, so any
-//! event the promise does not cover is already visible in the drain). Each
-//! shard therefore processes its PEs' events in exactly the key order the
-//! sequential engine would, and per-event processing touches only one PE's
-//! slot. Results, per-PE [`OpCounters`], [`RunReport`] totals, and error
-//! reporting are bit-identical between the engines.
+//! # Order: per-PE key order is the contract, PE-major is the schedule
+//!
+//! Every event carries the key `(time, seq, src)`, where `seq` is a counter
+//! private to the *creating* PE (or to the host) and `src` identifies that
+//! creator. A pure pass-through hop — a data wavelet crossing a *fixed*
+//! single-cardinal-output route — is **key-preserving**: the router
+//! forwards the event with `(seq, src)` untouched, advancing only its time,
+//! so passive forwarding routers never contribute to the key. Every other
+//! emission (ramp delivery, fan-out, task output, local activation) gets a
+//! fresh `seq` from its creator. Keys of *pending* events are unique (each
+//! creator numbers its events, and a key-preserved forward consumes its
+//! predecessor and is its only descendant).
+//!
+//! The engines promise the order **at each PE**: a PE processes the events
+//! addressed to it in key order. No other order is observable, because
+//! (1) an event mutates one PE's slot and arena row and nothing else —
+//! fast-forwarding adds to the traversed PEs' `fabric_hops`, which commutes,
+//! and reads only routes frozen at `load()`; (2) keys are causally local:
+//! they depend on the creating PE's own history, never on global
+//! interleaving; (3) an effect on *another* PE crosses a link and lands
+//! `hop_latency ≥ 1` cycles later (asserted by [`Fabric::new`]). So every
+//! schedule that runs cycles in order and, within a cycle, each PE's events
+//! in key order yields the same state. Both engines use the **PE-major**
+//! one — an event's `Ord` is `(time, pe, seq, src)` — which executes a
+//! cycle one PE at a time, while that PE's slot, program and memory are
+//! hot. The smallest-key error both engines report is still chosen by
+//! `(time, seq, src)`. The sharded engine adds the channel-clock promise: a
+//! shard pops only events with time strictly below its EIT, and every
+//! *future* cross-shard arrival has time ≥ EIT (clocks are read with
+//! `Acquire` *before* the mailbox is drained, and senders flush their
+//! batches *before* publishing, so any event the promise does not cover is
+//! already visible in the drain). Results, per-PE [`OpCounters`],
+//! [`RunReport`] totals, and error reporting are bit-identical between the
+//! engines.
 //!
 //! # Event engine
 //!
 //! Events live in a [`CalendarQueue`] — a two-level timing wheel, O(1)
 //! push/pop for integer-cycle times less than 2²⁰ cycles ahead (see
-//! [`crate::queue`]) — behind the [`EventQueue`] trait both engines share.
-//! On fault-free, untraced runs the engines also **fast-forward static
-//! routes**: a per-`(pe, color)` table of passive-forwarding hops is built
-//! at `run()` entry, and a data wavelet entering a k-hop chain of fixed
-//! single-cardinal-output routes is delivered to the chain's end as *one*
-//! event at `t + k·hop_latency`, with each intermediate router's
-//! `fabric_hops` bumped exactly as the per-hop walk would bump it. Key
+//! [`crate::queue`]). Each engine's run loop pops from it and hands the
+//! event to the one step function both share (`Engine::step`), over the
+//! PEs that engine instance owns: the whole fabric for `Sequential`, one
+//! shard's rectangle for `Sharded`.
+//!
+//! On fault-free, untraced runs the step function **fast-forwards static
+//! routes** (`fast_forward`): a data wavelet entering a k-hop chain of
+//! fixed single-cardinal-output routes is delivered to the chain's end as
+//! *one* event at `t + k·hop_latency`, billed as k events, with each
+//! traversed router's `fabric_hops` bumped as the per-hop walk would. Key
 //! preservation makes both walks emit the same final event, so results are
-//! bit-identical with fast-forwarding on or off
-//! ([`FabricConfig::fast_forward`]). Chains re-validate each hop against
-//! [`Router::version`] at walk time, so runtime reconfiguration falls back
-//! to per-hop routing. Sharded chains cross shard boundaries *segmented*:
-//! the owning shard jumps the chain to the first PE past its boundary and
-//! delivers that event into the neighbor's mailbox with the exact
-//! accumulated arrival time `t + j·hop_latency`; the neighbor continues the
-//! chain from there when it pops the event. Each segment bumps its own
-//! routers' `fabric_hops`, and a k-hop chain costs `1 + (k−1)` budget
-//! events in both engines regardless of how many boundaries split it, so
-//! counters, budgets, and results stay bit-identical.
+//! bit-identical with [`FabricConfig::fast_forward`] on or off. The walk
+//! reads a table `load()` derives from its route-interning pass and no PE's
+//! mutable state, because **loaded routes are frozen**: a task handler may
+//! configure a color its router does not have yet, but re-configuring a
+//! configured one is refused with [`RouteError::Frozen`] — a jump that
+//! departed before the rewire and a per-hop walk arriving after it would
+//! otherwise disagree.
 
 use crate::fault::{FaultClass, FaultEvent, FaultKind, FaultPlan};
 use crate::geometry::{Direction, FabricDims, PeCoord, CARDINALS};
@@ -89,7 +99,7 @@ use crate::snapshot::{
 };
 use crate::stats::{FabricStats, OpCounters};
 use crate::wavelet::{Color, Wavelet, WaveletKind, MAX_COLORS};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use wse_trace::{EventRing, PeTracer, Trace, TraceEventKind, TraceSpec, HOST_PE, LINK_CONTROL_BIT};
@@ -120,8 +130,9 @@ pub enum Execution {
 pub struct FabricConfig {
     /// Per-PE memory capacity in bytes (default: WSE-2's 48 kB).
     pub pe_memory_bytes: usize,
-    /// Router-to-router latency in cycles (default 1). Must be ≥ 1 for
-    /// [`Execution::Sharded`] — it is the engine's lookahead.
+    /// Router-to-router latency in cycles (default 1). Must be ≥ 1: it is
+    /// what keeps a cycle's PEs independent of each other (see the module
+    /// docs), and the sharded engine's lookahead.
     pub hop_latency: u64,
     /// Safety cap on processed events (default 10⁹).
     pub max_events: u64,
@@ -173,7 +184,8 @@ enum EventKind {
 }
 
 /// The deterministic event key: see the module docs. `seq` is private to
-/// `src`, so keys are unique and causally local.
+/// `src`, so keys are unique and causally local. Orders a PE's own events
+/// and picks the error to report; the *schedule* is [`Event`]'s `Ord`.
 type EventKey = (u64, u64, usize);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,9 +207,11 @@ impl Event {
     }
 }
 
+/// PE-major: cycles in order, a cycle's events grouped by destination PE,
+/// each PE's events in key order.
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+        (self.time, self.pe, self.seq, self.src).cmp(&(other.time, other.pe, other.seq, other.src))
     }
 }
 
@@ -517,7 +531,7 @@ fn error_code(error: &FabricError) -> (u8, u32) {
         FabricError::EventBudgetExceeded { .. } => (0, 0),
         FabricError::Route { error, .. } => {
             let color = match error {
-                RouteError::UnconfiguredColor(c) => c.id(),
+                RouteError::UnconfiguredColor(c) | RouteError::Frozen(c) => c.id(),
                 RouteError::InputNotAccepted { color, .. } => color.id(),
             };
             (1, u32::from(color))
@@ -557,10 +571,21 @@ fn report_error(
 // ---------------------------------------------------------------------------
 // Per-event processing, shared verbatim by both engines.
 //
-// Each function mutates exactly one PE's slot and hands created events to
-// `emit`; nothing else is touched, which is what makes shard-parallel
-// execution sound.
+// Each function mutates exactly the slot and arena row of the PE its
+// [`Engine`] is visiting and hands created events to `emit` together with
+// their destination coordinate (always known here, so no sink has to divide
+// a linear index back out); nothing else is touched, which is what makes
+// PE-major and shard-parallel execution sound.
 // ---------------------------------------------------------------------------
+
+/// The PE an [`Engine`] is visiting — linear index, coordinate and slot /
+/// arena index — resolved once per run of consecutive events at one PE.
+#[derive(Clone, Copy)]
+struct Visit {
+    pe: usize,
+    coord: PeCoord,
+    idx: usize,
+}
 
 /// Trace link code for a wavelet event: low byte = direction index,
 /// bit 8 = control flag.
@@ -569,20 +594,15 @@ fn link_code(dir: Direction, control: bool) -> u16 {
     dir.index() as u16 | if control { LINK_CONTROL_BIT } else { 0 }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn process_route(
-    slot: &mut PeSlot,
-    sc: &mut PeScalars,
-    idx: usize,
-    pe: usize,
-    coord: PeCoord,
-    dims: FabricDims,
-    hop_latency: u64,
+    eng: &mut Engine,
     ev: &Event,
     input: Direction,
-    emit: &mut impl FnMut(Event),
-    first_error: &mut Option<(EventKey, FabricError)>,
+    emit: &mut impl FnMut(Event, PeCoord),
 ) {
+    let Visit { pe, coord, idx } = eng.at;
+    let (dims, hop_latency) = (eng.dims, eng.hop_latency);
+    let (slot, sc, first_error) = (&mut eng.slots[idx], &mut *eng.scalars, &mut *eng.error);
     // Work list (slot-resident, so the hot path never allocates): the
     // incoming wavelet, then — in arrival order — any previously stalled
     // wavelets a toggle releases. Releases are processed *within this
@@ -736,14 +756,15 @@ fn process_route(
                     wavelet.payload,
                 );
                 sc.seq[idx] += 1;
-                emit(Event {
+                let delivery = Event {
                     time: ev.time,
                     seq: sc.seq[idx],
                     src: pe,
                     pe,
                     kind: EventKind::Deliver,
                     wavelet,
-                });
+                };
+                emit(delivery, coord);
             } else {
                 // A send is traced per fabric-link traversal — recorded
                 // even at the fabric edge, matching the router's
@@ -804,14 +825,15 @@ fn process_route(
                             sc.seq[idx] += 1;
                             (sc.seq[idx], pe)
                         };
-                        emit(Event {
+                        let hop = Event {
                             time: advance_time(ev.time, hop_latency),
                             seq,
                             src,
                             pe: dims.linear(n),
                             kind: EventKind::Route(dir.arrival_side()),
                             wavelet,
-                        });
+                        };
+                        emit(hop, n);
                     }
                     None => {
                         slot.trace.record_at(
@@ -829,17 +851,9 @@ fn process_route(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn process_deliver(
-    slot: &mut PeSlot,
-    sc: &mut PeScalars,
-    idx: usize,
-    pe: usize,
-    coord: PeCoord,
-    dims: FabricDims,
-    ev: &Event,
-    emit: &mut impl FnMut(Event),
-) {
+fn process_deliver(eng: &mut Engine, ev: &Event, emit: &mut impl FnMut(Event, PeCoord)) {
+    let Visit { coord, idx, .. } = eng.at;
+    let (slot, sc) = (&mut eng.slots[idx], &mut *eng.scalars);
     // A halted PE swallows every delivery without running a task.
     if slot.faults.active && slot.faults.halt_at.is_some_and(|h| ev.time >= h) {
         record_fault(
@@ -880,21 +894,26 @@ fn process_deliver(
         ev.wavelet.payload,
     );
     slot.trace.task_begin(start, cycles_before);
-    {
-        let mut ctx = PeContext::new(
-            coord,
-            dims,
-            &mut slot.memory,
-            &mut slot.counters,
-            &mut slot.trace,
-            &mut slot.router,
-            &mut slot.outbox,
-            &mut slot.activations,
-        );
-        match ev.wavelet.kind {
-            WaveletKind::Data => slot.program.on_data(&mut ctx, ev.wavelet),
-            WaveletKind::Control => slot.program.on_control(&mut ctx, ev.wavelet),
-        }
+    let mut ctx = PeContext::new(
+        coord,
+        eng.dims,
+        &mut slot.memory,
+        &mut slot.counters,
+        &mut slot.trace,
+        &mut slot.router,
+        &mut slot.outbox,
+        &mut slot.activations,
+        true,
+    );
+    match ev.wavelet.kind {
+        WaveletKind::Data => slot.program.on_data(&mut ctx, ev.wavelet),
+        WaveletKind::Control => slot.program.on_control(&mut ctx, ev.wavelet),
+    }
+    // The handler tried to rewire a loaded route: refused (the route stands)
+    // and reported like any other routing error, keyed by this event.
+    if let Some(error) = ctx.refused {
+        let error = FabricError::Route { pe: coord, error };
+        report_error(&mut slot.trace, start, eng.error, ev.key(), error);
     }
     let mut cost = slot.counters.cycles() - cycles_before;
     // A slow-down window multiplies the task's timing cost (busy horizon
@@ -923,7 +942,7 @@ fn process_deliver(
         u16::from(ev.wavelet.is_control()),
         cost as u32,
     );
-    flush_pe_output(slot, sc, idx, pe, sc.busy_until[idx], emit);
+    flush_pe_output(slot, sc, eng.at, sc.busy_until[idx], emit);
 }
 
 /// Injects a PE's pending sends (through its own router, ramp input) and
@@ -932,10 +951,9 @@ fn process_deliver(
 fn flush_pe_output(
     slot: &mut PeSlot,
     sc: &mut PeScalars,
-    idx: usize,
-    pe: usize,
+    Visit { pe, coord, idx }: Visit,
     at: u64,
-    emit: &mut impl FnMut(Event),
+    emit: &mut impl FnMut(Event, PeCoord),
 ) {
     // Wavelets are sealed (checksum installed) at network injection only
     // while a fault plan has verification on — the fault-free path never
@@ -948,14 +966,15 @@ fn flush_pe_output(
             w.seal();
         }
         sc.seq[idx] += 1;
-        emit(Event {
+        let ev = Event {
             time: advance_time(at, k as u64),
             seq: sc.seq[idx],
             src: pe,
             pe,
             kind: EventKind::Route(Direction::Ramp),
             wavelet: *w,
-        });
+        };
+        emit(ev, coord);
     }
     outbox.clear();
     slot.outbox = outbox;
@@ -966,14 +985,15 @@ fn flush_pe_output(
             w.seal();
         }
         sc.seq[idx] += 1;
-        emit(Event {
+        let ev = Event {
             time: at,
             seq: sc.seq[idx],
             src: pe,
             pe,
             kind: EventKind::Deliver,
             wavelet: w,
-        });
+        };
+        emit(ev, coord);
     }
     acts.clear();
     slot.activations = acts;
@@ -1003,48 +1023,32 @@ const INVALID_STEP: FwdStep = FwdStep {
     out: Direction::North,
 };
 
-/// The class-indexed fast-forward table, built once at `run()` entry when
-/// fast-forwarding is enabled (never while tracing is on or fault state is
-/// installed — see [`Fabric::fwd_table`]). Each PE maps to the equivalence
+/// The class-indexed fast-forward table, built once by [`Fabric::load`]
+/// from its route-interning pass (when the configuration can ever
+/// fast-forward: enabled, tracing off). Each PE maps to the equivalence
 /// class of its (interned) route table; steps are stored per
 /// `(class, color)` — O(classes · colors), not O(PEs · colors), which is
 /// what makes a homogeneous interior *region* one table row. Without route
 /// deduplication every PE is its own class and the table degenerates to
-/// the legacy per-PE layout.
+/// the legacy per-PE layout. Nothing invalidates it: loaded routes are
+/// frozen (see the module docs), and a color first configured after
+/// `load()` has no step here, so its hops simply stay per-hop.
+#[derive(Default)]
 struct FwdTable {
     /// Equivalence class of each PE's route table (fabric-linear).
     class_of: Vec<u32>,
-    /// [`Router::version`] of each PE at build time (fabric-linear); a
-    /// mismatch at walk time means the program reconfigured the router
-    /// mid-run — the chain breaks there and routing falls back to per-hop.
-    versions: Vec<u32>,
     /// Per-`(class, color)` passive-forwarding steps.
     steps: Vec<FwdStep>,
-    num_pes: usize,
 }
 
 impl FwdTable {
-    fn build(pes: &[PeSlot]) -> Self {
-        let mut classes: HashMap<*const RouteTable, u32> = HashMap::new();
-        let mut class_of = Vec::with_capacity(pes.len());
-        let mut versions = Vec::with_capacity(pes.len());
-        let mut steps: Vec<FwdStep> = Vec::new();
-        for slot in pes {
-            versions.push(slot.router.version());
-            let key = Arc::as_ptr(slot.router.table());
-            let next = classes.len() as u32;
-            let class = *classes.entry(key).or_insert_with(|| {
-                steps.extend(table_steps(slot.router.table()));
-                next
-            });
-            class_of.push(class);
+    /// Files the next PE (in linear order) under `class`; a class one past
+    /// the known ones is new, and its steps are derived from `table`.
+    fn push_pe(&mut self, class: usize, table: &RouteTable) {
+        if class * MAX_COLORS == self.steps.len() {
+            self.steps.extend(table_steps(table));
         }
-        Self {
-            class_of,
-            versions,
-            steps,
-            num_pes: pes.len(),
-        }
+        self.class_of.push(class as u32);
     }
 
     #[inline]
@@ -1081,43 +1085,40 @@ fn table_steps(table: &RouteTable) -> [FwdStep; MAX_COLORS] {
     out
 }
 
-/// Walks the passive-forwarding chain starting at `ev`'s PE and delivers
-/// the wavelet across all of it as one event: returns the hop count and
-/// the chain-end event (key preserved, time advanced `hops · hop_latency`),
-/// or `None` when the first hop is not a chain hop. With class-deduped
-/// route tables the chain extends across whole homogeneous *regions* — k
-/// identical interior PEs advance in one jump with bulk accounting: each
-/// traversed PE's `fabric_hops` is bumped exactly as the per-hop walk
-/// would. `map` turns a linear PE index into the caller's slot/arena
-/// index — `None` stops the chain. The sharded engine maps only its own
-/// shard's slots, so a chain spanning shards is walked as *segments*: each
-/// shard jumps to the first PE past its boundary and mails the
-/// key-preserved continuation (time already advanced by its segment's
-/// hops) to the neighbor, which resumes the walk on pop. Segment budgets
-/// sum to the sequential chain's `1 + (k-1)` pops and each segment bumps
-/// exactly its own PEs' `fabric_hops`, so counters and event budgets stay
-/// bit-identical.
-#[allow(clippy::too_many_arguments)]
+/// Walks the passive-forwarding chain starting at `ev`'s PE (the one `eng`
+/// is visiting) and delivers the wavelet across all of it as one event:
+/// returns the hop count, the chain-end event (key preserved, time advanced
+/// `hops · hop_latency`) and its destination, or `None` when the first hop
+/// is not a chain hop. With class-deduped route tables the chain extends
+/// across whole homogeneous *regions* — k identical interior PEs advance in
+/// one jump with bulk accounting: each traversed PE's `fabric_hops` is
+/// bumped exactly as the per-hop walk would. That commutative counter is
+/// the only state the walk touches — no slot, no router — so it does not
+/// matter when, relative to the traversed PEs' own events, it runs. The
+/// chain stops at the edge of the PEs whose arena rows `eng` holds: the
+/// sharded engine walks a chain spanning shards as *segments*, each shard
+/// jumping to the first PE past its boundary and mailing the key-preserved
+/// continuation (time already advanced by its segment's hops) to the
+/// neighbor, which resumes the walk on pop. Segment budgets sum to the
+/// sequential chain's `1 + (k-1)` pops and each segment bumps exactly its
+/// own PEs' `fabric_hops`, so counters and event budgets stay bit-identical.
 fn fast_forward(
+    eng: &mut Engine,
     table: &FwdTable,
-    dims: FabricDims,
-    slots: &mut [PeSlot],
-    sc: &mut PeScalars,
-    map: impl Fn(usize) -> Option<usize>,
-    hop_latency: u64,
     ev: &Event,
     input: Direction,
-) -> Option<(u64, Event)> {
+) -> Option<(u64, Event, PeCoord)> {
+    let (dims, rect) = (eng.dims, eng.rect);
     let color = ev.wavelet.color.index();
     let mut time = ev.time;
     let mut pe = ev.pe;
-    let mut coord = dims.coord(pe);
+    let mut coord = eng.at.coord;
     let mut input = input;
     let mut hops = 0u64;
     // A chain of distinct eligible routers can never be longer than the
     // fabric; stopping there re-queues the wavelet mid-cycle and lets the
     // event budget catch genuinely circular routes.
-    while hops < table.num_pes as u64 {
+    while hops < table.class_of.len() as u64 && rect.contains(coord) {
         let step = table.step(pe, color);
         if !step.valid || !step.rx.contains(input) {
             break;
@@ -1127,12 +1128,8 @@ fn fast_forward(
         let Some(n) = dims.neighbor(coord, step.out) else {
             break;
         };
-        let Some(local) = map(pe) else { break };
-        if slots[local].router.version() != table.versions[pe] {
-            break;
-        }
-        sc.fabric_hops[local] += 1;
-        time = advance_time(time, hop_latency);
+        eng.scalars.fabric_hops[rect.local_index(coord)] += 1;
+        time = advance_time(time, eng.hop_latency);
         input = step.out.arrival_side();
         coord = n;
         pe = dims.linear(n);
@@ -1141,17 +1138,90 @@ fn fast_forward(
     if hops == 0 {
         return None;
     }
-    Some((
-        hops,
-        Event {
-            time,
-            seq: ev.seq,
-            src: ev.src,
-            pe,
-            kind: EventKind::Route(input),
-            wavelet: ev.wavelet,
-        },
-    ))
+    let jumped = Event {
+        time,
+        seq: ev.seq,
+        src: ev.src,
+        pe,
+        kind: EventKind::Route(input),
+        wavelet: ev.wavelet,
+    };
+    Some((hops, jumped, coord))
+}
+
+// ---------------------------------------------------------------------------
+// The event step both engines share
+// ---------------------------------------------------------------------------
+
+/// Fast-forward telemetry (see [`Fabric::ff_hops`] and friends): `hops` is
+/// engine-invariant — segment hops sum to whole-chain hops; `jumps` and
+/// `region_jumps` (jumps of ≥ 2 hops) count per shard-boundary segment.
+#[derive(Debug, Clone, Copy, Default)]
+struct FfCounters {
+    hops: u64,
+    jumps: u64,
+    region_jumps: u64,
+}
+
+/// What an engine's run loop hands the shared step function: the PEs it
+/// owns and everything an event may touch besides its queue. `Sequential`
+/// is one `Engine` over the whole fabric (local index = linear index);
+/// `Sharded` builds one per shard round over that shard's rect.
+struct Engine<'a> {
+    dims: FabricDims,
+    hop_latency: u64,
+    /// `None` when this run must not fast-forward (see [`Fabric::fwd`]).
+    fwd: Option<&'a FwdTable>,
+    /// The PEs `slots` and `scalars` hold, in local-index order.
+    rect: ShardRect,
+    slots: &'a mut [PeSlot],
+    scalars: &'a mut PeScalars,
+    ff: &'a mut FfCounters,
+    /// The smallest-key routing error seen so far.
+    error: &'a mut Option<(EventKey, FabricError)>,
+    /// PE-major order makes consecutive events share a PE; its coordinate
+    /// and local index are resolved when the PE changes, not per event.
+    at: Visit,
+}
+
+impl Engine<'_> {
+    /// A visit no event matches, so the first event resolves its PE.
+    const NOWHERE: Visit = Visit {
+        pe: usize::MAX,
+        coord: PeCoord { col: 0, row: 0 },
+        idx: 0,
+    };
+
+    /// Executes one popped event — fast-forward it down its passive chain,
+    /// or dispatch it to its PE's router or program — handing every event
+    /// it creates to `emit`. Returns the budget events consumed *beyond*
+    /// the pop itself: a k-hop jump stands for k per-hop pops.
+    fn step(&mut self, ev: &Event, emit: &mut impl FnMut(Event, PeCoord)) -> u64 {
+        if ev.pe != self.at.pe {
+            let coord = self.dims.coord(ev.pe);
+            self.at = Visit {
+                pe: ev.pe,
+                coord,
+                idx: self.rect.local_index(coord),
+            };
+        }
+        match ev.kind {
+            EventKind::Route(input) => {
+                if let Some(table) = self.fwd.filter(|_| ev.wavelet.kind == WaveletKind::Data) {
+                    if let Some((hops, jumped, to)) = fast_forward(self, table, ev, input) {
+                        self.ff.hops += hops;
+                        self.ff.jumps += 1;
+                        self.ff.region_jumps += u64::from(hops >= 2);
+                        emit(jumped, to);
+                        return hops - 1;
+                    }
+                }
+                process_route(self, ev, input, emit);
+            }
+            EventKind::Deliver => process_deliver(self, ev, emit),
+        }
+        0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1168,6 +1238,11 @@ struct ShardRect {
 }
 
 impl ShardRect {
+    #[inline]
+    fn contains(&self, c: PeCoord) -> bool {
+        (self.col0..self.col1).contains(&c.col) && (self.row0..self.row1).contains(&c.row)
+    }
+
     #[inline]
     fn local_index(&self, c: PeCoord) -> usize {
         (c.row - self.row0) * (self.col1 - self.col0) + (c.col - self.col0)
@@ -1324,16 +1399,9 @@ struct Shard {
     /// scan (`min over pending e of e.time + dist(e.pe, link)·hop_latency`),
     /// aligned with `out_links`. Valid while `dirty` is false.
     saved_terms: Vec<u64>,
-    /// Fast-forwarded hops on this shard (summed into [`Fabric::ff_hops`]
-    /// at merge; segment hops add up to whole-chain hops, so the global
-    /// total matches the sequential engine).
-    ff_hops: u64,
-    /// Fast-forward jumps (per-segment) taken on this shard.
-    ff_jumps: u64,
-    /// Region jumps (per-segment): fast-forward jumps that crossed ≥ 2
-    /// identical PEs in one event. Engine-dependent (boundaries segment
-    /// chains), like `ff_jumps`.
-    region_ff_jumps: u64,
+    /// Fast-forward telemetry of this shard, summed into the fabric's at
+    /// merge.
+    ff: FfCounters,
     /// This shard's slice of the per-PE scalar arena, gathered from the
     /// fabric arena at run entry and scattered back at merge (shard-local
     /// indices, aligned with `slots`).
@@ -1415,12 +1483,21 @@ fn process_shard(
         max_time,
         error,
         out,
-        ff_hops,
-        ff_jumps,
-        region_ff_jumps,
+        ff,
         scalars,
         ..
     } = shard;
+    let mut engine = Engine {
+        dims,
+        hop_latency: config.hop_latency,
+        fwd,
+        rect: *rect,
+        slots,
+        scalars,
+        ff,
+        error,
+        at: Engine::NOWHERE,
+    };
     let mut processed = 0u64;
     let mut batch = 0u64;
     let mut aborted = false;
@@ -1442,54 +1519,14 @@ fn process_shard(
         let Some(ev) = queue.pop_before(eit) else {
             break;
         };
-        processed += 1;
-        batch += 1;
         *max_time = (*max_time).max(ev.time);
-        let pe = ev.pe;
-        let coord = dims.coord(pe);
-        if let (Some(table), EventKind::Route(input)) = (fwd, ev.kind) {
-            if ev.wavelet.kind == WaveletKind::Data {
-                let own = |i: usize| {
-                    let c = dims.coord(i);
-                    (plan.shard_of(c) == *id).then(|| rect.local_index(c))
-                };
-                if let Some((hops, jumped)) = fast_forward(
-                    table,
-                    dims,
-                    slots,
-                    scalars,
-                    own,
-                    config.hop_latency,
-                    &ev,
-                    input,
-                ) {
-                    // The chain's intermediate pops happened in bulk.
-                    processed += hops - 1;
-                    batch += hops - 1;
-                    *ff_hops += hops;
-                    *ff_jumps += 1;
-                    if hops >= 2 {
-                        *region_ff_jumps += 1;
-                    }
-                    let dest = plan.shard_of(dims.coord(jumped.pe));
-                    if dest == *id {
-                        queue.push(jumped);
-                    } else {
-                        // Segmented cross-shard continuation: the neighbor
-                        // picks the chain back up when it pops this event.
-                        out[dest].push(jumped);
-                    }
-                    continue;
-                }
-            }
-        }
-        let idx = rect.local_index(coord);
-        let slot = &mut slots[idx];
-        let mut emit = |e: Event| {
-            let dest = plan.shard_of(dims.coord(e.pe));
-            if dest == *id {
+        // Own PEs stay in this shard's queue; anything else is one link
+        // away, in a cardinally adjacent shard's mailbox batch.
+        let mut emit = |e: Event, to: PeCoord| {
+            if rect.contains(to) {
                 queue.push(e);
             } else {
+                let dest = plan.shard_of(to);
                 debug_assert!(
                     CARDINALS
                         .iter()
@@ -1499,24 +1536,10 @@ fn process_shard(
                 out[dest].push(e);
             }
         };
-        match ev.kind {
-            EventKind::Route(input) => process_route(
-                slot,
-                scalars,
-                idx,
-                pe,
-                coord,
-                dims,
-                config.hop_latency,
-                &ev,
-                input,
-                &mut emit,
-                error,
-            ),
-            EventKind::Deliver => {
-                process_deliver(slot, scalars, idx, pe, coord, dims, &ev, &mut emit)
-            }
-        }
+        // A chain's intermediate pops happen in bulk.
+        let consumed = 1 + engine.step(&ev, &mut emit);
+        processed += consumed;
+        batch += consumed;
     }
     if batch > 0 {
         // Tail flush: the loop ended by draining the queue below `eit`, so
@@ -1786,6 +1809,10 @@ fn shard_worker(
     owned
 }
 
+/// What an engine's drain of the queue leaves to conclude: budget events
+/// consumed, whether the pause limit tripped, the smallest-key routing error.
+type Drained = (u64, bool, Option<(EventKey, FabricError)>);
+
 /// The simulated wafer: PEs, routers, and the event queue.
 pub struct Fabric {
     dims: FabricDims,
@@ -1802,20 +1829,20 @@ pub struct Fabric {
     /// host phases, budget/deadlock errors). Kept separate from the per-PE
     /// streams so sequential and sharded per-PE traces stay bit-identical.
     host_trace: PeTracer,
-    /// Cumulative fast-forwarded hops (deterministic: segment hops sum to
-    /// chain hops, so the total is engine-invariant). Telemetry only — not
-    /// part of [`FabricSnapshot`], so checkpoints neither carry nor restore
-    /// it (the codec schema is unchanged).
-    ff_hops: u64,
-    /// Cumulative fast-forward jumps taken. **Not** engine-invariant: the
-    /// sequential engine walks a passive chain as one jump where the
-    /// sharded engine takes one jump per shard-boundary segment. Exposed
-    /// for telemetry but excluded from deterministic equivalence checks.
-    ff_jumps: u64,
-    /// Cumulative *region* fast-forward jumps: jumps that crossed ≥ 2
-    /// identical PEs in one event. Engine-dependent like `ff_jumps`
-    /// (boundaries segment chains) — telemetry only.
-    region_ff_jumps: u64,
+    /// Cumulative fast-forward telemetry. Not part of [`FabricSnapshot`],
+    /// so checkpoints neither carry nor restore it (the codec schema is
+    /// unchanged).
+    ff: FfCounters,
+    /// The fast-forward table, built by `load` when this configuration can
+    /// ever fast-forward: enabled, and tracing off (a trace records every
+    /// per-hop send).
+    fwd: Option<FwdTable>,
+    /// Some PE holds fault state or a fault-log entry: a non-empty
+    /// [`FaultPlan`] (`set_fault_plan`, `restore`) or a reported watchdog
+    /// stall. Faults interpose on individual hops, so such runs do not
+    /// fast-forward; while it is false no `run_until` scans every PE's
+    /// (empty) fault log.
+    faults_installed: bool,
     /// Route-table equivalence classes after `load` interning: the number
     /// of distinct static route tables across the fabric. O(1) for SPMD
     /// programs (interior / edges / corners); equals the PE count until
@@ -1847,6 +1874,10 @@ impl Fabric {
                 trace: PeTracer::for_spec(config.trace, i as u32),
             })
             .collect();
+        assert!(
+            config.hop_latency >= 1,
+            "FabricConfig::hop_latency must be at least one cycle"
+        );
         let num_pes = pes.len();
         Self {
             dims,
@@ -1858,9 +1889,9 @@ impl Fabric {
             time: 0,
             initialized: false,
             host_trace: PeTracer::for_spec(config.trace, HOST_PE),
-            ff_hops: 0,
-            ff_jumps: 0,
-            region_ff_jumps: 0,
+            ff: FfCounters::default(),
+            fwd: None,
+            faults_installed: false,
             eq_classes: num_pes,
         }
     }
@@ -1881,20 +1912,36 @@ impl Fabric {
     /// `Arc<RouteTable>` per equivalence class. Interning happens per PE
     /// right after its `init`, so the transient footprint is O(classes),
     /// not O(PEs). SPMD programs collapse to a handful of classes
-    /// (interior / edges / corners); see [`Fabric::eq_classes`].
+    /// (interior / edges / corners); see [`Fabric::eq_classes`]. The same
+    /// pass numbers the classes and derives the fast-forward table from
+    /// them; from here on configured routes are frozen.
     pub fn load(&mut self) {
         assert!(!self.initialized, "fabric already loaded");
         self.initialized = true;
-        let mut interned: HashSet<Arc<RouteTable>> = HashSet::new();
-        for i in 0..self.pes.len() {
-            let coord = self.dims.coord(i);
-            let dims = self.dims;
-            let slot = &mut self.pes[i];
+        let Self {
+            config,
+            pes,
+            scalars,
+            queue,
+            ..
+        } = self;
+        let dims = self.dims;
+        let mut fwd = (config.fast_forward && !config.trace.enabled).then(FwdTable::default);
+        // Table → class id, numbered in first-seen order; the first PE of a
+        // class donates its table as the class's canonical copy.
+        let mut interned: HashMap<Arc<RouteTable>, usize> = HashMap::new();
+        let mut canonical: Vec<Arc<RouteTable>> = Vec::new();
+        for (i, slot) in pes.iter_mut().enumerate() {
+            let at = Visit {
+                pe: i,
+                coord: dims.coord(i),
+                idx: i,
+            };
             // Init runs at t = 0; DSD ops traced from init are stamped
             // relative to the PE's cycle count at this point.
             slot.trace.task_begin(0, slot.counters.cycles());
             let mut ctx = PeContext::new(
-                coord,
+                at.coord,
                 dims,
                 &mut slot.memory,
                 &mut slot.counters,
@@ -1902,35 +1949,32 @@ impl Fabric {
                 &mut slot.router,
                 &mut slot.outbox,
                 &mut slot.activations,
+                false,
             );
             slot.program.init(&mut ctx);
-            if self.config.dedup_routes {
-                let canonical = match interned.get(slot.router.table()) {
-                    Some(c) => c.clone(),
-                    None => {
-                        let c = slot.router.table().clone();
-                        interned.insert(c.clone());
-                        c
-                    }
-                };
-                slot.router.intern_table(&canonical);
+            let class = if config.dedup_routes {
+                let table = slot.router.table().clone();
+                let class = *interned.entry(table).or_insert(canonical.len());
+                if class == canonical.len() {
+                    canonical.push(slot.router.table().clone());
+                }
+                slot.router.intern_table(&canonical[class]);
+                class
+            } else {
+                i
+            };
+            if let Some(fwd) = &mut fwd {
+                fwd.push_pe(class, slot.router.table());
             }
+            // Anything sent from init is injected at t = 0.
+            flush_pe_output(slot, scalars, at, 0, &mut |e, _| queue.push(e));
         }
-        self.eq_classes = if self.config.dedup_routes {
-            interned.len()
+        self.eq_classes = if config.dedup_routes {
+            canonical.len()
         } else {
-            self.pes.len()
+            pes.len()
         };
-        // Anything sent from init is injected at t = 0.
-        let Self {
-            pes,
-            scalars,
-            queue,
-            ..
-        } = self;
-        for (i, slot) in pes.iter_mut().enumerate() {
-            flush_pe_output(slot, scalars, i, i, 0, &mut |e| queue.push(e));
-        }
+        self.fwd = fwd;
     }
 
     /// Delivers a wavelet directly to a PE's program at the current time —
@@ -1974,6 +2018,7 @@ impl Fabric {
         plan.validate(self.dims)
             .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
         let verify = !plan.is_empty();
+        self.faults_installed = verify;
         for slot in &mut self.pes {
             slot.faults = PeFaultState {
                 verify_checksums: verify,
@@ -2038,19 +2083,12 @@ impl Fabric {
         self.pes.iter().map(|s| s.program.progress()).collect()
     }
 
-    /// The typed error for the earliest non-benign fault recorded so far
-    /// (`(time, PE linear index, log position)` order), if any. Lets the
-    /// host surface watchdog stalls it reported after a run through the
-    /// same typed-error channel the engines use.
-    pub fn first_fault_error(&self) -> Option<FabricError> {
-        self.scan_faults()
-    }
-
     /// Records a host-watchdog stall detection: the PE's program made less
     /// progress than expected after a run (it lost wavelets to a fault).
     /// Logged and traced like a fabric-detected fault — non-benign, taints
     /// the PE.
     pub fn report_watchdog_stall(&mut self, coord: PeCoord, observed: u64) {
+        self.faults_installed = true;
         let i = self.dims.linear(coord);
         let time = self.time;
         record_fault(
@@ -2180,6 +2218,9 @@ impl Fabric {
                 });
             }
         }
+        let installed =
+            |r: &PeRecord| r.faults.active || r.faults.verify_checksums || !r.faults.log.is_empty();
+        self.faults_installed = snap.pes.iter().any(installed);
         let Self { pes, scalars, .. } = self;
         for (i, (slot, rec)) in pes.iter_mut().zip(&snap.pes).enumerate() {
             slot.memory
@@ -2271,10 +2312,35 @@ impl Fabric {
 
     fn run_inner(&mut self, limit: Option<u64>) -> Result<PauseReport, FabricError> {
         assert!(self.initialized, "call load() before run()");
-        let result = match self.config.execution {
+        let drops_before = self.total_edge_drops();
+        let faults_before = self.total_fault_events();
+        // The engines differ in how they drain the queue and spend the event
+        // budget; what a finished (or paused) drain amounts to is shared.
+        let drained = match self.config.execution {
             Execution::Sequential => self.run_sequential(limit),
             Execution::Sharded { shards, threads } => self.run_sharded(shards, threads, limit),
         };
+        let result = drained.and_then(|(events, hit_limit, route_error)| {
+            if let Some(error) = self.first_fault_error() {
+                return Err(error);
+            }
+            if let Some((_, error)) = route_error {
+                return Err(error);
+            }
+            let paused = hit_limit && !self.queue.is_empty();
+            if !paused {
+                self.scan_deadlock()?;
+            }
+            Ok(PauseReport {
+                report: RunReport {
+                    events,
+                    final_time: self.time,
+                    edge_drops: self.total_edge_drops() - drops_before,
+                    faults: self.total_fault_events() - faults_before,
+                },
+                paused,
+            })
+        });
         if let Err(error) = &result {
             // Route errors are traced per-PE where they occur; budget and
             // deadlock errors are engine-level, so they go to the meta
@@ -2289,118 +2355,49 @@ impl Fabric {
         result
     }
 
-    /// Builds the fast-forwarding table for a run, or `None` when the
-    /// feature is gated off: disabled by config, tracing on (per-hop sends
-    /// must be recorded), or fault state installed (faults interpose on
-    /// individual hops).
-    fn fwd_table(&self) -> Option<FwdTable> {
-        if !self.config.fast_forward || self.config.trace.enabled {
-            return None;
-        }
-        if self
-            .pes
-            .iter()
-            .any(|s| s.faults.active || s.faults.verify_checksums)
-        {
-            return None;
-        }
-        Some(FwdTable::build(&self.pes))
-    }
-
-    fn run_sequential(&mut self, limit: Option<u64>) -> Result<PauseReport, FabricError> {
+    fn run_sequential(&mut self, limit: Option<u64>) -> Result<Drained, FabricError> {
         let mut events = 0u64;
         let mut hit_limit = false;
-        let drops_before = self.total_edge_drops();
-        let faults_before = self.total_fault_events();
         let mut first_error: Option<(EventKey, FabricError)> = None;
-        let dims = self.dims;
-        let hop_latency = self.config.hop_latency;
         let max_events = self.config.max_events;
-        let fwd = self.fwd_table();
+        let Self { queue, time, .. } = self;
+        // One engine over the whole fabric: local index = linear index, and
+        // every emission goes back into the one queue.
+        let mut engine = Engine {
+            dims: self.dims,
+            hop_latency: self.config.hop_latency,
+            fwd: self.fwd.as_ref().filter(|_| !self.faults_installed),
+            rect: ShardRect {
+                col0: 0,
+                col1: self.dims.cols,
+                row0: 0,
+                row1: self.dims.rows,
+            },
+            slots: &mut self.pes,
+            scalars: &mut self.scalars,
+            ff: &mut self.ff,
+            error: &mut first_error,
+            at: Engine::NOWHERE,
+        };
         loop {
             if limit.is_some_and(|lim| events >= lim) {
                 hit_limit = true;
                 break;
             }
-            let Some(ev) = self.queue.pop() else {
+            let Some(ev) = queue.pop() else {
                 break;
             };
             events += 1;
+            *time = (*time).max(ev.time);
+            if events <= max_events {
+                // A chain's intermediate pops happen in bulk.
+                events += engine.step(&ev, &mut |e, _| queue.push(e));
+            }
             if events > max_events {
                 return Err(FabricError::EventBudgetExceeded { max_events });
             }
-            self.time = self.time.max(ev.time);
-            let pe = ev.pe;
-            let coord = dims.coord(pe);
-            let Self {
-                pes,
-                scalars,
-                queue,
-                ff_hops,
-                ff_jumps,
-                region_ff_jumps,
-                ..
-            } = self;
-            if let (Some(table), EventKind::Route(input)) = (&fwd, ev.kind) {
-                if ev.wavelet.kind == WaveletKind::Data {
-                    if let Some((hops, jumped)) =
-                        fast_forward(table, dims, pes, scalars, Some, hop_latency, &ev, input)
-                    {
-                        // The chain's intermediate pops happened in bulk.
-                        events += hops - 1;
-                        *ff_hops += hops;
-                        *ff_jumps += 1;
-                        if hops >= 2 {
-                            *region_ff_jumps += 1;
-                        }
-                        if events > max_events {
-                            return Err(FabricError::EventBudgetExceeded { max_events });
-                        }
-                        queue.push(jumped);
-                        continue;
-                    }
-                }
-            }
-            let slot = &mut pes[pe];
-            let mut emit = |e: Event| queue.push(e);
-            match ev.kind {
-                EventKind::Route(input) => process_route(
-                    slot,
-                    scalars,
-                    pe,
-                    pe,
-                    coord,
-                    dims,
-                    hop_latency,
-                    &ev,
-                    input,
-                    &mut emit,
-                    &mut first_error,
-                ),
-                EventKind::Deliver => {
-                    process_deliver(slot, scalars, pe, pe, coord, dims, &ev, &mut emit)
-                }
-            }
         }
-        if let Some(error) = self.scan_faults() {
-            return Err(error);
-        }
-        if let Some((_, error)) = first_error {
-            return Err(error);
-        }
-        let paused = hit_limit && !self.queue.is_empty();
-        if !paused {
-            self.scan_deadlock()?;
-        }
-        Ok(PauseReport {
-            report: RunReport {
-                events,
-                final_time: self.time,
-                edge_drops: self.total_edge_drops() - drops_before,
-                faults: self.total_fault_events() - faults_before,
-            },
-            paused,
-        })
+        Ok((events, hit_limit, first_error))
     }
 
     fn run_sharded(
@@ -2408,19 +2405,13 @@ impl Fabric {
         shards: usize,
         threads: usize,
         limit: Option<u64>,
-    ) -> Result<PauseReport, FabricError> {
-        assert!(
-            self.config.hop_latency >= 1,
-            "sharded execution requires hop_latency >= 1 (it is the conservative lookahead)"
-        );
+    ) -> Result<Drained, FabricError> {
         let dims = self.dims;
         let config = self.config;
         let plan = ShardPlan::new(dims, shards);
         let n = plan.count();
         let workers = threads.clamp(1, n);
-        let drops_before = self.total_edge_drops();
-        let faults_before = self.total_fault_events();
-        let fwd = self.fwd_table();
+        let fwd = self.fwd.as_ref().filter(|_| !self.faults_installed);
 
         // Move each PE's slot into its shard; restored before returning.
         let mut slot_opts: Vec<Option<PeSlot>> = self.pes.drain(..).map(Some).collect();
@@ -2467,9 +2458,7 @@ impl Fabric {
                     dirty: true,
                     stalls: 0,
                     saved_terms,
-                    ff_hops: 0,
-                    ff_jumps: 0,
-                    region_ff_jumps: 0,
+                    ff: FfCounters::default(),
                     scalars,
                 }
             })
@@ -2516,7 +2505,7 @@ impl Fabric {
                 dims,
                 config,
                 &plan,
-                fwd.as_ref(),
+                fwd,
                 &shared,
             )
         } else {
@@ -2525,7 +2514,7 @@ impl Fabric {
                     .into_iter()
                     .enumerate()
                     .map(|(w, owned)| {
-                        let (shared, plan, fwd) = (&shared, &plan, fwd.as_ref());
+                        let (shared, plan) = (&shared, &plan);
                         scope.spawn(move || {
                             shard_worker(owned, w == 0, dims, config, plan, fwd, shared)
                         })
@@ -2543,9 +2532,9 @@ impl Fabric {
         let mut min_error: Option<(EventKey, FabricError)> = None;
         for mut sh in finished {
             events += sh.events;
-            self.ff_hops += sh.ff_hops;
-            self.ff_jumps += sh.ff_jumps;
-            self.region_ff_jumps += sh.region_ff_jumps;
+            self.ff.hops += sh.ff.hops;
+            self.ff.jumps += sh.ff.jumps;
+            self.ff.region_jumps += sh.ff.region_jumps;
             self.time = self.time.max(sh.max_time);
             if let Some((k, e)) = sh.error.take() {
                 merge_min_error(&mut min_error, k, e);
@@ -2586,25 +2575,7 @@ impl Fabric {
                 max_events: config.max_events,
             });
         }
-        if let Some(error) = self.scan_faults() {
-            return Err(error);
-        }
-        if let Some((_, error)) = min_error {
-            return Err(error);
-        }
-        let paused = paused_flag && !self.queue.is_empty();
-        if !paused {
-            self.scan_deadlock()?;
-        }
-        Ok(PauseReport {
-            report: RunReport {
-                events,
-                final_time: self.time,
-                edge_drops: self.total_edge_drops() - drops_before,
-                faults: self.total_fault_events() - faults_before,
-            },
-            paused,
-        })
+        Ok((events, paused_flag, min_error))
     }
 
     /// The fabric is quiescent: any wavelet still parked can never be
@@ -2628,36 +2599,35 @@ impl Fabric {
         Ok(())
     }
 
-    /// The minimal non-benign fault event across all PEs under the
-    /// engine-independent order `(time, PE linear index, log position)`,
-    /// as a typed error. Per-PE log times are non-decreasing (each PE
-    /// processes events in key order), so the first non-benign entry of a
-    /// log is that PE's earliest.
-    fn scan_faults(&self) -> Option<FabricError> {
-        let mut best: Option<(u64, usize, FabricError)> = None;
-        for (i, slot) in self.pes.iter().enumerate() {
-            if let Some(evt) = slot.faults.log.iter().find(|e| !e.benign) {
-                if best
-                    .as_ref()
-                    .is_none_or(|&(t, p, _)| (evt.time, i) < (t, p))
-                {
-                    best = Some((
-                        evt.time,
-                        i,
-                        FabricError::Fault {
-                            pe: evt.pe,
-                            time: evt.time,
-                            class: evt.class,
-                            detail: evt.detail,
-                        },
-                    ));
-                }
-            }
+    /// The typed error for the earliest non-benign fault recorded so far,
+    /// under the engine-independent order `(time, PE linear index, log
+    /// position)`, if any: what a run reports, and how the host surfaces
+    /// watchdog stalls it reported afterwards. Per-PE log times are
+    /// non-decreasing (each PE processes events in key order), so the first
+    /// non-benign entry of a log is that PE's earliest.
+    pub fn first_fault_error(&self) -> Option<FabricError> {
+        if !self.faults_installed {
+            return None;
         }
-        best.map(|(_, _, e)| e)
+        let first = |(i, slot): (usize, &PeSlot)| {
+            let evt = slot.faults.log.iter().find(|e| !e.benign)?;
+            Some((evt.time, i, *evt))
+        };
+        let (_, _, evt) = (self.pes.iter().enumerate())
+            .filter_map(first)
+            .min_by_key(|&(time, i, _)| (time, i))?;
+        Some(FabricError::Fault {
+            pe: evt.pe,
+            time: evt.time,
+            class: evt.class,
+            detail: evt.detail,
+        })
     }
 
     fn total_fault_events(&self) -> u64 {
+        if !self.faults_installed {
+            return 0;
+        }
         self.pes.iter().map(|s| s.faults.log.len() as u64).sum()
     }
 
@@ -2686,21 +2656,21 @@ impl Fabric {
     /// chain's, so this total is bit-identical Sequential vs Sharded. Zero
     /// whenever fast-forwarding is disabled or inhibited (tracing, faults).
     pub fn ff_hops(&self) -> u64 {
-        self.ff_hops
+        self.ff.hops
     }
 
     /// Cumulative fast-forward jumps across all runs so far. **Not**
     /// engine-invariant (one jump per chain sequentially, one per segment
     /// sharded) — compare [`Fabric::ff_hops`] across engines instead.
     pub fn ff_jumps(&self) -> u64 {
-        self.ff_jumps
+        self.ff.jumps
     }
 
     /// Cumulative *region* fast-forward jumps (jumps that crossed ≥ 2 PEs
     /// in one event) across all runs so far. Engine-dependent like
     /// [`Fabric::ff_jumps`] — excluded from the determinism contract.
     pub fn region_ff_jumps(&self) -> u64 {
-        self.region_ff_jumps
+        self.ff.region_jumps
     }
 
     /// Route-table equivalence classes after [`Fabric::load`]: the number

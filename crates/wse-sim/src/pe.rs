@@ -9,7 +9,7 @@
 use crate::dsd::{self, Dsd, Operand};
 use crate::geometry::{FabricDims, PeCoord};
 use crate::memory::{MemRange, OutOfMemory, PeMemory};
-use crate::route::{ColorConfig, Router};
+use crate::route::{ColorConfig, RouteError, Router};
 use crate::stats::OpCounters;
 use crate::wavelet::{Color, Wavelet};
 use wse_trace::{PeTracer, TraceRegion};
@@ -32,6 +32,11 @@ pub struct PeContext<'a> {
     router: &'a mut Router,
     outbox: &'a mut Vec<Wavelet>,
     activations: &'a mut Vec<(Color, u32)>,
+    /// The fabric is loaded: configured routes are frozen.
+    loaded: bool,
+    /// The first reconfiguration this handler was refused, for the fabric
+    /// to report as the PE's routing error.
+    pub(crate) refused: Option<RouteError>,
 }
 
 impl<'a> PeContext<'a> {
@@ -45,6 +50,7 @@ impl<'a> PeContext<'a> {
         router: &'a mut Router,
         outbox: &'a mut Vec<Wavelet>,
         activations: &'a mut Vec<(Color, u32)>,
+        loaded: bool,
     ) -> Self {
         Self {
             coord,
@@ -55,12 +61,23 @@ impl<'a> PeContext<'a> {
             router,
             outbox,
             activations,
+            loaded,
+            refused: None,
         }
     }
 
-    /// Installs a router configuration for `color` (program-load time).
+    /// Installs a router configuration for `color`. Program-load time
+    /// (`init`) may configure freely. A task handler may still add a color
+    /// its router does not have, but routes loaded fabric-wide are frozen:
+    /// re-configuring a configured color is refused — the route stands and
+    /// the run fails with [`RouteError::Frozen`] at this PE — because
+    /// wavelets already fast-forwarded past this router could not see it.
     pub fn configure_color(&mut self, color: Color, config: ColorConfig) {
-        self.router.configure(color, config);
+        if self.loaded && self.router.position_index(color).is_some() {
+            self.refused.get_or_insert(RouteError::Frozen(color));
+        } else {
+            self.router.configure(color, config);
+        }
     }
 
     /// The active switch position of `color` on this PE's router.

@@ -1,9 +1,11 @@
 //! The event queue of the discrete-event engines.
 //!
-//! Both fabric engines pop events in the strict key order `(time, seq,
-//! src)`. Event times are integer cycles, so the container is a **two-level
-//! timing wheel** ([`CalendarQueue`]) whose pop sequence is *identical* to
-//! that of a `BinaryHeap<Reverse<T>>` (asserted by
+//! The queue pops items in their `Ord`: time first, then whatever the item
+//! type says — the fabric's events sort PE-major, `(time, pe, seq, src)`,
+//! and `crate::fabric`'s module docs say why only each PE's own order is
+//! observable. Event times are integer cycles, so the container is a
+//! **two-level timing wheel** ([`CalendarQueue`]) whose pop sequence is
+//! *identical* to that of a `BinaryHeap<Reverse<T>>` (asserted by
 //! `tests/queue_properties.rs`, which keeps that heap as its oracle):
 //!
 //! * **Level 0** — 1024 one-cycle buckets covering the rest of the cursor's
@@ -32,7 +34,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Items a queue can order by simulated time. The full `Ord` on the item
-/// breaks same-time ties (the fabric uses `(time, seq, src)`).
+/// must sort by time first; the rest of it breaks same-time ties.
 pub trait Timestamped {
     /// The item's simulated time in cycles.
     fn time(&self) -> u64;
@@ -130,9 +132,9 @@ impl Occupancy {
 /// descending `Vec` popped from the tail. Items pushed for the cycle
 /// currently being drained (routing emits same-cycle ramp deliveries) go to
 /// a small `side` min-heap, and each pop takes the smaller of the drain
-/// tail and the side head, which is exactly the global minimum. Pending
-/// keys are unique (see the fabric's key discussion), so the unstable sort
-/// is deterministic.
+/// tail and the side head, which is exactly the global minimum. The
+/// fabric's pending events are pairwise distinct under `Ord` (see its key
+/// discussion), so the sorted order is unique.
 ///
 /// Invariants, with `epoch = cursor >> EPOCH_SHIFT`:
 /// * drain and side items have time = `cursor`;
@@ -338,10 +340,12 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
         let slot = (t & WHEEL_MASK) as usize;
         self.occupied0.clear(slot);
         // The chain runs newest chunk first; reversing each chunk as well
-        // makes the drain the exact reverse of push order, so a cycle whose
-        // events were pushed in key order arrives already sorted.
+        // makes the drain the exact reverse of push order. A PE-major engine
+        // pushes a cycle's events as a few nearly ascending runs (one per
+        // earlier cycle that fed it), which the run-adaptive stable sort
+        // merges in about half the time the unstable one needs to re-sort.
         self.bucket_take(slot, |q, items| q.drain.extend(items.drain(..).rev()));
-        self.drain.sort_unstable_by(|a, b| b.cmp(a));
+        self.drain.sort_by(|a, b| b.cmp(a));
     }
 
     /// Moves every overflow item the wheel now reaches into it.

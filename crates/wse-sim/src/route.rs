@@ -224,9 +224,8 @@ pub struct Router {
     table: Arc<RouteTable>,
     /// Bit `c` = the active switch position of color `c`.
     current_bits: u32,
-    /// Bumped on every [`Router::configure`]; lets cached route chains
-    /// detect runtime reconfiguration (load-time configuration happens
-    /// before any chain is built, so steady-state versions never move).
+    /// Bumped on every [`Router::configure`]. No engine reads it (loaded
+    /// routes are frozen, not revalidated); checkpoint schema v1 records it.
     version: u32,
 }
 
@@ -247,8 +246,8 @@ impl Router {
     }
 
     /// Installs a color configuration (program-load time on real hardware).
-    /// Clones the static table if it is shared (copy-on-write), so runtime
-    /// reconfiguration quietly un-interns the PE from its class.
+    /// Clones the static table if it is shared (copy-on-write), so a color
+    /// added after load quietly un-interns the PE from its class.
     pub fn configure(&mut self, color: Color, config: ColorConfig) {
         Arc::make_mut(&mut self.table).configs[color.index()] = Some(config);
         self.set_current(color.index(), config.current_index() as u8);
@@ -265,9 +264,8 @@ impl Router {
         self.current_bits = (self.current_bits & !(1 << idx)) | ((pos as u32 & 1) << idx);
     }
 
-    /// Configuration version: bumped on every [`Router::configure`] call.
-    /// Cached forwarding chains compare this against the version they were
-    /// built from and fall back to per-hop routing on mismatch.
+    /// Configuration version: bumped on every [`Router::configure`] call
+    /// (checkpointed; see the field).
     #[inline]
     pub fn version(&self) -> u32 {
         self.version
@@ -412,6 +410,10 @@ pub enum RouteError {
         /// The active switch position index.
         position: usize,
     },
+    /// A task handler tried to re-configure a color that was already
+    /// configured: routes are frozen once the fabric is loaded
+    /// (`PeContext::configure_color`).
+    Frozen(Color),
 }
 
 impl std::fmt::Display for RouteError {
@@ -428,6 +430,11 @@ impl std::fmt::Display for RouteError {
                 f,
                 "color {} (position {position}) does not accept input {input:?}",
                 color.id()
+            ),
+            RouteError::Frozen(c) => write!(
+                f,
+                "color {} is already routed; loaded routes cannot be re-configured",
+                c.id()
             ),
         }
     }

@@ -14,11 +14,13 @@ use fv_core::mesh::{CartesianMesh3, Extents, Spacing};
 use fv_core::state::FlowState;
 use fv_core::trans::{StencilKind, Transmissibilities};
 use tpfa_dataflow::DataflowFluxSimulator;
-use wse_sim::fabric::{Execution, Fabric, FabricConfig, RunReport};
+use wse_sim::dsd::{Dsd, Operand};
+use wse_sim::fabric::{Execution, Fabric, FabricConfig, FabricError, RunReport};
 use wse_sim::geometry::{Direction, FabricDims, PeCoord};
 use wse_sim::pe::{PeContext, PeProgram};
-use wse_sim::route::{ColorConfig, DirMask, RouterPosition};
+use wse_sim::route::{ColorConfig, DirMask, RouteError, RouterPosition};
 use wse_sim::stats::{FabricStats, OpCounters};
+use wse_sim::trace::{TraceEventKind, TraceSpec};
 use wse_sim::wavelet::{Color, Wavelet};
 
 /// Everything observable from one TPFA run (bit-exact comparisons).
@@ -221,7 +223,7 @@ fn run_boundary_chain(
     execution: Execution,
     fast_forward: bool,
     max_events: u64,
-) -> (Result<RunReport, wse_sim::fabric::FabricError>, Fabric) {
+) -> (Result<RunReport, FabricError>, Fabric) {
     const WIDTH: usize = 8;
     let config = FabricConfig {
         execution,
@@ -292,10 +294,7 @@ fn two_shard_chain_crossing_matches_closed_form() {
             assert!(ok.is_ok(), "{label}: budget of 10 must pass");
             let (err, _) = run_boundary_chain(execution, fast_forward, 9);
             assert!(
-                matches!(
-                    err,
-                    Err(wse_sim::fabric::FabricError::EventBudgetExceeded { max_events: 9 })
-                ),
+                matches!(err, Err(FabricError::EventBudgetExceeded { max_events: 9 })),
                 "{label}: budget of 9 must trip"
             );
         }
@@ -303,97 +302,147 @@ fn two_shard_chain_crossing_matches_closed_form() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard chain invalidation
+// Loaded routes are frozen
 // ---------------------------------------------------------------------------
 
 const REWIRE: Color = Color::new(11);
+const LATE: Color = Color::new(12);
 
-/// Like [`BoundaryChainProgram`], but PE (5, 0) — mid-chain, in the
-/// *remote* shard for every multi-shard split — reconfigures the chain
-/// color on a `REWIRE` activation to intercept the stream up its own
-/// ramp. The reconfiguration bumps `Router::version`, so the prebuilt
-/// fast-forward chain must revalidate and break at PE 5.
+/// What PE (5, 0) — mid-chain, in the *remote* shard for every multi-shard
+/// split — does when the host activates `REWIRE` with this payload.
+#[derive(Clone, Copy, Debug)]
+enum Rewire {
+    /// Re-configure `CHAIN` at once: the same cycle the stream departs.
+    SameCycle = 0,
+    /// Burn three cycles, then re-configure `CHAIN`: after a jump has
+    /// departed PE 0, before the per-hop wavelet reaches PE 5.
+    InFlight = 1,
+    /// Configure `LATE`, which no router has, and use it.
+    NewColor = 2,
+}
+
+/// Like [`BoundaryChainProgram`], plus the [`Rewire`] behaviours.
 struct RewiredChainProgram {
     width: usize,
 }
 
 impl PeProgram for RewiredChainProgram {
     fn init(&mut self, ctx: &mut PeContext) {
-        let cfg = if ctx.coord.col == self.width - 1 {
-            ColorConfig::fixed(RouterPosition::new(
-                DirMask::single(Direction::West),
-                DirMask::single(Direction::Ramp),
-            ))
-        } else {
-            ColorConfig::fixed(RouterPosition::new(
-                DirMask::of(&[Direction::West, Direction::Ramp]),
-                DirMask::single(Direction::East),
-            ))
-        };
-        ctx.configure_color(CHAIN, cfg);
+        BoundaryChainProgram { width: self.width }.init(ctx);
     }
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
+        let intercept = ColorConfig::fixed(RouterPosition::new(
+            DirMask::single(Direction::West),
+            DirMask::single(Direction::Ramp),
+        ));
         if w.color == KICK && ctx.coord.col == 0 {
             ctx.send_f32(CHAIN, 7.0);
-        } else if w.color == REWIRE {
-            // Intercept: from now on the chain terminates here.
-            ctx.configure_color(
-                CHAIN,
-                ColorConfig::fixed(RouterPosition::new(
-                    DirMask::single(Direction::West),
-                    DirMask::single(Direction::Ramp),
-                )),
+        } else if w.color == REWIRE && w.payload == Rewire::InFlight as u32 {
+            let burn = Dsd::contiguous(4, 3);
+            ctx.fnegs(burn, Operand::Mem(burn));
+            ctx.activate(REWIRE, Rewire::SameCycle as u32);
+        } else if w.color == REWIRE && w.payload == Rewire::NewColor as u32 {
+            let loopback = RouterPosition::new(
+                DirMask::single(Direction::Ramp),
+                DirMask::single(Direction::Ramp),
             );
-        } else if w.color == CHAIN {
+            ctx.configure_color(LATE, ColorConfig::fixed(loopback));
+            ctx.send_f32(LATE, 1.0);
+        } else if w.color == REWIRE {
+            // Would make the chain terminate here — refused after load.
+            ctx.configure_color(CHAIN, intercept);
+        } else if w.color == CHAIN || w.color == LATE {
             let seen = ctx.memory.read_u32(0);
             ctx.memory.write_u32(0, seen + 1);
         }
     }
 }
 
-/// Regression for stale cross-shard chains: the fast-forward table is
-/// built before the run, pointing the chain at the original sink; the
-/// mid-run `configure_color` on a router in a *remote* shard must bump
-/// that router's version so the chain breaks there and re-routes under
-/// the new configuration. A stale chain delivering to PE (7, 0) — or
-/// double-delivering — would show up in the memory cells and in every
-/// cross-engine comparison below.
+/// Regression for the bug frozen routes close. With routes revalidated at
+/// walk time (the parent of this change), the in-flight rewire gave
+/// `final_time` 10 and a delivery at PE 5 per-hop but 14 and PE 7
+/// fast-forwarded, and under PE-major order the same-cycle rewire diverged
+/// the same way: "bit-identical with fast-forwarding on or off" only held
+/// when the rewire's key happened to precede the walk's. Now re-configuring
+/// a configured color after `load()` is the same typed error — variant, PE
+/// and color — on both engines, fast-forwarding on or off, traced or not,
+/// the route stands, and configuring a *new* color stays legal.
 #[test]
-fn remote_shard_reconfiguration_invalidates_chain() {
+fn reconfiguring_a_loaded_route_is_a_typed_error() {
     const WIDTH: usize = 8;
-    let run = |execution: Execution, fast_forward: bool| {
+    let run = |execution: Execution, fast_forward: bool, traced: bool, rewire: Rewire| {
         let config = FabricConfig {
             execution,
             fast_forward,
             hop_latency: 2,
+            trace: if traced {
+                TraceSpec::ring(64)
+            } else {
+                TraceSpec::OFF
+            },
             ..FabricConfig::default()
         };
         let mut f = Fabric::new(FabricDims::new(WIDTH, 1), config, |_| {
             Box::new(RewiredChainProgram { width: WIDTH })
         });
         f.load();
-        // The rewire lands at t=0; the stream reaches PE 5 at t=5·L — the
-        // chain is provably stale by the time the wavelet gets there.
-        f.activate(PeCoord::new(5, 0), REWIRE, 0);
+        f.activate(PeCoord::new(5, 0), REWIRE, rewire as u32);
         f.activate(PeCoord::new(0, 0), KICK, 0);
-        let report = f.run().expect("rewired chain run failed");
+        let result = f.run();
         let memories: Vec<u32> = (0..WIDTH)
             .map(|x| f.memory(PeCoord::new(x, 0)).read_u32(0))
             .collect();
-        (report, f.stats(), f.time(), memories)
+        let errors = f.trace().map(|t| t.count(TraceEventKind::Error));
+        (result, f.stats(), f.time(), memories, errors)
     };
-    let reference = run(Execution::Sequential, false);
-    // The interceptor receives the wavelet; the original sink never does.
-    assert_eq!(reference.3, vec![0, 0, 0, 0, 0, 1, 0, 0]);
-    for fast_forward in [false, true] {
-        for shards in [2usize, 4] {
-            let sharded = run(Execution::Sharded { shards, threads: 2 }, fast_forward);
-            assert_eq!(
-                reference, sharded,
-                "{shards} shards ff={fast_forward}: stale chain behaviour diverged"
-            );
+    let engines = [
+        Execution::Sequential,
+        Execution::Sharded {
+            shards: 2,
+            threads: 2,
+        },
+        Execution::Sharded {
+            shards: 4,
+            threads: 2,
+        },
+    ];
+    for rewire in [Rewire::SameCycle, Rewire::InFlight, Rewire::NewColor] {
+        let reference = run(Execution::Sequential, false, false, rewire);
+        match rewire {
+            Rewire::NewColor => {
+                assert!(reference.0.is_ok(), "a new color is legal after load");
+                // PE 5 heard its own loopback; the chain still ends at PE 7.
+                assert_eq!(reference.3, vec![0, 0, 0, 0, 0, 1, 0, 1]);
+            }
+            _ => {
+                let frozen = FabricError::Route {
+                    pe: PeCoord::new(5, 0),
+                    error: RouteError::Frozen(CHAIN),
+                };
+                assert_eq!(reference.0, Err(frozen), "{rewire:?}");
+                // The loaded route stands: PE 5 forwards, PE 7 receives.
+                assert_eq!(reference.3, vec![0, 0, 0, 0, 0, 0, 0, 1], "{rewire:?}");
+            }
         }
-        assert_eq!(reference, run(Execution::Sequential, fast_forward));
+        for execution in engines {
+            for fast_forward in [false, true] {
+                for traced in [false, true] {
+                    let label =
+                        format!("{rewire:?} {execution:?} ff={fast_forward} traced={traced}");
+                    let (result, stats, time, memories, errors) =
+                        run(execution, fast_forward, traced, rewire);
+                    assert_eq!(
+                        (&result, &stats, time, &memories),
+                        (&reference.0, &reference.1, reference.2, &reference.3),
+                        "{label}"
+                    );
+                    if traced {
+                        let expected = usize::from(result.is_err());
+                        assert_eq!(errors, Some(expected), "{label}: traced at the PE");
+                    }
+                }
+            }
+        }
     }
 }
 
