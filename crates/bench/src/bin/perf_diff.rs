@@ -19,20 +19,18 @@
 //! and metrics missing from the candidate. CI runs this with `--strict`:
 //! an engine optimization can never silently change simulated semantics.
 //!
-//! The `speedup/` and `compiled_vs_hand/` families are
-//! **deterministic-adjacent**: ratios of two same-process (interleaved)
-//! throughput measurements, so machine noise largely cancels but does not
-//! vanish. In `--deterministic` mode they stay in the comparison with a
-//! generous worse-direction tolerance ([`RATIO_TOLERANCE_PCT`]) instead
-//! of the exact-match rule — the gates that keep the sharded engine from
-//! falling behind sequential, and compiled routing from falling behind
-//! the hand tables it replaced, at the levels the committed baseline
-//! achieved.
+//! The `speedup/` family is **deterministic-adjacent**: a ratio of two
+//! same-process throughput measurements, so machine noise largely cancels
+//! but does not vanish. In `--deterministic` mode it stays in the
+//! comparison with a generous worse-direction tolerance
+//! ([`RATIO_TOLERANCE_PCT`]) instead of the exact-match rule — the gate
+//! that keeps the sharded engine from falling behind sequential, at the
+//! level the committed baseline achieved.
 
 use wse_prof::{bench_diff, BenchReport};
 
-/// Worse-direction tolerance for the ratio families (`speedup/`,
-/// `compiled_vs_hand/`) in `--deterministic` mode (see the module docs).
+/// Worse-direction tolerance for the `speedup/` ratio family in
+/// `--deterministic` mode (see the module docs).
 const RATIO_TOLERANCE_PCT: f64 = 25.0;
 
 fn load(path: &str) -> BenchReport {
@@ -73,7 +71,7 @@ fn main() {
     let mut diff = bench_diff(&a, &b, if deterministic { 0.0 } else { threshold });
     if deterministic {
         for line in &mut diff.lines {
-            if line.name.starts_with("speedup/") || line.name.starts_with("compiled_vs_hand/") {
+            if line.name.starts_with("speedup/") {
                 // Deterministic-adjacent ratio: blocking, but only on a
                 // substantial move in the worse (lower) direction.
                 line.regressed = line.delta_pct < -RATIO_TOLERANCE_PCT;

@@ -50,13 +50,12 @@ struct WallMeasurement {
     shard_hops: Vec<u64>,
 }
 
-fn measure_wall(execution: Execution, hand_routes: bool) -> WallMeasurement {
+fn measure_wall(execution: Execution) -> WallMeasurement {
     let (mesh, fluid, trans) = standard_problem(WALL_N, WALL_N, WALL_NZ, 2);
     let p = pressure_for_iteration(&mesh, 0);
     let mut sim = DataflowFluxSimulator::builder(&mesh)
         .fluid(&fluid)
         .transmissibilities(&trans)
-        .hand_routes(hand_routes)
         .execution(execution)
         .build()
         .unwrap();
@@ -82,47 +81,6 @@ fn measure_wall(execution: Execution, hand_routes: bool) -> WallMeasurement {
         queue_wait_cycles: sim.queue_wait_cycles(),
         shard_hops: sim.shard_stats(4).iter().map(|s| s.fabric_hops).collect(),
     }
-}
-
-/// Compiled-pattern vs hand-derived routing, measured as interleaved
-/// A/B pairs on the same problem in the same process: repeat i of the
-/// compiled simulator is immediately followed by repeat i of the hand
-/// one, so thermal/frequency/cache drift hits both sides equally and
-/// the throughput *ratio* is trustworthy even on a noisy host.
-/// Returns `(compiled_events_per_s, hand_events_per_s, events)`.
-fn measure_compiled_vs_hand() -> (f64, f64, u64) {
-    let (mesh, fluid, trans) = standard_problem(WALL_N, WALL_N, WALL_NZ, 2);
-    let p = pressure_for_iteration(&mesh, 0);
-    let build = |hand: bool| {
-        DataflowFluxSimulator::builder(&mesh)
-            .fluid(&fluid)
-            .transmissibilities(&trans)
-            .hand_routes(hand)
-            .build()
-            .unwrap()
-    };
-    let mut compiled = build(false);
-    let mut hand = build(true);
-    compiled.apply(&p).expect("compiled warm-up failed");
-    hand.apply(&p).expect("hand warm-up failed");
-    let mut t_compiled = Vec::with_capacity(WALL_REPEATS);
-    let mut t_hand = Vec::with_capacity(WALL_REPEATS);
-    for _ in 0..WALL_REPEATS {
-        let t0 = Instant::now();
-        compiled.apply(&p).expect("compiled run failed");
-        t_compiled.push(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        hand.apply(&p).expect("hand run failed");
-        t_hand.push(t0.elapsed().as_secs_f64());
-    }
-    let events = compiled.last_run().expect("run recorded").events;
-    assert_eq!(events, hand.last_run().expect("run recorded").events);
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
-    let e = events as f64;
-    (e / median(t_compiled), e / median(t_hand), events)
 }
 
 /// One measured apply on the paper mesh's 746×989 PE footprint — the run
@@ -210,7 +168,6 @@ fn main() {
     // Host-side wall-clock: the simulator as a program, both engines.
     println!("== perf harness ({WALL_N}x{WALL_N}x{WALL_NZ} wall-clock, {PROF_N}x{PROF_N}x{PROF_NZ} profile) ==");
     let mut throughputs = Vec::new();
-    let mut seq_compiled: Option<(f64, u64)> = None;
     // "4x2" = 4 shards × up to 2 workers. The worker request is capped at
     // the host's parallelism: spinning more lookahead workers than cores
     // only adds scheduling overhead, and on a single-core host the engine's
@@ -221,7 +178,7 @@ fn main() {
         ("sequential", Execution::Sequential),
         ("sharded-4x2", Execution::Sharded { shards: 4, threads }),
     ] {
-        let m = measure_wall(execution, false);
+        let m = measure_wall(execution);
         println!(
             "  {label}: {:.4} s/apply, {:.0} events/s",
             m.wall_s, m.events_per_s
@@ -270,9 +227,6 @@ fn main() {
             );
         }
         throughputs.push(m.events_per_s);
-        if label == "sequential" {
-            seq_compiled = Some((m.events_per_s, m.events));
-        }
     }
     // The seq-vs-sharded gap as one deterministic-adjacent ratio: both
     // throughputs come from the same process moments apart, so machine
@@ -284,56 +238,6 @@ fn main() {
     report.push(
         &format!("speedup/{WALL_N}x{WALL_N}/sharded-4x2_vs_sequential"),
         speedup,
-        "ratio",
-        "higher-better",
-    );
-
-    // Differential probe for the stencil compiler: the compiled TPFA route
-    // pattern (the default path above) against the hand-derived tables it
-    // replaced, same sequential engine. The event counts are bit-identical
-    // by construction (wse-stencil's equivalence suite pins this), so the
-    // deterministic `events` entry flags any drift in what the compiler
-    // emits. The two throughputs are measured INTERLEAVED — repeat i of
-    // the compiled sim immediately followed by repeat i of the hand sim,
-    // same process, same moment — so machine drift cancels out of their
-    // ratio. A historical lesson baked into the harness shape: measuring
-    // them minutes apart once showed a phantom 30% "dispatch overhead"
-    // that was really first-measurement warm-up (see DESIGN.md).
-    let (_, compiled_events) = seq_compiled.expect("sequential engine was measured above");
-    let (compiled_eps, hand_eps, pair_events) = measure_compiled_vs_hand();
-    assert_eq!(
-        compiled_events, pair_events,
-        "compiled and hand-derived TPFA routes must replay the same event stream"
-    );
-    let compiled_vs_hand = compiled_eps / hand_eps;
-    println!(
-        "  compiled-tpfa: {compiled_eps:.0} events/s (hand routes: {hand_eps:.0} events/s, ratio {compiled_vs_hand:.3})"
-    );
-    report.push(
-        &format!("events_per_s/{WALL_N}x{WALL_N}/compiled-tpfa"),
-        compiled_eps,
-        "events/s",
-        "higher-better",
-    );
-    report.push(
-        &format!("events/{WALL_N}x{WALL_N}/compiled-tpfa"),
-        compiled_events as f64,
-        "events",
-        "info",
-    );
-    report.push(
-        &format!("events_per_s/{WALL_N}x{WALL_N}/hand-tpfa"),
-        hand_eps,
-        "events/s",
-        "info",
-    );
-    // Deterministic-adjacent ratio (like `speedup/`): compiled routing
-    // must not fall behind the hand tables it replaced. Blocking in
-    // `perf_diff --deterministic --strict` with a worse-direction
-    // tolerance, gated at the achieved level via the committed baseline.
-    report.push(
-        &format!("compiled_vs_hand/{WALL_N}x{WALL_N}"),
-        compiled_vs_hand,
         "ratio",
         "higher-better",
     );

@@ -179,8 +179,10 @@ pub enum BuildError {
     /// build result.
     Stencil(CompileError),
     /// Both a generic workload ([`SimulatorBuilder::workload`]) and TPFA
-    /// problem inputs (`fluid`/`transmissibilities`) were supplied — the
-    /// builder cannot tell which problem to run.
+    /// problem inputs were supplied: `fluid`/`transmissibilities` (the
+    /// builder cannot tell which problem to run), or
+    /// `compute_enabled(false)`/`diagonals_enabled(false)` (TPFA ablations
+    /// an installed workload would silently ignore).
     ConflictingWorkload,
     /// The workload-builder path ([`DataflowFluxSimulator::workload_builder`])
     /// was used without installing a workload.
@@ -221,8 +223,9 @@ impl std::fmt::Display for BuildError {
             BuildError::Stencil(e) => write!(f, "stencil spec rejected: {e}"),
             BuildError::ConflictingWorkload => write!(
                 f,
-                "both a workload and TPFA inputs (fluid/transmissibilities) were supplied — \
-                 use either builder.workload(..) or the fluid()/transmissibilities() pair"
+                "both a workload and TPFA inputs (fluid/transmissibilities, or the \
+                 compute_enabled/diagonals_enabled ablations) were supplied — use either \
+                 builder.workload(..) or the fluid()/transmissibilities() path"
             ),
             BuildError::MissingWorkload => {
                 write!(f, "no workload supplied (builder.workload(..))")
@@ -311,14 +314,12 @@ pub struct SimulatorBuilder<'a> {
     workload: Option<Arc<dyn Workload>>,
     fluid: Option<&'a Fluid>,
     trans: Option<&'a Transmissibilities>,
-    hand_routes: bool,
     compute_enabled: bool,
     diagonals_enabled: bool,
     pe_memory_bytes: usize,
     max_events: u64,
     execution: Execution,
     fast_forward: bool,
-    dedup_routes: bool,
     trace: TraceSpec,
     fault_plan: FaultPlan,
     recovery: RecoveryPolicy,
@@ -332,14 +333,12 @@ impl<'a> SimulatorBuilder<'a> {
             workload: None,
             fluid: None,
             trans: None,
-            hand_routes: false,
             compute_enabled: true,
             diagonals_enabled: true,
             pe_memory_bytes: wse_sim::memory::WSE2_PE_MEMORY_BYTES,
             max_events: 1_000_000_000,
             execution: Execution::Sequential,
             fast_forward: true,
-            dedup_routes: true,
             trace: TraceSpec::OFF,
             fault_plan: FaultPlan::new(),
             recovery: RecoveryPolicy::Fail,
@@ -352,7 +351,9 @@ impl<'a> SimulatorBuilder<'a> {
     /// classic [`SimulatorBuilder::fluid`] /
     /// [`SimulatorBuilder::transmissibilities`] pair is a thin TPFA
     /// wrapper that assembles a [`TpfaWorkload`] and flows through this
-    /// same path; supplying both is rejected with
+    /// same path; supplying both — or a workload together with the TPFA
+    /// ablation switches [`SimulatorBuilder::compute_enabled`] /
+    /// [`SimulatorBuilder::diagonals_enabled`] — is rejected with
     /// [`BuildError::ConflictingWorkload`].
     pub fn workload<W: Workload + 'static>(mut self, workload: W) -> Self {
         self.workload = Some(Arc::new(workload));
@@ -363,18 +364,6 @@ impl<'a> SimulatorBuilder<'a> {
     /// simulators for differential runs).
     pub fn workload_arc(mut self, workload: Arc<dyn Workload>) -> Self {
         self.workload = Some(workload);
-        self
-    }
-
-    /// Differential-testing hook: route the TPFA workload with the
-    /// hand-derived color tables of [`crate::colors`] instead of the
-    /// stencil-compiler output. The two are pinned equal, so results are
-    /// bit-identical; the equivalence suite uses this to prove it at the
-    /// full-run level. Ignored by `workload(..)` problems. Not part of
-    /// the spec hash — hand- and compiler-routed checkpoints
-    /// interchange.
-    pub fn hand_routes(mut self, enabled: bool) -> Self {
-        self.hand_routes = enabled;
         self
     }
 
@@ -433,17 +422,6 @@ impl<'a> SimulatorBuilder<'a> {
         self
     }
 
-    /// Route-table deduplication in the fabric (default on): PEs with
-    /// identical static route tables share one table per SPMD equivalence
-    /// class, see [`FabricConfig::dedup_routes`]. `false` keeps the legacy
-    /// one-table-per-PE representation — results are bit-identical either
-    /// way (the equivalence suite's differential axis). Not part of the
-    /// spec hash: checkpoints interchange across representations.
-    pub fn dedup_routes(mut self, enabled: bool) -> Self {
-        self.dedup_routes = enabled;
-        self
-    }
-
     /// Event tracing (default off).
     pub fn trace(mut self, trace: TraceSpec) -> Self {
         self.trace = trace;
@@ -477,10 +455,7 @@ impl<'a> SimulatorBuilder<'a> {
 
     /// Assembles the TPFA workload of the classic builder path: validates
     /// the problem, flattens the transmissibilities in upload order (so
-    /// retry rebuilds never need the original problem back), and picks
-    /// the route pattern (compiled by default, hand tables under
-    /// [`SimulatorBuilder::hand_routes`], cardinal-only under the §5.2.2
-    /// ablation).
+    /// retry rebuilds never need the original problem back).
     fn tpfa_workload(&self) -> Result<TpfaWorkload, BuildError> {
         let mesh = self.mesh.ok_or(BuildError::MissingWorkload)?;
         let fluid = self.fluid.ok_or(BuildError::MissingFluid)?;
@@ -513,15 +488,6 @@ impl<'a> SimulatorBuilder<'a> {
             }
         }
 
-        let mut pattern = if self.hand_routes {
-            Arc::new(crate::colors::hand_pattern())
-        } else {
-            crate::colors::tpfa_pattern()
-        };
-        if !self.diagonals_enabled {
-            pattern = Arc::new(pattern.without_diagonals());
-        }
-
         Ok(TpfaWorkload::new(
             nx,
             ny,
@@ -529,14 +495,17 @@ impl<'a> SimulatorBuilder<'a> {
             FluidParams::from_fluid(fluid, mesh.spacing().dz),
             self.compute_enabled,
             self.diagonals_enabled,
-            pattern,
             trans_cols,
         ))
     }
 
     /// Validates the assembled problem and constructs the simulator.
     pub fn build(self) -> Result<DataflowFluxSimulator, BuildError> {
-        if self.workload.is_some() && (self.fluid.is_some() || self.trans.is_some()) {
+        let tpfa_inputs = self.fluid.is_some()
+            || self.trans.is_some()
+            || !self.compute_enabled
+            || !self.diagonals_enabled;
+        if self.workload.is_some() && tpfa_inputs {
             return Err(BuildError::ConflictingWorkload);
         }
         let workload: Arc<dyn Workload> = match &self.workload {
@@ -572,7 +541,6 @@ impl<'a> SimulatorBuilder<'a> {
                 max_events: self.max_events,
                 execution: self.execution,
                 fast_forward: self.fast_forward,
-                dedup_routes: self.dedup_routes,
                 trace: self.trace,
                 ..FabricConfig::default()
             },
@@ -714,7 +682,7 @@ impl DriverMetrics {
             ff_hops: hub.counter("fabric_ff_hops_total", "Hops covered by static-route fast-forwarding (deterministic and engine-invariant; 0 with fast-forward off)", l),
             ff_jumps: hub.counter("fabric_ff_jumps_total", "Fast-forward jumps taken (engine-DEPENDENT: per chain sequentially, per segment sharded)", l),
             region_ff_jumps: hub.counter("fabric_region_ff_jumps_total", "Region fast-forward jumps: jumps crossing >= 2 identical PEs in one event (engine-DEPENDENT, like ff_jumps)", l),
-            eq_classes: hub.gauge("fabric_eq_classes", "Route-table equivalence classes after load (O(1) for SPMD programs; equals PE count with dedup off)", l),
+            eq_classes: hub.gauge("fabric_eq_classes", "Route-table equivalence classes after load (O(1) for SPMD programs)", l),
             fabric_time: hub.gauge("fabric_time_cycles", "Simulated fabric time after the last application (deterministic)", l),
             queue_wheel: hub.gauge("fabric_queue_wheel_occupancy", "Host event-queue items inside the timing wheel's 2^20-cycle horizon", l),
             queue_overflow: hub.gauge("fabric_queue_overflow_occupancy", "Host event-queue items parked in the comparison heap beyond the wheel's horizon", l),
@@ -1259,9 +1227,8 @@ impl DataflowFluxSimulator {
     }
 
     /// Route-table equivalence classes after program load (see
-    /// [`Fabric::eq_classes`]). With deduplication on this is the number
-    /// of distinct route programs — O(1) for SPMD workloads regardless of
-    /// fabric size; with it off, the PE count.
+    /// [`Fabric::eq_classes`]): the number of distinct route programs —
+    /// O(1) for SPMD workloads regardless of fabric size.
     pub fn eq_classes(&self) -> usize {
         self.fabric.eq_classes()
     }
@@ -1628,6 +1595,28 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, BuildError::InvalidFaultPlan(_)), "{err:?}");
+    }
+
+    #[test]
+    fn builder_rejects_a_workload_combined_with_tpfa_inputs_or_ablations() {
+        // A generic workload would silently ignore the TPFA-only switches.
+        let (mesh, fluid, _) = problem(3, 3, 2, StencilKind::TenPoint);
+        let laplace = || {
+            let params = crate::laplace::LaplaceParams::from_spacing(1.0, 1.0, 1.0);
+            DataflowFluxSimulator::builder(&mesh)
+                .workload(crate::laplace::LaplaceWorkload::new(3, 3, 2, params).unwrap())
+        };
+        assert!(laplace().build().is_ok());
+        for conflicting in [
+            laplace().fluid(&fluid),
+            laplace().compute_enabled(false),
+            laplace().diagonals_enabled(false),
+        ] {
+            assert_eq!(
+                conflicting.build().map(|_| ()).unwrap_err(),
+                BuildError::ConflictingWorkload
+            );
+        }
     }
 
     #[test]

@@ -20,13 +20,16 @@
 //!   (`fabric → ramp`). First-senders transmit their column then a control
 //!   wavelet that flips its own router and the downstream router, handing
 //!   the channel over — two steps and every PE has sent and received,
-//!   exactly Fig. 6 ([`colors`], [`program`]).
+//!   exactly Fig. 6 ([`wse_stencil::CardinalLane`], [`program`]).
 //! * **Diagonal** exchange routes corner data through an intermediary
 //!   router that turns the stream 90° (Fig. 5b/5c). All four corner streams
 //!   run concurrently under a rotating schedule; conflicts are avoided with
 //!   a 3-phase color assignment keyed on `(x±y) mod 3`, giving each PE
 //!   exactly one role (source / intermediary / receiver) per color
-//!   ([`colors`]).
+//!   ([`wse_stencil::DiagonalLane`]).
+//!
+//! Both tables are compiled from [`wse_stencil::StencilSpec::tpfa`];
+//! [`workload::tpfa_pattern`] is the result.
 //!
 //! ## The kernel (paper §5.3.3, Table 4)
 //!
@@ -50,9 +53,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod colors;
 pub mod driver;
-pub mod exchange;
 pub mod kernel;
 pub mod laplace;
 pub mod layout;

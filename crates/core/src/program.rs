@@ -2,12 +2,11 @@
 //!
 //! One iteration (one application of Algorithm 1) proceeds per PE as:
 //!
-//! 1. **Launch** (host activates [`crate::colors::START`]): evaluate the
-//!    density column from pressure (Eq. 5), compute the two Z faces
+//! 1. **Launch** (host activates the pattern's `start` color): evaluate
+//!    the density column from pressure (Eq. 5), compute the two Z faces
 //!    immediately (they live in local memory — no fabric traffic, paper
-//!    §7.3), then start the in-plane exchange
-//!    ([`crate::exchange::ColumnExchange`]): diagonal streams plus the
-//!    cardinal streams of first-senders.
+//!    §7.3), then start the in-plane exchange ([`ColumnExchange`]):
+//!    diagonal streams plus the cardinal streams of first-senders.
 //! 2. **Receive**: each arriving data wavelet is FMOV-stored into the
 //!    receive buffer of the face its color identifies. When a face's stream
 //!    completes (`2·Nz` wavelets: pressure then density), that face's flux
@@ -22,10 +21,9 @@
 //! The iteration is complete when all expected faces have been accumulated;
 //! the host then reads the residual column.
 
-use crate::colors::tpfa_pattern;
-use crate::exchange::{ColumnExchange, ExchangeEvent};
 use crate::kernel::{compute_face_flux, FaceBuffers, FaceInputs};
 use crate::layout::ColumnLayout;
+use crate::workload::tpfa_pattern;
 use fv_core::eos::Fluid;
 use fv_core::mesh::Neighbor;
 use std::sync::Arc;
@@ -33,7 +31,10 @@ use wse_sim::dsd::Dsd;
 use wse_sim::pe::{PeContext, PeProgram};
 use wse_sim::trace::TraceRegion;
 use wse_sim::wavelet::Wavelet;
-use wse_stencil::CommPattern;
+use wse_stencil::{ColumnExchange, CommPattern, ExchangeEvent, StateCursor};
+
+/// Number of in-plane neighbor streams of the TPFA pattern.
+const STREAMS: usize = 8;
 
 /// Fluid constants in the `f32` working precision of the fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,8 +116,7 @@ impl TpfaPeProgram {
     }
 
     /// Substitutes an alternative TPFA-shaped communication pattern (same
-    /// streams, same quantities — e.g. the hand-derived tables for
-    /// differential testing against the compiled ones).
+    /// streams, same quantities).
     pub fn with_pattern(mut self, pattern: Arc<CommPattern>) -> Self {
         self.pattern = pattern;
         self
@@ -329,7 +329,7 @@ impl PeProgram for TpfaPeProgram {
         if has_exchange {
             // Fixed TPFA shape: 8 streams, 4 cardinal lanes (the on-disk
             // format predates the pattern-driven exchange and is pinned).
-            let mut recv_count = vec![0usize; crate::exchange::STREAMS];
+            let mut recv_count = vec![0usize; STREAMS];
             for c in &mut recv_count {
                 *c = cur.u64()? as usize;
             }
@@ -360,51 +360,6 @@ impl PeProgram for TpfaPeProgram {
             return Err("saved state predates init but program is initialized".to_string());
         }
         cur.finish()
-    }
-}
-
-/// Little-endian byte-slice reader for [`TpfaPeProgram::load_state`].
-struct StateCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> StateCursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(format!(
-                "truncated program state: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
-        };
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes in program state",
-                self.bytes.len() - self.pos
-            ))
-        }
     }
 }
 

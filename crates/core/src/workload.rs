@@ -17,12 +17,12 @@
 use crate::layout::{ColumnLayout, MemoryPlan};
 use crate::program::{FluidParams, TpfaPeProgram};
 use fv_core::mesh::ALL_NEIGHBORS;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wse_sim::fabric::Fabric;
 use wse_sim::geometry::PeCoord;
 use wse_sim::pe::PeProgram;
 use wse_sim::wavelet::Color;
-use wse_stencil::{CommPattern, CompiledStencil};
+use wse_stencil::{CommPattern, CompiledStencil, StencilSpec};
 
 /// A complete fabric workload: a compiled stencil plus the host-side
 /// protocol for driving it.
@@ -98,6 +98,42 @@ pub trait Workload: Send + Sync {
     fn hash_content(&self, eat: &mut dyn FnMut(&[u8]));
 }
 
+/// The TPFA communication pattern of paper §5.2 (Figs. 5–6):
+/// [`StencilSpec::tpfa`] through the stencil compiler, cached for the
+/// process lifetime. 17 of the 24 routable colors are used; stream index
+/// = [`fv_core::mesh::Neighbor::face_index`].
+///
+/// | colors | purpose |
+/// |---|---|
+/// | 0–3 | cardinal exchange (data moving E, W, S, N), switchable |
+/// | 4–15 | diagonal exchange, four families × three phases, static |
+/// | 16 | host launch / local task activation (no route) |
+///
+/// A cardinal color delivers the *opposite* face's data (color 0 moves
+/// data east, so it hands each PE its west neighbor's column). A diagonal
+/// family turns its stream 90° at an intermediary; along the path its key
+/// changes by one per hop, so coloring by `key mod 3` gives every PE one
+/// role per color and all four corner streams run concurrently:
+///
+/// | family | legs | delivers | key | key step |
+/// |---|---|---|---|---|
+/// | D1 | E, S | NorthWest data | x + y | +1 |
+/// | D2 | S, W | NorthEast data | x − y | −1 |
+/// | D3 | W, N | SouthEast data | x + y | −1 |
+/// | D4 | N, E | SouthWest data | x − y | +1 |
+pub fn tpfa_pattern() -> Arc<CommPattern> {
+    static PATTERN: OnceLock<Arc<CommPattern>> = OnceLock::new();
+    PATTERN
+        .get_or_init(|| {
+            Arc::new(
+                wse_stencil::compile(&StencilSpec::tpfa())
+                    .expect("the built-in TPFA spec compiles")
+                    .pattern,
+            )
+        })
+        .clone()
+}
+
 /// The paper's TPFA flux workload: Algorithm 1 on the 10-face stencil,
 /// built by the classic `fluid()`/`transmissibilities()` builder path
 /// (and by `--stencil tpfa` in the bench CLI).
@@ -118,10 +154,8 @@ pub struct TpfaWorkload {
 impl TpfaWorkload {
     /// Assembles the workload from pre-validated parts (the builder has
     /// already checked diagonal/transmissibility consistency and memory
-    /// fit). `pattern` is the compiled TPFA pattern, or its
-    /// `without_diagonals()` ablation, or the hand-derived tables when
-    /// differential testing against the compiler.
-    #[allow(clippy::too_many_arguments)]
+    /// fit). The routers get [`tpfa_pattern`], or its
+    /// `without_diagonals()` form under the §5.2.2 ablation.
     pub(crate) fn new(
         nx: usize,
         ny: usize,
@@ -129,11 +163,14 @@ impl TpfaWorkload {
         params: FluidParams,
         compute_enabled: bool,
         diagonals_enabled: bool,
-        pattern: Arc<CommPattern>,
         trans_cols: Vec<f32>,
     ) -> Self {
-        let compiled =
-            wse_stencil::compile(&wse_stencil::StencilSpec::tpfa()).expect("tpfa spec compiles");
+        let compiled = wse_stencil::compile(&StencilSpec::tpfa()).expect("tpfa spec compiles");
+        let pattern = if diagonals_enabled {
+            tpfa_pattern()
+        } else {
+            Arc::new(tpfa_pattern().without_diagonals())
+        };
         Self {
             nx,
             ny,
@@ -260,13 +297,12 @@ impl Workload for TpfaWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::colors::tpfa_pattern;
     use fv_core::eos::Fluid;
 
     fn workload(nx: usize, ny: usize, nz: usize) -> TpfaWorkload {
         let params = FluidParams::from_fluid(&Fluid::water_like(), 1.0);
         let trans = vec![0.5_f32; nx * ny * ALL_NEIGHBORS.len() * nz];
-        TpfaWorkload::new(nx, ny, nz, params, true, true, tpfa_pattern(), trans)
+        TpfaWorkload::new(nx, ny, nz, params, true, true, trans)
     }
 
     #[test]

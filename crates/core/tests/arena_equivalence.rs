@@ -1,20 +1,10 @@
-//! Differential suite for the SPMD arena representation: struct-of-array
-//! PE state, equivalence-class route-table deduplication, and region
-//! fast-forwarding must be pure *representation* changes — every
-//! observable of a TPFA run is bit-identical whether route programs are
-//! shared per class (`dedup_routes(true)`, the default) or owned per PE
-//! (`dedup_routes(false)`, the legacy layout), across both engines and
-//! both fast-forward settings.
-//!
-//! Strictness levels mirror `wse-stencil/tests/compile_equivalence.rs`:
-//!
-//! 1. residual vectors, compared bit-for-bit (`f32::to_bits`);
-//! 2. [`FabricStats`] and the [`RunReport`] (events, final time);
-//! 3. the full sorted trace event stream;
-//! 4. snapshot interchange: a checkpoint taken from a deduplicated
-//!    simulator restores into a per-PE-routed one (and vice versa),
-//!    because the in-memory representation is deliberately excluded from
-//!    the spec hash.
+//! The SPMD arena representation — struct-of-array PE state, route
+//! tables interned per equivalence class, region fast-forwarding — against
+//! the two configuration axes a run can select: every observable of a
+//! TPFA run (residual bits, [`FabricStats`], the [`RunReport`]) is
+//! bit-identical across both engines and both fast-forward settings.
+//! Fast-forward off walks every hop through the routers themselves, so it
+//! is the independent check of the class-indexed fast-forward table.
 //!
 //! The proptest wall randomizes fabric geometry so shard boundaries,
 //! pattern reach, and edge truncation all vary; the class-count tests pin
@@ -27,12 +17,11 @@ use fv_core::mesh::{CartesianMesh3, Extents, Spacing};
 use fv_core::state::FlowState;
 use fv_core::trans::{StencilKind, Transmissibilities};
 use proptest::prelude::*;
-use tpfa_dataflow::colors::tpfa_pattern;
+use tpfa_dataflow::workload::tpfa_pattern;
 use tpfa_dataflow::DataflowFluxSimulator;
 use wse_sim::fabric::{Execution, RunReport};
 use wse_sim::geometry::FabricDims;
 use wse_sim::stats::FabricStats;
-use wse_sim::trace::TraceSpec;
 
 struct Problem {
     mesh: CartesianMesh3,
@@ -57,20 +46,12 @@ fn problem(nx: usize, ny: usize, nz: usize, seed: u64) -> Problem {
     }
 }
 
-fn build(
-    p: &Problem,
-    dedup: bool,
-    execution: Execution,
-    fast_forward: bool,
-    trace: TraceSpec,
-) -> DataflowFluxSimulator {
+fn build(p: &Problem, execution: Execution, fast_forward: bool) -> DataflowFluxSimulator {
     DataflowFluxSimulator::builder(&p.mesh)
         .fluid(&p.fluid)
         .transmissibilities(&p.trans)
-        .dedup_routes(dedup)
         .execution(execution)
         .fast_forward(fast_forward)
-        .trace(trace)
         .build()
         .expect("build failed")
 }
@@ -81,27 +62,26 @@ struct Observation {
     residual_bits: Vec<u32>,
     stats: FabricStats,
     report: RunReport,
-    eq_classes_dedup_on: Option<usize>,
+    eq_classes: usize,
 }
 
-fn observe(p: &Problem, dedup: bool, execution: Execution, fast_forward: bool) -> Observation {
-    let mut sim = build(p, dedup, execution, fast_forward, TraceSpec::OFF);
+fn observe(p: &Problem, execution: Execution, fast_forward: bool) -> Observation {
+    let mut sim = build(p, execution, fast_forward);
     let residual = sim.apply(&p.pressure).expect("TPFA run failed");
     Observation {
         residual_bits: residual.iter().map(|v| v.to_bits()).collect(),
         stats: sim.stats(),
         report: sim.last_run().unwrap(),
-        eq_classes_dedup_on: dedup.then(|| sim.eq_classes()),
+        eq_classes: sim.eq_classes(),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random geometry, random engine, both dedup settings, both
-    /// fast-forward settings: eight runs, one answer. The class count of
-    /// every deduplicated run must equal the declarative pattern's
-    /// equivalence-class count for that geometry.
+    /// Random geometry, random engine, both fast-forward settings: four
+    /// runs, one answer. The class count of every run must equal the
+    /// declarative pattern's equivalence-class count for that geometry.
     #[test]
     fn randomized_geometry_is_representation_invariant(
         nx in 4usize..13,
@@ -116,42 +96,27 @@ proptest! {
         let classes = tpfa_pattern().eq_classes(FabricDims::new(nx, ny));
         let mut reference: Option<Observation> = None;
         for execution in [Execution::Sequential, Execution::Sharded { shards, threads }] {
-            for dedup in [true, false] {
-                for ff in [true, false] {
-                    let mut o = observe(&p, dedup, execution, ff);
-                    if let Some(c) = o.eq_classes_dedup_on {
-                        prop_assert_eq!(
-                            c, classes,
-                            "{}x{} {:?} ff={}: fabric classes vs pattern classes",
-                            nx, ny, execution, ff
-                        );
-                    }
-                    // ff_jumps / region_ff_jumps are engine- and
-                    // setting-dependent by contract; everything else must
-                    // be bit-identical. eq_classes differs by design
-                    // (dedup off => one class per PE), so normalize it out
-                    // of the cross-representation comparison.
-                    o.eq_classes_dedup_on = None;
-                    match &reference {
-                        None => reference = Some(o),
-                        Some(r) => prop_assert_eq!(
-                            r, &o,
-                            "{}x{}x{} seed {} {:?} dedup={} ff={} diverged",
-                            nx, ny, nz, seed, execution, dedup, ff
-                        ),
-                    }
+            for ff in [true, false] {
+                let o = observe(&p, execution, ff);
+                prop_assert_eq!(
+                    o.eq_classes, classes,
+                    "{}x{} {:?} ff={}: fabric classes vs pattern classes",
+                    nx, ny, execution, ff
+                );
+                // ff_jumps / region_ff_jumps are engine- and
+                // setting-dependent by contract; everything else must
+                // be bit-identical.
+                match &reference {
+                    None => reference = Some(o),
+                    Some(r) => prop_assert_eq!(
+                        r, &o,
+                        "{}x{}x{} seed {} {:?} ff={} diverged",
+                        nx, ny, nz, seed, execution, ff
+                    ),
                 }
             }
         }
     }
-}
-
-#[test]
-fn without_dedup_every_pe_is_its_own_class() {
-    let p = problem(10, 8, 2, 3);
-    let mut sim = build(&p, false, Execution::Sequential, true, TraceSpec::OFF);
-    sim.apply(&p.pressure).expect("run failed");
-    assert_eq!(sim.eq_classes(), 10 * 8, "legacy layout: one class per PE");
 }
 
 #[test]
@@ -162,12 +127,12 @@ fn eq_classes_are_constant_in_the_fabric_size() {
     let mut counts = Vec::new();
     for (nx, ny) in [(16, 16), (24, 20), (40, 12)] {
         let p = problem(nx, ny, 2, 9);
-        let mut sim = build(&p, true, Execution::Sequential, true, TraceSpec::OFF);
+        let mut sim = build(&p, Execution::Sequential, true);
         sim.apply(&p.pressure).expect("run failed");
         assert_eq!(
             sim.eq_classes(),
             tpfa_pattern().eq_classes(FabricDims::new(nx, ny)),
-            "{nx}x{ny}: fabric dedup must find exactly the pattern's classes"
+            "{nx}x{ny}: route interning must find exactly the pattern's classes"
         );
         counts.push(sim.eq_classes());
     }
@@ -180,103 +145,4 @@ fn eq_classes_are_constant_in_the_fabric_size() {
         "classes ({}) must be far below the PE count",
         counts[0]
     );
-}
-
-#[test]
-fn sorted_trace_streams_are_bit_identical_across_representations() {
-    let p = problem(12, 12, 4, 11);
-    for (execution, shards) in [
-        (Execution::Sequential, None),
-        (
-            Execution::Sharded {
-                shards: 4,
-                threads: 2,
-            },
-            Some(4),
-        ),
-    ] {
-        let mut dedup = build(&p, true, execution, true, TraceSpec::ring(8192));
-        let mut per_pe = build(&p, false, execution, true, TraceSpec::ring(8192));
-        dedup.apply(&p.pressure).expect("dedup run failed");
-        per_pe.apply(&p.pressure).expect("per-PE run failed");
-        let (t_dedup, t_per_pe) = match shards {
-            None => (dedup.trace().unwrap(), per_pe.trace().unwrap()),
-            Some(n) => (
-                dedup.trace_with_shards(n).unwrap(),
-                per_pe.trace_with_shards(n).unwrap(),
-            ),
-        };
-        assert_eq!(t_dedup.dropped, 0, "ring must hold the full run");
-        assert_eq!(t_per_pe.dropped, 0, "ring must hold the full run");
-        assert!(
-            t_dedup.events.len() > 10_000,
-            "expected a substantial trace, got {} events",
-            t_dedup.events.len()
-        );
-        assert_eq!(
-            t_dedup.events, t_per_pe.events,
-            "{execution:?}: sorted trace stream diverged between representations"
-        );
-    }
-}
-
-#[test]
-fn spec_hash_ignores_the_arena_representation() {
-    let p = problem(12, 12, 4, 11);
-    let dedup = build(&p, true, Execution::Sequential, true, TraceSpec::OFF);
-    let per_pe = build(&p, false, Execution::Sequential, true, TraceSpec::OFF);
-    assert_eq!(
-        dedup.spec_hash(),
-        per_pe.spec_hash(),
-        "representation must not leak into the problem identity"
-    );
-}
-
-#[test]
-fn checkpoints_interchange_between_representations() {
-    let p = problem(12, 12, 4, 11);
-    // Advance a deduplicated simulator two applications, snapshot, restore
-    // into a per-PE-routed one (and the reverse, across engines), then run
-    // one more application everywhere and demand bit-identical residuals.
-    let mut dedup = build(&p, true, Execution::Sequential, true, TraceSpec::OFF);
-    let mut per_pe = build(
-        &p,
-        false,
-        Execution::Sharded {
-            shards: 4,
-            threads: 2,
-        },
-        true,
-        TraceSpec::OFF,
-    );
-    for _ in 0..2 {
-        dedup.apply(&p.pressure).expect("dedup run failed");
-        per_pe.apply(&p.pressure).expect("per-PE run failed");
-    }
-    let snap_dedup = dedup.snapshot();
-    let snap_per_pe = per_pe.snapshot();
-
-    let mut per_pe_from_dedup = build(&p, false, Execution::Sequential, false, TraceSpec::OFF);
-    per_pe_from_dedup
-        .restore_snapshot(&snap_dedup)
-        .expect("dedup snapshot must restore into a per-PE-routed simulator");
-    let mut dedup_from_per_pe = build(&p, true, Execution::Sequential, false, TraceSpec::OFF);
-    dedup_from_per_pe
-        .restore_snapshot(&snap_per_pe)
-        .expect("per-PE snapshot must restore into a deduplicated simulator");
-    assert_eq!(per_pe_from_dedup.applications(), 2);
-    assert_eq!(dedup_from_per_pe.applications(), 2);
-
-    let r_dedup = dedup.apply(&p.pressure).expect("dedup run failed");
-    let r_per_pe = per_pe.apply(&p.pressure).expect("per-PE run failed");
-    let r_pfd = per_pe_from_dedup.apply(&p.pressure).expect("restored run");
-    let r_dfp = dedup_from_per_pe.apply(&p.pressure).expect("restored run");
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&r_dedup),
-        bits(&r_per_pe),
-        "dedup vs per-PE post-restore"
-    );
-    assert_eq!(bits(&r_dedup), bits(&r_pfd), "per-PE-from-dedup-snapshot");
-    assert_eq!(bits(&r_dedup), bits(&r_dfp), "dedup-from-per-PE-snapshot");
 }

@@ -5,9 +5,8 @@
 //! engines — sequential vs sharded 1/4/9 — and across fast-forwarding
 //! on/off, because they are pure functions of the deterministic event
 //! stream. Wall-clock series (`wall_*`) are excluded by construction.
-//! (`fabric_eq_classes` stays in: every configuration here uses the
-//! deduplicated arena, where the class count is a pure function of the
-//! route program.)
+//! (`fabric_eq_classes` stays in: the class count is a pure function of
+//! the route program.)
 //!
 //! Also pins the two boundary behaviors the exposition depends on:
 //! log2-bucket edges and the flight ring's exact-tail property — here at

@@ -1,10 +1,9 @@
 //! The checkpoint codec against the SPMD arena representation: a wire
 //! checkpoint must be a function of the *problem state*, never of the
-//! in-memory layout that produced it. Struct-of-array scalar arenas,
-//! per-class shared route tables (`dedup_routes`), and lazily-grown PE
-//! memories all canonicalize to the same byte stream as the legacy
-//! per-PE layout — so the schema stays at version 1 and checkpoints
-//! interchange freely across representations *and* engines.
+//! engine or in-memory layout that produced it. Struct-of-array scalar
+//! arenas, per-class shared route tables, and lazily-grown PE memories
+//! all canonicalize to one byte stream — so the schema stays at version 1
+//! and checkpoints interchange freely across engines.
 
 use fv_core::eos::Fluid;
 use fv_core::fields::PermeabilityField;
@@ -42,46 +41,21 @@ fn problem() -> Problem {
     }
 }
 
-fn build(p: &Problem, dedup: bool, execution: Execution) -> DataflowFluxSimulator {
+fn build(p: &Problem, execution: Execution) -> DataflowFluxSimulator {
     DataflowFluxSimulator::builder(&p.mesh)
         .fluid(&p.fluid)
         .transmissibilities(&p.trans)
-        .dedup_routes(dedup)
         .execution(execution)
         .build()
         .expect("build failed")
 }
 
 #[test]
-fn encoded_bytes_are_independent_of_the_representation() {
-    // Same problem, same state, two in-memory layouts: the wire bytes
-    // must be identical — the codec sees canonical snapshots, not arenas.
-    let p = problem();
-    let mut dedup = build(&p, true, Execution::Sequential);
-    let mut per_pe = build(&p, false, Execution::Sequential);
-    for _ in 0..2 {
-        dedup.apply(&p.pressure).expect("dedup run failed");
-        per_pe.apply(&p.pressure).expect("per-PE run failed");
-    }
-    let b_dedup = Checkpoint::capture(&dedup).encode();
-    let b_per_pe = Checkpoint::capture(&per_pe).encode();
-    assert_eq!(
-        b_dedup, b_per_pe,
-        "representation leaked into the wire format"
-    );
-    assert_eq!(
-        SCHEMA_VERSION, 1,
-        "arena layout must not force a schema bump"
-    );
-}
-
-#[test]
 fn encoded_bytes_are_independent_of_the_engine() {
     let p = problem();
-    let mut seq = build(&p, true, Execution::Sequential);
+    let mut seq = build(&p, Execution::Sequential);
     let mut sharded = build(
         &p,
-        true,
         Execution::Sharded {
             shards: 4,
             threads: 2,
@@ -96,17 +70,20 @@ fn encoded_bytes_are_independent_of_the_engine() {
         Checkpoint::capture(&sharded).encode(),
         "engine leaked into the wire format"
     );
+    assert_eq!(
+        SCHEMA_VERSION, 1,
+        "arena layout must not force a schema bump"
+    );
 }
 
 #[test]
 fn wire_roundtrip_crosses_representations_and_engines() {
-    // Capture from a deduplicated sharded simulator, push the bytes
-    // through encode/decode, restore into a legacy per-PE sequential one,
-    // and demand the continuation is bit-identical to never stopping.
+    // Capture from a sharded simulator, push the bytes through
+    // encode/decode, restore into a sequential one, and demand the
+    // continuation is bit-identical to never stopping.
     let p = problem();
     let mut origin = build(
         &p,
-        true,
         Execution::Sharded {
             shards: 4,
             threads: 2,
@@ -118,10 +95,10 @@ fn wire_roundtrip_crosses_representations_and_engines() {
     let bytes = Checkpoint::capture(&origin).encode();
     let decoded = Checkpoint::decode(&bytes).expect("decode failed");
 
-    let mut resumed = build(&p, false, Execution::Sequential);
+    let mut resumed = build(&p, Execution::Sequential);
     decoded
         .restore_into(&mut resumed)
-        .expect("cross-representation restore failed");
+        .expect("cross-engine restore failed");
     assert_eq!(resumed.applications(), 2);
 
     let r_origin = origin.apply(&p.pressure).expect("origin run failed");

@@ -149,13 +149,6 @@ pub struct FabricConfig {
     /// (treated as off) while tracing is enabled or a non-empty
     /// [`FaultPlan`] is installed — those paths need per-hop semantics.
     pub fast_forward: bool,
-    /// Route-table deduplication (default on): after `load`, routers with
-    /// identical static tables share one `Arc<RouteTable>` per equivalence
-    /// class — O(classes) route storage for SPMD programs instead of
-    /// O(PEs), and a class-indexed fast-forward table. Results are
-    /// bit-identical either way; `false` keeps the legacy one-table-per-PE
-    /// representation as the differential axis for equivalence tests.
-    pub dedup_routes: bool,
 }
 
 impl Default for FabricConfig {
@@ -167,7 +160,6 @@ impl Default for FabricConfig {
             execution: Execution::Sequential,
             trace: TraceSpec::OFF,
             fast_forward: true,
-            dedup_routes: true,
         }
     }
 }
@@ -1028,11 +1020,10 @@ const INVALID_STEP: FwdStep = FwdStep {
 /// fast-forward: enabled, tracing off). Each PE maps to the equivalence
 /// class of its (interned) route table; steps are stored per
 /// `(class, color)` — O(classes · colors), not O(PEs · colors), which is
-/// what makes a homogeneous interior *region* one table row. Without route
-/// deduplication every PE is its own class and the table degenerates to
-/// the legacy per-PE layout. Nothing invalidates it: loaded routes are
-/// frozen (see the module docs), and a color first configured after
-/// `load()` has no step here, so its hops simply stay per-hop.
+/// what makes a homogeneous interior *region* one table row. Nothing
+/// invalidates it: loaded routes are frozen (see the module docs), and a
+/// color first configured after `load()` has no step here, so its hops
+/// simply stay per-hop.
 #[derive(Default)]
 struct FwdTable {
     /// Equivalence class of each PE's route table (fabric-linear).
@@ -1846,7 +1837,7 @@ pub struct Fabric {
     /// Route-table equivalence classes after `load` interning: the number
     /// of distinct static route tables across the fabric. O(1) for SPMD
     /// programs (interior / edges / corners); equals the PE count until
-    /// `load` runs, or when [`FabricConfig::dedup_routes`] is off.
+    /// `load` runs.
     eq_classes: usize,
 }
 
@@ -1907,14 +1898,13 @@ impl Fabric {
     }
 
     /// Runs every PE's `init` handler (allocate memory, configure routes),
-    /// then — when [`FabricConfig::dedup_routes`] is on — interns the
-    /// resulting static route tables: PEs with identical tables share one
-    /// `Arc<RouteTable>` per equivalence class. Interning happens per PE
-    /// right after its `init`, so the transient footprint is O(classes),
-    /// not O(PEs). SPMD programs collapse to a handful of classes
-    /// (interior / edges / corners); see [`Fabric::eq_classes`]. The same
-    /// pass numbers the classes and derives the fast-forward table from
-    /// them; from here on configured routes are frozen.
+    /// then interns the resulting static route tables: PEs with identical
+    /// tables share one `Arc<RouteTable>` per equivalence class. Interning
+    /// happens per PE right after its `init`, so the transient footprint
+    /// is O(classes), not O(PEs). SPMD programs collapse to a handful of
+    /// classes (interior / edges / corners); see [`Fabric::eq_classes`].
+    /// The same pass numbers the classes and derives the fast-forward
+    /// table from them; from here on configured routes are frozen.
     pub fn load(&mut self) {
         assert!(!self.initialized, "fabric already loaded");
         self.initialized = true;
@@ -1952,28 +1942,19 @@ impl Fabric {
                 false,
             );
             slot.program.init(&mut ctx);
-            let class = if config.dedup_routes {
-                let table = slot.router.table().clone();
-                let class = *interned.entry(table).or_insert(canonical.len());
-                if class == canonical.len() {
-                    canonical.push(slot.router.table().clone());
-                }
-                slot.router.intern_table(&canonical[class]);
-                class
-            } else {
-                i
-            };
+            let table = slot.router.table().clone();
+            let class = *interned.entry(table).or_insert(canonical.len());
+            if class == canonical.len() {
+                canonical.push(slot.router.table().clone());
+            }
+            slot.router.intern_table(&canonical[class]);
             if let Some(fwd) = &mut fwd {
                 fwd.push_pe(class, slot.router.table());
             }
             // Anything sent from init is injected at t = 0.
             flush_pe_output(slot, scalars, at, 0, &mut |e, _| queue.push(e));
         }
-        self.eq_classes = if config.dedup_routes {
-            canonical.len()
-        } else {
-            pes.len()
-        };
+        self.eq_classes = canonical.len();
         self.fwd = fwd;
     }
 
@@ -2676,8 +2657,7 @@ impl Fabric {
     /// Route-table equivalence classes after [`Fabric::load`]: the number
     /// of distinct static route tables across the fabric. An SPMD program
     /// yields O(1) classes regardless of grid size (interior / edges /
-    /// corners); with [`FabricConfig::dedup_routes`] off, every PE is its
-    /// own class.
+    /// corners).
     pub fn eq_classes(&self) -> usize {
         self.eq_classes
     }

@@ -10,8 +10,8 @@
 //! - both are engine-DEPENDENT (shard boundaries cut a region into
 //!   per-shard segments) and excluded from the determinism contract;
 //! - everything else — events, final time, per-router hops, stats,
-//!   memories — is bit-identical across engines, fast-forward settings,
-//!   and route-deduplication settings.
+//!   memories — is bit-identical across engines and fast-forward
+//!   settings.
 
 use wse_sim::fabric::{Execution, Fabric, FabricConfig, RunReport};
 use wse_sim::geometry::{Direction, FabricDims, PeCoord};
@@ -68,16 +68,10 @@ struct RegionRun {
     eq_classes: usize,
 }
 
-fn run_region(
-    width: usize,
-    execution: Execution,
-    fast_forward: bool,
-    dedup_routes: bool,
-) -> RegionRun {
+fn run_region(width: usize, execution: Execution, fast_forward: bool) -> RegionRun {
     let config = FabricConfig {
         execution,
         fast_forward,
-        dedup_routes,
         hop_latency: L,
         ..FabricConfig::default()
     };
@@ -129,37 +123,31 @@ fn region_jump_matches_closed_form() {
         },
     ] {
         for ff in [false, true] {
-            for dedup in [true, false] {
-                let label = format!("{execution:?} ff={ff} dedup={dedup}");
-                let r = run_region(W, execution, ff, dedup);
-                assert_eq!(r.report.events, 14, "{label}: event count");
-                assert_eq!(r.final_time, 11 * L, "{label}: sink arrival time");
-                assert_eq!(r.stats.fabric_hops, 11, "{label}: total hops");
-                let mut want_hops = vec![1u64; W - 1];
-                want_hops.push(0);
-                assert_eq!(r.hops, want_hops, "{label}: per-router hops");
-                let mut want_mem = vec![0u32; W - 1];
-                want_mem.push(1);
-                assert_eq!(r.memories, want_mem, "{label}: exactly one delivery");
-                assert_eq!(
-                    r.eq_classes,
-                    if dedup { 2 } else { W },
-                    "{label}: class count"
-                );
-                let (jumps, regions) = match (execution, ff) {
-                    (_, false) => (0, 0),
-                    (Execution::Sequential, true) => (1, 1),
-                    (Execution::Sharded { .. }, true) => (2, 2),
-                };
-                assert_eq!(r.ff_jumps, jumps, "{label}: ff_jumps");
-                assert_eq!(r.region_ff_jumps, regions, "{label}: region_ff_jumps");
-                // The deterministic observables pin a single answer across
-                // the whole matrix.
-                let obs = (r.report, r.stats, r.final_time, r.hops, r.memories);
-                match &reference {
-                    None => reference = Some(obs),
-                    Some(want) => assert_eq!(want, &obs, "{label}: diverged"),
-                }
+            let label = format!("{execution:?} ff={ff}");
+            let r = run_region(W, execution, ff);
+            assert_eq!(r.report.events, 14, "{label}: event count");
+            assert_eq!(r.final_time, 11 * L, "{label}: sink arrival time");
+            assert_eq!(r.stats.fabric_hops, 11, "{label}: total hops");
+            let mut want_hops = vec![1u64; W - 1];
+            want_hops.push(0);
+            assert_eq!(r.hops, want_hops, "{label}: per-router hops");
+            let mut want_mem = vec![0u32; W - 1];
+            want_mem.push(1);
+            assert_eq!(r.memories, want_mem, "{label}: exactly one delivery");
+            assert_eq!(r.eq_classes, 2, "{label}: class count");
+            let (jumps, regions) = match (execution, ff) {
+                (_, false) => (0, 0),
+                (Execution::Sequential, true) => (1, 1),
+                (Execution::Sharded { .. }, true) => (2, 2),
+            };
+            assert_eq!(r.ff_jumps, jumps, "{label}: ff_jumps");
+            assert_eq!(r.region_ff_jumps, regions, "{label}: region_ff_jumps");
+            // The deterministic observables pin a single answer across
+            // the whole matrix.
+            let obs = (r.report, r.stats, r.final_time, r.hops, r.memories);
+            match &reference {
+                None => reference = Some(obs),
+                Some(want) => assert_eq!(want, &obs, "{label}: diverged"),
             }
         }
     }
@@ -169,23 +157,21 @@ fn region_jump_matches_closed_form() {
 #[test]
 fn single_hop_jumps_are_not_regions() {
     // Width 2: the source forwards once, straight into the sink.
-    let r = run_region(2, Execution::Sequential, true, true);
+    let r = run_region(2, Execution::Sequential, true);
     assert_eq!(r.stats.fabric_hops, 1);
     assert_eq!(r.ff_jumps, 1, "a 1-hop jump is still a jump");
     assert_eq!(r.region_ff_jumps, 0, "but not a region");
     // Width 3: two hops — the smallest region.
-    let r = run_region(3, Execution::Sequential, true, true);
+    let r = run_region(3, Execution::Sequential, true);
     assert_eq!(r.stats.fabric_hops, 2);
     assert_eq!(r.ff_jumps, 1);
     assert_eq!(r.region_ff_jumps, 1, "2 hops is the smallest region");
 }
 
-/// With fast-forward off the counters stay at zero no matter the layout.
+/// With fast-forward off the counters stay at zero.
 #[test]
 fn counters_stay_zero_without_fast_forward() {
-    for dedup in [true, false] {
-        let r = run_region(12, Execution::Sequential, false, dedup);
-        assert_eq!(r.ff_jumps, 0);
-        assert_eq!(r.region_ff_jumps, 0);
-    }
+    let r = run_region(12, Execution::Sequential, false);
+    assert_eq!(r.ff_jumps, 0);
+    assert_eq!(r.region_ff_jumps, 0);
 }

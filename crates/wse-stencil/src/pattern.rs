@@ -368,6 +368,56 @@ mod tests {
         assert!(!colors.contains(&pattern.start.id()));
     }
 
+    /// FNV-1a over every PE's route program in `dims.iter()` order: per
+    /// `(color, config)` the color id, fixed/switchable, the initial
+    /// position index, and both positions' rx/tx link sets.
+    fn route_digest(pattern: &CommPattern, dims: FabricDims) -> u64 {
+        fn bits(m: DirMask) -> u8 {
+            use Direction::*;
+            [North, East, South, West, Ramp]
+                .iter()
+                .enumerate()
+                .fold(0, |b, (i, d)| b | ((m.contains(*d) as u8) << i))
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |b: u8| {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        for c in dims.iter() {
+            for (color, cfg) in pattern.route_program(dims, c).0 {
+                let mut other = cfg;
+                other.toggle();
+                eat(color.id());
+                eat(cfg.is_fixed() as u8);
+                eat(cfg.current_index() as u8);
+                for pos in [cfg.active(), other.active()] {
+                    eat(bits(pos.rx));
+                    eat(bits(pos.tx));
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn tpfa_route_programs_match_the_golden_digest() {
+        // The fixed point that replaced the hand-written §5.2 colour and
+        // route tables: these digests were recorded from those tables'
+        // route programs (equal to the compiled ones) at the commit before
+        // the tables were deleted. 9×9 shows all 64 equivalence classes;
+        // on 3×2 every PE is on an edge. A change to either value is a
+        // change to the routes every TPFA run loads.
+        let pattern = compile(&StencilSpec::tpfa()).unwrap().pattern;
+        for (dims, classes, digest) in [
+            (FabricDims::new(9, 9), 64, 0x85b8_9021_197f_1761_u64),
+            (FabricDims::new(3, 2), 6, 0x5d17_c460_7ae9_6e1d_u64),
+        ] {
+            assert_eq!(pattern.eq_classes(dims), classes, "{dims:?}");
+            assert_eq!(route_digest(&pattern, dims), digest, "{dims:?}");
+        }
+    }
+
     #[test]
     fn ablation_drops_diagonals_but_keeps_streams() {
         let pattern = compile(&StencilSpec::tpfa()).unwrap().pattern;

@@ -267,18 +267,22 @@ impl PeProgram for StencilPeProgram {
     }
 }
 
-/// Little-endian byte-slice reader for [`StencilPeProgram::load_state`].
-pub(crate) struct StateCursor<'a> {
+/// Little-endian byte-slice reader for [`PeProgram::load_state`]
+/// implementations: every read is bounds-checked and reported as a typed
+/// message, and [`StateCursor::finish`] rejects trailing bytes.
+pub struct StateCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> StateCursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    /// Starts reading at the first byte of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    /// The next `n` bytes, or an error when fewer remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
         let Some(end) = end else {
             return Err(format!(
@@ -292,15 +296,18 @@ impl<'a> StateCursor<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub(crate) fn finish(self) -> Result<(), String> {
+    /// Ends the read; an error when bytes are left over.
+    pub fn finish(self) -> Result<(), String> {
         if self.pos == self.bytes.len() {
             Ok(())
         } else {

@@ -7,7 +7,7 @@
 //! cargo run --example comm_pattern_demo
 //! ```
 
-use mdfv::dataflow::colors::{CARDINAL_CHANNELS, DIAGONAL_FAMILIES};
+use mdfv::dataflow::workload::tpfa_pattern;
 use mdfv::dataflow::DataflowFluxSimulator;
 use mdfv::fv::prelude::*;
 use mdfv::wse::geometry::{FabricDims, PeCoord};
@@ -15,15 +15,17 @@ use mdfv::wse::geometry::{FabricDims, PeCoord};
 fn main() {
     let (nx, ny, nz) = (5usize, 4usize, 3usize);
     let dims = FabricDims::new(nx, ny);
+    // TPFA stream indices are the in-plane face indices.
+    let pattern = tpfa_pattern();
 
     // --- static picture: roles per channel --------------------------------
     println!("== cardinal channels (Fig. 6): first-sender parity ==\n");
-    for ch in CARDINAL_CHANNELS {
+    for ch in &pattern.cardinals {
         println!(
             "color {} moves data {:?}, delivers the {:?} face:",
             ch.color.id(),
             ch.send_dir,
-            ch.delivers
+            Neighbor::from_face_index(ch.stream)
         );
         for row in 0..ny {
             let mut line = String::from("   ");
@@ -45,14 +47,14 @@ fn main() {
     }
 
     println!("== diagonal families (Fig. 5): 3-phase colors ==\n");
-    for fam in DIAGONAL_FAMILIES {
+    for fam in &pattern.diagonals {
         let src = PeCoord::new(2, 2);
         println!(
             "family {:?}->{:?} delivers {:?}: PE (2,2) sources color {}, \
              receives color {}",
             fam.leg1,
             fam.leg2,
-            fam.delivers,
+            Neighbor::from_face_index(fam.stream),
             fam.source_color(src).id(),
             fam.receive_color(src).id()
         );

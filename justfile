@@ -28,9 +28,9 @@ smoke:
 equivalence:
     cargo test -q -p wse-sim --release --test parallel_equivalence --test dsd_properties
 
-# the stencil-compiler gate: compiled TPFA ≡ hand-derived routes
-# bit-for-bit (residuals, stats, traces, checkpoints), spec-compiler
-# property tests, and the two non-TPFA workloads end-to-end
+# the stencil-compiler gate: the compiler's unit tests (the golden digest
+# of every PE's TPFA route program among them), spec-compiler property
+# tests, and the two non-TPFA workloads end-to-end
 stencil:
     cargo test -q -p wse-stencil --release
     cargo test -q -p tpfa-dataflow --release -- laplace wave
@@ -109,6 +109,13 @@ bench-baseline:
 # compare two perf reports (report-only; add --strict to fail on regression)
 perf-diff a b *flags="":
     cargo run -p bench --release --bin perf_diff -- {{a}} {{b}} {{flags}}
+
+# the repo benchmark as a check, not a measurement: all six workloads,
+# untraced and traced, 2 s each; a run exits non-zero when an output check
+# fails, and the benchmark directory must come out as it went in
+bench-check:
+    for w in tpfa-small tpfa-wide tpfa-deep tpfa-sharded wave-steps serve-mix; do for t in 0 1; do bash benchmark/run.sh --workload $w --seed 1 --seconds 2 --trace $t || exit 1; done; done
+    test -z "$(git status --porcelain benchmark/)"
 
 # regenerate every table/figure of the paper's evaluation
 tables:
