@@ -43,13 +43,6 @@ impl<T: Timestamped + Ord> EventQueue<T> for HeapQueue<T> {
         self.heap.pop().map(|Reverse(e)| e)
     }
 
-    fn pop_before(&mut self, bound: u64) -> Option<T> {
-        match self.heap.peek() {
-            Some(Reverse(e)) if e.time() < bound => self.pop(),
-            _ => None,
-        }
-    }
-
     fn next_time(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(e)| e.time())
     }

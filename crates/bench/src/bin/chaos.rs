@@ -14,11 +14,11 @@
 //! [--report out.json]`. With `--shards`, the harness still runs *both*
 //! engines per schedule (the differential assertion needs them); the flag
 //! pins the sharded geometry being differenced. Without it, schedules
-//! rotate through a sweep of shard grids (1×, 2×2, 3×3 and an
-//! asymmetric 4×1) so the conservative-lookahead protocol is chaos-tested
-//! across boundary layouts — fault plans force per-hop routing, and halt
-//! faults exercise the no-deadlock guarantee when a whole shard goes
-//! quiet. Exit code 0 iff every schedule upholds every invariant.
+//! rotate through a sweep of strip counts (4, 1, 9 and 2) so the
+//! cycle-synchronous strip engine is chaos-tested across strip layouts —
+//! fault plans force per-hop routing, and halt faults exercise the
+//! no-hang guarantee when a whole strip goes quiet. Exit code 0 iff every
+//! schedule upholds every invariant.
 //!
 //! Every failed run's JSON report line carries a **flight-recorder tail**
 //! (`"flight": [...]`): the last [`FLIGHT_TAIL`] fault-log events before

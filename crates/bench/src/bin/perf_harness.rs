@@ -28,14 +28,16 @@ use wse_sim::trace::TraceSpec;
 
 const WALL_NZ: usize = 6;
 const WALL_N: usize = 64;
-const WALL_REPEATS: usize = 5;
+/// Interleaved sequential/sharded pairs behind every wall-clock entry.
+const WALL_PAIRS: usize = 5;
 const PROF_N: usize = 16;
 const PROF_NZ: usize = 6;
 
 /// One engine's wall-clock measurement plus the deterministic cycle-level
 /// observables of the measured workload.
 struct WallMeasurement {
-    /// Median wall-clock seconds of one `apply` (after one warm-up).
+    /// Median wall-clock seconds of one `apply` (after one warm-up) over
+    /// the [`WALL_PAIRS`] pairs.
     wall_s: f64,
     /// Events per second of the median run.
     events_per_s: f64,
@@ -50,37 +52,56 @@ struct WallMeasurement {
     shard_hops: Vec<u64>,
 }
 
-fn measure_wall(execution: Execution) -> WallMeasurement {
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples[samples.len() / 2]
+}
+
+/// Measures both engines on the same problem as [`WALL_PAIRS`] interleaved
+/// pairs of one `apply` each, alternating which engine goes first, and
+/// returns their measurements with the median per-pair speedup (sequential
+/// time / sharded time). Two back-to-back blocks, sequential then sharded,
+/// put whatever else the host was doing during one block into the ratio:
+/// three runs of one binary read 0.58, 0.69 and 0.82 that way.
+fn measure_wall(engines: [Execution; 2]) -> ([WallMeasurement; 2], f64) {
     let (mesh, fluid, trans) = standard_problem(WALL_N, WALL_N, WALL_NZ, 2);
     let p = pressure_for_iteration(&mesh, 0);
-    let mut sim = DataflowFluxSimulator::builder(&mesh)
-        .fluid(&fluid)
-        .transmissibilities(&trans)
-        .execution(execution)
-        .build()
-        .unwrap();
-    sim.apply(&p).expect("warm-up failed");
-    let mut times = Vec::with_capacity(WALL_REPEATS);
-    let mut events = 0u64;
-    let mut final_time = 0u64;
-    for _ in 0..WALL_REPEATS {
-        let t0 = Instant::now();
-        sim.apply(&p).expect("measured run failed");
-        times.push(t0.elapsed().as_secs_f64());
+    let mut sims = engines.map(|execution| {
+        let mut sim = DataflowFluxSimulator::builder(&mesh)
+            .fluid(&fluid)
+            .transmissibilities(&trans)
+            .execution(execution)
+            .build()
+            .unwrap();
+        sim.apply(&p).expect("warm-up failed");
+        sim
+    });
+    let mut times = [Vec::new(), Vec::new()];
+    let mut speedups = Vec::with_capacity(WALL_PAIRS);
+    for pair in 0..WALL_PAIRS {
+        let mut wall = [0.0; 2];
+        for k in [pair % 2, 1 - pair % 2] {
+            let t0 = Instant::now();
+            sims[k].apply(&p).expect("measured run failed");
+            wall[k] = t0.elapsed().as_secs_f64();
+            times[k].push(wall[k]);
+        }
+        speedups.push(wall[0] / wall[1]);
+    }
+    let mut times = times.into_iter();
+    let measurements = sims.map(|sim| {
+        let wall_s = median(times.next().expect("one series per engine"));
         let report = sim.last_run().expect("run recorded");
-        events = report.events;
-        final_time = report.final_time;
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = times[times.len() / 2];
-    WallMeasurement {
-        wall_s: median,
-        events_per_s: events as f64 / median,
-        events,
-        final_time,
-        queue_wait_cycles: sim.queue_wait_cycles(),
-        shard_hops: sim.shard_stats(4).iter().map(|s| s.fabric_hops).collect(),
-    }
+        WallMeasurement {
+            wall_s,
+            events_per_s: report.events as f64 / wall_s,
+            events: report.events,
+            final_time: report.final_time,
+            queue_wait_cycles: sim.queue_wait_cycles(),
+            shard_hops: sim.shard_stats(4).iter().map(|s| s.fabric_hops).collect(),
+        }
+    });
+    (measurements, median(speedups))
 }
 
 /// One measured apply on the paper mesh's 746×989 PE footprint — the run
@@ -167,18 +188,15 @@ fn main() {
 
     // Host-side wall-clock: the simulator as a program, both engines.
     println!("== perf harness ({WALL_N}x{WALL_N}x{WALL_NZ} wall-clock, {PROF_N}x{PROF_N}x{PROF_NZ} profile) ==");
-    let mut throughputs = Vec::new();
-    // "4x2" = 4 shards × up to 2 workers. The worker request is capped at
-    // the host's parallelism: spinning more lookahead workers than cores
-    // only adds scheduling overhead, and on a single-core host the engine's
-    // lone-worker schedule (no clock gossip, no mailbox handoff) is the
-    // honest best case being measured.
+    // "4x2" = 4 strips × up to 2 workers. The worker request is capped at
+    // the host's parallelism: more workers than cores only wait at the
+    // cycle barrier for a core, and on a single-core host the engine's
+    // lone worker (inline, no barrier) is the honest best case being
+    // measured.
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get().min(2));
-    for (label, execution) in [
-        ("sequential", Execution::Sequential),
-        ("sharded-4x2", Execution::Sharded { shards: 4, threads }),
-    ] {
-        let m = measure_wall(execution);
+    let sharded = Execution::Sharded { shards: 4, threads };
+    let (measured, speedup) = measure_wall([Execution::Sequential, sharded]);
+    for (label, m) in ["sequential", "sharded-4x2"].into_iter().zip(measured) {
         println!(
             "  {label}: {:.4} s/apply, {:.0} events/s",
             m.wall_s, m.events_per_s
@@ -226,15 +244,16 @@ fn main() {
                 "info",
             );
         }
-        throughputs.push(m.events_per_s);
     }
-    // The seq-vs-sharded gap as one deterministic-adjacent ratio: both
-    // throughputs come from the same process moments apart, so machine
-    // noise largely cancels and `perf_diff --deterministic --strict` can
-    // block on it (with a generous worse-direction tolerance) without the
-    // flakiness of raw wall-clock gates.
-    let speedup = throughputs[1] / throughputs[0];
-    println!("  speedup (sharded-4x2 / sequential): {speedup:.3}×");
+    // The seq-vs-sharded gap as one deterministic-adjacent ratio: the
+    // median over pairs whose two applies ran moments apart, in alternating
+    // order, so machine noise largely cancels and `perf_diff
+    // --deterministic --strict` can block on it (with a generous
+    // worse-direction tolerance) without the flakiness of raw wall-clock
+    // gates.
+    println!(
+        "  speedup (sequential s / sharded-4x2 s, median of {WALL_PAIRS} pairs): {speedup:.3}×"
+    );
     report.push(
         &format!("speedup/{WALL_N}x{WALL_N}/sharded-4x2_vs_sequential"),
         speedup,

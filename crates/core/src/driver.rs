@@ -876,9 +876,9 @@ impl DataflowFluxSimulator {
     }
 
     /// Processes up to `max_events` fabric events of the in-flight
-    /// application, pausing at an event boundary (the sharded engine may
-    /// overshoot by up to one flush batch per worker; the final state is
-    /// identical either way). Returns whether the fabric reached
+    /// application, pausing at an event boundary (the sharded engine
+    /// overshoots to the end of the simulated cycle in which the limit was
+    /// reached; the final state is identical either way). Returns whether the fabric reached
     /// quiescence; calling again after completion is a no-op. On `Err` the
     /// fabric is in a failed state — discard or restore the simulator.
     ///
@@ -1220,8 +1220,8 @@ impl DataflowFluxSimulator {
         self.fabric.stats()
     }
 
-    /// Per-shard statistics under the rectangular partition the sharded
-    /// engine would use for `shards` (see [`Fabric::shard_stats`]).
+    /// Per-shard statistics under the rectangular reporting partition into
+    /// `shards` (see [`Fabric::shard_stats`]).
     pub fn shard_stats(&self, shards: usize) -> Vec<FabricStats> {
         self.fabric.shard_stats(shards)
     }

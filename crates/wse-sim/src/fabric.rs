@@ -13,22 +13,20 @@
 //!
 //! * [`Execution::Sequential`] — a single event queue over the whole
 //!   fabric (the reference engine).
-//! * [`Execution::Sharded`] — the PE grid is partitioned into rectangular
-//!   shards, each with a private event queue, advanced by a scoped-thread
-//!   worker pool under **conservative lookahead** (CMB/null-message style;
-//!   no global barrier). Each directed pair of adjacent shards carries a
-//!   monotone *channel clock*: a promise that every event the source shard
-//!   will henceforth push into the destination's mailbox has time ≥ the
-//!   clock. A shard may safely process everything strictly below the
-//!   minimum of its in-edge clocks (its *earliest input time*, EIT), so
-//!   lightly-coupled shards free-run far ahead of their neighbors instead
-//!   of synchronizing every `hop_latency` window. Clocks advance by
-//!   *position-aware lookahead*: a pending event at a PE `d` links away
-//!   from a shard boundary cannot influence the neighbor across it before
-//!   `d · hop_latency` cycles, so a stalled shard publishes
-//!   `min(event.time + d·hop_latency)` over its queue (and `EIT +
-//!   hop_latency` for anything it may yet receive and relay), which is what
-//!   lets interior work stop throttling boundary neighbors.
+//! * [`Execution::Sharded`] — the **cycle-synchronous strip engine**. The
+//!   fabric is cut into contiguous *row strips*; a strip is a contiguous
+//!   range of linear PE indices and owns its PEs' slots, its rows of the
+//!   scalar arena and its own event wheel, all of which live in the
+//!   [`Fabric`] between calls. A run deals the strips in contiguous blocks
+//!   to scoped workers and every worker repeats one step for the agreed
+//!   cycle `t`: drain its strips' events at `t` through the shared step
+//!   function, post events for a neighbouring strip's PEs into that
+//!   strip's mailbox, hand in `min(own next pending time, earliest time
+//!   mailed)` and its event count at **one rendezvous**, where the last
+//!   arrival folds them into the one verdict every worker reads — the next
+//!   `t`, and the event total the pause and budget decisions are made from
+//!   — and take in its strips' mail (`strip_worker` says why one
+//!   rendezvous per step is enough).
 //!
 //! # Order: per-PE key order is the contract, PE-major is the schedule
 //!
@@ -56,14 +54,12 @@
 //! one — an event's `Ord` is `(time, pe, seq, src)` — which executes a
 //! cycle one PE at a time, while that PE's slot, program and memory are
 //! hot. The smallest-key error both engines report is still chosen by
-//! `(time, seq, src)`. The sharded engine adds the channel-clock promise: a
-//! shard pops only events with time strictly below its EIT, and every
-//! *future* cross-shard arrival has time ≥ EIT (clocks are read with
-//! `Acquire` *before* the mailbox is drained, and senders flush their
-//! batches *before* publishing, so any event the promise does not cover is
-//! already visible in the drain). Results, per-PE [`OpCounters`],
-//! [`RunReport`] totals, and error reporting are bit-identical between the
-//! engines.
+//! `(time, seq, src)`. The strip engine needs nothing more than (3): what a
+//! strip mails during cycle `t` lands at `t + hop_latency` or later, so it is
+//! in the destination's wheel (taken in after the barrier of step `t`) before
+//! any worker starts the cycle it belongs to. Results, per-PE
+//! [`OpCounters`], [`RunReport`] totals, and error reporting are
+//! bit-identical between the engines.
 //!
 //! # Event engine
 //!
@@ -72,7 +68,7 @@
 //! [`crate::queue`]). Each engine's run loop pops from it and hands the
 //! event to the one step function both share (`Engine::step`), over the
 //! PEs that engine instance owns: the whole fabric for `Sequential`, one
-//! shard's rectangle for `Sharded`.
+//! row strip for `Sharded`.
 //!
 //! On fault-free, untraced runs the step function **fast-forwards static
 //! routes** (`fast_forward`): a data wavelet entering a k-hop chain of
@@ -89,7 +85,7 @@
 //! otherwise disagree.
 
 use crate::fault::{FaultClass, FaultEvent, FaultKind, FaultPlan};
-use crate::geometry::{Direction, FabricDims, PeCoord, CARDINALS};
+use crate::geometry::{Direction, FabricDims, PeCoord};
 use crate::memory::PeMemory;
 use crate::pe::{PeContext, PeProgram};
 use crate::queue::{advance_time, CalendarQueue, EventQueue, Timestamped};
@@ -100,8 +96,9 @@ use crate::snapshot::{
 use crate::stats::{FabricStats, OpCounters};
 use crate::wavelet::{Color, Wavelet, WaveletKind, MAX_COLORS};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use wse_trace::{EventRing, PeTracer, Trace, TraceEventKind, TraceSpec, HOST_PE, LINK_CONTROL_BIT};
 
 /// Which event-loop engine [`Fabric::run`] uses.
@@ -110,17 +107,19 @@ pub enum Execution {
     /// The single-threaded reference engine.
     #[default]
     Sequential,
-    /// The parallel engine: rectangular shards with private event queues,
-    /// synchronized by per-shard-pair conservative-lookahead channel clocks
-    /// (null-message style — no global barrier). Bit-identical to
+    /// The parallel engine: contiguous row strips with private event
+    /// wheels, advanced one simulated cycle at a time with one rendezvous
+    /// per cycle (see the module docs). Bit-identical to
     /// [`Execution::Sequential`].
     Sharded {
-        /// Number of rectangular shards to partition the PE grid into
-        /// (clamped to the PE count; an infeasible count is reduced until a
-        /// rectangular factorization fits the fabric).
+        /// Number of row strips to cut the fabric into (clamped to
+        /// `1..=rows`; strip `k` of `n` holds rows `k·rows/n ..
+        /// (k+1)·rows/n`). The partition [`Fabric::shard_stats`] and
+        /// [`Fabric::trace`] *report* by is still the rectangular one.
         shards: usize,
-        /// Worker threads to run the shards on (clamped to the shard
-        /// count; shards are dealt round-robin to workers).
+        /// Worker threads to run the strips on (clamped to `1..=strips`;
+        /// strips are dealt in contiguous blocks, the calling thread is
+        /// worker 0 and the others are scoped threads).
         threads: usize,
     },
 }
@@ -132,7 +131,8 @@ pub struct FabricConfig {
     pub pe_memory_bytes: usize,
     /// Router-to-router latency in cycles (default 1). Must be ≥ 1: it is
     /// what keeps a cycle's PEs independent of each other (see the module
-    /// docs), and the sharded engine's lookahead.
+    /// docs), and so what lets the strip engine deliver a cycle's
+    /// cross-strip mail after that cycle's barrier.
     pub hop_latency: u64,
     /// Safety cap on processed events (default 10⁹).
     pub max_events: u64,
@@ -281,8 +281,8 @@ struct PeSlot {
 }
 
 /// The struct-of-arrays arena of per-PE scalar state: flat slices indexed
-/// by PE slot index — fabric-linear on the sequential engine, shard-local
-/// on the sharded engine (see [`PeScalars::gather`]). Keeping these nine
+/// by PE slot index — local to the [`Strip`] that holds the arena (one
+/// strip spans the whole fabric on the sequential engine). Keeping these nine
 /// words out of [`PeSlot`] keeps the hot counters densely packed and the
 /// slot itself small, which is what paper-scale PE counts need.
 #[derive(Debug, Clone, Default)]
@@ -326,58 +326,6 @@ impl PeScalars {
             checksum_drops: vec![0; n],
             fabric_hops: vec![0; n],
             ramp_deliveries: vec![0; n],
-        }
-    }
-
-    fn fields(&self) -> [&Vec<u64>; 9] {
-        [
-            &self.busy_until,
-            &self.seq,
-            &self.edge_drops,
-            &self.flow_stalls,
-            &self.queue_wait_cycles,
-            &self.fault_drops,
-            &self.checksum_drops,
-            &self.fabric_hops,
-            &self.ramp_deliveries,
-        ]
-    }
-
-    fn fields_mut(&mut self) -> [&mut Vec<u64>; 9] {
-        [
-            &mut self.busy_until,
-            &mut self.seq,
-            &mut self.edge_drops,
-            &mut self.flow_stalls,
-            &mut self.queue_wait_cycles,
-            &mut self.fault_drops,
-            &mut self.checksum_drops,
-            &mut self.fabric_hops,
-            &mut self.ramp_deliveries,
-        ]
-    }
-
-    /// Copies the rows at fabric-linear indices `linear` out into a dense
-    /// shard-local arena (row `j` of the result is row `linear[j]` here).
-    /// Shard rects are non-contiguous in linear order, so this is the
-    /// split half of the sharded engine's slot hand-off.
-    fn gather(&self, linear: &[usize]) -> PeScalars {
-        let mut out = PeScalars::new(linear.len());
-        for (src, dst) in self.fields().into_iter().zip(out.fields_mut()) {
-            for (j, &i) in linear.iter().enumerate() {
-                dst[j] = src[i];
-            }
-        }
-        out
-    }
-
-    /// Merge half of [`PeScalars::gather`]: writes a shard-local arena's
-    /// rows back to their fabric-linear positions.
-    fn scatter(&mut self, linear: &[usize], local: &PeScalars) {
-        for (dst, src) in self.fields_mut().into_iter().zip(local.fields()) {
-            for (j, &i) in linear.iter().enumerate() {
-                dst[i] = src[j];
-            }
         }
     }
 }
@@ -1087,8 +1035,8 @@ fn table_steps(table: &RouteTable) -> [FwdStep; MAX_COLORS] {
 /// the only state the walk touches — no slot, no router — so it does not
 /// matter when, relative to the traversed PEs' own events, it runs. The
 /// chain stops at the edge of the PEs whose arena rows `eng` holds: the
-/// sharded engine walks a chain spanning shards as *segments*, each shard
-/// jumping to the first PE past its boundary and mailing the key-preserved
+/// strip engine walks a chain spanning strips as *segments*, each strip
+/// jumping to the first PE past its edge and mailing the key-preserved
 /// continuation (time already advanced by its segment's hops) to the
 /// neighbor, which resumes the walk on pop. Segment budgets sum to the
 /// sequential chain's `1 + (k-1)` pops and each segment bumps exactly its
@@ -1099,7 +1047,7 @@ fn fast_forward(
     ev: &Event,
     input: Direction,
 ) -> Option<(u64, Event, PeCoord)> {
-    let (dims, rect) = (eng.dims, eng.rect);
+    let (dims, first, held) = (eng.dims, eng.first, eng.slots.len());
     let color = ev.wavelet.color.index();
     let mut time = ev.time;
     let mut pe = ev.pe;
@@ -1109,7 +1057,7 @@ fn fast_forward(
     // A chain of distinct eligible routers can never be longer than the
     // fabric; stopping there re-queues the wavelet mid-cycle and lets the
     // event budget catch genuinely circular routes.
-    while hops < table.class_of.len() as u64 && rect.contains(coord) {
+    while hops < table.class_of.len() as u64 && pe.wrapping_sub(first) < held {
         let step = table.step(pe, color);
         if !step.valid || !step.rx.contains(input) {
             break;
@@ -1119,7 +1067,7 @@ fn fast_forward(
         let Some(n) = dims.neighbor(coord, step.out) else {
             break;
         };
-        eng.scalars.fabric_hops[rect.local_index(coord)] += 1;
+        eng.scalars.fabric_hops[pe - first] += 1;
         time = advance_time(time, eng.hop_latency);
         input = step.out.arrival_side();
         coord = n;
@@ -1146,7 +1094,7 @@ fn fast_forward(
 
 /// Fast-forward telemetry (see [`Fabric::ff_hops`] and friends): `hops` is
 /// engine-invariant — segment hops sum to whole-chain hops; `jumps` and
-/// `region_jumps` (jumps of ≥ 2 hops) count per shard-boundary segment.
+/// `region_jumps` (jumps of ≥ 2 hops) count per strip-edge segment.
 #[derive(Debug, Clone, Copy, Default)]
 struct FfCounters {
     hops: u64,
@@ -1157,14 +1105,15 @@ struct FfCounters {
 /// What an engine's run loop hands the shared step function: the PEs it
 /// owns and everything an event may touch besides its queue. `Sequential`
 /// is one `Engine` over the whole fabric (local index = linear index);
-/// `Sharded` builds one per shard round over that shard's rect.
+/// `Sharded` builds one per strip and cycle.
 struct Engine<'a> {
     dims: FabricDims,
     hop_latency: u64,
     /// `None` when this run must not fast-forward (see [`Fabric::fwd`]).
     fwd: Option<&'a FwdTable>,
-    /// The PEs `slots` and `scalars` hold, in local-index order.
-    rect: ShardRect,
+    /// Linear index of the first PE held: `slots` and `scalars` hold PEs
+    /// `first .. first + slots.len()`, in linear order.
+    first: usize,
     slots: &'a mut [PeSlot],
     scalars: &'a mut PeScalars,
     ff: &'a mut FfCounters,
@@ -1189,11 +1138,10 @@ impl Engine<'_> {
     /// the pop itself: a k-hop jump stands for k per-hop pops.
     fn step(&mut self, ev: &Event, emit: &mut impl FnMut(Event, PeCoord)) -> u64 {
         if ev.pe != self.at.pe {
-            let coord = self.dims.coord(ev.pe);
             self.at = Visit {
                 pe: ev.pe,
-                coord,
-                idx: self.rect.local_index(coord),
+                coord: self.dims.coord(ev.pe),
+                idx: ev.pe - self.first,
             };
         }
         match ev.kind {
@@ -1216,59 +1164,19 @@ impl Engine<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Shard partitioning
+// The reporting partition
 // ---------------------------------------------------------------------------
 
-/// One rectangular shard: columns `[col0, col1)` × rows `[row0, row1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ShardRect {
-    col0: usize,
-    col1: usize,
-    row0: usize,
-    row1: usize,
-}
-
-impl ShardRect {
-    #[inline]
-    fn contains(&self, c: PeCoord) -> bool {
-        (self.col0..self.col1).contains(&c.col) && (self.row0..self.row1).contains(&c.row)
-    }
-
-    #[inline]
-    fn local_index(&self, c: PeCoord) -> usize {
-        (c.row - self.row0) * (self.col1 - self.col0) + (c.col - self.col0)
-    }
-
-    /// Linear PE indices of the rect, in local-index order.
-    fn iter_linear(self, dims: FabricDims) -> impl Iterator<Item = usize> {
-        (self.row0..self.row1)
-            .flat_map(move |r| (self.col0..self.col1).map(move |c| r * dims.cols + c))
-    }
-
-    /// Fabric-link crossings a wavelet at `c` (inside this rect) needs to
-    /// reach the *nearest* PE across the rect's `dir` boundary — the
-    /// position-aware lookahead distance. Always ≥ 1.
-    #[inline]
-    fn link_dist(&self, c: PeCoord, dir: Direction) -> u64 {
-        (match dir {
-            Direction::East => self.col1 - c.col,
-            Direction::West => c.col - self.col0 + 1,
-            Direction::South => self.row1 - c.row,
-            Direction::North => c.row - self.row0 + 1,
-            Direction::Ramp => unreachable!("ramp is not a shard boundary"),
-        }) as u64
-    }
-}
-
 /// A rectangular partition of the fabric into `nx × ny` shards with
-/// balanced (possibly uneven) extents.
+/// balanced (possibly uneven) extents: what [`Fabric::shard_stats`] and
+/// [`Fabric::trace_with_shards`] attribute PEs by. Nothing executes by it —
+/// the parallel engine's partition is the row [`Strip`]s.
 #[derive(Debug, Clone)]
 struct ShardPlan {
     nx: usize,
     ny: usize,
     col_of: Vec<u32>,
     row_of: Vec<u32>,
-    rects: Vec<ShardRect>,
 }
 
 impl ShardPlan {
@@ -1306,23 +1214,11 @@ impl ShardPlan {
         for k in 0..ny {
             row_of[k * dims.rows / ny..(k + 1) * dims.rows / ny].fill(k as u32);
         }
-        let rects = (0..nx * ny)
-            .map(|i| {
-                let (sx, sy) = (i % nx, i / nx);
-                ShardRect {
-                    col0: sx * dims.cols / nx,
-                    col1: (sx + 1) * dims.cols / nx,
-                    row0: sy * dims.rows / ny,
-                    row1: (sy + 1) * dims.rows / ny,
-                }
-            })
-            .collect();
         Self {
             nx,
             ny,
             col_of,
             row_of,
-            rects,
         }
     }
 
@@ -1335,469 +1231,311 @@ impl ShardPlan {
     fn shard_of(&self, c: PeCoord) -> usize {
         self.row_of[c.row] as usize * self.nx + self.col_of[c.col] as usize
     }
-
-    /// The cardinally adjacent shard in `dir`, if any. Shards tile the
-    /// fabric rectangularly, so these are the only shards a cross-shard
-    /// event can be pushed to directly.
-    fn shard_neighbor(&self, id: usize, dir: Direction) -> Option<usize> {
-        let (sx, sy) = ((id % self.nx) as i64, (id / self.nx) as i64);
-        let (dx, dy) = dir.offset();
-        let (tx, ty) = (sx + dx, sy + dy);
-        (tx >= 0 && tx < self.nx as i64 && ty >= 0 && ty < self.ny as i64)
-            .then(|| ty as usize * self.nx + tx as usize)
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Sharded engine machinery (conservative lookahead)
+// Row strips and the cycle-synchronous engine
 // ---------------------------------------------------------------------------
 
-/// One directed channel from a shard to a cardinally adjacent shard.
-#[derive(Clone, Copy)]
-struct ShardLink {
-    /// Index of this link's clock in [`SharedCoord::clocks`].
-    idx: usize,
-    /// Boundary the link crosses (from the source shard's point of view).
-    dir: Direction,
-    /// Destination shard id.
-    dest: usize,
-}
-
-/// One shard's private state, owned by a worker thread during a run.
-struct Shard {
-    id: usize,
-    rect: ShardRect,
-    slots: Vec<PeSlot>,
+/// One contiguous block of fabric rows, which is one contiguous range of
+/// linear PE indices: the unit the engines execute over. It owns its PEs'
+/// pending events and their rows of the scalar arena, persistently — the
+/// host addresses both through the owning strip between runs, so a run
+/// neither builds nor merges anything per PE or per pending event.
+/// `Sequential` has one strip, the whole fabric.
+struct Strip {
+    /// The strip's PEs (linear indices); `Fabric::pes[pes]` are their slots.
+    pes: Range<usize>,
+    /// Pending events addressed to the strip's PEs.
     queue: CalendarQueue<Event>,
-    events: u64,
-    max_time: u64,
-    error: Option<(EventKey, FabricError)>,
-    /// Outgoing cross-shard batches, one per destination shard id; always
-    /// flushed (and the destination's mail flag raised) before this shard's
-    /// clocks are published, so the channel-clock promise covers them.
-    out: Vec<Vec<Event>>,
-    /// This shard's outgoing channels, in [`CARDINALS`] order.
-    out_links: Vec<ShardLink>,
-    /// Clock indices of the incoming channels (the neighbors' links back).
-    in_links: Vec<usize>,
-    /// The queue changed since `saved_terms` was computed.
-    dirty: bool,
-    /// Consecutive unproductive rounds; the position-aware scan only runs
-    /// once a stall persists (tightly-coupled shards resolve stalls in one
-    /// gossip round and never pay for it).
-    stalls: u32,
-    /// Cached per-out-link position-aware queue bounds from the last stall
-    /// scan (`min over pending e of e.time + dist(e.pe, link)·hop_latency`),
-    /// aligned with `out_links`. Valid while `dirty` is false.
-    saved_terms: Vec<u64>,
-    /// Fast-forward telemetry of this shard, summed into the fabric's at
-    /// merge.
-    ff: FfCounters,
-    /// This shard's slice of the per-PE scalar arena, gathered from the
-    /// fabric arena at run entry and scattered back at merge (shard-local
-    /// indices, aligned with `slots`).
+    /// Row `j` is PE `pes.start + j`.
     scalars: PeScalars,
+    /// Fast-forward telemetry of the chain segments walked in this strip,
+    /// cumulative; the fabric's totals are the sums over strips.
+    ff: FfCounters,
 }
 
-impl Shard {
-    /// Quiescent for termination purposes: nothing pending below
-    /// `u64::MAX` (events *at* the end of time are unreachable in either
-    /// engine and are handed back to the host queue after the run).
-    fn is_idle(&self) -> bool {
-        self.queue.next_time().is_none_or(|t| t == u64::MAX)
-    }
+/// Cuts the fabric into `count` strips of whole rows (clamped to
+/// `1..=rows`), as even as the row count allows.
+fn cut_strips(dims: FabricDims, count: usize) -> Vec<Strip> {
+    let n = count.clamp(1, dims.rows.max(1));
+    (0..n)
+        .map(|k| {
+            let pes = k * dims.rows / n * dims.cols..(k + 1) * dims.rows / n * dims.cols;
+            Strip {
+                queue: CalendarQueue::new(),
+                scalars: PeScalars::new(pes.len()),
+                ff: FfCounters::default(),
+                pes,
+            }
+        })
+        .collect()
 }
 
-/// State shared by all shard workers.
-struct SharedCoord {
-    /// Cross-shard deliveries, appended in batches by neighbors and drained
-    /// by the owner.
-    inboxes: Vec<Mutex<Vec<Event>>>,
-    /// One flag per shard, raised (`Release`) after a batch lands in its
-    /// inbox and lowered (`Acquire`) by the owner before draining — skips
-    /// the inbox lock on the (common) empty polls.
-    mail_flags: Vec<AtomicBool>,
-    /// Channel clocks, indexed `shard_id·4 + dir.index()` for the link
-    /// *out of* `shard_id` across boundary `dir`. Monotone (`fetch_max`).
-    /// Invariant: every event the source will push into the destination's
-    /// inbox *after* a publish has time ≥ the published value; senders
-    /// flush batches before publishing and receivers read clocks
-    /// (`Acquire`) before draining, so events the promise does not cover
-    /// are already in the drain.
-    clocks: Vec<AtomicU64>,
-    /// Workers whose owned shards are all idle with empty out-batches.
-    idle: AtomicUsize,
-    /// Global-quiescence verdict, set once by the leader while holding
-    /// every inbox lock.
-    done: AtomicBool,
+/// Index of the strip that owns PE `pe` (linear index).
+fn owner_of(strips: &[Strip], pe: usize) -> usize {
+    strips.partition_point(|s| s.pes.end <= pe)
+}
+
+/// Spin iterations a worker waits at the rendezvous before it blocks: a few
+/// tens of microseconds, against the hundreds a cycle's events take.
+const SPINS_BEFORE_SLEEP: u32 = 1 << 10;
+
+/// What the strip workers agree on between two cycles: the earliest time
+/// among all pending events, if there are any — saturated times are legal
+/// event times (see [`crate::queue`]), so no time value can stand for
+/// "nothing pending" — and the budget events of the run so far.
+#[derive(Clone, Copy, Default)]
+struct Agreed {
+    next: Option<u64>,
+    events: u64,
+}
+
+#[derive(Default)]
+struct Meeting {
+    arrived: usize,
+    /// Workers blocked on [`Rendezvous::wake`].
+    asleep: usize,
+    /// A worker is unwinding and will never arrive.
+    poisoned: bool,
+    /// Folded from the arrivals of the step in progress.
+    gathering: Agreed,
+    /// The last completed step's result. The next step cannot complete, and
+    /// overwrite it, before every worker has read it and arrived again.
+    agreed: Agreed,
+}
+
+/// The strip workers' once-per-cycle barrier, which is also where their
+/// per-step figures are folded into one [`Agreed`] that all of them read.
+/// A waiter spins first (the workers' cycles are about equally long), then
+/// blocks rather than yields: with more workers than cores a yielding
+/// waiter competes with the worker it is waiting for.
+struct Rendezvous {
     workers: usize,
-    /// Global pop counter for the event budget (flushed in batches).
-    pops: AtomicU64,
-    over_budget: AtomicBool,
-    /// Pop count at which the run pauses ([`Fabric::run_until`]);
-    /// `u64::MAX` when unbounded. Checked at the same batched flush points
-    /// as the budget, so the pause lands near — not exactly at — the
-    /// requested count; confluence of the remaining events makes the final
-    /// state independent of the exact pause point.
-    pause_at: u64,
-    /// Raised when some worker crossed `pause_at`; every worker stops at
-    /// its next flush/loop boundary.
-    paused: AtomicBool,
+    meeting: Mutex<Meeting>,
+    wake: Condvar,
+    /// Steps completed; bumped under the lock (`Release`), and spun on
+    /// without it (`Acquire`).
+    step: AtomicUsize,
 }
 
-/// How many pops a shard accumulates locally before flushing to the global
-/// budget counter.
-const BUDGET_BATCH: u64 = 64;
+impl Rendezvous {
+    fn lock(&self) -> MutexGuard<'_, Meeting> {
+        // No code panics while holding it, and poison is tracked in the data.
+        self.meeting.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// Pops and processes every event of `shard` strictly below `eit`, batching
-/// cross-shard emissions into `shard.out`. Returns the number of budget
-/// events consumed (fast-forwarded hops count in bulk, exactly as the
-/// sequential engine counts them) and whether the round *aborted* — stopped
-/// on the budget or pause flag with events below `eit` possibly still
-/// queued. The stop flags are checked **before** popping, so an abort never
-/// loses an event, and an aborted round must not publish the
-/// everything-below-EIT clock promise.
-fn process_shard(
-    shard: &mut Shard,
-    eit: u64,
-    dims: FabricDims,
-    config: &FabricConfig,
-    plan: &ShardPlan,
-    fwd: Option<&FwdTable>,
-    shared: &SharedCoord,
-) -> (u64, bool) {
-    let Shard {
-        id,
-        rect,
-        slots,
-        queue,
-        max_time,
-        error,
-        out,
-        ff,
-        scalars,
-        ..
-    } = shard;
-    let mut engine = Engine {
-        dims,
-        hop_latency: config.hop_latency,
-        fwd,
-        rect: *rect,
-        slots,
-        scalars,
-        ff,
-        error,
-        at: Engine::NOWHERE,
-    };
-    let mut processed = 0u64;
-    let mut batch = 0u64;
-    let mut aborted = false;
-    loop {
-        if batch >= BUDGET_BATCH {
-            let global = shared.pops.fetch_add(batch, Ordering::SeqCst) + batch;
-            batch = 0;
-            if global > config.max_events || shared.over_budget.load(Ordering::SeqCst) {
-                shared.over_budget.store(true, Ordering::SeqCst);
-                aborted = true;
-                break;
-            }
-            if global >= shared.pause_at || shared.paused.load(Ordering::SeqCst) {
-                shared.paused.store(true, Ordering::SeqCst);
-                aborted = true;
-                break;
-            }
-        }
-        let Some(ev) = queue.pop_before(eit) else {
-            break;
-        };
-        *max_time = (*max_time).max(ev.time);
-        // Own PEs stay in this shard's queue; anything else is one link
-        // away, in a cardinally adjacent shard's mailbox batch.
-        let mut emit = |e: Event, to: PeCoord| {
-            if rect.contains(to) {
-                queue.push(e);
-            } else {
-                let dest = plan.shard_of(to);
-                debug_assert!(
-                    CARDINALS
-                        .iter()
-                        .any(|&d| plan.shard_neighbor(*id, d) == Some(dest)),
-                    "cross-shard events only ever target adjacent shards"
-                );
-                out[dest].push(e);
-            }
-        };
-        // A chain's intermediate pops happen in bulk.
-        let consumed = 1 + engine.step(&ev, &mut emit);
-        processed += consumed;
-        batch += consumed;
-    }
-    if batch > 0 {
-        // Tail flush: the loop ended by draining the queue below `eit`, so
-        // tripping a flag here still leaves the round complete (not an
-        // abort) — the clock promise is sound.
-        let global = shared.pops.fetch_add(batch, Ordering::SeqCst) + batch;
-        if global > config.max_events {
-            shared.over_budget.store(true, Ordering::SeqCst);
-        } else if global >= shared.pause_at {
-            shared.paused.store(true, Ordering::SeqCst);
-        }
-    }
-    shard.events += processed;
-    (processed, aborted)
-}
-
-/// Recomputes `shard.saved_terms`: for each out-link, the exact
-/// position-aware lower bound `min over pending e of
-/// e.time + dist(e.pe, link)·hop_latency` on anything the *queue* can send
-/// across that boundary. O(pending · links), so it runs only on stalled
-/// rounds whose queue actually changed.
-fn exact_link_terms(shard: &mut Shard, dims: FabricDims, hop_latency: u64) {
-    let Shard {
-        rect,
-        queue,
-        out_links,
-        saved_terms,
-        ..
-    } = shard;
-    saved_terms.clear();
-    saved_terms.resize(out_links.len(), u64::MAX);
-    for ev in queue.iter() {
-        let c = dims.coord(ev.pe);
-        for (k, link) in out_links.iter().enumerate() {
-            let bound = advance_time(
-                ev.time,
-                rect.link_dist(c, link.dir).saturating_mul(hop_latency),
-            );
-            if bound < saved_terms[k] {
-                saved_terms[k] = bound;
-            }
-        }
-    }
-}
-
-/// One lookahead round for one shard: snapshot in-link clocks (before the
-/// mailbox drain — the ordering the promise requires), drain mail, process
-/// everything below the EIT, flush outgoing batches, then republish out-link
-/// clocks. Returns (budget events consumed, mailbox drained).
-fn advance_shard(
-    shard: &mut Shard,
-    dims: FabricDims,
-    config: &FabricConfig,
-    plan: &ShardPlan,
-    fwd: Option<&FwdTable>,
-    shared: &SharedCoord,
-) -> (u64, bool) {
-    let eit = shard_eit(shard, shared);
-    let mut drained = false;
-    if shared.mail_flags[shard.id].swap(false, Ordering::Acquire) {
-        let mut inbox = shared.inboxes[shard.id].lock().unwrap();
-        if !inbox.is_empty() {
-            drained = true;
-            shard.dirty = true;
-            shard.queue.append_batch(&mut inbox);
-        }
-    }
-    let (processed, aborted) = process_shard(shard, eit, dims, config, plan, fwd, shared);
-    // Flush before publishing: events the new clock value does not promise
-    // to bound must already be visible in their inboxes.
-    for link in &shard.out_links {
-        if !shard.out[link.dest].is_empty() {
-            let mut inbox = shared.inboxes[link.dest].lock().unwrap();
-            inbox.append(&mut shard.out[link.dest]);
-            drop(inbox);
-            shared.mail_flags[link.dest].store(true, Ordering::Release);
-        }
-    }
-    if aborted {
-        // The round stopped on the budget/pause flag with events below
-        // `eit` possibly still queued, so the productive-round promise
-        // below would overpromise. Publish nothing: the previously
-        // published clocks stay sound (they predate this round's pops),
-        // and every worker is about to stop at its next flag check.
-        shard.dirty |= processed > 0;
-        return (processed, drained);
-    }
-    // Publish. After a productive round the queue minimum is ≥ EIT (we
-    // popped everything below it) and future receives are ≥ EIT, so
-    // `EIT + hop_latency` is a sound, O(links) bound. On a stalled round
-    // the position-aware scan gives the much stronger per-link bound that
-    // lets neighbors free-run past our interior work.
-    let relay = advance_time(eit, config.hop_latency);
-    if processed > 0 {
-        shard.dirty = true;
-        shard.stalls = 0;
-        for link in &shard.out_links {
-            shared.clocks[link.idx].fetch_max(relay, Ordering::AcqRel);
-        }
-    } else {
-        shard.stalls = shard.stalls.saturating_add(1);
-        if shard.dirty && shard.stalls >= 2 {
-            exact_link_terms(shard, dims, config.hop_latency);
-            shard.dirty = false;
-        }
-        for (k, link) in shard.out_links.iter().enumerate() {
-            // Stale terms are never used: `dirty` tracks queue changes.
-            let bound = if shard.dirty {
-                relay
-            } else {
-                shard.saved_terms[k].min(relay)
+    /// Hands in one worker's share of a step — the earliest time among its
+    /// pending events and the events it mailed, and the budget events it
+    /// consumed — and waits for the others'. `None` when a worker panicked.
+    fn meet(&self, earliest: Option<u64>, events: u64) -> Option<Agreed> {
+        let mut m = self.lock();
+        m.gathering.next = [m.gathering.next, earliest].into_iter().flatten().min();
+        m.gathering.events += events;
+        m.arrived += 1;
+        if m.arrived == self.workers {
+            m.arrived = 0;
+            m.agreed = Agreed {
+                next: m.gathering.next.take(),
+                events: m.gathering.events,
             };
-            shared.clocks[link.idx].fetch_max(bound, Ordering::AcqRel);
-        }
-    }
-    (processed, drained)
-}
-
-/// A shard's earliest input time: the minimum of its in-link channel
-/// clocks (`Acquire` — must happen before the mailbox drain). Everything
-/// strictly below it is safe to process; shards with no in-links (a 1-shard
-/// plan) free-run unboundedly, degenerating to the sequential engine.
-fn shard_eit(shard: &Shard, shared: &SharedCoord) -> u64 {
-    shard
-        .in_links
-        .iter()
-        .map(|&l| shared.clocks[l].load(Ordering::Acquire))
-        .min()
-        .unwrap_or(u64::MAX)
-}
-
-/// Degenerate schedule for a lone worker that owns *every* shard: no
-/// channel clocks, mail flags, or inbox locks — the worker always advances
-/// the shard holding the globally earliest pending event, bounded by the
-/// earliest event any *other* shard could still send it. That bound is the
-/// same conservative argument the concurrent protocol derives from channel
-/// clocks: every cross-shard emission crosses at least one boundary link,
-/// so a neighbor whose earliest pending event is at `t₁` cannot deliver
-/// anything before `t₁ + hop_latency`. Cross-shard batches land straight in
-/// the sibling queue. This is the fastest valid lookahead schedule on a
-/// single core (zero synchronization, maximal window per round), and the
-/// one the engine picks whenever `threads: 1` is requested.
-fn run_shards_single_worker(
-    owned: &mut [Shard],
-    dims: FabricDims,
-    config: &FabricConfig,
-    plan: &ShardPlan,
-    fwd: Option<&FwdTable>,
-    shared: &SharedCoord,
-) {
-    loop {
-        if shared.over_budget.load(Ordering::SeqCst) || shared.paused.load(Ordering::SeqCst) {
-            break;
-        }
-        // The shard with the globally earliest pending event, and the
-        // runner-up time across the *other* shards (its lookahead bound).
-        let mut first = (u64::MAX, 0usize);
-        let mut second = u64::MAX;
-        for (i, sh) in owned.iter().enumerate() {
-            let t = sh.queue.next_time().unwrap_or(u64::MAX);
-            if t < first.0 {
-                second = first.0;
-                first = (t, i);
-            } else {
-                second = second.min(t);
+            self.release(&m);
+        } else {
+            let step = self.step.load(Ordering::Acquire);
+            drop(m);
+            let mut spins = 0;
+            while spins < SPINS_BEFORE_SLEEP && self.step.load(Ordering::Acquire) == step {
+                spins += 1;
+                std::hint::spin_loop();
             }
-        }
-        let (t0, s) = first;
-        if t0 == u64::MAX {
-            // Only end-of-time events (if any) remain: globally quiescent.
-            break;
-        }
-        let eit = advance_time(second, config.hop_latency);
-        process_shard(&mut owned[s], eit, dims, config, plan, fwd, shared);
-        // Hand cross-shard batches straight to the sibling queues (keeping
-        // the drained allocations for the next round).
-        for dest in 0..owned.len() {
-            if dest != s && !owned[s].out[dest].is_empty() {
-                let mut batch = std::mem::take(&mut owned[s].out[dest]);
-                owned[dest].queue.append_batch(&mut batch);
-                owned[s].out[dest] = batch;
+            m = self.lock();
+            m.asleep += 1;
+            while self.step.load(Ordering::Acquire) == step {
+                m = self.wake.wait(m).unwrap_or_else(PoisonError::into_inner);
             }
+            m.asleep -= 1;
+        }
+        (!m.poisoned).then_some(m.agreed)
+    }
+
+    /// Lets the waiters of the current step go; called with the lock held,
+    /// so a waiter is either still spinning or already inside `wait`.
+    fn release(&self, m: &Meeting) {
+        self.step.fetch_add(1, Ordering::Release);
+        if m.asleep > 0 {
+            self.wake.notify_all();
         }
     }
 }
 
-/// One worker's lookahead loop. Workers own whole shards and loop rounds of
-/// `advance_shard` until the leader confirms global quiescence (or the
-/// budget trips). No barriers: a stalled worker keeps gossiping clocks so
-/// its neighbors' EITs (and its own) can rise, and yields the CPU between
-/// unproductive rounds.
-fn shard_worker(
-    mut owned: Vec<Shard>,
-    leader: bool,
-    dims: FabricDims,
-    config: FabricConfig,
-    plan: &ShardPlan,
-    fwd: Option<&FwdTable>,
-    shared: &SharedCoord,
-) -> Vec<Shard> {
-    if shared.workers == 1 {
-        run_shards_single_worker(&mut owned, dims, &config, plan, fwd, shared);
-        return owned;
-    }
-    let mut registered_idle = false;
-    loop {
-        if shared.done.load(Ordering::Acquire)
-            || shared.over_budget.load(Ordering::SeqCst)
-            || shared.paused.load(Ordering::SeqCst)
-        {
-            break;
+/// Poisons the rendezvous when its worker unwinds — a `PeProgram` that
+/// panics would otherwise leave the other workers waiting for it forever.
+struct PoisonOnUnwind<'a>(&'a Rendezvous);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut m = self.0.lock();
+            m.poisoned = true;
+            self.0.release(&m);
         }
-        if registered_idle {
-            // While registered we must not touch any inbox (the leader's
-            // quiescence check relies on it): only peek at mail flags, and
-            // deregister before draining anything.
-            if owned
-                .iter()
-                .any(|sh| shared.mail_flags[sh.id].load(Ordering::Acquire))
-            {
-                shared.idle.fetch_sub(1, Ordering::AcqRel);
-                registered_idle = false;
+    }
+}
+
+const MAIL_LOCK: &str = "a strip worker panicked while holding a mailbox";
+
+/// Everything the workers of one strip-engine run share.
+struct StripRun<'a> {
+    dims: FabricDims,
+    hop_latency: u64,
+    max_events: u64,
+    /// Budget events after which the run pauses, at the next cycle boundary.
+    limit: u64,
+    fwd: Option<&'a FwdTable>,
+    rendezvous: Rendezvous,
+    /// Cross-strip events, indexed `[step parity][destination strip][side]`
+    /// with side 0 filled by the strip above and side 1 by the strip below —
+    /// an event leaves a strip over one link, so only neighbours write. The
+    /// locks are never contended: within a step a box has one writer before
+    /// the rendezvous and one reader after it.
+    mail: [Vec<[Mutex<Vec<Event>>; 2]>; 2],
+}
+
+/// How a strip worker's loop ended. Every worker of a run reaches the same
+/// verdict from the same [`Agreed`]; `Poisoned` is the exception.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    Quiescent,
+    /// The event limit was reached with events still pending.
+    Paused,
+    OverBudget,
+    /// Another worker panicked.
+    Poisoned,
+}
+
+struct WorkerReport {
+    stop: Stop,
+    /// Budget events this worker consumed.
+    events: u64,
+    /// The last cycle the run executed.
+    time: Option<u64>,
+    /// The smallest-key routing error among this worker's strips.
+    error: Option<(EventKey, FabricError)>,
+}
+
+/// One worker of the strip engine: `strips` is its contiguous block (the
+/// first of them strip `first_strip` of the fabric), `slots` the PEs of
+/// that block, `next` the earliest pending time in the whole fabric.
+///
+/// Each iteration is one simulated cycle (see the module docs), with one
+/// rendezvous. That is enough because the mailboxes are double-buffered by
+/// step parity: a worker that leaves the rendezvous early writes the
+/// *other* set during the next step, and cannot reach the step after that,
+/// which reuses this one, until every worker has passed the next rendezvous
+/// and so finished taking in its mail.
+fn strip_worker(
+    first_strip: usize,
+    strips: &mut [Strip],
+    slots: &mut [PeSlot],
+    run: &StripRun,
+    mut next: Option<u64>,
+) -> WorkerReport {
+    let _poison = PoisonOnUnwind(&run.rendezvous);
+    let mut report = WorkerReport {
+        stop: Stop::Quiescent,
+        events: 0,
+        time: None,
+        error: None,
+    };
+    // Events bound for the strip above (0) and below (1) the one draining.
+    let mut out = [Vec::new(), Vec::new()];
+    let (mut total, mut handed_in) = (0u64, 0u64);
+    let mut parity = 0;
+    report.stop = loop {
+        if total > run.max_events {
+            break Stop::OverBudget;
+        }
+        let Some(now) = next else {
+            break Stop::Quiescent;
+        };
+        if total >= run.limit {
+            break Stop::Paused;
+        }
+        report.time = Some(now);
+        let mut mailed: Option<u64> = None;
+        let mut held = 0;
+        for (k, strip) in strips.iter_mut().enumerate() {
+            let Strip {
+                pes,
+                queue,
+                scalars,
+                ff,
+            } = strip;
+            let strip_slots = &mut slots[held..held + pes.len()];
+            held += pes.len();
+            if queue.next_time() != Some(now) {
                 continue;
             }
-            // Keep gossiping clocks: a stalled (non-idle) neighbor's EIT
-            // may be capped by ours, and ours rises as the gossip spreads.
-            // An idle shard's queue bound is `u64::MAX` (nothing pending
-            // below the end of time), so the relay term alone is exact.
-            for sh in owned.iter() {
-                let relay = advance_time(shard_eit(sh, shared), config.hop_latency);
-                for link in &sh.out_links {
-                    shared.clocks[link.idx].fetch_max(relay, Ordering::AcqRel);
+            let mut engine = Engine {
+                dims: run.dims,
+                hop_latency: run.hop_latency,
+                fwd: run.fwd,
+                first: pes.start,
+                slots: strip_slots,
+                scalars,
+                ff,
+                error: &mut report.error,
+                at: Engine::NOWHERE,
+            };
+            // The budget must also trip *inside* a cycle: a zero-cost task
+            // that re-activates itself never leaves it. The count this
+            // worker then hands in carries the verdict to the others.
+            while report.events <= run.max_events && queue.next_time() == Some(now) {
+                let ev = queue.pop().expect("an event is pending at this cycle");
+                // Own PEs (same-cycle self-deliveries included) stay in the
+                // strip's wheel; anything else is one link away, in the
+                // neighbouring strip.
+                report.events += 1 + engine.step(&ev, &mut |e: Event, _| {
+                    if pes.contains(&e.pe) {
+                        queue.push(e);
+                    } else {
+                        mailed = Some(mailed.map_or(e.time, |m| m.min(e.time)));
+                        out[usize::from(e.pe >= pes.end)].push(e);
+                    }
+                });
+            }
+            let strip_id = first_strip + k;
+            for (below, batch) in out.iter_mut().enumerate() {
+                if !batch.is_empty() {
+                    // Going down, this strip is the one above its target.
+                    let (dest, side) = if below == 1 {
+                        (strip_id + 1, 0)
+                    } else {
+                        (strip_id - 1, 1)
+                    };
+                    run.mail[parity][dest][side]
+                        .lock()
+                        .expect(MAIL_LOCK)
+                        .append(batch);
                 }
             }
-            if leader && shared.idle.load(Ordering::Acquire) == shared.workers {
-                // Quiescence confirmation, holding *every* inbox lock: a
-                // neighbor mid-flush is blocked on one of these locks and
-                // has not yet re-registered (registration follows the
-                // flush), so if the count still reads full and every inbox
-                // is empty there is provably nothing left in flight.
-                let guards: Vec<_> = shared.inboxes.iter().map(|m| m.lock().unwrap()).collect();
-                if shared.idle.load(Ordering::Acquire) == shared.workers
-                    && guards.iter().all(|g| g.is_empty())
-                {
-                    shared.done.store(true, Ordering::Release);
+        }
+        let pending = strips.iter().filter_map(|s| s.queue.next_time());
+        let earliest = pending.chain(mailed).min();
+        let Some(agreed) = run.rendezvous.meet(earliest, report.events - handed_in) else {
+            break Stop::Poisoned;
+        };
+        (next, total, handed_in) = (agreed.next, agreed.events, report.events);
+        for (k, strip) in strips.iter_mut().enumerate() {
+            for side in &run.mail[parity][first_strip + k] {
+                for e in side.lock().expect(MAIL_LOCK).drain(..) {
+                    strip.queue.push(e);
                 }
             }
-            std::thread::yield_now();
-            continue;
         }
-        let mut progressed = false;
-        let mut all_idle = true;
-        for sh in owned.iter_mut() {
-            let (n, drained) = advance_shard(sh, dims, &config, plan, fwd, shared);
-            progressed |= n > 0 || drained;
-            all_idle &= sh.is_idle();
-        }
-        if all_idle && !progressed {
-            shared.idle.fetch_add(1, Ordering::AcqRel);
-            registered_idle = true;
-        } else if !progressed {
-            // Blocked on a neighbor's clock: the round above already
-            // republished ours (gossip), so give the neighbor the CPU.
-            std::thread::yield_now();
-        }
-    }
-    owned
+        parity ^= 1;
+    };
+    report
 }
 
 /// What an engine's drain of the queue leaves to conclude: budget events
@@ -1809,10 +1547,10 @@ pub struct Fabric {
     dims: FabricDims,
     config: FabricConfig,
     pes: Vec<PeSlot>,
-    /// The per-PE scalar arena (fabric-linear), split into shard-local
-    /// slices for the sharded engine and merged back after each run.
-    scalars: PeScalars,
-    queue: CalendarQueue<Event>,
+    /// The row strips, in fabric order, holding every pending event and the
+    /// per-PE scalar arena: one strip under `Sequential`, `min(shards,
+    /// rows)` under `Sharded`.
+    strips: Vec<Strip>,
     host_seq: u64,
     time: u64,
     initialized: bool,
@@ -1820,10 +1558,6 @@ pub struct Fabric {
     /// host phases, budget/deadlock errors). Kept separate from the per-PE
     /// streams so sequential and sharded per-PE traces stay bit-identical.
     host_trace: PeTracer,
-    /// Cumulative fast-forward telemetry. Not part of [`FabricSnapshot`],
-    /// so checkpoints neither carry nor restore it (the codec schema is
-    /// unchanged).
-    ff: FfCounters,
     /// The fast-forward table, built by `load` when this configuration can
     /// ever fast-forward: enabled, and tracing off (a trace records every
     /// per-hop send).
@@ -1870,17 +1604,19 @@ impl Fabric {
             "FabricConfig::hop_latency must be at least one cycle"
         );
         let num_pes = pes.len();
+        let strips = match config.execution {
+            Execution::Sequential => 1,
+            Execution::Sharded { shards, .. } => shards,
+        };
         Self {
             dims,
             config,
             pes,
-            scalars: PeScalars::new(num_pes),
-            queue: CalendarQueue::new(),
+            strips: cut_strips(dims, strips),
             host_seq: 0,
             time: 0,
             initialized: false,
             host_trace: PeTracer::for_spec(config.trace, HOST_PE),
-            ff: FfCounters::default(),
             fwd: None,
             faults_installed: false,
             eq_classes: num_pes,
@@ -1911,8 +1647,7 @@ impl Fabric {
         let Self {
             config,
             pes,
-            scalars,
-            queue,
+            strips,
             ..
         } = self;
         let dims = self.dims;
@@ -1922,10 +1657,17 @@ impl Fabric {
         let mut interned: HashMap<Arc<RouteTable>, usize> = HashMap::new();
         let mut canonical: Vec<Arc<RouteTable>> = Vec::new();
         for (i, slot) in pes.iter_mut().enumerate() {
+            let owner = owner_of(strips, i);
+            let Strip {
+                pes: held,
+                queue,
+                scalars,
+                ..
+            } = &mut strips[owner];
             let at = Visit {
                 pe: i,
                 coord: dims.coord(i),
-                idx: i,
+                idx: i - held.start,
             };
             // Init runs at t = 0; DSD ops traced from init are stamped
             // relative to the PE's cycle count at this point.
@@ -1975,7 +1717,8 @@ impl Fabric {
             kind: EventKind::Deliver,
             wavelet,
         };
-        self.queue.push(ev);
+        let owner = owner_of(&self.strips, pe);
+        self.strips[owner].queue.push(ev);
     }
 
     /// Activates every PE (host broadcast launch).
@@ -2011,9 +1754,11 @@ impl Fabric {
             // `load`, before this plan existed) predate sealing — install
             // their checksums now so verification doesn't misread them as
             // corrupted.
-            for mut e in self.queue.drain_unordered() {
-                e.wavelet.seal();
-                self.queue.push(e);
+            for strip in &mut self.strips {
+                for mut e in strip.queue.drain_unordered() {
+                    e.wavelet.seal();
+                    strip.queue.push(e);
+                }
             }
         }
         for f in &plan.faults {
@@ -2087,13 +1832,14 @@ impl Fabric {
     /// pending event list in canonical `(time, seq, src)` order, every PE's
     /// memory/counters/router positions/program state/fault progress/trace
     /// sequence counters, and the host clock and sequence state. Works
-    /// identically under both engines — between `run()` calls the sharded
-    /// engine's channel clocks and mailboxes are fully drained back into
-    /// the canonical queue, so the event list is their serialized form.
+    /// identically under both engines — between `run()` calls every pending
+    /// event is in its owner strip's wheel (a run ends with the mailboxes
+    /// taken in), so the sorted event list is engine-independent.
     pub fn snapshot(&self) -> FabricSnapshot {
         let mut events: Vec<EventRecord> = self
-            .queue
+            .strips
             .iter()
+            .flat_map(|strip| strip.queue.iter())
             .map(|e| EventRecord {
                 time: e.time,
                 seq: e.seq,
@@ -2107,12 +1853,12 @@ impl Fabric {
             })
             .collect();
         events.sort_by_key(|e| (e.time, e.seq, e.src));
-        let sc = &self.scalars;
         let pes = self
             .pes
             .iter()
             .enumerate()
-            .map(|(i, slot)| {
+            .map(|(pe, slot)| {
+                let (sc, i) = self.row(pe);
                 debug_assert!(
                     slot.outbox.is_empty()
                         && slot.activations.is_empty()
@@ -2202,20 +1948,23 @@ impl Fabric {
         let installed =
             |r: &PeRecord| r.faults.active || r.faults.verify_checksums || !r.faults.log.is_empty();
         self.faults_installed = snap.pes.iter().any(installed);
-        let Self { pes, scalars, .. } = self;
-        for (i, (slot, rec)) in pes.iter_mut().zip(&snap.pes).enumerate() {
+        let Self { pes, strips, .. } = self;
+        for (pe, (slot, rec)) in pes.iter_mut().zip(&snap.pes).enumerate() {
+            let owner = owner_of(strips, pe);
+            let strip = &mut strips[owner];
+            let (scalars, i) = (&mut strip.scalars, pe - strip.pes.start);
             slot.memory
                 .restore_words(&rec.memory_words, rec.memory_allocated)
-                .map_err(|detail| RestoreError::Memory { pe: i, detail })?;
+                .map_err(|detail| RestoreError::Memory { pe, detail })?;
             slot.counters = rec.counters;
             slot.router
                 .restore_dynamic(&rec.router_positions, rec.router_version)
-                .map_err(|detail| RestoreError::Router { pe: i, detail })?;
+                .map_err(|detail| RestoreError::Router { pe, detail })?;
             scalars.fabric_hops[i] = rec.fabric_hops;
             scalars.ramp_deliveries[i] = rec.ramp_deliveries;
             slot.program
                 .load_state(&rec.program_state)
-                .map_err(|detail| RestoreError::Program { pe: i, detail })?;
+                .map_err(|detail| RestoreError::Program { pe, detail })?;
             scalars.busy_until[i] = rec.busy_until;
             scalars.seq[i] = rec.seq;
             slot.parked = rec.parked.clone();
@@ -2243,9 +1992,12 @@ impl Fabric {
             slot.trace
                 .restore_seq_state(t.next_seq, t.dropped, t.base_time, t.base_cycles);
         }
-        let _ = self.queue.drain_unordered();
+        for strip in &mut self.strips {
+            let _ = strip.queue.drain_unordered();
+        }
         for er in &snap.events {
-            self.queue.push(Event {
+            let owner = owner_of(&self.strips, er.pe);
+            self.strips[owner].queue.push(Event {
                 time: er.time,
                 seq: er.seq,
                 src: er.src,
@@ -2281,9 +2033,9 @@ impl Fabric {
     /// `run_until`/`run` call, or both — the final state is bit-identical
     /// to an uninterrupted run regardless of where the pauses landed.
     ///
-    /// The sequential engine pauses exactly at the limit; the sharded
-    /// engine checks the global pop counter at batched flush points, so it
-    /// overshoots by up to one batch per worker. Fault and routing errors
+    /// The sequential engine pauses exactly at the limit; the strip engine
+    /// pauses between simulated cycles, so it overshoots to the end of the
+    /// cycle in which the limit was reached. Fault and routing errors
     /// detected in the processed prefix are still reported; the deadlock
     /// scan is skipped while paused (parked wavelets may simply not have
     /// been freed *yet*).
@@ -2299,7 +2051,7 @@ impl Fabric {
         // budget; what a finished (or paused) drain amounts to is shared.
         let drained = match self.config.execution {
             Execution::Sequential => self.run_sequential(limit),
-            Execution::Sharded { shards, threads } => self.run_sharded(shards, threads, limit),
+            Execution::Sharded { threads, .. } => self.run_strips(threads, limit),
         };
         let result = drained.and_then(|(events, hit_limit, route_error)| {
             if let Some(error) = self.first_fault_error() {
@@ -2308,7 +2060,7 @@ impl Fabric {
             if let Some((_, error)) = route_error {
                 return Err(error);
             }
-            let paused = hit_limit && !self.queue.is_empty();
+            let paused = hit_limit && self.strips.iter().any(|s| !s.queue.is_empty());
             if !paused {
                 self.scan_deadlock()?;
             }
@@ -2341,22 +2093,23 @@ impl Fabric {
         let mut hit_limit = false;
         let mut first_error: Option<(EventKey, FabricError)> = None;
         let max_events = self.config.max_events;
-        let Self { queue, time, .. } = self;
+        let [Strip {
+            queue, scalars, ff, ..
+        }] = &mut self.strips[..]
+        else {
+            unreachable!("the sequential engine runs over one strip");
+        };
+        let time = &mut self.time;
         // One engine over the whole fabric: local index = linear index, and
         // every emission goes back into the one queue.
         let mut engine = Engine {
             dims: self.dims,
             hop_latency: self.config.hop_latency,
             fwd: self.fwd.as_ref().filter(|_| !self.faults_installed),
-            rect: ShardRect {
-                col0: 0,
-                col1: self.dims.cols,
-                row0: 0,
-                row1: self.dims.rows,
-            },
+            first: 0,
             slots: &mut self.pes,
-            scalars: &mut self.scalars,
-            ff: &mut self.ff,
+            scalars,
+            ff,
             error: &mut first_error,
             at: Engine::NOWHERE,
         };
@@ -2381,162 +2134,75 @@ impl Fabric {
         Ok((events, hit_limit, first_error))
     }
 
-    fn run_sharded(
-        &mut self,
-        shards: usize,
-        threads: usize,
-        limit: Option<u64>,
-    ) -> Result<Drained, FabricError> {
-        let dims = self.dims;
-        let config = self.config;
-        let plan = ShardPlan::new(dims, shards);
-        let n = plan.count();
+    /// The strip engine: deals the strips (and their PEs' slots — a block
+    /// of strips is a contiguous slice of `pes`) in contiguous blocks to
+    /// `min(threads, strips)` workers and runs [`strip_worker`] on each, the
+    /// first on the calling thread. Costs `workers − 1` scoped spawns and
+    /// nothing per PE or per pending event.
+    fn run_strips(&mut self, threads: usize, limit: Option<u64>) -> Result<Drained, FabricError> {
+        let n = self.strips.len();
         let workers = threads.clamp(1, n);
-        let fwd = self.fwd.as_ref().filter(|_| !self.faults_installed);
-
-        // Move each PE's slot into its shard; restored before returning.
-        let mut slot_opts: Vec<Option<PeSlot>> = self.pes.drain(..).map(Some).collect();
-        let mut shard_states: Vec<Shard> = (0..n)
-            .map(|id| {
-                let rect = plan.rects[id];
-                let linear: Vec<usize> = rect.iter_linear(dims).collect();
-                let slots = linear
-                    .iter()
-                    .map(|&i| slot_opts[i].take().unwrap())
-                    .collect();
-                let scalars = self.scalars.gather(&linear);
-                let out_links: Vec<ShardLink> = CARDINALS
-                    .iter()
-                    .filter_map(|&dir| {
-                        plan.shard_neighbor(id, dir).map(|dest| ShardLink {
-                            idx: id * 4 + dir.index(),
-                            dir,
-                            dest,
-                        })
-                    })
-                    .collect();
-                // The in-link across boundary `dir` is the neighbor's link
-                // back toward us (its `arrival_side(dir)` boundary).
-                let in_links: Vec<usize> = CARDINALS
-                    .iter()
-                    .filter_map(|&dir| {
-                        plan.shard_neighbor(id, dir)
-                            .map(|src| src * 4 + dir.arrival_side().index())
-                    })
-                    .collect();
-                let saved_terms = vec![u64::MAX; out_links.len()];
-                Shard {
-                    id,
-                    rect,
-                    slots,
-                    queue: CalendarQueue::new(),
-                    events: 0,
-                    max_time: 0,
-                    error: None,
-                    out: (0..n).map(|_| Vec::new()).collect(),
-                    out_links,
-                    in_links,
-                    dirty: true,
-                    stalls: 0,
-                    saved_terms,
-                    ff: FfCounters::default(),
-                    scalars,
-                }
-            })
-            .collect();
-        for ev in self.queue.drain_unordered() {
-            shard_states[plan.shard_of(dims.coord(ev.pe))]
-                .queue
-                .push(ev);
-        }
-
-        // Channel clocks start at T₀ + hop_latency, where T₀ is the global
-        // minimum pending time: any cross-shard push derives from an event
-        // ≥ T₀ plus at least one link crossing, so the promise holds from
-        // the first round (and no cold-start gossip creep is needed).
-        let t0 = shard_states
-            .iter()
+        let run = StripRun {
+            dims: self.dims,
+            hop_latency: self.config.hop_latency,
+            max_events: self.config.max_events,
+            limit: limit.unwrap_or(u64::MAX),
+            fwd: self.fwd.as_ref().filter(|_| !self.faults_installed),
+            rendezvous: Rendezvous {
+                workers,
+                meeting: Mutex::default(),
+                wake: Condvar::new(),
+                step: AtomicUsize::new(0),
+            },
+            mail: [0, 1].map(|_| (0..n).map(|_| Default::default()).collect()),
+        };
+        let first = (self.strips.iter())
             .filter_map(|s| s.queue.next_time())
-            .min()
-            .unwrap_or(u64::MAX);
-        let clock0 = advance_time(t0, config.hop_latency);
-        let shared = SharedCoord {
-            inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            mail_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            clocks: (0..n * 4).map(|_| AtomicU64::new(clock0)).collect(),
-            idle: AtomicUsize::new(0),
-            done: AtomicBool::new(false),
-            workers,
-            pops: AtomicU64::new(0),
-            over_budget: AtomicBool::new(false),
-            pause_at: limit.unwrap_or(u64::MAX),
-            paused: AtomicBool::new(false),
+            .min();
+        let (mut strips, mut slots) = (&mut self.strips[..], &mut self.pes[..]);
+        // Worker `w`'s block of strips, the block's first strip, and its PEs.
+        let mut deal = |w: usize| {
+            let (lo, hi) = (w * n / workers, (w + 1) * n / workers);
+            let (block, rest) = std::mem::take(&mut strips).split_at_mut(hi - lo);
+            strips = rest;
+            let held = block.iter().map(|s| s.pes.len()).sum();
+            let (block_slots, rest) = std::mem::take(&mut slots).split_at_mut(held);
+            slots = rest;
+            (lo, block, block_slots)
         };
-        let mut per_worker: Vec<Vec<Shard>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, sh) in shard_states.into_iter().enumerate() {
-            per_worker[i % workers].push(sh);
-        }
-
-        let finished: Vec<Shard> = if workers == 1 {
-            // A lone worker runs inline (no spawn/join round-trip) and takes
-            // the synchronization-free fast path inside `shard_worker`.
-            shard_worker(
-                per_worker.pop().unwrap(),
-                true,
-                dims,
-                config,
-                &plan,
-                fwd,
-                &shared,
-            )
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = per_worker
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, owned)| {
-                        let (shared, plan) = (&shared, &plan);
-                        scope.spawn(move || {
-                            shard_worker(owned, w == 0, dims, config, plan, fwd, shared)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Restore PE slots (and, after an abort, unprocessed events).
+        let mut reports = std::thread::scope(|scope| {
+            let run = &run;
+            let (_, block, block_slots) = deal(0);
+            let spawned: Vec<_> = (1..workers)
+                .map(|w| {
+                    let (lo, block, block_slots) = deal(w);
+                    scope.spawn(move || strip_worker(lo, block, block_slots, run, first))
+                })
+                .collect();
+            let mut reports = vec![strip_worker(0, block, block_slots, run, first)];
+            for handle in spawned {
+                // A worker's panic (a `PeProgram`'s, say) is the caller's.
+                reports.push(
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
+            }
+            reports
+        });
         let mut events = 0u64;
         let mut min_error: Option<(EventKey, FabricError)> = None;
-        for mut sh in finished {
-            events += sh.events;
-            self.ff.hops += sh.ff.hops;
-            self.ff.jumps += sh.ff.jumps;
-            self.ff.region_jumps += sh.ff.region_jumps;
-            self.time = self.time.max(sh.max_time);
-            if let Some((k, e)) = sh.error.take() {
+        for report in &mut reports {
+            events += report.events;
+            if let Some((k, e)) = report.error.take() {
                 merge_min_error(&mut min_error, k, e);
             }
-            for ev in sh.queue.drain_unordered() {
-                self.queue.push(ev);
-            }
-            let linear: Vec<usize> = sh.rect.iter_linear(dims).collect();
-            self.scalars.scatter(&linear, &sh.scalars);
-            for (lin, slot) in linear.into_iter().zip(sh.slots) {
-                slot_opts[lin] = Some(slot);
-            }
         }
-        self.pes = slot_opts
-            .into_iter()
-            .map(|o| o.expect("every PE belongs to exactly one shard"))
-            .collect();
-        // One quiescence marker in the host meta stream: the lookahead
-        // protocol has no supersteps, so the only rendezvous left to log is
-        // the final one. Keeps barriers out of per-PE streams, which is what
-        // makes those streams engine-independent.
+        let WorkerReport { stop, time, .. } = reports[0];
+        self.time = self.time.max(time.unwrap_or(0));
+        // One marker in the host meta stream per run, not per cycle: it
+        // keeps barriers out of the per-PE streams, which is what makes
+        // those streams engine-independent.
         self.host_trace.record_at(
             self.time,
             TraceEventKind::Barrier,
@@ -2544,19 +2210,14 @@ impl Fabric {
             n as u16,
             events as u32,
         );
-        let paused_flag = shared.paused.load(Ordering::SeqCst);
-        for inbox in shared.inboxes {
-            for ev in inbox.into_inner().unwrap() {
-                self.queue.push(ev);
-            }
+        match stop {
+            Stop::OverBudget => Err(FabricError::EventBudgetExceeded {
+                max_events: self.config.max_events,
+            }),
+            // Its worker's panic was re-raised by the join above.
+            Stop::Poisoned => unreachable!("a poisoned run does not return"),
+            Stop::Quiescent | Stop::Paused => Ok((events, stop == Stop::Paused, min_error)),
         }
-
-        if shared.over_budget.load(Ordering::SeqCst) {
-            return Err(FabricError::EventBudgetExceeded {
-                max_events: config.max_events,
-            });
-        }
-        Ok((events, paused_flag, min_error))
     }
 
     /// The fabric is quiescent: any wavelet still parked can never be
@@ -2613,7 +2274,14 @@ impl Fabric {
     }
 
     fn total_edge_drops(&self) -> u64 {
-        self.scalars.edge_drops.iter().sum()
+        let per_strip = |s: &Strip| s.scalars.edge_drops.iter().sum::<u64>();
+        self.strips.iter().map(per_strip).sum()
+    }
+
+    /// The arena that holds PE `pe`'s scalar row, and the row's index in it.
+    fn row(&self, pe: usize) -> (&PeScalars, usize) {
+        let strip = &self.strips[owner_of(&self.strips, pe)];
+        (&strip.scalars, pe - strip.pes.start)
     }
 
     /// Cycles each PE's deliveries spent queued behind its busy CE before
@@ -2622,36 +2290,41 @@ impl Fabric {
     /// this vector is bit-identical between `Execution::Sequential` and
     /// `Execution::Sharded`.
     pub fn queue_wait_by_pe(&self) -> Vec<u64> {
-        self.scalars.queue_wait_cycles.clone()
+        let rows = (self.strips.iter()).flat_map(|s| &s.scalars.queue_wait_cycles);
+        rows.copied().collect()
     }
 
     /// Total queued-delivery wait cycles across all PEs (see
     /// [`Fabric::queue_wait_by_pe`]).
     pub fn queue_wait_cycles(&self) -> u64 {
-        self.scalars.queue_wait_cycles.iter().sum()
+        let per_strip = |s: &Strip| s.scalars.queue_wait_cycles.iter().sum::<u64>();
+        self.strips.iter().map(per_strip).sum()
     }
 
     /// Cumulative fast-forwarded hops across all runs so far. Deterministic
-    /// and engine-invariant: the sharded engine splits a passive chain into
-    /// per-shard segments, but the segment hop counts sum to the whole
+    /// and engine-invariant: the strip engine splits a passive chain into
+    /// per-strip segments, but the segment hop counts sum to the whole
     /// chain's, so this total is bit-identical Sequential vs Sharded. Zero
     /// whenever fast-forwarding is disabled or inhibited (tracing, faults).
+    /// Not part of [`FabricSnapshot`], like the two counts below, so
+    /// checkpoints neither carry nor restore it.
     pub fn ff_hops(&self) -> u64 {
-        self.ff.hops
+        self.strips.iter().map(|s| s.ff.hops).sum()
     }
 
     /// Cumulative fast-forward jumps across all runs so far. **Not**
-    /// engine-invariant (one jump per chain sequentially, one per segment
-    /// sharded) — compare [`Fabric::ff_hops`] across engines instead.
+    /// engine-invariant (one jump per chain sequentially, one per strip a
+    /// chain crosses under `Sharded`) — compare [`Fabric::ff_hops`] across
+    /// engines instead.
     pub fn ff_jumps(&self) -> u64 {
-        self.ff.jumps
+        self.strips.iter().map(|s| s.ff.jumps).sum()
     }
 
     /// Cumulative *region* fast-forward jumps (jumps that crossed ≥ 2 PEs
     /// in one event) across all runs so far. Engine-dependent like
     /// [`Fabric::ff_jumps`] — excluded from the determinism contract.
     pub fn region_ff_jumps(&self) -> u64 {
-        self.ff.region_jumps
+        self.strips.iter().map(|s| s.ff.region_jumps).sum()
     }
 
     /// Route-table equivalence classes after [`Fabric::load`]: the number
@@ -2665,19 +2338,19 @@ impl Fabric {
     /// A PE's cumulative fabric-link forwards (per-PE diagnostics; the
     /// aggregate lives in [`FabricStats::fabric_hops`]).
     pub fn fabric_hops_at(&self, coord: PeCoord) -> u64 {
-        self.scalars.fabric_hops[self.dims.linear(coord)]
+        let (sc, i) = self.row(self.dims.linear(coord));
+        sc.fabric_hops[i]
     }
 
     /// Event-queue occupancy `(wheel, overflow)`: items inside the timing
     /// wheel's 2²⁰-cycle horizon vs parked in the comparison heap beyond
-    /// it. A host-side telemetry probe; reading it does not perturb
-    /// scheduling. During a sharded run the per-shard queues are private to
-    /// their workers, so this reflects the host queue only (which is where
-    /// all pending events live between runs).
+    /// it, summed over the strips' wheels. A host-side telemetry probe;
+    /// reading it does not perturb scheduling.
     pub fn queue_occupancy(&self) -> (usize, usize) {
+        let queues = || self.strips.iter().map(|s| &s.queue);
         (
-            self.queue.wheel_occupancy(),
-            self.queue.overflow_occupancy(),
+            queues().map(|q| q.wheel_occupancy()).sum(),
+            queues().map(|q| q.overflow_occupancy()).sum(),
         )
     }
 
@@ -2709,9 +2382,9 @@ impl Fabric {
         }
     }
 
-    fn pe_stats(&self, i: usize) -> FabricStats {
-        let slot = &self.pes[i];
-        let sc = &self.scalars;
+    fn pe_stats(&self, pe: usize) -> FabricStats {
+        let slot = &self.pes[pe];
+        let (sc, i) = self.row(pe);
         FabricStats {
             total: slot.counters,
             max_pe_cycles: slot.counters.cycles(),
@@ -2736,9 +2409,11 @@ impl Fabric {
         s
     }
 
-    /// Per-shard statistics under the rectangular partition the sharded
-    /// engine would use for `shards` — one [`FabricStats`] per shard, in
-    /// shard-id order. `stats()` equals the merge of all entries.
+    /// Per-shard statistics under a rectangular partition into `shards`
+    /// (reduced until an `nx × ny` factorization fits the fabric) — one
+    /// [`FabricStats`] per shard, in shard-id order. `stats()` equals the
+    /// merge of all entries. A reporting partition: the parallel engine
+    /// executes by row strips.
     pub fn shard_stats(&self, shards: usize) -> Vec<FabricStats> {
         let plan = ShardPlan::new(self.dims, shards);
         let mut out = vec![FabricStats::default(); plan.count()];
@@ -2762,9 +2437,9 @@ impl Fabric {
             .record_at(time, TraceEventKind::HostPhase, phase, 0, payload);
     }
 
-    /// Snapshot of the recorded trace, attributing PEs to the shards of the
-    /// configured execution mode (1 shard when sequential). `None` when
-    /// tracing is off.
+    /// Snapshot of the recorded trace, attributing PEs to the rectangular
+    /// reporting partition of the configured shard count (1 shard when
+    /// sequential). `None` when tracing is off.
     pub fn trace(&self) -> Option<Trace> {
         let shards = match self.config.execution {
             Execution::Sequential => 1,
@@ -2773,9 +2448,9 @@ impl Fabric {
         self.trace_with_shards(shards)
     }
 
-    /// Snapshot of the recorded trace under the rectangular partition the
-    /// sharded engine would use for `shards`. The per-PE event streams are
-    /// engine-independent; only this shard attribution changes.
+    /// Snapshot of the recorded trace under the rectangular reporting
+    /// partition into `shards` (see [`Fabric::shard_stats`]). The per-PE
+    /// event streams are engine-independent; only this attribution changes.
     pub fn trace_with_shards(&self, shards: usize) -> Option<Trace> {
         if !self.config.trace.enabled {
             return None;
@@ -3205,14 +2880,14 @@ mod tests {
     fn shard_plan_covers_every_pe_exactly_once() {
         let dims = FabricDims::new(7, 5); // misaligned splits
         let plan = ShardPlan::new(dims, 6);
-        let mut seen = vec![0u32; dims.num_pes()];
-        for (id, rect) in plan.rects.iter().enumerate() {
-            for lin in rect.iter_linear(dims) {
-                seen[lin] += 1;
-                assert_eq!(plan.shard_of(dims.coord(lin)), id);
-            }
+        // `shard_of` is a function, so no PE is in two shards; every shard
+        // of the 3×2 grid gets its balanced rectangle (columns 2/2/3 × rows
+        // 2/3).
+        let mut sizes = vec![0usize; plan.count()];
+        for c in dims.iter() {
+            sizes[plan.shard_of(c)] += 1;
         }
-        assert!(seen.iter().all(|&n| n == 1));
+        assert_eq!(sizes, [4, 4, 6, 6, 6, 9]);
     }
 
     #[test]

@@ -51,9 +51,6 @@ pub trait EventQueue<T: Timestamped + Ord> {
     fn push(&mut self, item: T);
     /// Removes and returns the minimum item.
     fn pop(&mut self) -> Option<T>;
-    /// Removes and returns the minimum item only if its time is strictly
-    /// before `bound` (the sharded engine's window test).
-    fn pop_before(&mut self, bound: u64) -> Option<T>;
     /// The minimum pending time, if any.
     fn next_time(&self) -> Option<u64>;
     /// Number of pending items.
@@ -373,9 +370,8 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
         }
     }
 
-    /// Visits every pending item, in no particular order. The lookahead
-    /// engine's stall-time scan uses this to compute exact per-link
-    /// earliest-output bounds without disturbing the queue.
+    /// Visits every pending item, in no particular order (the fabric's
+    /// snapshot sorts what it collects).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.chunks
             .iter()
@@ -383,16 +379,6 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
             .chain(self.drain.iter())
             .chain(self.side.iter().map(|Reverse(e)| e))
             .chain(self.overflow.iter().map(|Reverse(e)| e))
-    }
-
-    /// Bulk insertion: moves every item of `batch` into the queue (clearing
-    /// `batch` but keeping its capacity). Within the wheel's horizon each
-    /// item is a plain O(1) bucket append — the sharded engine injects
-    /// whole cross-shard mailbox batches this way.
-    pub fn append_batch(&mut self, batch: &mut Vec<T>) {
-        for item in batch.drain(..) {
-            self.push(item);
-        }
     }
 }
 
@@ -408,10 +394,10 @@ impl<T: Timestamped + Ord> EventQueue<T> for CalendarQueue<T> {
         if self.len == 0 {
             // An empty queue re-anchors its wheel at the pushed time, in
             // *both* directions. Anchoring forward matters as much as
-            // backward: a queue built mid-simulation (the sharded engine
-            // seeds fresh per-shard queues from a fabric whose clock is
-            // already far along) would otherwise file its first items by
-            // their distance from time 0.
+            // backward: a queue first used mid-simulation (a restored
+            // checkpoint, a strip that sat idle while the clock ran on)
+            // would otherwise file its first items by their distance from
+            // wherever its cursor was left.
             self.cursor = t;
         } else if t < self.cursor {
             self.rebase(t);
@@ -435,13 +421,6 @@ impl<T: Timestamped + Ord> EventQueue<T> for CalendarQueue<T> {
         debug_assert!(item.is_some());
         self.len -= 1;
         item
-    }
-
-    fn pop_before(&mut self, bound: u64) -> Option<T> {
-        match self.next_time() {
-            Some(t) if t < bound => self.pop(),
-            _ => None,
-        }
     }
 
     fn next_time(&self) -> Option<u64> {
@@ -684,9 +663,9 @@ mod tests {
 
     #[test]
     fn empty_queue_anchors_forward_into_the_wheel() {
-        // A queue first used when the clock is already far along (the
-        // sharded engine seeds fresh per-shard queues mid-simulation) must
-        // anchor at the pushed time, not file items by distance from 0.
+        // A queue first used when the clock is already far along (a fabric
+        // restored from a late checkpoint) must anchor at the pushed time,
+        // not file items by distance from 0.
         let mut q = CalendarQueue::new();
         let late = 40 * HORIZON + 7;
         q.push(Item(late + 2, 0));
@@ -697,18 +676,6 @@ mod tests {
             pop_all(&mut q),
             vec![Item(late, 0), Item(late + 1, 0), Item(late + 2, 0)]
         );
-    }
-
-    #[test]
-    fn pop_before_respects_bound() {
-        let mut q = queue_of(&[Item(4, 0), Item(9, 0), Item(5 * EPOCH, 0)]);
-        assert_eq!(q.pop_before(5), Some(Item(4, 0)));
-        assert_eq!(q.pop_before(5), None);
-        assert_eq!(q.next_time(), Some(9));
-        assert_eq!(q.pop_before(10), Some(Item(9, 0)));
-        assert_eq!(q.pop_before(5 * EPOCH), None);
-        assert_eq!(q.pop_before(5 * EPOCH + 1), Some(Item(5 * EPOCH, 0)));
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! run bit-identically: the pending event list in canonical `(time, seq,
 //! src)` order, every PE's memory arena, counters, router switch positions,
 //! program state, fault-plan progress and trace sequence counters, plus the
-//! host-side clock and sequence state. The sharded engine needs no extra
-//! fields: between `run()` calls its channel clocks and mailboxes are fully
-//! drained back into the canonical event queue (and re-derived from
-//! `time + hop_latency` on the next run), so the event list *is* the
-//! serialized form of the cross-shard machinery.
+//! host-side clock and sequence state. The parallel engine needs no extra
+//! fields: a run ends (or pauses) between simulated cycles with every
+//! cross-strip mailbox taken in, so each pending event is in its owner
+//! strip's wheel and the sorted list of them is engine-independent.
 //!
 //! These types are deliberately plain data with public fields — the binary
 //! encoding (versioned header, payload checksum) lives in `wse-serve`,

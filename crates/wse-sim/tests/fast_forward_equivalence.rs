@@ -85,8 +85,9 @@ fn tpfa_fast_forward_is_bit_identical() {
 const KICK: Color = Color::new(0);
 const STREAM: Color = Color::new(7);
 
-/// A dedicated long static route: PE (0, 0) injects on `STREAM`, PEs
-/// 1..n-1 passively forward West→East on a fixed route, and the last PE
+/// A dedicated long static route down one column — the direction the
+/// parallel engine's row strips cut: PE (0, 0) injects on `STREAM`, PEs
+/// 1..n-1 passively forward North→South on a fixed route, and the last PE
 /// receives up its ramp — the longest fast-forward chain the fabric can
 /// express (the source and sink hops stay per-hop; only the passive
 /// middle is jumped).
@@ -97,27 +98,27 @@ struct PipelineProgram {
 
 impl PeProgram for PipelineProgram {
     fn init(&mut self, ctx: &mut PeContext) {
-        let col = ctx.coord.col;
-        let cfg = if col == 0 {
+        let row = ctx.coord.row;
+        let cfg = if row == 0 {
             ColorConfig::fixed(RouterPosition::new(
                 DirMask::single(Direction::Ramp),
-                DirMask::single(Direction::East),
+                DirMask::single(Direction::South),
             ))
-        } else if col == self.width - 1 {
+        } else if row == self.width - 1 {
             ColorConfig::fixed(RouterPosition::new(
-                DirMask::single(Direction::West),
+                DirMask::single(Direction::North),
                 DirMask::single(Direction::Ramp),
             ))
         } else {
             ColorConfig::fixed(RouterPosition::new(
-                DirMask::single(Direction::West),
-                DirMask::single(Direction::East),
+                DirMask::single(Direction::North),
+                DirMask::single(Direction::South),
             ))
         };
         ctx.configure_color(STREAM, cfg);
     }
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
-        if w.color == KICK && ctx.coord.col == 0 {
+        if w.color == KICK && ctx.coord.row == 0 {
             for i in 0..4 {
                 ctx.send_f32(STREAM, i as f32);
             }
@@ -132,7 +133,7 @@ fn run_pipeline(
     execution: Execution,
     fast_forward: bool,
 ) -> (RunReport, FabricStats, u64, Vec<u64>) {
-    let dims = FabricDims::new(width, 1);
+    let dims = FabricDims::new(1, width);
     let config = FabricConfig {
         execution,
         fast_forward,
@@ -145,7 +146,7 @@ fn run_pipeline(
     f.activate(PeCoord::new(0, 0), KICK, 0);
     let report = f.run().expect("pipeline run failed");
     let hops: Vec<u64> = (0..width)
-        .map(|x| f.fabric_hops_at(PeCoord::new(x, 0)))
+        .map(|x| f.fabric_hops_at(PeCoord::new(0, x)))
         .collect();
     (report, f.stats(), f.time(), hops)
 }
@@ -153,9 +154,9 @@ fn run_pipeline(
 /// A 32-PE passive chain: fast-forward jumps 30 hops per wavelet, and
 /// every per-router hop counter, the aggregate stats, the event count,
 /// and the final time must still match the per-hop engine exactly —
-/// including when the chain is cut into segments by shard boundaries.
-/// The 4- and 8-shard columns make one chain span up to eight shards, so
-/// a wavelet is handed across several mailboxes before it sinks.
+/// including when the chain is cut into segments by strip edges. The 4-
+/// and 8-strip runs make one chain span up to eight strips, so a wavelet
+/// is handed across several mailboxes before it sinks.
 #[test]
 fn long_chain_fast_forward_is_bit_identical() {
     for (width, shard_counts) in [
@@ -174,19 +175,19 @@ fn long_chain_fast_forward_is_bit_identical() {
             let ff_sharded = run_pipeline(width, Execution::Sharded { shards, threads: 2 }, true);
             assert_eq!(
                 reference, ff_sharded,
-                "width {width} × {shards} shards: segmented cross-shard fast-forward diverged"
+                "length {width} × {shards} strips: segmented cross-strip fast-forward diverged"
             );
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Closed-form 2-shard boundary crossing
+// Closed-form 2-strip edge crossing
 // ---------------------------------------------------------------------------
 
 const CHAIN: Color = Color::new(9);
 
-/// An 8×1 passive eastbound chain whose routers accept both `West` and
+/// A 1×8 passive southbound chain whose routers accept both `North` and
 /// `Ramp` input, so the *entire* path — injection hop included — is one
 /// fast-forwardable chain. Every PE that receives `CHAIN` up its ramp
 /// counts the delivery in word 0 of its memory (host-observable).
@@ -196,21 +197,21 @@ struct BoundaryChainProgram {
 
 impl PeProgram for BoundaryChainProgram {
     fn init(&mut self, ctx: &mut PeContext) {
-        let cfg = if ctx.coord.col == self.width - 1 {
+        let cfg = if ctx.coord.row == self.width - 1 {
             ColorConfig::fixed(RouterPosition::new(
-                DirMask::single(Direction::West),
+                DirMask::single(Direction::North),
                 DirMask::single(Direction::Ramp),
             ))
         } else {
             ColorConfig::fixed(RouterPosition::new(
-                DirMask::of(&[Direction::West, Direction::Ramp]),
-                DirMask::single(Direction::East),
+                DirMask::of(&[Direction::North, Direction::Ramp]),
+                DirMask::single(Direction::South),
             ))
         };
         ctx.configure_color(CHAIN, cfg);
     }
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
-        if w.color == KICK && ctx.coord.col == 0 {
+        if w.color == KICK && ctx.coord.row == 0 {
             ctx.send_f32(CHAIN, 42.0);
         } else if w.color == CHAIN {
             let seen = ctx.memory.read_u32(0);
@@ -232,7 +233,7 @@ fn run_boundary_chain(
         hop_latency: 3,
         ..FabricConfig::default()
     };
-    let mut f = Fabric::new(FabricDims::new(WIDTH, 1), config, |_| {
+    let mut f = Fabric::new(FabricDims::new(1, WIDTH), config, |_| {
         Box::new(BoundaryChainProgram { width: WIDTH })
     });
     f.load();
@@ -241,20 +242,20 @@ fn run_boundary_chain(
     (result, f)
 }
 
-/// Satellite fixture for the cross-shard fast-forward path, checked
-/// against hand arithmetic (hop latency L = 3, width 8, 2 shards of 4
-/// columns):
+/// Satellite fixture for the cross-strip fast-forward path, checked
+/// against hand arithmetic (hop latency L = 3, length 8, 2 strips of 4
+/// rows):
 ///
 /// - the kick activation at t=0 costs 1 event; the send leaves PE (0,0)'s
 ///   ramp at t=0 and crosses 7 fabric links, so the sink's ramp delivery
 ///   happens at exactly t = 7·L = 21 — the fast-forwarded chain is jumped
-///   in two segments (4 hops in shard 0, 3 in shard 1) whose times sum to
+///   in two segments (4 hops in strip 0, 3 in strip 1) whose times sum to
 ///   the same 7·L;
-/// - event budget: 1 activation + 8 router pops (cols 0–7; segments bill
-///   their bulk hops to their own shard) + 1 sink delivery = 10 pops in
+/// - event budget: 1 activation + 8 router pops (rows 0–7; segments bill
+///   their bulk hops to their own strip) + 1 sink delivery = 10 pops in
 ///   *every* engine × fast-forward combination;
-/// - per-router `fabric_hops` is 1 for cols 0–6 and 0 for the sink, so
-///   the shard-0 routers account 4 hops and shard-1 routers 3.
+/// - per-router `fabric_hops` is 1 for rows 0–6 and 0 for the sink, so
+///   the strip-0 routers account 4 hops and strip-1 routers 3.
 #[test]
 fn two_shard_chain_crossing_matches_closed_form() {
     const L: u64 = 3;
@@ -272,21 +273,22 @@ fn two_shard_chain_crossing_matches_closed_form() {
             assert_eq!(report.events, 10, "{label}: event count");
             assert_eq!(report.final_time, 7 * L, "{label}: sink arrival time");
             let hops: Vec<u64> = (0..8)
-                .map(|x| f.fabric_hops_at(PeCoord::new(x, 0)))
+                .map(|x| f.fabric_hops_at(PeCoord::new(0, x)))
                 .collect();
             assert_eq!(
                 hops,
                 vec![1, 1, 1, 1, 1, 1, 1, 0],
                 "{label}: per-router hops"
             );
-            // Per-shard hop split across the col-3/col-4 boundary: 4 + 3.
+            // Hop split across the row-3/row-4 edge (on a one-column fabric
+            // the 2-shard reporting partition is the 2 strips): 4 + 3.
             let per_shard = f.shard_stats(2);
             assert_eq!(per_shard[0].fabric_hops, 4, "{label}: shard-0 hops");
             assert_eq!(per_shard[1].fabric_hops, 3, "{label}: shard-1 hops");
             // Exactly one ramp delivery, at the far end of the chain.
-            assert_eq!(f.memory(PeCoord::new(7, 0)).read_u32(0), 1, "{label}");
+            assert_eq!(f.memory(PeCoord::new(0, 7)).read_u32(0), 1, "{label}");
             for x in 0..7 {
-                assert_eq!(f.memory(PeCoord::new(x, 0)).read_u32(0), 0, "{label}");
+                assert_eq!(f.memory(PeCoord::new(0, x)).read_u32(0), 0, "{label}");
             }
             // The budget is exact: 10 events fit, 9 do not — even when the
             // chain is jumped in bulk (segments bill `1 + (hops-1)` pops).
@@ -308,7 +310,7 @@ fn two_shard_chain_crossing_matches_closed_form() {
 const REWIRE: Color = Color::new(11);
 const LATE: Color = Color::new(12);
 
-/// What PE (5, 0) — mid-chain, in the *remote* shard for every multi-shard
+/// What PE (0, 5) — mid-chain, in a *remote* strip for every multi-strip
 /// split — does when the host activates `REWIRE` with this payload.
 #[derive(Clone, Copy, Debug)]
 enum Rewire {
@@ -332,10 +334,10 @@ impl PeProgram for RewiredChainProgram {
     }
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
         let intercept = ColorConfig::fixed(RouterPosition::new(
-            DirMask::single(Direction::West),
+            DirMask::single(Direction::North),
             DirMask::single(Direction::Ramp),
         ));
-        if w.color == KICK && ctx.coord.col == 0 {
+        if w.color == KICK && ctx.coord.row == 0 {
             ctx.send_f32(CHAIN, 7.0);
         } else if w.color == REWIRE && w.payload == Rewire::InFlight as u32 {
             let burn = Dsd::contiguous(4, 3);
@@ -382,15 +384,15 @@ fn reconfiguring_a_loaded_route_is_a_typed_error() {
             },
             ..FabricConfig::default()
         };
-        let mut f = Fabric::new(FabricDims::new(WIDTH, 1), config, |_| {
+        let mut f = Fabric::new(FabricDims::new(1, WIDTH), config, |_| {
             Box::new(RewiredChainProgram { width: WIDTH })
         });
         f.load();
-        f.activate(PeCoord::new(5, 0), REWIRE, rewire as u32);
+        f.activate(PeCoord::new(0, 5), REWIRE, rewire as u32);
         f.activate(PeCoord::new(0, 0), KICK, 0);
         let result = f.run();
         let memories: Vec<u32> = (0..WIDTH)
-            .map(|x| f.memory(PeCoord::new(x, 0)).read_u32(0))
+            .map(|x| f.memory(PeCoord::new(0, x)).read_u32(0))
             .collect();
         let errors = f.trace().map(|t| t.count(TraceEventKind::Error));
         (result, f.stats(), f.time(), memories, errors)
@@ -416,7 +418,7 @@ fn reconfiguring_a_loaded_route_is_a_typed_error() {
             }
             _ => {
                 let frozen = FabricError::Route {
-                    pe: PeCoord::new(5, 0),
+                    pe: PeCoord::new(0, 5),
                     error: RouteError::Frozen(CHAIN),
                 };
                 assert_eq!(reference.0, Err(frozen), "{rewire:?}");
@@ -450,13 +452,14 @@ fn reconfiguring_a_loaded_route_is_a_typed_error() {
 /// wrapping (the sequential path used unchecked `+` before the overflow
 /// handling was unified behind `advance_time`). The run must terminate
 /// with the clock pinned at the end of time, identically with and without
-/// fast-forwarding.
+/// fast-forwarding and on both engines (the saturated events cross strip
+/// edges as mail timed `u64::MAX`).
 #[test]
 fn near_u64_max_event_times_saturate() {
-    let run = |fast_forward: bool| {
-        let dims = FabricDims::new(6, 1);
+    let run = |execution: Execution, fast_forward: bool| {
+        let dims = FabricDims::new(1, 6);
         let config = FabricConfig {
-            execution: Execution::Sequential,
+            execution,
             hop_latency: u64::MAX / 2,
             fast_forward,
             ..FabricConfig::default()
@@ -472,8 +475,18 @@ fn near_u64_max_event_times_saturate() {
         let report = f.run().expect("saturated run failed");
         (report, f.stats(), f.time())
     };
-    let reference = run(false);
+    let reference = run(Execution::Sequential, false);
     // Three hops of u64::MAX/2 pin the clock at the end of time.
     assert_eq!(reference.2, u64::MAX);
-    assert_eq!(reference, run(true));
+    let strips = Execution::Sharded {
+        shards: 3,
+        threads: 2,
+    };
+    for (execution, fast_forward) in [
+        (Execution::Sequential, true),
+        (strips, false),
+        (strips, true),
+    ] {
+        assert_eq!(reference, run(execution, fast_forward), "{execution:?}");
+    }
 }

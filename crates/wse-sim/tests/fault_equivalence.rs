@@ -261,10 +261,10 @@ fn randomized_plans_are_engine_invariant() {
 }
 
 /// Fault plans force per-hop routing (fast-forward is disabled while a
-/// plan is installed), so this also exercises the conservative-lookahead
-/// protocol without chain jumps: randomized plans on a *two-dimensional*
-/// fabric must stay engine-invariant across shard grids that split both
-/// axes.
+/// plan is installed), so this also exercises the strip engine's mail
+/// without chain jumps: randomized plans on a *two-dimensional* fabric must
+/// stay engine-invariant across 2 and 4 row strips (8 asked for clamps to
+/// the 4 rows).
 #[test]
 fn randomized_plans_on_2d_fabrics_are_engine_invariant() {
     let dims = FabricDims::new(8, 4);
@@ -295,13 +295,13 @@ fn randomized_plans_on_2d_fabrics_are_engine_invariant() {
     }
 }
 
-/// Liveness regression for the lookahead protocol: halting *every* PE of
-/// one shard at t=0 must not deadlock the engine — the halted shard keeps
-/// popping (and swallowing) events, its channel clocks keep advancing,
-/// and the run terminates with the same typed error and fault log as the
-/// sequential engine. Under the old global barrier this was trivially
-/// true; with per-shard-pair clocks it is exactly the case where a stuck
-/// neighbor could freeze everyone's EIT forever.
+/// Liveness regression kept from the lookahead engine, where a shard that
+/// went quiet could freeze its neighbours' clocks: halting a whole block of
+/// PEs at t=0 must not hang the engine — the halted PEs keep popping (and
+/// swallowing) events and the run terminates with the same typed error and
+/// fault log as the sequential engine. The strip engine cuts rows, so this
+/// one-row fixture runs as one strip whatever `shards` asks for; faults
+/// across strip edges are the 2-D test above.
 #[test]
 fn fully_halted_shard_does_not_deadlock_the_lookahead() {
     let cols = 8;

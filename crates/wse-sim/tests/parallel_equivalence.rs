@@ -1,9 +1,9 @@
-//! Differential determinism harness: the sharded BSP engine must be
-//! **bit-identical** to the sequential reference engine — same residuals,
-//! same per-PE instruction counters, same [`RunReport`], same final fabric
-//! time, and the same error reports — for every shard count and thread
-//! count, including shard boundaries that do not align with the fabric
-//! extent.
+//! Differential determinism harness: the cycle-synchronous strip engine
+//! must be **bit-identical** to the sequential reference engine — same
+//! residuals, same per-PE instruction counters, same [`RunReport`], same
+//! final fabric time, and the same error reports — for every strip count
+//! and thread count, including strip counts that do not divide the row
+//! count and more threads than cores, and across pauses and restores.
 //!
 //! The workload is the repo's real TPFA flux program (`tpfa-dataflow`,
 //! a dev-dependency) on a 32×32 fabric, not a toy kernel: every mechanism
@@ -35,19 +35,35 @@ struct Observation {
     stats: FabricStats,
 }
 
-fn observe_tpfa(nx: usize, ny: usize, nz: usize, execution: Execution) -> Observation {
+/// The TPFA problem every observation runs, and its input pressure.
+fn build_tpfa(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    execution: Execution,
+) -> (DataflowFluxSimulator, Vec<f32>) {
     let mesh = CartesianMesh3::new(Extents::new(nx, ny, nz), Spacing::new(10.0, 10.0, 4.0));
     let fluid = Fluid::water_like();
     let perm = PermeabilityField::log_normal(&mesh, 1e-13, 0.4, 12345);
     let trans = Transmissibilities::tpfa(&mesh, &perm, StencilKind::TenPoint);
-    let mut sim = DataflowFluxSimulator::builder(&mesh)
+    let sim = DataflowFluxSimulator::builder(&mesh)
         .fluid(&fluid)
         .transmissibilities(&trans)
         .execution(execution)
         .build()
         .unwrap();
     let pressure = FlowState::<f32>::varied(&mesh, 1.0e7, 1.2e7, 77);
-    let residual = sim.apply(pressure.pressure()).expect("TPFA run failed");
+    (sim, pressure.pressure().to_vec())
+}
+
+fn observe_tpfa(nx: usize, ny: usize, nz: usize, execution: Execution) -> Observation {
+    let (mut sim, pressure) = build_tpfa(nx, ny, nz, execution);
+    let residual = sim.apply(&pressure).expect("TPFA run failed");
+    observation(&sim, &residual, nx, ny)
+}
+
+/// What a finished apply left behind.
+fn observation(sim: &DataflowFluxSimulator, residual: &[f32], nx: usize, ny: usize) -> Observation {
     Observation {
         residual_bits: residual.iter().map(|v| v.to_bits()).collect(),
         per_pe_counters: (0..ny)
@@ -64,9 +80,11 @@ fn sharded_tpfa_is_bit_identical_across_shard_counts() {
     let (nx, ny, nz) = (32, 32, 2);
     let reference = observe_tpfa(nx, ny, nz, Execution::Sequential);
     assert!(reference.report.events > 0);
-    // 1 shard (degenerate), 2 and 4 (aligned 32/2, 32/4), and 9 = 3×3 —
-    // 32 is not divisible by 3, so shard edges are misaligned (11/11/10).
-    for shards in [1usize, 2, 4, 9] {
+    // 1 strip (degenerate), 2 and 4 (32/2, 32/4 rows), and 3 and 9 — 32 is
+    // divisible by neither, so the strips are uneven (10/11/11, 3/4/…) —
+    // on 1 worker (inline, no barrier), 2, and 4 (more than this host's
+    // cores, so the barrier has to yield).
+    for shards in [1usize, 2, 3, 4, 9] {
         for threads in [1usize, 2, 4] {
             let sharded = observe_tpfa(nx, ny, nz, Execution::Sharded { shards, threads });
             assert_eq!(
@@ -78,8 +96,80 @@ fn sharded_tpfa_is_bit_identical_across_shard_counts() {
 }
 
 #[test]
+fn single_row_fabric_clamps_to_one_strip() {
+    // One row cannot be cut: 4 strips and 2 threads asked for, 1 and 1 run.
+    let reference = observe_tpfa(24, 1, 3, Execution::Sequential);
+    assert!(reference.report.events > 0);
+    let sharded = observe_tpfa(
+        24,
+        1,
+        3,
+        Execution::Sharded {
+            shards: 4,
+            threads: 2,
+        },
+    );
+    assert_eq!(reference, sharded);
+}
+
+#[test]
+fn chunked_parallel_run_matches_a_single_run() {
+    // A parallel `run_until` pauses at the end of the cycle in which its
+    // limit was reached; wherever the pauses land, the chunks' reports sum
+    // to the single run's and the final state is the same. A 1-event limit
+    // makes every call exactly one cycle.
+    let (nx, ny, nz) = (16, 16, 2);
+    let reference = observe_tpfa(nx, ny, nz, Execution::Sequential);
+    for (chunk, threads) in [(1u64, 2usize), (1_000, 1), (7_777, 2)] {
+        let execution = Execution::Sharded { shards: 4, threads };
+        let (mut sim, pressure) = build_tpfa(nx, ny, nz, execution);
+        sim.begin_apply(&pressure);
+        let mut calls = 0;
+        while !sim.step_events(chunk).expect("chunk failed").complete {
+            calls += 1;
+        }
+        assert!(calls > 1, "a {chunk}-event limit must pause");
+        let residual = sim.finish_apply().expect("finish failed");
+        assert_eq!(
+            reference,
+            observation(&sim, &residual, nx, ny),
+            "{chunk}-event chunks on {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn sequential_mid_cycle_pause_restores_onto_the_strip_engine() {
+    // The sequential engine pauses exactly at its limit — here in the
+    // middle of cycle 0 (256 host activations are pending at it) and
+    // somewhere inside a later cycle — so the strip engine starts from a
+    // cycle part of whose events have already run.
+    let (nx, ny, nz) = (16, 16, 2);
+    let reference = observe_tpfa(nx, ny, nz, Execution::Sequential);
+    for limit in [100, reference.report.events / 2 + 1] {
+        let (mut seq, pressure) = build_tpfa(nx, ny, nz, Execution::Sequential);
+        seq.begin_apply(&pressure);
+        assert!(!seq.step_events(limit).unwrap().complete);
+        let snap = seq.snapshot();
+        let execution = Execution::Sharded {
+            shards: 3,
+            threads: 2,
+        };
+        let (mut par, _) = build_tpfa(nx, ny, nz, execution);
+        par.restore_snapshot(&snap)
+            .expect("engine-portable snapshot");
+        let residual = par.finish_apply().expect("resumed run failed");
+        assert_eq!(
+            reference,
+            observation(&par, &residual, nx, ny),
+            "paused after {limit} events"
+        );
+    }
+}
+
+#[test]
 fn sharded_tpfa_is_bit_identical_on_non_square_fabric() {
-    // 21×13 with 6 = 3×2 shards: both axes split unevenly (7 and 6/7/6…).
+    // 21×13 on 6 strips: 13 rows split unevenly (2/2/2/2/2/3).
     let reference = observe_tpfa(21, 13, 3, Execution::Sequential);
     let sharded = observe_tpfa(
         21,
@@ -191,7 +281,7 @@ fn deadlock_reports_are_identical_across_engines() {
 }
 
 /// Every PE on the anti-diagonal sends on an unconfigured color — several
-/// shards race to report; the engines must agree on the winning error.
+/// strips report one; the engines must agree on the winning error.
 struct RouteErrorProgram;
 
 impl PeProgram for RouteErrorProgram {
@@ -251,6 +341,91 @@ fn budget_error_reports_are_identical_across_engines() {
     for (shards, threads) in [(2, 2), (4, 4), (8, 2)] {
         assert_eq!(reference, run(Execution::Sharded { shards, threads }));
     }
+}
+
+#[test]
+fn pending_event_at_the_end_of_time_is_processed_on_both_engines() {
+    // Saturated times are legal queue contents, so "nothing pending" must
+    // not be encoded as time `u64::MAX`: with a saturating hop latency the
+    // one cross-strip wavelet of this run is mailed *at* `u64::MAX`, and an
+    // engine that read that as quiescence would never deliver it.
+    const LINK: Color = Color::new(9);
+    struct Southbound;
+    impl PeProgram for Southbound {
+        fn init(&mut self, ctx: &mut PeContext) {
+            let (rx, tx) = if ctx.coord.row == 0 {
+                (Direction::Ramp, Direction::South)
+            } else {
+                (Direction::North, Direction::Ramp)
+            };
+            let position = RouterPosition::new(DirMask::single(rx), DirMask::single(tx));
+            ctx.configure_color(LINK, ColorConfig::fixed(position));
+        }
+        fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
+            if w.color == DATA {
+                ctx.send_f32(LINK, 7.0);
+            } else {
+                ctx.memory.write_f32(0, w.as_f32());
+            }
+        }
+    }
+    let run = |execution: Execution, fast_forward: bool| {
+        let config = FabricConfig {
+            execution,
+            fast_forward,
+            hop_latency: u64::MAX,
+            ..FabricConfig::default()
+        };
+        let mut f = Fabric::new(FabricDims::new(1, 2), config, |_| Box::new(Southbound));
+        f.load();
+        f.activate(PeCoord::new(0, 0), DATA, 0);
+        let report = f.run().expect("run failed");
+        let received = f.memory(PeCoord::new(0, 1)).read_f32(0);
+        (report, f.time(), received, f.stats())
+    };
+    let reference = run(Execution::Sequential, false);
+    assert_eq!(reference.1, u64::MAX, "the delivery is at the end of time");
+    assert_eq!(reference.2, 7.0, "and it happened");
+    for fast_forward in [false, true] {
+        assert_eq!(reference, run(Execution::Sequential, fast_forward));
+        for threads in [1, 2] {
+            let execution = Execution::Sharded { shards: 2, threads };
+            assert_eq!(reference, run(execution, fast_forward), "{execution:?}");
+        }
+    }
+}
+
+/// The panic of a `PeProgram` on a strip another worker runs must reach the
+/// caller of `Fabric::run` — with its own message, not as a hang: the other
+/// workers would otherwise wait at the barrier for a worker that is gone.
+/// (CI runs this file under `timeout`.)
+#[test]
+#[should_panic(expected = "handler blew up at (3, 7)")]
+fn a_panic_on_another_workers_strip_is_the_callers_panic() {
+    struct Bomb;
+    impl PeProgram for Bomb {
+        fn init(&mut self, _ctx: &mut PeContext) {}
+        fn on_data(&mut self, ctx: &mut PeContext, _w: Wavelet) {
+            let PeCoord { col, row } = ctx.coord;
+            if (col, row) == (3, 7) {
+                panic!("handler blew up at ({col}, {row})");
+            }
+        }
+    }
+    let config = FabricConfig {
+        execution: Execution::Sharded {
+            shards: 4,
+            threads: 2,
+        },
+        ..FabricConfig::default()
+    };
+    // Rows 6–7 are the last strip, which worker 1 (not the caller) runs;
+    // the caller's worker is at the barrier, or on its way there, when the
+    // handler panics, and both orders must end the same way.
+    let mut f = Fabric::new(FabricDims::new(8, 8), config, |_| Box::new(Bomb));
+    f.load();
+    f.activate_all(DATA, 0);
+    let _ = f.run();
 }
 
 // ---------------------------------------------------------------------------
@@ -362,9 +537,9 @@ fn observe_hopper(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The satellite property wall: random fabric geometry (edges rarely
-    /// divisible by the shard grid), random shard count from
-    /// {1, 2, 4, 9}, fast-forward on or off, and a random injection
+    /// The satellite property wall: random fabric geometry (row counts
+    /// rarely divisible by the strip count), random strip count from
+    /// {1, 2, 3, 4, 9}, fast-forward on or off, and a random injection
     /// schedule — every observable must be bit-identical to the
     /// sequential per-hop reference.
     #[test]
@@ -377,11 +552,11 @@ proptest! {
                 proptest::collection::vec((0..n, 0u32..u32::MAX), 1..16),
             )
         }),
-        shard_pick in 0usize..4,
+        shard_pick in 0usize..5,
         ff_pick in 0u32..2,
         threads in 1usize..5,
     ) {
-        let shards = [1usize, 2, 4, 9][shard_pick];
+        let shards = [1usize, 2, 3, 4, 9][shard_pick];
         let fast_forward = ff_pick == 1;
         let reference = observe_hopper(cols, rows, &schedule, Execution::Sequential, false);
         let ff_seq = observe_hopper(cols, rows, &schedule, Execution::Sequential, fast_forward);

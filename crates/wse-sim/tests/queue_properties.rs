@@ -35,13 +35,6 @@ impl<T: Timestamped + Ord> EventQueue<T> for HeapQueue<T> {
         self.heap.pop().map(|Reverse(e)| e)
     }
 
-    fn pop_before(&mut self, bound: u64) -> Option<T> {
-        match self.heap.peek() {
-            Some(Reverse(e)) if e.time() < bound => self.pop(),
-            _ => None,
-        }
-    }
-
     fn next_time(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(e)| e.time())
     }
@@ -161,12 +154,14 @@ proptest! {
         prop_assert!(cal.is_empty() && heap.is_empty());
     }
 
-    /// `pop_before` (the sharded engine's windowed pop) agrees with the
-    /// heap's filtered order and never returns an item at/after the bound.
+    /// The strip engine's drain — pop while `next_time` is the agreed
+    /// cycle, take in a neighbour's mail for later cycles, move to the
+    /// earliest pending cycle — agrees with the heap's order and never
+    /// returns an item of another cycle.
     #[test]
-    fn windowed_pops_match(
+    fn cycle_drains_match(
         raw in proptest::collection::vec((0u64..256, 0usize..4), 0..256),
-        window in 1u64..32,
+        mail in proptest::collection::vec((1u64..40, 0usize..4), 0..64),
     ) {
         let mut cal = CalendarQueue::new();
         let mut heap = HeapQueue::new();
@@ -174,18 +169,22 @@ proptest! {
             cal.push(k);
             heap.push(k);
         }
-        let mut bound = window;
-        while !heap.is_empty() {
-            loop {
-                let (a, b) = (cal.pop_before(bound), heap.pop_before(bound));
+        let mut mail = mail.into_iter();
+        let mut seq = 1 << 32;
+        while let Some(cycle) = heap.next_time() {
+            prop_assert_eq!(cal.next_time(), Some(cycle));
+            while cal.next_time() == Some(cycle) {
+                let (a, b) = (cal.pop(), heap.pop());
                 prop_assert_eq!(a, b);
-                match a {
-                    Some(k) => prop_assert!(k.time < bound),
-                    None => break,
-                }
+                prop_assert_eq!(a.map(|k| k.time), Some(cycle));
             }
-            prop_assert_eq!(cal.next_time(), heap.next_time());
-            bound = advance_time(bound, window);
+            prop_assert!(heap.next_time() != Some(cycle));
+            if let Some((dt, src)) = mail.next() {
+                let k = Key { time: advance_time(cycle, dt), seq, src };
+                seq += 1;
+                cal.push(k);
+                heap.push(k);
+            }
         }
         prop_assert!(cal.is_empty());
     }
@@ -239,19 +238,21 @@ proptest! {
                     }
                 }
                 11 | 12 => {
-                    let (a, b) = (cal.pop_before(time), heap.pop_before(time));
-                    prop_assert_eq!(a, b);
-                    now = after(now, a);
+                    // The strip engine's bounded pop: only below `time`.
+                    prop_assert_eq!(cal.next_time(), heap.next_time());
+                    if cal.next_time().is_some_and(|t| t < time) {
+                        let (a, b) = (cal.pop(), heap.pop());
+                        prop_assert_eq!(a, b);
+                        now = after(now, a);
+                    }
                 }
                 13 => {
-                    let mut batch: Vec<Key> = (0..1 + jitter % 8)
-                        .map(|i| key(advance_time(time, i * HOP), src))
-                        .collect();
-                    for &k in &batch {
+                    // A mailbox's worth of pushes in one go.
+                    for i in 0..1 + jitter % 8 {
+                        let k = key(advance_time(time, i * HOP), src);
+                        cal.push(k);
                         heap.push(k);
                     }
-                    cal.append_batch(&mut batch);
-                    prop_assert!(batch.is_empty());
                 }
                 14 => {
                     // Drain and re-seed in whatever order the drain gave:

@@ -7,8 +7,9 @@
 //!
 //! - `ff_jumps` counts every jump, `region_ff_jumps` only jumps that
 //!   crossed >= 2 PEs (a "region", not a mere pass-through);
-//! - both are engine-DEPENDENT (shard boundaries cut a region into
-//!   per-shard segments) and excluded from the determinism contract;
+//! - both are engine-DEPENDENT (the parallel engine's row-strip edges cut
+//!   a region into per-strip segments) and excluded from the determinism
+//!   contract;
 //! - everything else — events, final time, per-router hops, stats,
 //!   memories — is bit-identical across engines and fast-forward
 //!   settings.
@@ -24,31 +25,41 @@ const KICK: Color = Color::new(0);
 const CHAIN: Color = Color::new(9);
 const L: u64 = 2; // hop latency for every run in this file
 
-/// A width-W eastbound region: cols `0..W-1` share one identical fixed
-/// route (accept West *or* Ramp, forward East) — a single equivalence
-/// class — and the last column sinks the stream up its ramp. The whole
-/// path, injection hop included, is one fast-forwardable region.
+/// A length-W region along one row (`out` = East) or one column (`out` =
+/// South): PEs `0..W-1` share one identical fixed route (accept the
+/// upstream link *or* Ramp, forward `out`) — a single equivalence class —
+/// and the last PE sinks the stream up its ramp. The whole path, injection
+/// hop included, is one fast-forwardable region.
 struct RegionChain {
     width: usize,
+    out: Direction,
+}
+
+impl RegionChain {
+    /// A PE's position along the chain.
+    fn along(&self, c: PeCoord) -> usize {
+        c.col + c.row
+    }
 }
 
 impl PeProgram for RegionChain {
     fn init(&mut self, ctx: &mut PeContext) {
-        let cfg = if ctx.coord.col == self.width - 1 {
+        let upstream = self.out.arrival_side();
+        let cfg = if self.along(ctx.coord) == self.width - 1 {
             ColorConfig::fixed(RouterPosition::new(
-                DirMask::single(Direction::West),
+                DirMask::single(upstream),
                 DirMask::single(Direction::Ramp),
             ))
         } else {
             ColorConfig::fixed(RouterPosition::new(
-                DirMask::of(&[Direction::West, Direction::Ramp]),
-                DirMask::single(Direction::East),
+                DirMask::of(&[upstream, Direction::Ramp]),
+                DirMask::single(self.out),
             ))
         };
         ctx.configure_color(CHAIN, cfg);
     }
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
-        if w.color == KICK && ctx.coord.col == 0 {
+        if w.color == KICK && self.along(ctx.coord) == 0 {
             ctx.send_f32(CHAIN, 42.0);
         } else if w.color == CHAIN {
             let seen = ctx.memory.read_u32(0);
@@ -69,15 +80,27 @@ struct RegionRun {
 }
 
 fn run_region(width: usize, execution: Execution, fast_forward: bool) -> RegionRun {
+    run_region_along(Direction::East, width, execution, fast_forward)
+}
+
+fn run_region_along(
+    out: Direction,
+    width: usize,
+    execution: Execution,
+    fast_forward: bool,
+) -> RegionRun {
     let config = FabricConfig {
         execution,
         fast_forward,
         hop_latency: L,
         ..FabricConfig::default()
     };
-    let mut f = Fabric::new(FabricDims::new(width, 1), config, |_| {
-        Box::new(RegionChain { width })
-    });
+    let (dims, at): (_, fn(usize) -> PeCoord) = match out {
+        Direction::East => (FabricDims::new(width, 1), |x| PeCoord::new(x, 0)),
+        Direction::South => (FabricDims::new(1, width), |y| PeCoord::new(0, y)),
+        other => panic!("no {other:?}-bound fixture"),
+    };
+    let mut f = Fabric::new(dims, config, |_| Box::new(RegionChain { width, out }));
     f.load();
     f.activate(PeCoord::new(0, 0), KICK, 0);
     let report = f.run().expect("region run failed");
@@ -85,12 +108,8 @@ fn run_region(width: usize, execution: Execution, fast_forward: bool) -> RegionR
         report,
         stats: f.stats(),
         final_time: f.time(),
-        hops: (0..width)
-            .map(|x| f.fabric_hops_at(PeCoord::new(x, 0)))
-            .collect(),
-        memories: (0..width)
-            .map(|x| f.memory(PeCoord::new(x, 0)).read_u32(0))
-            .collect(),
+        hops: (0..width).map(|i| f.fabric_hops_at(at(i))).collect(),
+        memories: (0..width).map(|i| f.memory(at(i)).read_u32(0)).collect(),
         ff_jumps: f.ff_jumps(),
         region_ff_jumps: f.region_ff_jumps(),
         eq_classes: f.eq_classes(),
@@ -106,8 +125,11 @@ fn run_region(width: usize, execution: Execution, fast_forward: bool) -> RegionR
 ///   identical with bulk accounting (a k-hop jump bills 1 + (k-1) pops);
 /// - sequentially the whole 11-hop region is ONE jump (`ff_jumps` = 1)
 ///   and it crosses >= 2 PEs (`region_ff_jumps` = 1);
-/// - two shards cut the region at the col-5/col-6 boundary into 6 + 5
-///   hop segments: two jumps, both regions;
+/// - the parallel engine cuts the fabric into row strips, so the same
+///   region laid along a *column* and run on two strips is cut at the
+///   row-5/row-6 edge into 6 + 5 hop segments — two jumps, both regions —
+///   while along a row (one strip: `shards` clamps to the row count) it
+///   stays one jump;
 /// - route interning sees exactly 2 classes: the homogeneous forwarders
 ///   and the sink.
 #[test]
@@ -115,16 +137,19 @@ fn region_jump_matches_closed_form() {
     const W: usize = 12;
     type Observables = (RunReport, FabricStats, u64, Vec<u64>, Vec<u32>);
     let mut reference: Option<Observables> = None;
-    for execution in [
-        Execution::Sequential,
-        Execution::Sharded {
-            shards: 2,
-            threads: 2,
-        },
+    let two_strips = Execution::Sharded {
+        shards: 2,
+        threads: 2,
+    };
+    for (out, execution) in [
+        (Direction::East, Execution::Sequential),
+        (Direction::East, two_strips),
+        (Direction::South, Execution::Sequential),
+        (Direction::South, two_strips),
     ] {
         for ff in [false, true] {
-            let label = format!("{execution:?} ff={ff}");
-            let r = run_region(W, execution, ff);
+            let label = format!("{out:?}-bound {execution:?} ff={ff}");
+            let r = run_region_along(out, W, execution, ff);
             assert_eq!(r.report.events, 14, "{label}: event count");
             assert_eq!(r.final_time, 11 * L, "{label}: sink arrival time");
             assert_eq!(r.stats.fabric_hops, 11, "{label}: total hops");
@@ -135,10 +160,10 @@ fn region_jump_matches_closed_form() {
             want_mem.push(1);
             assert_eq!(r.memories, want_mem, "{label}: exactly one delivery");
             assert_eq!(r.eq_classes, 2, "{label}: class count");
-            let (jumps, regions) = match (execution, ff) {
-                (_, false) => (0, 0),
-                (Execution::Sequential, true) => (1, 1),
-                (Execution::Sharded { .. }, true) => (2, 2),
+            let (jumps, regions) = match (out, execution, ff) {
+                (_, _, false) => (0, 0),
+                (Direction::South, Execution::Sharded { .. }, true) => (2, 2),
+                (_, _, true) => (1, 1),
             };
             assert_eq!(r.ff_jumps, jumps, "{label}: ff_jumps");
             assert_eq!(r.region_ff_jumps, regions, "{label}: region_ff_jumps");

@@ -119,9 +119,9 @@ fn sharded_meta_stream_records_one_quiescence_barrier() {
         .iter()
         .filter(|e| e.kind == TraceEventKind::Barrier)
         .count();
-    // The conservative-lookahead protocol has no superstep barriers: the
-    // only rendezvous left is the final global quiescence, logged exactly
-    // once per run.
+    // The strip engine meets at a barrier every simulated cycle, but logs
+    // none of them: one marker per run, at its end, is all the meta stream
+    // gets (a per-cycle record would flood the host ring).
     assert_eq!(barriers, 1, "one quiescence marker per sharded run");
     // Barriers live in the meta stream only — never in the per-PE streams,
     // which is what keeps those streams engine-independent.

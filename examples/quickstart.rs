@@ -100,8 +100,8 @@ fn main() {
         pattern.diagonals.len(),
     );
 
-    // 6. The same fabric program on the parallel sharded engine (BSP
-    //    supersteps over 4 rectangular shards): bit-identical results.
+    // 6. The same fabric program on the parallel sharded engine (4 row
+    //    strips, one rendezvous per simulated cycle): bit-identical results.
     let sharded_exec = match args.execution {
         Execution::Sharded { .. } => args.execution,
         Execution::Sequential => Execution::Sharded {

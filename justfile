@@ -24,9 +24,11 @@ smoke:
     cargo run --release --example quickstart
     cargo run -p bench --release --bin table4_instructions
 
-# the differential determinism harness (sequential vs sharded engine)
+# the differential determinism harness (sequential vs the cycle-synchronous
+# strip engine: strips x threads, pauses, restores, a panicking worker);
+# under `timeout` because a broken barrier protocol hangs instead of failing
 equivalence:
-    cargo test -q -p wse-sim --release --test parallel_equivalence --test dsd_properties
+    timeout 600 cargo test -q -p wse-sim --release --test parallel_equivalence --test dsd_properties
 
 # the stencil-compiler gate: the compiler's unit tests (the golden digest
 # of every PE's TPFA route program among them), spec-compiler property
