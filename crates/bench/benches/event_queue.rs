@@ -9,6 +9,11 @@
 //! `event_queue/train-burst/*` is the deep-column shape: every launch pop
 //! schedules a 1,000-slot one-cycle-apart train 2,000 cycles ahead, so
 //! nearly every event is pushed beyond level 0 of the wheel.
+//! `event_queue/dense-cycle/*` prices activation: 650, 1,700 and 21,000
+//! items in every cycle — the dense-cycle sizes of the 32×32×64, 64×64×6
+//! and 256×256×2 TPFA applies, whose activated buckets average 441, 1,755
+//! and 26,886 — on 1,024, 4,096 and 65,536 PE lanes, each pop scheduling
+//! its successor at a neighbouring PE one cycle later.
 //! `fast_forward/*` runs the real 64×64×6 TPFA apply with fast-forwarding
 //! on and off — the delta is what eliding per-hop events on the fixed
 //! diagonal routes buys end to end.
@@ -56,16 +61,33 @@ impl<T: Timestamped + Ord> EventQueue<T> for HeapQueue<T> {
     }
 }
 
+/// The fabric's event order, `(time, pe, seq, src)`, with the PE as lane.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     time: u64,
+    lane: u32,
     seq: u64,
     src: usize,
+}
+
+impl Key {
+    /// A key whose lane is its source.
+    fn new(time: u64, seq: u64, src: usize) -> Self {
+        Self {
+            time,
+            lane: src as u32,
+            seq,
+            src,
+        }
+    }
 }
 
 impl Timestamped for Key {
     fn time(&self) -> u64 {
         self.time
+    }
+    fn lane(&self) -> u32 {
+        self.lane
     }
 }
 
@@ -76,11 +98,7 @@ impl Timestamped for Key {
 fn churn<Q: EventQueue<Key>>(queue: &mut Q, n: u64) -> u64 {
     let mut seq = 0u64;
     for i in 0..4096 {
-        queue.push(Key {
-            time: 0,
-            seq,
-            src: i as usize,
-        });
+        queue.push(Key::new(0, seq, i));
         seq += 1;
     }
     let mut popped = 0u64;
@@ -95,11 +113,7 @@ fn churn<Q: EventQueue<Key>>(queue: &mut Q, n: u64) -> u64 {
                 15 => 5_000, // a few epochs out: level 1 of the wheel
                 _ => 1,      // the common hop-quantized case
             };
-            queue.push(Key {
-                time: k.time + dt,
-                seq,
-                src: (x % 4096) as usize,
-            });
+            queue.push(Key::new(k.time + dt, seq, (x % 4096) as usize));
             seq += 1;
         }
     }
@@ -115,11 +129,13 @@ const TRAIN_SLOTS: u64 = 1_000;
 fn train_burst<Q: EventQueue<Key>>(queue: &mut Q, launches: u64) -> u64 {
     const TRAIN_LEAD: u64 = 2_000;
     /// Marks a launch; train events carry their launch's index as `src`.
+    /// Both take the launch index as lane, as a PE's events take its index.
     const LAUNCH: usize = usize::MAX;
     let mut seq = 0u64;
     for i in 0..launches {
         queue.push(Key {
             time: i,
+            lane: i as u32,
             seq,
             src: LAUNCH,
         });
@@ -130,13 +146,53 @@ fn train_burst<Q: EventQueue<Key>>(queue: &mut Q, launches: u64) -> u64 {
         popped += 1;
         if k.src == LAUNCH {
             for slot in 0..TRAIN_SLOTS {
-                queue.push(Key {
-                    time: k.time + TRAIN_LEAD + slot,
-                    seq,
-                    src: k.time as usize,
-                });
+                queue.push(Key::new(k.time + TRAIN_LEAD + slot, seq, k.time as usize));
                 seq += 1;
             }
+        }
+    }
+    popped
+}
+
+/// Items pushed per dense cycle and the PEs (lanes) of the fabric shape
+/// they come from: 32×32×64, 64×64×6 and 256×256×2.
+const DENSE_SHAPES: [(u64, u32); 3] = [(650, 1_024), (1_700, 4_096), (21_000, 65_536)];
+
+/// Items popped per dense-cycle measurement, whatever the cycle size.
+const DENSE_ITEMS: u64 = 420_000;
+
+/// A lockstep schedule of `per_cycle` items in every cycle, spread over
+/// `pes` lanes: each pop — PE-major, so in lane order — schedules one
+/// successor a cycle later at the same PE or a neighbour (east, west, or a
+/// row down on a square fabric), so every bucket is filled by a few nearly
+/// ascending runs, as the fabric fills them. Returns the number popped.
+fn dense_cycles<Q: EventQueue<Key>>(queue: &mut Q, per_cycle: u64, pes: u32) -> u64 {
+    let cols = (pes as f64).sqrt() as u32;
+    let neighbours = [0, 1, pes - 1, cols];
+    let cycles = DENSE_ITEMS / per_cycle;
+    let mut seq = 0u64;
+    for i in 0..per_cycle {
+        let lane = (i * u64::from(pes) / per_cycle) as u32;
+        queue.push(Key {
+            time: 0,
+            lane,
+            seq,
+            src: lane as usize,
+        });
+        seq += 1;
+    }
+    let mut popped = 0u64;
+    while let Some(k) = queue.pop() {
+        popped += 1;
+        if k.time + 1 < cycles {
+            let lane = (k.lane + neighbours[(seq % 4) as usize]) % pes;
+            queue.push(Key {
+                time: k.time + 1,
+                lane,
+                seq,
+                src: k.lane as usize,
+            });
+            seq += 1;
         }
     }
     popped
@@ -169,6 +225,23 @@ fn bench_event_queue(c: &mut Criterion) {
             BenchmarkId::new("calendar", launches),
             &launches,
             |b, &n| b.iter(|| train_burst(&mut CalendarQueue::new(), n)),
+        );
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("event_queue/dense-cycle");
+    g.sample_size(10);
+    for (per_cycle, pes) in DENSE_SHAPES {
+        g.throughput(Throughput::Elements(DENSE_ITEMS / per_cycle * per_cycle));
+        g.bench_with_input(
+            BenchmarkId::new("binary-heap", per_cycle),
+            &per_cycle,
+            |b, &n| b.iter(|| dense_cycles(&mut HeapQueue::new(), n, pes)),
+        );
+        g.bench_with_input(
+            BenchmarkId::new("calendar", per_cycle),
+            &per_cycle,
+            |b, &n| b.iter(|| dense_cycles(&mut CalendarQueue::new(), n, pes)),
         );
     }
     g.finish();

@@ -181,17 +181,20 @@ impl Checkpoint {
             .map_err(|e| CheckpointError::Restore(e.to_string()))
     }
 
-    /// Serializes to the versioned binary format.
+    /// Serializes to the versioned binary format, into one buffer sized
+    /// from the snapshot: the payload is written behind the header, whose
+    /// length and checksum fields are patched in last.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        encode_driver(&mut payload, &self.driver);
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut out = Vec::with_capacity(HEADER_LEN + payload_size_hint(&self.driver));
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
         out.extend_from_slice(&self.spec_hash.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&murmur3_32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.resize(HEADER_LEN, 0);
+        encode_driver(&mut out, &self.driver);
+        let payload_len = (out.len() - HEADER_LEN) as u64;
+        let checksum = murmur3_32(&out[HEADER_LEN..]);
+        out[20..28].copy_from_slice(&payload_len.to_le_bytes());
+        out[28..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
         out
     }
 
@@ -310,6 +313,26 @@ fn put_fault_event(out: &mut Vec<u8>, e: &FaultEvent) {
     out.push(e.class.code());
     put_u32(out, e.detail);
     out.push(e.benign as u8);
+}
+
+/// About the payload's length: exact for the parts that grow with the
+/// problem (memory words, pending events, program state, router positions,
+/// parked wavelets), a per-PE allowance for the fixed-width fields and an
+/// empty fault record. Only sizes the buffer; a longer payload reallocates.
+fn payload_size_hint(d: &DriverSnapshot) -> usize {
+    /// Time, seq, src, pe, route tag and a 10-byte wavelet.
+    const EVENT: usize = 43;
+    /// Counters, per-PE scalars, length prefixes, trace sequence, faults.
+    const PE_FIXED: usize = 320;
+    let pe = |p: &PeRecord| {
+        PE_FIXED
+            + 4 * p.memory_words.len()
+            + p.program_state.len()
+            + 2 * p.router_positions.len()
+            + 11 * p.parked.len()
+    };
+    let s = &d.fabric;
+    256 + EVENT * s.events.len() + s.pes.iter().map(pe).sum::<usize>()
 }
 
 fn encode_driver(out: &mut Vec<u8>, d: &DriverSnapshot) {
@@ -850,8 +873,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn metered_codec_matches_plain_and_records_timings() {
+    /// A checkpoint of a freshly built 4×4×2 simulator.
+    fn tiny_checkpoint() -> Checkpoint {
         use fv_core::mesh::{CartesianMesh3, Extents, Spacing};
         let mesh = CartesianMesh3::new(Extents::new(4, 4, 2), Spacing::new(10.0, 10.0, 4.0));
         let fluid = fv_core::eos::Fluid::water_like();
@@ -866,7 +889,26 @@ mod tests {
             .transmissibilities(&trans)
             .build()
             .expect("tiny problem builds");
-        let ckpt = Checkpoint::capture(&sim);
+        Checkpoint::capture(&sim)
+    }
+
+    #[test]
+    fn encode_writes_one_buffer_sized_from_the_snapshot() {
+        let ckpt = tiny_checkpoint();
+        let bytes = ckpt.encode();
+        let hint = HEADER_LEN + payload_size_hint(&ckpt.driver);
+        assert!(
+            (bytes.len()..bytes.len() + bytes.len() / 10).contains(&hint),
+            "hint {hint} B for a {} B checkpoint",
+            bytes.len()
+        );
+        // The patched header describes the payload it precedes.
+        assert_eq!(Checkpoint::decode(&bytes).expect("roundtrip"), ckpt);
+    }
+
+    #[test]
+    fn metered_codec_matches_plain_and_records_timings() {
+        let ckpt = tiny_checkpoint();
         let hub = wse_metrics::MetricsHub::new_live();
         let timing = hub.histogram("serve_checkpoint_encode_ns", "test", &[]);
         let bytes = ckpt.encode_metered(&timing);

@@ -164,8 +164,10 @@ impl Default for FabricConfig {
     }
 }
 
-/// `src` value for events injected by the host (sorts after all PEs).
-const HOST_SRC: usize = usize::MAX;
+/// `src` value for events injected by the host (sorts after all PEs:
+/// [`Fabric::new`] keeps every linear PE index below it). Snapshots widen
+/// it to `usize::MAX`.
+const HOST_SRC: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
@@ -178,20 +180,24 @@ enum EventKind {
 /// The deterministic event key: see the module docs. `seq` is private to
 /// `src`, so keys are unique and causally local. Orders a PE's own events
 /// and picks the error to report; the *schedule* is [`Event`]'s `Ord`.
-type EventKey = (u64, u64, usize);
+type EventKey = (u64, u64, u32);
 
+/// A pending event: 40 bytes, which every push, activation and pop moves.
+/// PE indices are `u32` ([`Fabric::new`] refuses larger fabrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
     time: u64,
     /// Sequence number from the creating PE's (or the host's) own counter.
     seq: u64,
     /// Linear index of the creating PE, or [`HOST_SRC`].
-    src: usize,
+    src: u32,
     /// Destination PE (linear index).
-    pe: usize,
+    pe: u32,
     kind: EventKind,
     wavelet: Wavelet,
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 40);
 
 impl Event {
     fn key(&self) -> EventKey {
@@ -211,6 +217,9 @@ impl Timestamped for Event {
     fn time(&self) -> u64 {
         self.time
     }
+    fn lane(&self) -> u32 {
+        self.pe
+    }
 }
 impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -219,40 +228,6 @@ impl PartialOrd for Event {
 }
 // Events carry Wavelet (PartialEq only via derive); provide Eq manually.
 impl Eq for Wavelet {}
-
-/// Per-PE fault-injection state, distributed from a [`FaultPlan`] by
-/// [`Fabric::set_fault_plan`]. All fields are static during a run (except
-/// the one-shot pending lists and the log), and every decision is keyed on
-/// `(event time, this state)` — both engine-invariant — so fault behavior
-/// is bit-identical between the sequential and sharded engines.
-#[derive(Default)]
-struct PeFaultState {
-    /// Fast-path gate: true iff any fault is scheduled at this PE.
-    active: bool,
-    /// Verify wavelet checksums at ramp delivery (set fabric-wide whenever
-    /// a fault plan is installed: corruption may be injected at a *different*
-    /// PE than the receiver, so a local `active` check is insufficient).
-    verify_checksums: bool,
-    /// Downed outgoing links: `(dir, from, until)` — drops in `[from, until)`.
-    link_down: Vec<(Direction, u64, u64)>,
-    /// The PE swallows every delivery at time ≥ this.
-    halt_at: Option<u64>,
-    /// Slow-down windows: `(from, until, factor)`, sorted; first match wins.
-    slow: Vec<(u64, u64, u32)>,
-    /// One fault event has been logged for each slow window already applied.
-    slow_logged: Vec<bool>,
-    /// Pending payload corruptions `(at, xor)`, sorted by `at`; each fires
-    /// on the first wavelet routed here at time ≥ `at`, then is consumed.
-    corrupt: Vec<(u64, u32)>,
-    /// Pending spurious router flips `(at, color)`, sorted by `at`; each
-    /// fires at the first route event at time ≥ `at`, then is consumed.
-    flips: Vec<(u64, Color)>,
-    /// Every injection/detection at this PE, in processing order (times are
-    /// non-decreasing because each PE processes events in key order).
-    log: Vec<FaultEvent>,
-    /// A non-benign fault touched this PE (drives `Degrade` validity maps).
-    tainted: bool,
-}
 
 /// Per-PE state that does *not* fit the struct-of-arrays arena: the things
 /// with per-PE identity (memory, program, router dynamic state, fault
@@ -270,15 +245,24 @@ struct PeSlot {
     /// link in this situation; we park the wavelet and re-inject it when a
     /// control wavelet toggles the color's position. FIFO per color.
     parked: Vec<(Direction, Wavelet)>,
-    /// `process_route`'s work list, kept on the slot so the routing hot
-    /// path never allocates. Always drained back to empty. The flag marks
-    /// the primary (incoming) wavelet, whose hop may be key-preserving.
-    route_scratch: VecDeque<(Direction, Wavelet, bool)>,
-    /// Fault-injection state (inert unless a plan is installed).
-    faults: PeFaultState,
+    /// Fault-injection state: `None` unless [`Fabric::set_fault_plan`]
+    /// installed a non-empty plan, [`Fabric::restore`] a non-default
+    /// record, or the host reported a watchdog stall here. Its schedule is
+    /// static during a run except for the one-shot lists (sorted by time,
+    /// consumed as they fire) and the log, and every decision is keyed on
+    /// `(event time, this state)` — both engine-invariant — so fault
+    /// behavior is bit-identical between the engines.
+    faults: Option<Box<FaultRecord>>,
     /// This PE's trace sink (a no-op unless tracing is enabled).
     trace: PeTracer,
 }
+
+const _: () = assert!(std::mem::size_of::<PeSlot>() <= 288);
+
+/// `process_route`'s work list: kept on the [`Engine`] so the routing hot
+/// path never allocates, and always drained back to empty. The flag marks
+/// the primary (incoming) wavelet, whose hop may be key-preserving.
+type RouteScratch = VecDeque<(Direction, Wavelet, bool)>;
 
 /// The struct-of-arrays arena of per-PE scalar state: flat slices indexed
 /// by PE slot index — local to the [`Strip`] that holds the arena (one
@@ -332,8 +316,10 @@ impl PeScalars {
 
 /// Traces and logs one fault injection/detection at a PE, in the PE's own
 /// deterministic processing order.
+#[allow(clippy::too_many_arguments)]
 fn record_fault(
-    slot: &mut PeSlot,
+    trace: &mut PeTracer,
+    faults: &mut FaultRecord,
     coord: PeCoord,
     time: u64,
     class: FaultClass,
@@ -341,9 +327,8 @@ fn record_fault(
     detail: u32,
     benign: bool,
 ) {
-    slot.trace
-        .record_at(time, TraceEventKind::Fault, class.code(), link, detail);
-    slot.faults.log.push(FaultEvent {
+    trace.record_at(time, TraceEventKind::Fault, class.code(), link, detail);
+    faults.log.push(FaultEvent {
         time,
         pe: coord,
         class,
@@ -351,7 +336,7 @@ fn record_fault(
         benign,
     });
     if !benign {
-        slot.faults.tainted = true;
+        faults.tainted = true;
     }
 }
 
@@ -522,7 +507,7 @@ fn report_error(
 /// arena index — resolved once per run of consecutive events at one PE.
 #[derive(Clone, Copy)]
 struct Visit {
-    pe: usize,
+    pe: u32,
     coord: PeCoord,
     idx: usize,
 }
@@ -543,38 +528,28 @@ fn process_route(
     let Visit { pe, coord, idx } = eng.at;
     let (dims, hop_latency) = (eng.dims, eng.hop_latency);
     let (slot, sc, first_error) = (&mut eng.slots[idx], &mut *eng.scalars, &mut *eng.error);
-    // Work list (slot-resident, so the hot path never allocates): the
+    // Work list (engine-resident, so the hot path never allocates): the
     // incoming wavelet, then — in arrival order — any previously stalled
     // wavelets a toggle releases. Releases are processed *within this
     // event* so that no later-queued wavelet of the same color can
     // overtake them (link-order preservation). Only the incoming wavelet
     // is `primary`: released wavelets share this event's time, so
     // key-preserving their hops too would duplicate pending keys.
-    debug_assert!(slot.route_scratch.is_empty());
+    let work = &mut *eng.route_scratch;
+    debug_assert!(work.is_empty());
     let mut incoming = ev.wavelet;
-    if slot.faults.active {
+    if let Some(faults) = slot.faults.as_deref_mut().filter(|f| f.active) {
         // Spurious router-configuration flips scheduled at or before this
         // event's time fire first (consumed one-shot, in `at` order). An
         // effective flip releases parked wavelets of that color, exactly
         // like a legitimate control toggle would.
-        while slot
-            .faults
-            .flips
-            .first()
-            .is_some_and(|&(at, _)| at <= ev.time)
-        {
-            let (_, color) = slot.faults.flips.remove(0);
+        while faults.flips.first().is_some_and(|&(at, _)| at <= ev.time) {
+            let (_, color) = faults.flips.remove(0);
+            let trace = &mut slot.trace;
             match slot.router.force_toggle(color) {
                 Some(pos) => {
-                    record_fault(
-                        slot,
-                        coord,
-                        ev.time,
-                        FaultClass::RouterFlip,
-                        0,
-                        pos as u32,
-                        false,
-                    );
+                    let (class, detail) = (FaultClass::RouterFlip, pos as u32);
+                    record_fault(trace, faults, coord, ev.time, class, 0, detail, false);
                     let mut released = Vec::new();
                     slot.parked.retain(|(dir, w)| {
                         if w.color == color {
@@ -585,36 +560,27 @@ fn process_route(
                         }
                     });
                     for (dir, w) in released {
-                        slot.route_scratch.push_back((dir, w, false));
+                        work.push_back((dir, w, false));
                     }
                 }
                 // Unconfigured or fixed color: the flip has no observable
                 // effect — benign by construction.
-                None => record_fault(
-                    slot,
-                    coord,
-                    ev.time,
-                    FaultClass::RouterFlip,
-                    0,
-                    u32::MAX,
-                    true,
-                ),
+                None => {
+                    let (class, detail) = (FaultClass::RouterFlip, u32::MAX);
+                    record_fault(trace, faults, coord, ev.time, class, 0, detail, true);
+                }
             }
         }
         // In-flight payload corruption: the first wavelet routed here at
         // time ≥ `at` has its payload XORed with a stale checksum. The
         // injection itself is benign — detection (non-benign) happens at
         // the receiving ramp's checksum verification.
-        if slot
-            .faults
-            .corrupt
-            .first()
-            .is_some_and(|&(at, _)| at <= ev.time)
-        {
-            let (_, xor) = slot.faults.corrupt.remove(0);
+        if faults.corrupt.first().is_some_and(|&(at, _)| at <= ev.time) {
+            let (_, xor) = faults.corrupt.remove(0);
             incoming.corrupt_payload(xor);
             record_fault(
-                slot,
+                &mut slot.trace,
+                faults,
                 coord,
                 ev.time,
                 FaultClass::CorruptInjected,
@@ -624,8 +590,8 @@ fn process_route(
             );
         }
     }
-    slot.route_scratch.push_back((input, incoming, true));
-    while let Some((inp, wavelet, primary)) = slot.route_scratch.pop_front() {
+    work.push_back((input, incoming, true));
+    while let Some((inp, wavelet, primary)) = work.pop_front() {
         let outcome = match slot.router.route(wavelet.color, inp, wavelet.is_control()) {
             Ok(o) => o,
             // Flow control: the active switch position does not accept
@@ -683,7 +649,7 @@ fn process_route(
             });
             // keep their original relative order, ahead of nothing else
             for (dir, w) in released.into_iter().rev() {
-                slot.route_scratch.push_front((dir, w, false));
+                work.push_front((dir, w, false));
             }
         }
         for dir in outcome.outputs.iter() {
@@ -720,18 +686,20 @@ fn process_route(
                 // it — traced as both a fault and an edge drop, and counted
                 // in both `fault_drops` and `edge_drops`, so trace-derived
                 // stats stay exact.
-                let downed =
-                    slot.faults.active
-                        && slot.faults.link_down.iter().any(|&(d, from, until)| {
-                            d == dir && ev.time >= from && ev.time < until
-                        });
-                if downed {
+                let downed = slot.faults.as_deref_mut().filter(|f| {
+                    f.active
+                        && (f.link_down.iter())
+                            .any(|&(d, from, until)| d == dir && ev.time >= from && ev.time < until)
+                });
+                if let Some(faults) = downed {
+                    let link = link_code(dir, wavelet.is_control());
                     record_fault(
-                        slot,
+                        &mut slot.trace,
+                        faults,
                         coord,
                         ev.time,
                         FaultClass::LinkDown,
-                        link_code(dir, wavelet.is_control()),
+                        link,
                         wavelet.payload,
                         false,
                     );
@@ -739,7 +707,7 @@ fn process_route(
                         ev.time,
                         TraceEventKind::EdgeDrop,
                         wavelet.color.id(),
-                        link_code(dir, wavelet.is_control()),
+                        link,
                         wavelet.payload,
                     );
                     sc.edge_drops[idx] += 1;
@@ -769,7 +737,7 @@ fn process_route(
                             time: advance_time(ev.time, hop_latency),
                             seq,
                             src,
-                            pe: dims.linear(n),
+                            pe: dims.linear(n) as u32,
                             kind: EventKind::Route(dir.arrival_side()),
                             wavelet,
                         };
@@ -794,34 +762,39 @@ fn process_route(
 fn process_deliver(eng: &mut Engine, ev: &Event, emit: &mut impl FnMut(Event, PeCoord)) {
     let Visit { coord, idx, .. } = eng.at;
     let (slot, sc) = (&mut eng.slots[idx], &mut *eng.scalars);
-    // A halted PE swallows every delivery without running a task.
-    if slot.faults.active && slot.faults.halt_at.is_some_and(|h| ev.time >= h) {
-        record_fault(
-            slot,
-            coord,
-            ev.time,
-            FaultClass::PeHalt,
-            u16::from(ev.wavelet.is_control()),
-            ev.wavelet.payload,
-            false,
-        );
-        sc.fault_drops[idx] += 1;
-        return;
-    }
-    // Checksum verification at the ramp (on whenever a fault plan is
-    // installed): a corrupted payload never reaches a task handler.
-    if slot.faults.verify_checksums && !ev.wavelet.checksum_ok() {
-        record_fault(
-            slot,
-            coord,
-            ev.time,
-            FaultClass::CorruptDetected,
-            u16::from(ev.wavelet.is_control()),
-            ev.wavelet.payload,
-            false,
-        );
-        sc.checksum_drops[idx] += 1;
-        return;
+    if let Some(faults) = slot.faults.as_deref_mut() {
+        let (link, payload) = (u16::from(ev.wavelet.is_control()), ev.wavelet.payload);
+        // A halted PE swallows every delivery without running a task.
+        if faults.active && faults.halt_at.is_some_and(|h| ev.time >= h) {
+            record_fault(
+                &mut slot.trace,
+                faults,
+                coord,
+                ev.time,
+                FaultClass::PeHalt,
+                link,
+                payload,
+                false,
+            );
+            sc.fault_drops[idx] += 1;
+            return;
+        }
+        // Checksum verification at the ramp (on whenever a fault plan is
+        // installed): a corrupted payload never reaches a task handler.
+        if faults.verify_checksums && !ev.wavelet.checksum_ok() {
+            record_fault(
+                &mut slot.trace,
+                faults,
+                coord,
+                ev.time,
+                FaultClass::CorruptDetected,
+                link,
+                payload,
+                false,
+            );
+            sc.checksum_drops[idx] += 1;
+            return;
+        }
     }
     let start = sc.busy_until[idx].max(ev.time);
     sc.queue_wait_cycles[idx] += start - ev.time;
@@ -859,18 +832,24 @@ fn process_deliver(eng: &mut Engine, ev: &Event, emit: &mut impl FnMut(Event, Pe
     // A slow-down window multiplies the task's timing cost (busy horizon
     // only — the instruction counters stay truthful). Logged once per
     // window, at the first affected task.
-    if slot.faults.active {
-        if let Some(i) = slot
-            .faults
-            .slow
-            .iter()
-            .position(|&(from, until, _)| start >= from && start < until)
-        {
-            let factor = slot.faults.slow[i].2;
+    if let Some(faults) = slot.faults.as_deref_mut().filter(|f| f.active) {
+        let window =
+            (faults.slow.iter()).position(|&(from, until, _)| start >= from && start < until);
+        if let Some(i) = window {
+            let factor = faults.slow[i].2;
             cost = cost.saturating_mul(u64::from(factor));
-            if !slot.faults.slow_logged[i] {
-                slot.faults.slow_logged[i] = true;
-                record_fault(slot, coord, start, FaultClass::PeSlow, 0, factor, false);
+            if !faults.slow_logged[i] {
+                faults.slow_logged[i] = true;
+                record_fault(
+                    &mut slot.trace,
+                    faults,
+                    coord,
+                    start,
+                    FaultClass::PeSlow,
+                    0,
+                    factor,
+                    false,
+                );
             }
         }
     }
@@ -898,7 +877,7 @@ fn flush_pe_output(
     // Wavelets are sealed (checksum installed) at network injection only
     // while a fault plan has verification on — the fault-free path never
     // computes a checksum.
-    let verify = slot.faults.verify_checksums;
+    let verify = slot.faults.as_ref().is_some_and(|f| f.verify_checksums);
     let mut outbox = std::mem::take(&mut slot.outbox);
     // Successive wavelets leave the ramp one cycle apart.
     for (k, w) in outbox.iter_mut().enumerate() {
@@ -1050,7 +1029,7 @@ fn fast_forward(
     let (dims, first, held) = (eng.dims, eng.first, eng.slots.len());
     let color = ev.wavelet.color.index();
     let mut time = ev.time;
-    let mut pe = ev.pe;
+    let mut pe = ev.pe as usize;
     let mut coord = eng.at.coord;
     let mut input = input;
     let mut hops = 0u64;
@@ -1081,7 +1060,7 @@ fn fast_forward(
         time,
         seq: ev.seq,
         src: ev.src,
-        pe,
+        pe: pe as u32,
         kind: EventKind::Route(input),
         wavelet: ev.wavelet,
     };
@@ -1119,6 +1098,7 @@ struct Engine<'a> {
     ff: &'a mut FfCounters,
     /// The smallest-key routing error seen so far.
     error: &'a mut Option<(EventKey, FabricError)>,
+    route_scratch: &'a mut RouteScratch,
     /// PE-major order makes consecutive events share a PE; its coordinate
     /// and local index are resolved when the PE changes, not per event.
     at: Visit,
@@ -1127,7 +1107,7 @@ struct Engine<'a> {
 impl Engine<'_> {
     /// A visit no event matches, so the first event resolves its PE.
     const NOWHERE: Visit = Visit {
-        pe: usize::MAX,
+        pe: u32::MAX,
         coord: PeCoord { col: 0, row: 0 },
         idx: 0,
     };
@@ -1138,10 +1118,11 @@ impl Engine<'_> {
     /// the pop itself: a k-hop jump stands for k per-hop pops.
     fn step(&mut self, ev: &Event, emit: &mut impl FnMut(Event, PeCoord)) -> u64 {
         if ev.pe != self.at.pe {
+            let pe = ev.pe as usize;
             self.at = Visit {
                 pe: ev.pe,
-                coord: self.dims.coord(ev.pe),
-                idx: ev.pe - self.first,
+                coord: self.dims.coord(pe),
+                idx: pe - self.first,
             };
         }
         match ev.kind {
@@ -1449,6 +1430,7 @@ fn strip_worker(
     };
     // Events bound for the strip above (0) and below (1) the one draining.
     let mut out = [Vec::new(), Vec::new()];
+    let mut route_scratch = RouteScratch::new();
     let (mut total, mut handed_in) = (0u64, 0u64);
     let mut parity = 0;
     report.stop = loop {
@@ -1485,6 +1467,7 @@ fn strip_worker(
                 scalars,
                 ff,
                 error: &mut report.error,
+                route_scratch: &mut route_scratch,
                 at: Engine::NOWHERE,
             };
             // The budget must also trip *inside* a cycle: a zero-cost task
@@ -1496,11 +1479,12 @@ fn strip_worker(
                 // strip's wheel; anything else is one link away, in the
                 // neighbouring strip.
                 report.events += 1 + engine.step(&ev, &mut |e: Event, _| {
-                    if pes.contains(&e.pe) {
+                    let pe = e.pe as usize;
+                    if pes.contains(&pe) {
                         queue.push(e);
                     } else {
                         mailed = Some(mailed.map_or(e.time, |m| m.min(e.time)));
-                        out[usize::from(e.pe >= pes.end)].push(e);
+                        out[usize::from(pe >= pes.end)].push(e);
                     }
                 });
             }
@@ -1578,11 +1562,26 @@ pub struct Fabric {
 impl Fabric {
     /// Builds a fabric, constructing one program instance per PE via
     /// `factory` (called in row-major order).
+    ///
+    /// # Panics
+    ///
+    /// Panics — before building anything — if the fabric has `u32::MAX` PEs
+    /// or more: events carry PE indices as `u32`, with `u32::MAX` reserved
+    /// for the host.
     pub fn new(
         dims: FabricDims,
         config: FabricConfig,
         mut factory: impl FnMut(PeCoord) -> Box<dyn PeProgram>,
     ) -> Self {
+        let fits = dims
+            .cols
+            .checked_mul(dims.rows)
+            .is_some_and(|n| n < HOST_SRC as usize);
+        assert!(
+            fits,
+            "a {}x{} fabric does not fit u32 PE indices",
+            dims.cols, dims.rows
+        );
         let pes: Vec<PeSlot> = dims
             .iter()
             .enumerate()
@@ -1594,8 +1593,7 @@ impl Fabric {
                 outbox: Vec::new(),
                 activations: Vec::new(),
                 parked: Vec::new(),
-                route_scratch: VecDeque::new(),
-                faults: PeFaultState::default(),
+                faults: None,
                 trace: PeTracer::for_spec(config.trace, i as u32),
             })
             .collect();
@@ -1665,7 +1663,7 @@ impl Fabric {
                 ..
             } = &mut strips[owner];
             let at = Visit {
-                pe: i,
+                pe: i as u32,
                 coord: dims.coord(i),
                 idx: i - held.start,
             };
@@ -1706,14 +1704,18 @@ impl Fabric {
         self.host_seq += 1;
         let pe = self.dims.linear(coord);
         let mut wavelet = Wavelet::data(color, payload);
-        if self.pes[pe].faults.verify_checksums {
+        if self.pes[pe]
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.verify_checksums)
+        {
             wavelet.seal();
         }
         let ev = Event {
             time: self.time,
             seq: self.host_seq,
             src: HOST_SRC,
-            pe,
+            pe: pe as u32,
             kind: EventKind::Deliver,
             wavelet,
         };
@@ -1743,11 +1745,15 @@ impl Fabric {
             .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
         let verify = !plan.is_empty();
         self.faults_installed = verify;
+        // Verification is fabric-wide, so a non-empty plan gives every PE
+        // fault state; an empty one leaves every PE without.
         for slot in &mut self.pes {
-            slot.faults = PeFaultState {
-                verify_checksums: verify,
-                ..PeFaultState::default()
-            };
+            slot.faults = verify.then(|| {
+                Box::new(FaultRecord {
+                    verify_checksums: true,
+                    ..FaultRecord::default()
+                })
+            });
         }
         if verify {
             // Wavelets already queued (e.g. sent from `init` during
@@ -1762,7 +1768,8 @@ impl Fabric {
             }
         }
         for f in &plan.faults {
-            let st = &mut self.pes[self.dims.linear(f.pe)].faults;
+            let slot = &mut self.pes[self.dims.linear(f.pe)];
+            let st = slot.faults.as_deref_mut().expect("a non-empty plan");
             st.active = true;
             match f.kind {
                 FaultKind::LinkDown { dir, until } => st.link_down.push((dir, f.at, until)),
@@ -1774,11 +1781,11 @@ impl Fabric {
                 FaultKind::RouterFlip { color } => st.flips.push((f.at, color)),
             }
         }
-        for slot in &mut self.pes {
-            slot.faults.slow.sort_unstable();
-            slot.faults.slow_logged = vec![false; slot.faults.slow.len()];
-            slot.faults.corrupt.sort_unstable();
-            slot.faults.flips.sort_unstable();
+        for st in self.pes.iter_mut().filter_map(|s| s.faults.as_deref_mut()) {
+            st.slow.sort_unstable();
+            st.slow_logged = vec![false; st.slow.len()];
+            st.corrupt.sort_unstable();
+            st.flips.sort_unstable();
         }
     }
 
@@ -1787,8 +1794,8 @@ impl Fabric {
     /// between the sequential and sharded engines.
     pub fn fault_log(&self) -> Vec<FaultEvent> {
         let mut out = Vec::new();
-        for slot in &self.pes {
-            out.extend_from_slice(&slot.faults.log);
+        for faults in self.pes.iter().filter_map(|s| s.faults.as_deref()) {
+            out.extend_from_slice(&faults.log);
         }
         // Stable sort: ties keep linear-PE then log order.
         out.sort_by_key(|e| e.time);
@@ -1799,7 +1806,8 @@ impl Fabric {
     /// fired (injection or detection site). Drives `Degrade` validity maps
     /// in the host driver.
     pub fn tainted_pes(&self) -> Vec<bool> {
-        self.pes.iter().map(|s| s.faults.tainted).collect()
+        let tainted = |s: &PeSlot| s.faults.as_ref().is_some_and(|f| f.tainted);
+        self.pes.iter().map(tainted).collect()
     }
 
     /// Per-PE program progress counters in linear order (see
@@ -1815,12 +1823,12 @@ impl Fabric {
     /// the PE.
     pub fn report_watchdog_stall(&mut self, coord: PeCoord, observed: u64) {
         self.faults_installed = true;
-        let i = self.dims.linear(coord);
-        let time = self.time;
+        let slot = &mut self.pes[self.dims.linear(coord)];
         record_fault(
-            &mut self.pes[i],
+            &mut slot.trace,
+            slot.faults.get_or_insert_default(),
             coord,
-            time,
+            self.time,
             FaultClass::WatchdogStall,
             0,
             observed as u32,
@@ -1843,8 +1851,12 @@ impl Fabric {
             .map(|e| EventRecord {
                 time: e.time,
                 seq: e.seq,
-                src: e.src,
-                pe: e.pe,
+                src: if e.src == HOST_SRC {
+                    usize::MAX
+                } else {
+                    e.src as usize
+                },
+                pe: e.pe as usize,
                 route_input: match e.kind {
                     EventKind::Route(d) => Some(d),
                     EventKind::Deliver => None,
@@ -1860,9 +1872,7 @@ impl Fabric {
             .map(|(pe, slot)| {
                 let (sc, i) = self.row(pe);
                 debug_assert!(
-                    slot.outbox.is_empty()
-                        && slot.activations.is_empty()
-                        && slot.route_scratch.is_empty(),
+                    slot.outbox.is_empty() && slot.activations.is_empty(),
                     "PE scratch buffers are always drained between events"
                 );
                 PeRecord {
@@ -1882,18 +1892,7 @@ impl Fabric {
                     queue_wait_cycles: sc.queue_wait_cycles[i],
                     fault_drops: sc.fault_drops[i],
                     checksum_drops: sc.checksum_drops[i],
-                    faults: FaultRecord {
-                        active: slot.faults.active,
-                        verify_checksums: slot.faults.verify_checksums,
-                        link_down: slot.faults.link_down.clone(),
-                        halt_at: slot.faults.halt_at,
-                        slow: slot.faults.slow.clone(),
-                        slow_logged: slot.faults.slow_logged.clone(),
-                        corrupt: slot.faults.corrupt.clone(),
-                        flips: slot.faults.flips.clone(),
-                        log: slot.faults.log.clone(),
-                        tainted: slot.faults.tainted,
-                    },
+                    faults: slot.faults.as_deref().cloned().unwrap_or_default(),
                     trace_seq: TraceSeqRecord::from_tuple(slot.trace.seq_state()),
                 }
             })
@@ -1938,7 +1937,7 @@ impl Fabric {
                     detail: format!("target PE {} out of range ({num_pes} PEs)", er.pe),
                 });
             }
-            if er.src != HOST_SRC && er.src >= num_pes {
+            if er.src != usize::MAX && er.src >= num_pes {
                 return Err(RestoreError::Event {
                     index: i,
                     detail: format!("source PE {} out of range ({num_pes} PEs)", er.src),
@@ -1970,24 +1969,13 @@ impl Fabric {
             slot.parked = rec.parked.clone();
             slot.outbox.clear();
             slot.activations.clear();
-            slot.route_scratch.clear();
             scalars.edge_drops[i] = rec.edge_drops;
             scalars.flow_stalls[i] = rec.flow_stalls;
             scalars.queue_wait_cycles[i] = rec.queue_wait_cycles;
             scalars.fault_drops[i] = rec.fault_drops;
             scalars.checksum_drops[i] = rec.checksum_drops;
-            slot.faults = PeFaultState {
-                active: rec.faults.active,
-                verify_checksums: rec.faults.verify_checksums,
-                link_down: rec.faults.link_down.clone(),
-                halt_at: rec.faults.halt_at,
-                slow: rec.faults.slow.clone(),
-                slow_logged: rec.faults.slow_logged.clone(),
-                corrupt: rec.faults.corrupt.clone(),
-                flips: rec.faults.flips.clone(),
-                log: rec.faults.log.clone(),
-                tainted: rec.faults.tainted,
-            };
+            let fault_free = rec.faults == FaultRecord::default();
+            slot.faults = (!fault_free).then(|| Box::new(rec.faults.clone()));
             let t = rec.trace_seq;
             slot.trace
                 .restore_seq_state(t.next_seq, t.dropped, t.base_time, t.base_cycles);
@@ -1995,16 +1983,40 @@ impl Fabric {
         for strip in &mut self.strips {
             let _ = strip.queue.drain_unordered();
         }
-        for er in &snap.events {
+        // Indices were checked above: below the PE count, so below `u32::MAX`.
+        let event = |er: &EventRecord| Event {
+            time: er.time,
+            seq: er.seq,
+            src: if er.src == usize::MAX {
+                HOST_SRC
+            } else {
+                er.src as u32
+            },
+            pe: er.pe as u32,
+            kind: er.route_input.map_or(EventKind::Deliver, EventKind::Route),
+            wavelet: er.wavelet,
+        };
+        // Records may come in any order, and one earlier than its wheel's
+        // cursor would refile everything filed before it. So each strip's
+        // earliest record goes in first, anchoring its emptied wheel, and
+        // the rest are filed in one pass.
+        let mut earliest: Vec<Option<usize>> = vec![None; self.strips.len()];
+        for (i, er) in snap.events.iter().enumerate() {
+            let first = &mut earliest[owner_of(&self.strips, er.pe)];
+            if first.is_none_or(|j| er.time < snap.events[j].time) {
+                *first = Some(i);
+            }
+        }
+        for (strip, first) in self.strips.iter_mut().zip(&earliest) {
+            if let Some(i) = *first {
+                strip.queue.push(event(&snap.events[i]));
+            }
+        }
+        for (i, er) in snap.events.iter().enumerate() {
             let owner = owner_of(&self.strips, er.pe);
-            self.strips[owner].queue.push(Event {
-                time: er.time,
-                seq: er.seq,
-                src: er.src,
-                pe: er.pe,
-                kind: er.route_input.map_or(EventKind::Deliver, EventKind::Route),
-                wavelet: er.wavelet,
-            });
+            if earliest[owner] != Some(i) {
+                self.strips[owner].queue.push(event(er));
+            }
         }
         self.time = snap.time;
         self.host_seq = snap.host_seq;
@@ -2100,6 +2112,7 @@ impl Fabric {
             unreachable!("the sequential engine runs over one strip");
         };
         let time = &mut self.time;
+        let mut route_scratch = RouteScratch::new();
         // One engine over the whole fabric: local index = linear index, and
         // every emission goes back into the one queue.
         let mut engine = Engine {
@@ -2111,6 +2124,7 @@ impl Fabric {
             scalars,
             ff,
             error: &mut first_error,
+            route_scratch: &mut route_scratch,
             at: Engine::NOWHERE,
         };
         loop {
@@ -2252,7 +2266,7 @@ impl Fabric {
             return None;
         }
         let first = |(i, slot): (usize, &PeSlot)| {
-            let evt = slot.faults.log.iter().find(|e| !e.benign)?;
+            let evt = slot.faults.as_ref()?.log.iter().find(|e| !e.benign)?;
             Some((evt.time, i, *evt))
         };
         let (_, _, evt) = (self.pes.iter().enumerate())
@@ -2270,7 +2284,8 @@ impl Fabric {
         if !self.faults_installed {
             return 0;
         }
-        self.pes.iter().map(|s| s.faults.log.len() as u64).sum()
+        let logged = |s: &PeSlot| s.faults.as_ref().map_or(0, |f| f.log.len() as u64);
+        self.pes.iter().map(logged).sum()
     }
 
     fn total_edge_drops(&self) -> u64 {
@@ -2847,6 +2862,22 @@ mod tests {
         let c = f.counters(PeCoord::new(0, 0));
         assert_eq!(c.fmul, 64);
         assert_eq!(c.compute_cycles, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit u32 PE indices")]
+    fn new_refuses_u32_max_pes_before_building_any() {
+        // 65,537 × 65,535 = u32::MAX PEs, one more than event indices allow.
+        // The refusal comes first: the factory's own panic never happens.
+        let dims = FabricDims::new(65_537, 65_535);
+        let _ = Fabric::new(dims, FabricConfig::default(), |_| unreachable!());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit u32 PE indices")]
+    fn new_refuses_a_pe_count_that_overflows() {
+        let dims = FabricDims::new(usize::MAX, 2);
+        let _ = Fabric::new(dims, FabricConfig::default(), |_| unreachable!());
     }
 
     // -- sharded engine ----------------------------------------------------

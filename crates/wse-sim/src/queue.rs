@@ -10,7 +10,9 @@
 //!
 //! * **Level 0** — 1024 one-cycle buckets covering the rest of the cursor's
 //!   *epoch* (an aligned 1024-cycle block). A push is an unsorted append;
-//!   a bucket is sorted exactly once, when the cursor reaches its cycle.
+//!   a bucket is ordered exactly once, when the cursor reaches its cycle,
+//!   by a block scatter on the items' *lanes* (see [`Timestamped::lane`])
+//!   rather than a comparison sort.
 //! * **Level 1** — 1024 unsorted epoch buckets covering the next 1024
 //!   epochs, so everything less than 2²⁰ cycles ahead is an O(1) push. An
 //!   epoch's bucket is dealt into level 0 when the cursor enters it; an
@@ -29,15 +31,32 @@
 //! drawn from one free list and returned when the bucket empties, so the
 //! memory the queue holds follows the number of *pending* events rather
 //! than 1024 × the largest population any single cycle ever had.
+//!
+//! **Activation.** A dense cycle holds hundreds to tens of thousands of
+//! items (an activated bucket holds 441 on average on 32×32×64 TPFA, 1,755
+//! on 64×64×6 and 26,886 on 256×256×2), and ordering them is most of what
+//! the queue costs. Among items of one time, `Ord` compares the lane first —
+//! the destination PE, for the fabric — so the bucket is split into about
+//! n/4 contiguous *lane blocks* over the lowest to highest lane the queue
+//! has held: one walk of the bucket's chunks counts each block, a second
+//! writes every item straight from its chunk to its final slot in the
+//! drain, and each block of a few items is then insertion-sorted by the
+//! full `Ord`. No comparison sort over the bucket, no gather copy, no
+//! scratch allocation per activation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Items a queue can order by simulated time. The full `Ord` on the item
-/// must sort by time first; the rest of it breaks same-time ties.
+/// must sort by time first, then — among items of equal time — by
+/// [`lane`](Timestamped::lane); the rest of it breaks the remaining ties.
 pub trait Timestamped {
     /// The item's simulated time in cycles.
     fn time(&self) -> u64;
+    /// The item's lane: the component of its `Ord` after the time (the
+    /// fabric's destination PE), by which activation cuts a cycle into
+    /// blocks.
+    fn lane(&self) -> u32;
 }
 
 /// A min-queue over [`Timestamped`] items, popped in full `Ord` order.
@@ -76,6 +95,14 @@ const BITMAP_WORDS: usize = WHEEL_BUCKETS / 64;
 const CHUNK_ITEMS: usize = 64;
 /// "No chunk": an empty bucket, or the end of a chunk chain.
 const NIL: u32 = u32::MAX;
+/// Items per lane block the activation scatter aims for.
+const ITEMS_PER_BLOCK: usize = 4;
+/// Most lane blocks one activation uses, which bounds the histogram.
+const MAX_BLOCKS: usize = 1 << 16;
+/// Longest block sorted by insertion. A fuller block — every item on one
+/// lane, or lanes far narrower than the range the queue has seen — goes to
+/// the library sort, so no lane distribution makes activation quadratic.
+const INSERTION_MAX: usize = 32;
 
 /// One fixed-capacity run of a bucket's items, linked to the bucket's
 /// earlier (full) chunks — or, when free, to the next free chunk.
@@ -124,14 +151,15 @@ impl Occupancy {
 ///
 /// Lockstep workloads concentrate thousands of events into a handful of
 /// cycles, so per-bucket ordering is the real cost. Buckets are therefore
-/// *unsorted* — a push is a plain append — and a cycle's bucket is sorted
+/// *unsorted* — a push is a plain append — and a cycle's bucket is ordered
 /// exactly once, when the cursor reaches it and it becomes the *drain*: a
-/// descending `Vec` popped from the tail. Items pushed for the cycle
-/// currently being drained (routing emits same-cycle ramp deliveries) go to
-/// a small `side` min-heap, and each pop takes the smaller of the drain
-/// tail and the side head, which is exactly the global minimum. The
-/// fabric's pending events are pairwise distinct under `Ord` (see its key
-/// discussion), so the sorted order is unique.
+/// descending run popped from the tail, laid out by the lane-block scatter
+/// of the module docs. Items pushed for the cycle currently being drained
+/// (routing emits same-cycle ramp deliveries) go to a small `side`
+/// min-heap, and each pop takes the smaller of the drain tail and the side
+/// head, which is exactly the global minimum. The fabric's pending events
+/// are pairwise distinct under `Ord` (see its key discussion), so the
+/// sorted order is unique.
 ///
 /// Invariants, with `epoch = cursor >> EPOCH_SHIFT`:
 /// * drain and side items have time = `cursor`;
@@ -160,19 +188,29 @@ pub struct CalendarQueue<T: Ord> {
     overflow: BinaryHeap<Reverse<T>>,
     /// All pending items: both levels, drain, side and overflow.
     len: usize,
-    /// The active cycle's items, sorted descending (pop = `Vec::pop`).
+    /// `drain[..drain_len]` is the active cycle's unpopped items, sorted
+    /// descending (a pop takes the last). Slots past it hold stale copies:
+    /// they are the room the next activation scatters into.
     drain: Vec<T>,
+    drain_len: usize,
     /// Items pushed *for* the active cycle *during* its drain.
     side: BinaryHeap<Reverse<T>>,
+    /// The lowest and highest lane ever pushed (`lane_lo > lane_hi` while
+    /// none has been): the range activation cuts into blocks. A strip's
+    /// wheel only sees its own PEs, so its blocks start at its first PE.
+    lane_lo: u32,
+    lane_hi: u32,
+    /// Activation's per-block histogram, then per-block write cursors.
+    blocks: Vec<u32>,
 }
 
-impl<T: Timestamped + Ord> Default for CalendarQueue<T> {
+impl<T: Timestamped + Ord + Copy> Default for CalendarQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Timestamped + Ord> CalendarQueue<T> {
+impl<T: Timestamped + Ord + Copy> CalendarQueue<T> {
     /// An empty queue with its cursor at time 0. Allocates only the two
     /// bucket-head tables; chunks are allocated as items arrive.
     pub fn new() -> Self {
@@ -187,7 +225,11 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
             overflow: BinaryHeap::new(),
             len: 0,
             drain: Vec::new(),
+            drain_len: 0,
             side: BinaryHeap::new(),
+            lane_lo: u32::MAX,
+            lane_hi: 0,
+            blocks: Vec::new(),
         }
     }
 
@@ -198,7 +240,7 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
 
     #[inline]
     fn active_len(&self) -> usize {
-        self.drain.len() + self.side.len()
+        self.drain_len + self.side.len()
     }
 
     /// Items inside the wheel's horizon: both levels plus the active drain.
@@ -214,15 +256,18 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
     }
 
     /// Bytes of item storage the queue currently holds on to, pending or
-    /// not: every chunk, the drain buffer and both heaps. Bounded by a
-    /// constant × the peak number of pending items (plus the partly filled
-    /// chunk of each occupied bucket). Telemetry only.
+    /// not: every chunk, the drain buffer, both heaps and the activation
+    /// histogram. Bounded by a constant × the peak number of pending items
+    /// (plus the partly filled chunk of each occupied bucket). Telemetry
+    /// only.
     pub fn reserved_bytes(&self) -> usize {
         let items = self.chunks.len() * CHUNK_ITEMS
             + self.drain.capacity()
             + self.side.capacity()
             + self.overflow.capacity();
-        items * std::mem::size_of::<T>() + self.chunks.capacity() * std::mem::size_of::<Chunk<T>>()
+        items * std::mem::size_of::<T>()
+            + self.chunks.capacity() * std::mem::size_of::<Chunk<T>>()
+            + self.blocks.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Appends `item` to bucket `bucket` of the `heads` table.
@@ -336,13 +381,84 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
         }
         let slot = (t & WHEEL_MASK) as usize;
         self.occupied0.clear(slot);
-        // The chain runs newest chunk first; reversing each chunk as well
-        // makes the drain the exact reverse of push order. A PE-major engine
-        // pushes a cycle's events as a few nearly ascending runs (one per
-        // earlier cycle that fed it), which the run-adaptive stable sort
-        // merges in about half the time the unstable one needs to re-sort.
-        self.bucket_take(slot, |q, items| q.drain.extend(items.drain(..).rev()));
-        self.drain.sort_by(|a, b| b.cmp(a));
+        self.scatter(slot);
+    }
+
+    /// Lays level-0 bucket `slot` out as the drain, descending, and empties
+    /// it. The lane range is cut into about n / [`ITEMS_PER_BLOCK`] blocks
+    /// of `2^shift` lanes; blocks hold disjoint lane intervals, and lanes
+    /// order a cycle's items before anything else does, so blocks laid out
+    /// highest first and each sorted on its own make the whole drain sorted.
+    fn scatter(&mut self, slot: usize) {
+        let Self {
+            chunks,
+            free,
+            heads,
+            drain,
+            drain_len,
+            blocks,
+            lane_lo,
+            lane_hi,
+            ..
+        } = self;
+        let head = std::mem::replace(&mut heads[slot], NIL);
+        debug_assert!(head != NIL, "activated an empty bucket");
+        // The chain runs newest chunk first.
+        let chain = || {
+            std::iter::successors(Some(head), |&c| {
+                Some(chunks[c as usize].next).filter(|&n| n != NIL)
+            })
+            .map(|c| &chunks[c as usize].items)
+        };
+        let n: usize = chain().map(Vec::len).sum();
+        // Block cursors are `u32`: 2^32 items would be tens of gigabytes.
+        assert!(u32::try_from(n).is_ok(), "{n} items in one cycle");
+        let lo = *lane_lo;
+        let span = u64::from(*lane_hi - lo);
+        let target = (n / ITEMS_PER_BLOCK).clamp(1, MAX_BLOCKS) as u64;
+        let shift = (0..64).find(|&s| span >> s < target).expect("span < 2^64");
+        let block = |item: &T| (u64::from(item.lane() - lo) >> shift) as usize;
+        // Histogram, then each block's first slot: the highest block first.
+        blocks.clear();
+        blocks.resize((span >> shift) as usize + 1, 0);
+        for item in chain().flatten() {
+            blocks[block(item)] += 1;
+        }
+        let mut at = 0u32;
+        for b in blocks.iter_mut().rev() {
+            (*b, at) = (at, at + *b);
+        }
+        if drain.len() < n {
+            let fill = chain().flatten().next().copied().expect("n > 0");
+            drain.resize(n, fill);
+        }
+        // Straight from the chunks to the final slots. Each chunk reversed
+        // as well makes a block's items arrive in reverse push order, and a
+        // PE-major engine pushes a PE's events nearly ascending, so the
+        // insertion sorts below find their blocks nearly sorted.
+        for items in chain() {
+            for item in items.iter().rev() {
+                let cursor = &mut blocks[block(item)];
+                drain[*cursor as usize] = *item;
+                *cursor += 1;
+            }
+        }
+        // Each cursor now ends its block, which the next-higher block's
+        // cursor starts.
+        let mut start = 0;
+        for &end in blocks.iter().rev() {
+            sort_descending(&mut drain[start..end as usize]);
+            start = end as usize;
+        }
+        *drain_len = n;
+        let mut c = head;
+        while c != NIL {
+            let chunk = &mut chunks[c as usize];
+            chunk.items.clear();
+            let next = std::mem::replace(&mut chunk.next, *free);
+            *free = c;
+            c = next;
+        }
     }
 
     /// Moves every overflow item the wheel now reaches into it.
@@ -376,15 +492,36 @@ impl<T: Timestamped + Ord> CalendarQueue<T> {
         self.chunks
             .iter()
             .flat_map(|c| c.items.iter())
-            .chain(self.drain.iter())
+            .chain(self.drain[..self.drain_len].iter())
             .chain(self.side.iter().map(|Reverse(e)| e))
             .chain(self.overflow.iter().map(|Reverse(e)| e))
     }
 }
 
-impl<T: Timestamped + Ord> EventQueue<T> for CalendarQueue<T> {
+/// Sorts one lane block descending: by insertion while it is as short as
+/// blocks are meant to be, by the library's run-adaptive sort otherwise.
+fn sort_descending<T: Ord + Copy>(block: &mut [T]) {
+    if block.len() > INSERTION_MAX {
+        block.sort_by(|a, b| b.cmp(a));
+        return;
+    }
+    for i in 1..block.len() {
+        let item = block[i];
+        let mut j = i;
+        while j > 0 && block[j - 1] < item {
+            block[j] = block[j - 1];
+            j -= 1;
+        }
+        block[j] = item;
+    }
+}
+
+impl<T: Timestamped + Ord + Copy> EventQueue<T> for CalendarQueue<T> {
     fn push(&mut self, item: T) {
         let t = item.time();
+        let lane = item.lane();
+        self.lane_lo = self.lane_lo.min(lane);
+        self.lane_hi = self.lane_hi.max(lane);
         if t == self.cursor && self.active_len() > 0 {
             // A push for the cycle currently being drained.
             self.side.push(Reverse(item));
@@ -408,14 +545,19 @@ impl<T: Timestamped + Ord> EventQueue<T> for CalendarQueue<T> {
 
     fn pop(&mut self) -> Option<T> {
         // The active cycle is at the cursor — nothing pending is earlier.
-        let item = match (self.drain.last(), self.side.peek()) {
+        let top = self.drain_len.checked_sub(1).map(|i| &self.drain[i]);
+        let item = match (top, self.side.peek()) {
             (Some(d), Some(Reverse(s))) if d > s => self.side.pop().map(|Reverse(e)| e),
-            (Some(_), _) => self.drain.pop(),
+            (Some(&d), _) => {
+                self.drain_len -= 1;
+                Some(d)
+            }
             (None, Some(_)) => self.side.pop().map(|Reverse(e)| e),
             (None, None) => {
                 let t = self.next_inactive_time()?;
                 self.activate(t);
-                self.drain.pop()
+                self.drain_len -= 1;
+                Some(self.drain[self.drain_len])
             }
         };
         debug_assert!(item.is_some());
@@ -443,7 +585,8 @@ impl<T: Timestamped + Ord> EventQueue<T> for CalendarQueue<T> {
             chunk.next = std::mem::replace(&mut next, i as u32);
         }
         self.free = next;
-        out.append(&mut self.drain);
+        out.extend_from_slice(&self.drain[..self.drain_len]);
+        self.drain_len = 0;
         out.extend(self.side.drain().map(|Reverse(e)| e));
         out.extend(self.overflow.drain().map(|Reverse(e)| e));
         self.heads.fill(NIL);
@@ -469,12 +612,16 @@ pub fn advance_time(t: u64, dt: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// `(time, lane)`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    struct Item(u64, u64);
+    struct Item(u64, u32);
 
     impl Timestamped for Item {
         fn time(&self) -> u64 {
             self.0
+        }
+        fn lane(&self) -> u32 {
+            self.1
         }
     }
 
@@ -549,8 +696,8 @@ mod tests {
             }
             if t % EPOCH == 0 {
                 // a same-cycle push right after entering an epoch
-                q.push(Item(t, u64::MAX));
-                assert_eq!(q.pop(), Some(Item(t, u64::MAX)));
+                q.push(Item(t, u32::MAX));
+                assert_eq!(q.pop(), Some(Item(t, u32::MAX)));
             }
         }
         assert_eq!(expect, start + 3 * EPOCH);

@@ -42,28 +42,39 @@ pub struct EventRecord {
 
 /// A PE's fault-injection state: both the schedule slice assigned to this
 /// PE and the progress already made through it (logged events, consumed
-/// one-shot faults, taint).
+/// one-shot faults, taint). The fabric keeps one per PE that has any — the
+/// same type, so a snapshot is a clone and a fault-free PE snapshots as
+/// the default record.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultRecord {
-    /// Whether any fault targets this PE.
+    /// Whether any fault targets this PE: the fast-path gate.
     pub active: bool,
-    /// Whether wavelets are sealed/verified at this PE's ramp.
+    /// Whether wavelets are sealed/verified at this PE's ramp — set on
+    /// every PE whenever a plan is installed, since corruption may be
+    /// injected at a different PE than the receiver.
     pub verify_checksums: bool,
-    /// Pending link-down windows as `(link, from, until)`.
+    /// Downed outgoing links as `(link, from, until)`: drops in
+    /// `[from, until)`.
     pub link_down: Vec<(Direction, u64, u64)>,
-    /// Halt time, if scheduled.
+    /// The PE swallows every delivery at time ≥ this, if scheduled.
     pub halt_at: Option<u64>,
-    /// Slow-down windows as `(from, until, factor)`.
+    /// Slow-down windows as `(from, until, factor)`, sorted; the first
+    /// match wins.
     pub slow: Vec<(u64, u64, u32)>,
     /// Which slow windows have already logged their onset.
     pub slow_logged: Vec<bool>,
-    /// Pending payload corruptions as `(time, xor mask)`.
+    /// Pending payload corruptions as `(time, xor mask)`, sorted; each
+    /// fires on the first wavelet routed here at or after its time, then
+    /// is consumed.
     pub corrupt: Vec<(u64, u32)>,
-    /// Pending router flips as `(time, color)`.
+    /// Pending router flips as `(time, color)`, sorted; each fires at the
+    /// first route event at or after its time, then is consumed.
     pub flips: Vec<(u64, crate::wavelet::Color)>,
-    /// The fault log accumulated so far.
+    /// Every injection/detection at this PE so far, in processing order
+    /// (times are non-decreasing: each PE processes events in key order).
     pub log: Vec<FaultEvent>,
-    /// Whether a detected-but-tolerated fault tainted this PE's data.
+    /// Whether a non-benign fault touched this PE's data (drives `Degrade`
+    /// validity maps).
     pub tainted: bool,
 }
 

@@ -1,10 +1,11 @@
 //! Property tests of the event-queue contract: under randomized schedules
 //! the [`CalendarQueue`] must pop items in the *exact* order a
 //! `BinaryHeap<Reverse<T>>` (the [`HeapQueue`] oracle below) produces —
-//! including same-cycle ties broken by `(seq, src)`, items far enough in
-//! the future to sit in level 1 or the overflow heap and move inward as
-//! the cursor advances, and pushes interleaved with pops (the fabric
-//! pushes new events for the cycle it is currently draining).
+//! including same-cycle ties broken by `(lane, seq, src)`, items far enough
+//! in the future to sit in level 1 or the overflow heap and move inward as
+//! the cursor advances, pushes interleaved with pops (the fabric pushes new
+//! events for the cycle it is currently draining), and every lane
+//! distribution the activation scatter has to cut into blocks.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -48,17 +49,34 @@ impl<T: Timestamped + Ord> EventQueue<T> for HeapQueue<T> {
     }
 }
 
-/// A stand-in for the fabric's `Event` key `(time, seq, src)`.
+/// A stand-in for the fabric's `Event` order `(time, pe, seq, src)`: the
+/// lane is the second component of `Ord`, as the queue's contract asks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     time: u64,
+    lane: u32,
     seq: u64,
     src: usize,
+}
+
+impl Key {
+    /// A key whose lane is its source — few lanes, many ties on each.
+    fn new(time: u64, seq: u64, src: usize) -> Self {
+        Self {
+            time,
+            lane: src as u32,
+            seq,
+            src,
+        }
+    }
 }
 
 impl Timestamped for Key {
     fn time(&self) -> u64 {
         self.time
+    }
+    fn lane(&self) -> u32 {
+        self.lane
     }
 }
 
@@ -81,17 +99,13 @@ fn assert_same_drain(cal: &mut CalendarQueue<Key>, heap: &mut HeapQueue<Key>) {
 fn unique_keys(raw: Vec<(u64, usize)>) -> Vec<Key> {
     raw.into_iter()
         .enumerate()
-        .map(|(seq, (time, src))| Key {
-            time,
-            seq: seq as u64,
-            src,
-        })
+        .map(|(seq, (time, src))| Key::new(time, seq as u64, src))
         .collect()
 }
 
 proptest! {
     /// Bulk push then bulk pop: same-cycle ties (times drawn from a tiny
-    /// range) must come out in `(time, seq, src)` order.
+    /// range) must come out in `(time, lane, seq, src)` order.
     #[test]
     fn dense_tied_schedules_pop_identically(raw in proptest::collection::vec((0u64..16, 0usize..4), 0..512)) {
         let mut cal = CalendarQueue::new();
@@ -129,7 +143,7 @@ proptest! {
         let mut heap = HeapQueue::new();
         let mut seq = 0u64;
         for (time, src) in seed {
-            let k = Key { time, seq, src };
+            let k = Key::new(time, seq, src);
             seq += 1;
             cal.push(k);
             heap.push(k);
@@ -145,7 +159,7 @@ proptest! {
                     1 => advance_time(popped.time, 1),    // next cycle
                     _ => advance_time(popped.time, dt),   // far future
                 };
-                let k = Key { time, seq, src };
+                let k = Key::new(time, seq, src);
                 seq += 1;
                 cal.push(k);
                 heap.push(k);
@@ -180,7 +194,7 @@ proptest! {
             }
             prop_assert!(heap.next_time() != Some(cycle));
             if let Some((dt, src)) = mail.next() {
-                let k = Key { time: advance_time(cycle, dt), seq, src };
+                let k = Key::new(advance_time(cycle, dt), seq, src);
                 seq += 1;
                 cal.push(k);
                 heap.push(k);
@@ -209,7 +223,7 @@ proptest! {
         };
         let mut key = |time: u64, src: usize| {
             seq += 1;
-            Key { time, seq, src }
+            Key::new(time, seq, src)
         };
         for (op, dt_kind, jitter, src) in steps {
             let dt = match dt_kind {
@@ -284,6 +298,150 @@ proptest! {
     }
 }
 
+/// How a cycle's lanes are distributed: what the activation scatter cuts
+/// into blocks.
+#[derive(Debug, Clone, Copy)]
+enum Lanes {
+    /// Every item on one lane: one block, past the insertion-sort length.
+    Equal,
+    /// One item per lane, densely numbered.
+    Distinct,
+    /// Few items over a wide range above a large non-zero minimum — a
+    /// strip's wheel, whose PEs start at the strip's offset.
+    Sparse,
+    /// Anywhere up to `u32::MAX − 1`, the largest PE index there is.
+    Full,
+}
+
+/// Lane of the `i`-th item of a cycle, `r` a pseudo-random word.
+fn lane(shape: Lanes, i: u64, r: u64) -> u32 {
+    match shape {
+        Lanes::Equal => 4_242,
+        Lanes::Distinct => i as u32,
+        Lanes::Sparse => 3_000_000 + (r % 200_000) as u32,
+        Lanes::Full => (r % u64::from(u32::MAX)) as u32,
+    }
+}
+
+/// SplitMix64: a cheap deterministic word per `(seed, i)`.
+fn mix(seed: u64, i: u64) -> u64 {
+    let mut z = seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+const SHAPES: [Lanes; 4] = [Lanes::Equal, Lanes::Distinct, Lanes::Sparse, Lanes::Full];
+
+fn lanes() -> impl Strategy<Value = Lanes> {
+    (0..SHAPES.len()).prop_map(|k| SHAPES[k])
+}
+
+/// Items in a cycle: fewer than 128 or more, half the time each.
+fn cycle_size() -> impl Strategy<Value = u64> {
+    (0u8..2, 1u64..128, 128u64..2_000)
+        .prop_map(|(big, few, many)| if big == 1 { many } else { few })
+}
+
+proptest! {
+    /// Dense cycles, shaped like the fabric's: each cycle's items pushed in
+    /// runs that ascend by lane (one run per earlier cycle that fed it),
+    /// cycles of fewer than 128 items and of more, every lane shape — and,
+    /// while a cycle drains, same-cycle pushes (the side heap), pushes for
+    /// later cycles with other lanes, and now and then a push before the
+    /// cursor (a rebase).
+    #[test]
+    fn lane_blocks_pop_like_the_heap(
+        cycles in proptest::collection::vec(
+            (lanes(), cycle_size(), 1u64..4, 0u64..3),
+            1..5,
+        ),
+        spawns in proptest::collection::vec((0u8..8, 0u64..3_000), 0..200),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
+        let mut seq = 0u64;
+        let mut time = 0u64;
+        let mut push = |cal: &mut CalendarQueue<Key>, heap: &mut HeapQueue<Key>, time, lane| {
+            seq += 1;
+            let k = Key { time, lane, seq, src: (seq % 5) as usize };
+            cal.push(k);
+            heap.push(k);
+        };
+        for &(shape, n, runs, gap) in &cycles {
+            time += 1 + gap * 700;
+            for run in 0..runs {
+                let mut run_lanes: Vec<u32> = (0..n / runs + 1)
+                    .map(|i| lane(shape, run * n + i, mix(seed, time ^ (run << 32) ^ i)))
+                    .collect();
+                run_lanes.sort_unstable();
+                for l in run_lanes {
+                    push(&mut cal, &mut heap, time, l);
+                }
+            }
+        }
+        let shapes: Vec<Lanes> = cycles.iter().map(|c| c.0).collect();
+        let mut spawns = spawns.into_iter();
+        let mut i = 0u64;
+        loop {
+            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(a, b);
+            let Some(popped) = a else { break };
+            i += 1;
+            if let Some((op, r)) = spawns.next() {
+                let shape = shapes[(r % shapes.len() as u64) as usize];
+                let l = lane(shape, i, mix(seed, r));
+                match op {
+                    0..=2 => push(&mut cal, &mut heap, popped.time, l),
+                    3..=5 => push(&mut cal, &mut heap, popped.time + 1 + r % 1_500, l),
+                    6 => push(&mut cal, &mut heap, popped.time.saturating_sub(1 + r % 900), l),
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(cal.len(), heap.len());
+        }
+        prop_assert!(cal.is_empty());
+    }
+}
+
+/// One large cycle of each lane shape, bulk-pushed in descending order (the
+/// worst case for the blocks' insertion sorts), then one more cycle after a
+/// rebase, with the queue's lane range already as wide as the shapes make it.
+#[test]
+fn every_lane_shape_in_one_large_cycle() {
+    let mut cal = CalendarQueue::new();
+    let mut heap = HeapQueue::new();
+    let mut seq = 0;
+    for (c, shape) in SHAPES.into_iter().enumerate() {
+        let time = 10 + c as u64;
+        for i in (0..3_000u64).rev() {
+            seq += 1;
+            let k = Key {
+                time,
+                lane: lane(shape, i, mix(7, i)),
+                seq,
+                src: 0,
+            };
+            cal.push(k);
+            heap.push(k);
+        }
+        assert_eq!(cal.pop(), heap.pop());
+        // A push before the cursor with thousands pending: a rebase.
+        seq += 1;
+        let early = Key {
+            time: 1,
+            lane: u32::MAX - 1,
+            seq,
+            src: 0,
+        };
+        cal.push(early);
+        heap.push(early);
+        assert_eq!(cal.pop(), heap.pop());
+    }
+    assert_same_drain(&mut cal, &mut heap);
+}
+
 /// Event times right at the edge of the representable range: these items
 /// wait in the overflow heap until the cursor jumps to within the wheel's
 /// reach of them, and must still pop in exact key order.
@@ -301,11 +459,7 @@ fn near_u64_max_times_pop_in_order() {
         u64::MAX,
     ];
     for (seq, &time) in times.iter().enumerate() {
-        let k = Key {
-            time,
-            seq: seq as u64,
-            src: 0,
-        };
+        let k = Key::new(time, seq as u64, 0);
         cal.push(k);
         heap.push(k);
     }
@@ -326,11 +480,7 @@ fn out_of_contract_reseed_rebases() {
         .into_iter()
         .enumerate()
     {
-        let k = Key {
-            time,
-            seq: seq as u64,
-            src: 1,
-        };
+        let k = Key::new(time, seq as u64, 1);
         cal.push(k);
         heap.push(k);
     }
@@ -339,11 +489,7 @@ fn out_of_contract_reseed_rebases() {
     for _ in 0..3 {
         assert_eq!(cal.pop(), heap.pop());
     }
-    let k = Key {
-        time: 1,
-        seq: 100,
-        src: 2,
-    };
+    let k = Key::new(1, 100, 2);
     cal.push(k);
     heap.push(k);
     assert_same_drain(&mut cal, &mut heap);
@@ -365,7 +511,7 @@ fn reserved_memory_tracks_pending_items() {
     let mut seq = 0u64;
     let mut key = |time: u64, src: usize| {
         seq += 1;
-        Key { time, seq, src }
+        Key::new(time, seq, src)
     };
     for src in 0..PER_CYCLE {
         cal.push(key(0, src));

@@ -43,7 +43,8 @@ bench-engines:
     cargo bench -p bench --bench weak_scaling -- 'engine/64x64'
 
 # event-queue microbench (BinaryHeap vs the timing-wheel queue: hop-quantized
-# churn at 1k/100k/1M, and the deep-column train-burst shape) and the
+# churn at 1k/100k/1M, the deep-column train-burst shape, and dense-cycle
+# activation at 650/1,700/21,000 items per cycle on PE-shaped lanes) and the
 # fast-forwarding on/off toggle on the real 64x64 TPFA apply
 bench-queue:
     cargo bench -p bench --bench event_queue
@@ -97,7 +98,7 @@ faults:
 # PE footprint (737,794 PEs) with a blocking wall budget and peak-RSS
 # ceiling — the bin reads VmHWM from /proc/self/status, the same figure
 # `/usr/bin/time -v` reports as maximum resident set size
-paper-mesh budget_s="300" max_rss_mb="4096":
+paper-mesh budget_s="300" max_rss_mb="3136":
     cargo run -p bench --release --bin paper_mesh -- --budget-s {{budget_s}} --max-rss-mb {{max_rss_mb}}
 
 # write a schema-versioned BENCH_<rev>.json perf report for this checkout
