@@ -41,7 +41,7 @@
 //!   timing/routing faults (`PeSlow`, effective `RouterFlip`) have an
 //!   unbounded blast radius and invalidate everything.
 
-use crate::program::FluidParams;
+use crate::kernel::FluidParams;
 use crate::workload::{TpfaWorkload, Workload};
 use fv_core::eos::Fluid;
 use fv_core::mesh::{CartesianMesh3, ALL_NEIGHBORS};

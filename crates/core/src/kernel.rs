@@ -26,11 +26,32 @@
 //!
 //! Step 6 is the predicated multiply [`wse_sim::dsd::fmuls_gate`] modeling
 //! SIMD lane masking; it is counted as an ordinary FMUL.
+//!
+//! [`TpfaKernel`] is Algorithm 1 per PE on the generic
+//! [`wse_stencil::StencilPeProgram`]:
+//!
+//! 1. **Launch** (`on_start`): evaluate the density column from pressure
+//!    (Eq. 5), compute the two Z faces immediately (they live in local
+//!    memory — no fabric traffic, paper §7.3), and hand the exchange the
+//!    pressure and density columns to send.
+//! 2. **Receive** (`on_stream_complete`): when a face's stream completes
+//!    (`2·Nz` wavelets: pressure then density), that face's flux is
+//!    computed *immediately* — "Upon receiving the data, the corresponding
+//!    flux computation will occur immediately in an asynchronous fashion"
+//!    (§5.2.1) — overlapping with other streams still in flight.
+//!
+//! The exchange itself (Fig. 6 hand-over included) is the program's.
 
+use crate::layout::ColumnLayout;
+use fv_core::eos::Fluid;
+use fv_core::mesh::Neighbor;
+use std::sync::Arc;
 use wse_sim::dsd::{Dsd, Operand};
 use wse_sim::memory::PeMemory;
+use wse_sim::pe::PeContext;
 use wse_sim::stats::OpCounters;
 use wse_sim::trace::{PeTracer, TraceRegion};
+use wse_stencil::{ColumnExchange, KernelLayout, StencilKernel};
 
 /// The three reused temporary columns (§5.3.1), all of kernel length.
 #[derive(Debug, Clone, Copy)]
@@ -147,10 +168,160 @@ pub fn compute_face_flux(
     trace.region_end(ctr.cycles(), TraceRegion::ResidualAccumulate);
 }
 
+/// Fluid constants in the `f32` working precision of the fabric.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FluidParams {
+    /// Reference density `ρ_ref`.
+    pub rho_ref: f32,
+    /// Compressibility `c_f`.
+    pub c_f: f32,
+    /// Reference pressure `p_ref`.
+    pub p_ref: f32,
+    /// Reciprocal viscosity `1/μ`.
+    pub inv_mu: f32,
+    /// Gravity head toward the upper Z neighbor: `g (z_K − z_L) = −g·dz`.
+    pub g_dz_up: f32,
+    /// Gravity head toward the lower Z neighbor: `+g·dz`.
+    pub g_dz_down: f32,
+}
+
+impl FluidParams {
+    /// Converts an `fv-core` fluid plus the vertical spacing.
+    pub fn from_fluid(fluid: &Fluid, dz: f64) -> Self {
+        Self {
+            rho_ref: fluid.rho_ref as f32,
+            c_f: fluid.compressibility as f32,
+            p_ref: fluid.p_ref as f32,
+            // f32 reciprocal, matching the serial reference bit-for-bit
+            inv_mu: 1.0_f32 / (fluid.viscosity as f32),
+            g_dz_up: (-fluid.gravity * dz) as f32,
+            g_dz_down: (fluid.gravity * dz) as f32,
+        }
+    }
+}
+
+/// The TPFA flux arithmetic of one PE, plugged into the generic
+/// [`wse_stencil::StencilPeProgram`]. Stateless between events: the
+/// residual accumulates in PE memory.
+pub struct TpfaKernel {
+    layout: Arc<ColumnLayout>,
+    fluid: FluidParams,
+    /// `false` = communication-only mode (the paper's Table 3 experiment:
+    /// "we modified our dataflow implementation to remove all flux
+    /// computations and focus solely on data communications").
+    compute_enabled: bool,
+}
+
+impl TpfaKernel {
+    /// Creates the kernel over a layout shared by every PE.
+    pub fn new(layout: Arc<ColumnLayout>, fluid: FluidParams, compute_enabled: bool) -> Self {
+        Self {
+            layout,
+            fluid,
+            compute_enabled,
+        }
+    }
+
+    /// Computes one face's flux into the residual column.
+    fn compute_face(&self, ctx: &mut PeContext, face: Neighbor) {
+        if !self.compute_enabled {
+            return;
+        }
+        let l = &*self.layout;
+        let nz = l.nz;
+        let (p_l, rho_l, g_dz) = match face {
+            Neighbor::Up => (
+                l.p_interior().shifted(1),
+                l.rho_interior().shifted(1),
+                self.fluid.g_dz_up,
+            ),
+            Neighbor::Down => (
+                l.p_interior().shifted(-1),
+                l.rho_interior().shifted(-1),
+                self.fluid.g_dz_down,
+            ),
+            nb => {
+                let i = nb.face_index();
+                (
+                    Dsd::contiguous(l.recv_p[i].offset, nz),
+                    Dsd::contiguous(l.recv_rho[i].offset, nz),
+                    0.0,
+                )
+            }
+        };
+        let inputs = FaceInputs {
+            p_k: l.p_interior(),
+            rho_k: l.rho_interior(),
+            p_l,
+            rho_l,
+            trans: Dsd::contiguous(l.trans[face.face_index()].offset, nz),
+            g_dz,
+            inv_mu: self.fluid.inv_mu,
+        };
+        let r = Dsd::contiguous(l.residual.offset, nz);
+        let buf = FaceBuffers {
+            t0: Dsd::contiguous(l.temps[0].offset, nz),
+            t1: Dsd::contiguous(l.temps[1].offset, nz),
+            t2: Dsd::contiguous(l.temps[2].offset, nz),
+        };
+        compute_face_flux(ctx.memory, ctx.counters, ctx.tracer, r, inputs, buf);
+    }
+}
+
+impl StencilKernel for TpfaKernel {
+    fn init(&mut self, ctx: &mut PeContext, _streams: usize) -> KernelLayout {
+        // Allocate in the canonical order so host and PE agree on offsets.
+        let l = &*self.layout;
+        let r = ctx.alloc(l.total_words());
+        assert_eq!(r.offset, 0, "TPFA kernel must own the PE from word 0");
+        KernelLayout {
+            recv: vec![l.recv_p.to_vec(), l.recv_rho.to_vec()],
+        }
+    }
+
+    fn on_start(&mut self, ctx: &mut PeContext) -> Vec<Dsd> {
+        // Densities from pressures (Eq. 5), ghosts included so the shifted
+        // Z views read finite values. The EOS pass is attributed to the
+        // flux-compute region (it feeds the kernel directly).
+        let l = &*self.layout;
+        ctx.region_begin(TraceRegion::FluxCompute);
+        ctx.eos_density(
+            Dsd::contiguous(l.rho_own.offset, l.nz + 2),
+            Dsd::contiguous(l.p_own.offset, l.nz + 2),
+            self.fluid.rho_ref,
+            self.fluid.c_f,
+            self.fluid.p_ref,
+        );
+        ctx.region_end(TraceRegion::FluxCompute);
+        // Z faces: local memory only — compute now, overlapping the
+        // exchange the program starts next.
+        self.compute_face(ctx, Neighbor::Up);
+        self.compute_face(ctx, Neighbor::Down);
+        vec![l.p_interior(), l.rho_interior()]
+    }
+
+    fn on_stream_complete(&mut self, ctx: &mut PeContext, stream: usize, _: &ColumnExchange) {
+        // TPFA stream indices are exactly the in-plane face indices.
+        self.compute_face(ctx, Neighbor::from_face_index(stream));
+    }
+
+    fn on_step_complete(&mut self, _ctx: &mut PeContext) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fv_core::flux::face_flux;
+
+    #[test]
+    fn fluid_params_conversion() {
+        let f = Fluid::water_like();
+        let p = FluidParams::from_fluid(&f, 2.0);
+        assert_eq!(p.rho_ref, 1000.0);
+        assert_eq!(p.inv_mu, 1.0_f32 / (f.viscosity as f32));
+        assert_eq!(p.g_dz_up, -(9.81_f32 * 2.0));
+        assert_eq!(p.g_dz_down, 9.81_f32 * 2.0);
+    }
 
     /// Builds a PE memory with `n`-element columns for a kernel test.
     struct Rig {

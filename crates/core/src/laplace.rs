@@ -18,13 +18,13 @@
 //! collect `L u`.
 
 use crate::driver::DataflowFluxSimulator;
-use crate::workload::Workload;
+use crate::workload::{collect_columns, inject_columns, Workload};
 use std::sync::Arc;
 use wse_sim::dsd::{Dsd, Operand};
 use wse_sim::fabric::Fabric;
-use wse_sim::geometry::PeCoord;
 use wse_sim::memory::MemRange;
 use wse_sim::pe::{PeContext, PeProgram};
+use wse_sim::trace::TraceRegion;
 use wse_stencil::{
     ColumnExchange, CommPattern, CompileError, CompiledStencil, KernelLayout, StencilKernel,
     StencilPeProgram,
@@ -100,30 +100,21 @@ impl LaplaceLayout {
 /// The Laplacian arithmetic, plugged into the compiler's generic
 /// [`StencilPeProgram`].
 pub struct LaplaceKernel {
-    nz: usize,
     params: LaplaceParams,
-    layout: Option<LaplaceLayout>,
+    layout: Arc<LaplaceLayout>,
 }
 
 impl LaplaceKernel {
-    /// Creates the kernel for columns of `nz` cells.
-    pub fn new(nz: usize, params: LaplaceParams) -> Self {
-        Self {
-            nz,
-            params,
-            layout: None,
-        }
-    }
-
-    fn layout(&self) -> &LaplaceLayout {
-        self.layout.as_ref().expect("init not run")
+    /// Creates the kernel over a layout shared by every PE.
+    pub fn new(layout: Arc<LaplaceLayout>, params: LaplaceParams) -> Self {
+        Self { params, layout }
     }
 
     /// `out += w · (u_L − u_K)` for one face (2 vector ops).
-    fn accumulate(&mut self, ctx: &mut PeContext, weight: f32, u_l: Dsd) {
-        let l = self.layout();
-        let t = Dsd::contiguous(l.temp.offset, self.nz);
-        let out = Dsd::contiguous(l.out.offset, self.nz);
+    fn accumulate(&self, ctx: &mut PeContext, weight: f32, u_l: Dsd) {
+        let l = &*self.layout;
+        let t = Dsd::contiguous(l.temp.offset, l.nz);
+        let out = Dsd::contiguous(l.out.offset, l.nz);
         ctx.fsubs(t, Operand::Mem(u_l), Operand::Mem(l.u_interior()));
         ctx.fmacs(out, Operand::Mem(t), Operand::Scalar(weight));
     }
@@ -132,20 +123,21 @@ impl LaplaceKernel {
 impl StencilKernel for LaplaceKernel {
     fn init(&mut self, ctx: &mut PeContext, streams: usize) -> KernelLayout {
         assert_eq!(streams, 4, "laplace7 has four in-plane offsets");
-        let l = LaplaceLayout::new(self.nz);
-        let r = ctx.alloc(l.total_words());
+        let r = ctx.alloc(self.layout.total_words());
         assert_eq!(r.offset, 0);
-        let recv = l.recv.to_vec();
-        self.layout = Some(l);
-        KernelLayout { recv: vec![recv] }
+        KernelLayout {
+            recv: vec![self.layout.recv.to_vec()],
+        }
     }
 
     fn on_start(&mut self, ctx: &mut PeContext) -> Vec<Dsd> {
-        let l = self.layout().clone();
+        let u = self.layout.u_interior();
         let wz = self.params.wz;
-        self.accumulate(ctx, wz, l.u_interior().shifted(1));
-        self.accumulate(ctx, wz, l.u_interior().shifted(-1));
-        vec![l.u_interior()]
+        ctx.region_begin(TraceRegion::FluxCompute);
+        self.accumulate(ctx, wz, u.shifted(1));
+        self.accumulate(ctx, wz, u.shifted(-1));
+        ctx.region_end(TraceRegion::FluxCompute);
+        vec![u]
     }
 
     fn on_stream_complete(
@@ -160,7 +152,9 @@ impl StencilKernel for LaplaceKernel {
             _ => self.params.wy,
         };
         let u_l = exchange.recv_view(0, stream);
+        ctx.region_begin(TraceRegion::FluxCompute);
         self.accumulate(ctx, w, u_l);
+        ctx.region_end(TraceRegion::FluxCompute);
     }
 
     fn on_step_complete(&mut self, _ctx: &mut PeContext) {}
@@ -175,6 +169,7 @@ pub struct LaplaceWorkload {
     params: LaplaceParams,
     compiled: CompiledStencil,
     pattern: Arc<CommPattern>,
+    layout: Arc<LaplaceLayout>,
 }
 
 impl LaplaceWorkload {
@@ -195,6 +190,7 @@ impl LaplaceWorkload {
             params,
             compiled,
             pattern,
+            layout: Arc::new(LaplaceLayout::new(nz)),
         })
     }
 }
@@ -228,45 +224,17 @@ impl Workload for LaplaceWorkload {
         Box::new(StencilPeProgram::new(
             self.nz,
             self.pattern.clone(),
-            Box::new(LaplaceKernel::new(self.nz, self.params)),
+            Box::new(LaplaceKernel::new(self.layout.clone(), self.params)),
         ))
     }
 
     fn inject(&self, fabric: &mut Fabric, input: &[f32]) {
-        assert_eq!(input.len(), self.nx * self.ny * self.nz);
-        let layout = LaplaceLayout::new(self.nz);
-        let nz = self.nz;
-        let mut col = vec![0.0_f32; nz + 2];
-        let zeros = vec![0.0_f32; nz];
-        for y in 0..self.ny {
-            for x in 0..self.nx {
-                for z in 0..nz {
-                    col[z + 1] = input[(z * self.ny + y) * self.nx + x];
-                }
-                col[0] = col[1];
-                col[nz + 1] = col[nz];
-                let mem = fabric.memory_mut(PeCoord::new(x, y));
-                mem.host_write_f32(layout.u, &col);
-                mem.host_write_f32(layout.out, &zeros);
-            }
-        }
+        let l = &self.layout;
+        inject_columns(fabric, (self.nx, self.ny, self.nz), input, l.u, &[l.out]);
     }
 
     fn collect(&self, fabric: &Fabric) -> Vec<f32> {
-        let layout = LaplaceLayout::new(self.nz);
-        let mut out = vec![0.0_f32; self.nx * self.ny * self.nz];
-        let mut col = vec![0.0_f32; layout.out.len];
-        for y in 0..self.ny {
-            for x in 0..self.nx {
-                fabric
-                    .memory(PeCoord::new(x, y))
-                    .host_read_f32_into(layout.out, &mut col);
-                for (z, &v) in col.iter().enumerate() {
-                    out[(z * self.ny + y) * self.nx + x] = v;
-                }
-            }
-        }
-        out
+        collect_columns(fabric, (self.nx, self.ny, self.nz), self.layout.out)
     }
 
     fn hash_content(&self, eat: &mut dyn FnMut(&[u8])) {

@@ -78,36 +78,35 @@ impl MemoryPlan {
     /// Largest `nz` whose plan fits `capacity_words` (with reuse). Returns
     /// 0 if not even one layer fits.
     pub fn max_nz(capacity_words: usize) -> usize {
-        // total = (nz+2)·2 + nz·(1 + 10 + 16 + 3) = 34·nz? — recompute
-        // directly instead of hand-deriving:
-        let mut lo = 0usize;
-        let mut hi = capacity_words; // generous upper bound
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            if mid >= 1 && Self::for_nz(mid).fits(capacity_words) {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        lo
+        max_nz_fitting(capacity_words, |nz| Self::for_nz(nz).total_words())
     }
 
     /// Largest `nz` that fits *without* the §5.3.1 buffer-reuse
     /// optimization (the ablation baseline).
     pub fn max_nz_without_reuse(capacity_words: usize) -> usize {
-        let mut lo = 0usize;
-        let mut hi = capacity_words;
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            if mid >= 1 && Self::for_nz(mid).total_words_without_reuse() <= capacity_words {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        lo
+        max_nz_fitting(capacity_words, |nz| {
+            Self::for_nz(nz).total_words_without_reuse()
+        })
     }
+}
+
+/// Largest `nz ≥ 1` whose footprint `words_per_pe(nz)` fits
+/// `capacity_words`, or 0 if not even one layer fits. The footprint must
+/// grow with `nz`.
+pub(crate) fn max_nz_fitting(
+    capacity_words: usize,
+    words_per_pe: impl Fn(usize) -> usize,
+) -> usize {
+    let (mut lo, mut hi) = (0, capacity_words);
+    while lo < hi {
+        let mid = (lo + hi).div_ceil(2);
+        if words_per_pe(mid) <= capacity_words {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    lo
 }
 
 /// The concrete word-level layout of a PE's column data, shared between the

@@ -20,7 +20,7 @@
 //!   (`fabric → ramp`). First-senders transmit their column then a control
 //!   wavelet that flips its own router and the downstream router, handing
 //!   the channel over — two steps and every PE has sent and received,
-//!   exactly Fig. 6 ([`wse_stencil::CardinalLane`], [`program`]).
+//!   exactly Fig. 6 ([`wse_stencil::CardinalLane`], [`wse_stencil::ColumnExchange`]).
 //! * **Diagonal** exchange routes corner data through an intermediary
 //!   router that turns the stream 90° (Fig. 5b/5c). All four corner streams
 //!   run concurrently under a rotating schedule; conflicts are avoided with
@@ -40,6 +40,11 @@
 //! element. Receives are FMOVs (1 fabric load + 1 store): 8 in-plane
 //! neighbors × 2 quantities = 16 per cell.
 //!
+//! [`kernel::TpfaKernel`] runs it per PE as a [`wse_stencil::StencilKernel`]
+//! on the same generic [`wse_stencil::StencilPeProgram`] as the Laplacian
+//! and wave workloads: Z faces at launch, each in-plane face the moment its
+//! stream lands.
+//!
 //! ## Host driver
 //!
 //! [`driver::DataflowFluxSimulator`] owns the fabric, loads a `fv-core`
@@ -57,7 +62,6 @@ pub mod driver;
 pub mod kernel;
 pub mod laplace;
 pub mod layout;
-pub mod program;
 pub mod wave;
 pub mod workload;
 
@@ -65,9 +69,8 @@ pub use driver::{
     BuildError, DataflowFluxSimulator, DriverSnapshot, Recovered, RecoveryPolicy, SimulatorBuilder,
     StepReport, StepTotals,
 };
-pub use kernel::{compute_face_flux, FaceBuffers, FaceInputs};
+pub use kernel::{compute_face_flux, FaceBuffers, FaceInputs, FluidParams, TpfaKernel};
 pub use laplace::{LaplaceParams, LaplaceWorkload};
 pub use layout::MemoryPlan;
-pub use program::{FluidParams, TpfaPeProgram};
 pub use wave::{WaveParams, WaveSimulator, WaveWorkload};
 pub use workload::{TpfaWorkload, Workload};

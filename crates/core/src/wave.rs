@@ -24,14 +24,14 @@
 //! injection, tracing and metrics included, for free.
 
 use crate::driver::DataflowFluxSimulator;
-use crate::workload::Workload;
+use crate::workload::{collect_columns, inject_columns, Workload};
 use fv_core::mesh::{Neighbor, ALL_NEIGHBORS, NEIGHBOR_COUNT};
 use std::sync::Arc;
 use wse_sim::dsd::{Dsd, Operand};
 use wse_sim::fabric::{Fabric, FabricError};
-use wse_sim::geometry::PeCoord;
 use wse_sim::memory::MemRange;
 use wse_sim::pe::{PeContext, PeProgram};
+use wse_sim::trace::TraceRegion;
 use wse_stencil::{
     ColumnExchange, CommPattern, CompileError, CompiledStencil, KernelLayout, StencilKernel,
     StencilPeProgram, StencilSpec,
@@ -140,41 +140,33 @@ impl WaveLayout {
 /// the time update — routing, switching and protocol state belong to the
 /// compiled pattern.
 pub struct WaveKernel {
-    nz: usize,
     params: WaveParams,
-    layout: Option<WaveLayout>,
+    layout: Arc<WaveLayout>,
 }
 
 impl WaveKernel {
-    /// Creates the kernel for columns of `nz` cells.
-    pub fn new(nz: usize, params: WaveParams) -> Self {
-        Self {
-            nz,
-            params,
-            layout: None,
-        }
-    }
-
-    fn layout(&self) -> &WaveLayout {
-        self.layout.as_ref().expect("init not run")
+    /// Creates the kernel over a layout shared by every PE.
+    pub fn new(layout: Arc<WaveLayout>, params: WaveParams) -> Self {
+        Self { params, layout }
     }
 
     /// `lap += w · (u_L − u_K)` for one face (2 vector ops).
-    fn accumulate(&mut self, ctx: &mut PeContext, weight: f32, u_l: Dsd) {
-        let l = self.layout();
-        let t = Dsd::contiguous(l.temp.offset, self.nz);
-        let lap = Dsd::contiguous(l.lap.offset, self.nz);
+    fn accumulate(&self, ctx: &mut PeContext, weight: f32, u_l: Dsd) {
+        let l = &*self.layout;
+        let t = Dsd::contiguous(l.temp.offset, l.nz);
+        let lap = Dsd::contiguous(l.lap.offset, l.nz);
         ctx.fsubs(t, Operand::Mem(u_l), Operand::Mem(l.u_interior()));
         ctx.fmacs(lap, Operand::Mem(t), Operand::Scalar(weight));
     }
 
     /// Leapfrog update once every face has been accumulated.
-    fn time_update(&mut self, ctx: &mut PeContext) {
-        let l = self.layout().clone();
+    fn time_update(&self, ctx: &mut PeContext) {
+        let l = &*self.layout;
+        let nz = l.nz;
         let u = l.u_interior();
-        let up = Dsd::contiguous(l.u_prev.offset, self.nz);
-        let lap = Dsd::contiguous(l.lap.offset, self.nz);
-        let t = Dsd::contiguous(l.temp.offset, self.nz);
+        let up = Dsd::contiguous(l.u_prev.offset, nz);
+        let lap = Dsd::contiguous(l.lap.offset, nz);
+        let t = Dsd::contiguous(l.temp.offset, nz);
         // t = 2u − u_prev + (cΔt)²·lap
         ctx.fmuls(t, Operand::Mem(u), Operand::Scalar(2.0));
         ctx.fsubs(t, Operand::Mem(t), Operand::Mem(up));
@@ -185,14 +177,14 @@ impl WaveKernel {
         ctx.fmuls(lap, Operand::Mem(lap), Operand::Scalar(0.0));
         // refresh the mirror ghosts (natural Neumann at the Z boundary)
         let first = Dsd::contiguous(l.u.offset + 1, 1);
-        let last = Dsd::contiguous(l.u.offset + self.nz, 1);
+        let last = Dsd::contiguous(l.u.offset + nz, 1);
         ctx.fmuls(
             Dsd::contiguous(l.u.offset, 1),
             Operand::Mem(first),
             Operand::Scalar(1.0),
         );
         ctx.fmuls(
-            Dsd::contiguous(l.u.offset + self.nz + 1, 1),
+            Dsd::contiguous(l.u.offset + nz + 1, 1),
             Operand::Mem(last),
             Operand::Scalar(1.0),
         );
@@ -202,21 +194,22 @@ impl WaveKernel {
 impl StencilKernel for WaveKernel {
     fn init(&mut self, ctx: &mut PeContext, streams: usize) -> KernelLayout {
         assert_eq!(streams, 8, "the wave spec is the full in-plane ring");
-        let l = WaveLayout::new(self.nz);
-        let r = ctx.alloc(l.total_words());
+        let r = ctx.alloc(self.layout.total_words());
         assert_eq!(r.offset, 0);
-        let recv = l.recv.to_vec();
-        self.layout = Some(l);
-        KernelLayout { recv: vec![recv] }
+        KernelLayout {
+            recv: vec![self.layout.recv.to_vec()],
+        }
     }
 
     fn on_start(&mut self, ctx: &mut PeContext) -> Vec<Dsd> {
         // Z faces from local memory, then hand the exchange the send view.
-        let l = self.layout().clone();
+        let u = self.layout.u_interior();
         let wz = self.params.weights[Neighbor::Up.face_index()];
-        self.accumulate(ctx, wz, l.u_interior().shifted(1));
-        self.accumulate(ctx, wz, l.u_interior().shifted(-1));
-        vec![l.u_interior()]
+        ctx.region_begin(TraceRegion::FluxCompute);
+        self.accumulate(ctx, wz, u.shifted(1));
+        self.accumulate(ctx, wz, u.shifted(-1));
+        ctx.region_end(TraceRegion::FluxCompute);
+        vec![u]
     }
 
     fn on_stream_complete(
@@ -229,14 +222,18 @@ impl StencilKernel for WaveKernel {
         // canonical face order).
         let w = self.params.weights[stream];
         let u_l = exchange.recv_view(0, stream);
+        ctx.region_begin(TraceRegion::FluxCompute);
         self.accumulate(ctx, w, u_l);
+        ctx.region_end(TraceRegion::FluxCompute);
     }
 
     fn on_step_complete(&mut self, ctx: &mut PeContext) {
         // The update overwrites `u`, which is also the send buffer; the
         // generic program only fires this once every receive AND every
         // outgoing cardinal send is done (write-after-read hazard).
+        ctx.region_begin(TraceRegion::FluxCompute);
         self.time_update(ctx);
+        ctx.region_end(TraceRegion::FluxCompute);
     }
 }
 
@@ -250,6 +247,7 @@ pub struct WaveWorkload {
     params: WaveParams,
     compiled: CompiledStencil,
     pattern: Arc<CommPattern>,
+    layout: Arc<WaveLayout>,
 }
 
 impl WaveWorkload {
@@ -265,6 +263,7 @@ impl WaveWorkload {
             params,
             compiled,
             pattern,
+            layout: Arc::new(WaveLayout::new(nz)),
         })
     }
 }
@@ -298,7 +297,7 @@ impl Workload for WaveWorkload {
         Box::new(StencilPeProgram::new(
             self.nz,
             self.pattern.clone(),
-            Box::new(WaveKernel::new(self.nz, self.params)),
+            Box::new(WaveKernel::new(self.layout.clone(), self.params)),
         ))
     }
 
@@ -316,43 +315,13 @@ impl Workload for WaveWorkload {
         } else {
             input.split_at(cells)
         };
-        let layout = WaveLayout::new(self.nz);
-        let nz = self.nz;
-        let mut col = vec![0.0_f32; nz + 2];
-        let mut colp = vec![0.0_f32; nz];
-        let zeros = vec![0.0_f32; nz];
-        for y in 0..self.ny {
-            for x in 0..self.nx {
-                for z in 0..nz {
-                    let i = (z * self.ny + y) * self.nx + x;
-                    col[z + 1] = u[i];
-                    colp[z] = u_prev[i];
-                }
-                col[0] = col[1];
-                col[nz + 1] = col[nz];
-                let mem = fabric.memory_mut(PeCoord::new(x, y));
-                mem.host_write_f32(layout.u, &col);
-                mem.host_write_f32(layout.u_prev, &colp);
-                mem.host_write_f32(layout.lap, &zeros);
-            }
-        }
+        let (l, dims) = (&self.layout, (self.nx, self.ny, self.nz));
+        inject_columns(fabric, dims, u, l.u, &[l.lap]);
+        inject_columns(fabric, dims, u_prev, l.u_prev, &[]);
     }
 
     fn collect(&self, fabric: &Fabric) -> Vec<f32> {
-        let layout = WaveLayout::new(self.nz);
-        let mut out = vec![0.0_f32; self.nx * self.ny * self.nz];
-        let mut col = vec![0.0_f32; layout.u.len];
-        for y in 0..self.ny {
-            for x in 0..self.nx {
-                fabric
-                    .memory(PeCoord::new(x, y))
-                    .host_read_f32_into(layout.u, &mut col);
-                for z in 0..self.nz {
-                    out[(z * self.ny + y) * self.nx + x] = col[z + 1];
-                }
-            }
-        }
-        out
+        collect_columns(fabric, (self.nx, self.ny, self.nz), self.layout.u)
     }
 
     fn hash_content(&self, eat: &mut dyn FnMut(&[u8])) {

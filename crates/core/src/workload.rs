@@ -14,15 +14,16 @@
 //! is refused by a server restoring under another with a typed
 //! mismatch error rather than silently misinterpreted PE memory.
 
-use crate::layout::{ColumnLayout, MemoryPlan};
-use crate::program::{FluidParams, TpfaPeProgram};
+use crate::kernel::{FluidParams, TpfaKernel};
+use crate::layout::{max_nz_fitting, ColumnLayout, MemoryPlan};
 use fv_core::mesh::ALL_NEIGHBORS;
 use std::sync::{Arc, OnceLock};
 use wse_sim::fabric::Fabric;
 use wse_sim::geometry::PeCoord;
+use wse_sim::memory::MemRange;
 use wse_sim::pe::PeProgram;
 use wse_sim::wavelet::Color;
-use wse_stencil::{CommPattern, CompiledStencil, StencilSpec};
+use wse_stencil::{CommPattern, CompiledStencil, StencilPeProgram, StencilSpec};
 
 /// A complete fabric workload: a compiled stencil plus the host-side
 /// protocol for driving it.
@@ -54,17 +55,7 @@ pub trait Workload: Send + Sync {
     /// Largest `nz` whose footprint fits `capacity_words` (0 if not
     /// even one layer fits).
     fn max_nz(&self, capacity_words: usize) -> usize {
-        let mut lo = 0usize;
-        let mut hi = capacity_words;
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            if mid >= 1 && self.words_per_pe(mid) <= capacity_words {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        lo
+        max_nz_fitting(capacity_words, |nz| self.words_per_pe(nz))
     }
 
     /// Builds the per-PE program (called once per PE at fabric
@@ -96,6 +87,74 @@ pub trait Workload: Send + Sync {
     /// which the driver hashes unconditionally) into the spec hash —
     /// physical parameters, static field bits, ablation flags.
     fn hash_content(&self, eat: &mut dyn FnMut(&[u8]));
+}
+
+/// Host → fabric column transpose: PE `(x, y)` receives cells
+/// `(z·ny + y)·nx + x` of `field` (mesh linear order) in `range`. A range
+/// two words longer than the column also gets mirror ghosts at both ends
+/// (natural Neumann at the Z boundary). Every range in `zeroed` is
+/// cleared.
+pub(crate) fn inject_columns(
+    fabric: &mut Fabric,
+    (nx, ny, nz): (usize, usize, usize),
+    field: &[f32],
+    range: MemRange,
+    zeroed: &[MemRange],
+) {
+    assert_eq!(field.len(), nx * ny * nz, "field covers the mesh");
+    let ghost = ghost_words(range, nz);
+    let mut col = vec![0.0_f32; range.len];
+    let zeros = vec![0.0_f32; nz];
+    for y in 0..ny {
+        for x in 0..nx {
+            for z in 0..nz {
+                col[z + ghost] = field[(z * ny + y) * nx + x];
+            }
+            if ghost == 1 {
+                col[0] = col[1];
+                col[nz + 1] = col[nz];
+            }
+            let mem = fabric.memory_mut(PeCoord::new(x, y));
+            mem.host_write_f32(range, &col);
+            for &r in zeroed {
+                mem.host_write_f32(r, &zeros);
+            }
+        }
+    }
+}
+
+/// Fabric → host column transpose, the inverse of [`inject_columns`]: the
+/// interior of every PE's `range`, in mesh linear order.
+pub(crate) fn collect_columns(
+    fabric: &Fabric,
+    (nx, ny, nz): (usize, usize, usize),
+    range: MemRange,
+) -> Vec<f32> {
+    let ghost = ghost_words(range, nz);
+    let mut out = vec![0.0_f32; nx * ny * nz];
+    let mut col = vec![0.0_f32; range.len];
+    for y in 0..ny {
+        for x in 0..nx {
+            fabric
+                .memory(PeCoord::new(x, y))
+                .host_read_f32_into(range, &mut col);
+            for z in 0..nz {
+                out[(z * ny + y) * nx + x] = col[z + ghost];
+            }
+        }
+    }
+    out
+}
+
+/// Ghost words at each end of a column range: 0 for `nz` words, 1 for
+/// `nz + 2`.
+fn ghost_words(range: MemRange, nz: usize) -> usize {
+    assert!(
+        range.len == nz || range.len == nz + 2,
+        "a {}-word range is not a column of {nz}",
+        range.len
+    );
+    (range.len - nz) / 2
 }
 
 /// The TPFA communication pattern of paper §5.2 (Figs. 5–6):
@@ -146,6 +205,7 @@ pub struct TpfaWorkload {
     diagonals_enabled: bool,
     compiled: CompiledStencil,
     pattern: Arc<CommPattern>,
+    layout: Arc<ColumnLayout>,
     /// Transmissibility columns in upload order: `[y][x][face][z]`,
     /// flattened.
     trans_cols: Vec<f32>,
@@ -180,6 +240,7 @@ impl TpfaWorkload {
             diagonals_enabled,
             compiled,
             pattern,
+            layout: Arc::new(ColumnLayout::new(nz)),
             trans_cols,
         }
     }
@@ -210,19 +271,17 @@ impl Workload for TpfaWorkload {
         MemoryPlan::for_nz(nz).total_words()
     }
 
-    fn max_nz(&self, capacity_words: usize) -> usize {
-        MemoryPlan::max_nz(capacity_words)
-    }
-
     fn make_program(&self) -> Box<dyn PeProgram> {
-        Box::new(
-            TpfaPeProgram::new(self.nz, self.params, self.compute_enabled)
-                .with_pattern(self.pattern.clone()),
-        )
+        let kernel = TpfaKernel::new(self.layout.clone(), self.params, self.compute_enabled);
+        Box::new(StencilPeProgram::new(
+            self.nz,
+            self.pattern.clone(),
+            Box::new(kernel),
+        ))
     }
 
     fn upload_static(&self, fabric: &mut Fabric) {
-        let layout = ColumnLayout::new(self.nz);
+        let layout = &self.layout;
         let mut cols = self.trans_cols.chunks_exact(self.nz);
         for y in 0..self.ny {
             for x in 0..self.nx {
@@ -238,42 +297,13 @@ impl Workload for TpfaWorkload {
     }
 
     fn inject(&self, fabric: &mut Fabric, input: &[f32]) {
-        assert_eq!(input.len(), self.nx * self.ny * self.nz);
-        let layout = ColumnLayout::new(self.nz);
-        let nz = self.nz;
-        let mut col = vec![0.0_f32; nz + 2];
-        let zeros = vec![0.0_f32; nz];
-        for y in 0..self.ny {
-            for x in 0..self.nx {
-                for z in 0..nz {
-                    col[z + 1] = input[(z * self.ny + y) * self.nx + x];
-                }
-                col[0] = col[1];
-                col[nz + 1] = col[nz];
-                let mem = fabric.memory_mut(PeCoord::new(x, y));
-                mem.host_write_f32(layout.p_own, &col);
-                mem.host_write_f32(layout.residual, &zeros);
-            }
-        }
+        let l = &self.layout;
+        let dims = (self.nx, self.ny, self.nz);
+        inject_columns(fabric, dims, input, l.p_own, &[l.residual]);
     }
 
     fn collect(&self, fabric: &Fabric) -> Vec<f32> {
-        let layout = ColumnLayout::new(self.nz);
-        let nz = self.nz;
-        let mut residual = vec![0.0_f32; self.nx * self.ny * nz];
-        let mut col = vec![0.0_f32; layout.residual.len];
-        for y in 0..self.ny {
-            for x in 0..self.nx {
-                let pe = PeCoord::new(x, y);
-                fabric
-                    .memory(pe)
-                    .host_read_f32_into(layout.residual, &mut col);
-                for (z, &v) in col.iter().enumerate() {
-                    residual[(z * self.ny + y) * self.nx + x] = v;
-                }
-            }
-        }
-        residual
+        collect_columns(fabric, (self.nx, self.ny, self.nz), self.layout.residual)
     }
 
     fn hash_content(&self, eat: &mut dyn FnMut(&[u8])) {

@@ -27,8 +27,14 @@ const PINNED_RESIDUAL_FNV: u64 = 0xac81_68ae_2d33_298d;
 // the first N of `(time, seq, src)`, so the paused state differs. The three
 // pins above did not move, and finishing from this checkpoint still has to
 // reproduce them.
-const PINNED_HALF_CHECKPOINT_LEN: usize = 1_399_721;
-const PINNED_HALF_CHECKPOINT_FNV: u64 = 0x2616_7882_2b0c_43d2;
+//
+// Re-pinned again for checkpoint schema 2, with the paused state unchanged:
+// was 1,399,721 bytes / 0x2616_7882_2b0c_43d2. TPFA moving onto the generic
+// stencil program's state format added 17 bytes per PE (+1,088); dropping
+// the router version took 4 per PE (−256) and `u32` event PE ids 8 per
+// pending event (−156,912).
+const PINNED_HALF_CHECKPOINT_LEN: usize = 1_243_641;
+const PINNED_HALF_CHECKPOINT_FNV: u64 = 0x3a38_35b2_f3c2_eaf7;
 
 /// Events per `step_events` call; prime, so pauses land mid-cycle.
 const CHUNK: u64 = 7_919;

@@ -27,6 +27,12 @@ const TPFA_STATE_FNV: u64 = 0x3c35_67b3_a0fa_708c;
 const TPFA_TRACE_FNV: u64 = 0x070b_3db0_6ca6_895c;
 const WAVE_STATE_FNV: u64 = 0xb718_47be_9af4_7957;
 const WAVE_TRACE_FNV: u64 = 0x9e71_d0f6_4e15_9687;
+// The two TPFA ablations, recorded on the hand-written TPFA program that
+// preceded `TpfaKernel`.
+const NO_COMPUTE_STATE_FNV: u64 = 0xc16f_99b0_48a3_e9c6;
+const NO_COMPUTE_TRACE_FNV: u64 = 0xbe1f_3728_5e97_6577;
+const NO_DIAGONALS_STATE_FNV: u64 = 0x3ac5_537c_6920_ca67;
+const NO_DIAGONALS_TRACE_FNV: u64 = 0x8314_811d_b568_d8e9;
 
 /// Events per `step_events` call; prime, so pauses land mid-cycle.
 const CHUNK: u64 = 7_919;
@@ -134,17 +140,44 @@ fn finish(sim: &mut DataflowFluxSimulator, chunked: bool) -> Vec<f32> {
     sim.finish_apply().expect("finish failed")
 }
 
+/// `(stencil, compute_enabled, diagonals_enabled)` of a pinned TPFA run.
+type Variant = (StencilKind, bool, bool);
+const FULL: Variant = (StencilKind::TenPoint, true, true);
+/// The communication-only ablation (Table 3): no flux arithmetic.
+const NO_COMPUTE: Variant = (StencilKind::TenPoint, false, true);
+/// The cardinal-only ablation (§5.2.2), on a cardinal stencil.
+const NO_DIAGONALS: Variant = (StencilKind::Cardinal, true, false);
+
 /// `(state digest, trace digest)` of one TPFA 16×16×4 apply.
 fn tpfa(execution: Execution, chunked: bool, traced: bool) -> (u64, Option<u64>) {
+    tpfa_with(FULL, execution, chunked, traced)
+}
+
+fn tpfa_no_compute(execution: Execution, chunked: bool, traced: bool) -> (u64, Option<u64>) {
+    tpfa_with(NO_COMPUTE, execution, chunked, traced)
+}
+
+fn tpfa_no_diagonals(execution: Execution, chunked: bool, traced: bool) -> (u64, Option<u64>) {
+    tpfa_with(NO_DIAGONALS, execution, chunked, traced)
+}
+
+fn tpfa_with(
+    (kind, compute, diagonals): Variant,
+    execution: Execution,
+    chunked: bool,
+    traced: bool,
+) -> (u64, Option<u64>) {
     let (nx, ny, nz) = (16, 16, 4);
     let mesh = CartesianMesh3::new(Extents::new(nx, ny, nz), Spacing::new(10.0, 10.0, 4.0));
     let fluid = Fluid::water_like();
     let perm = PermeabilityField::log_normal(&mesh, 1e-13, 0.4, 15);
-    let trans = Transmissibilities::tpfa(&mesh, &perm, StencilKind::TenPoint);
+    let trans = Transmissibilities::tpfa(&mesh, &perm, kind);
     let pressure = FlowState::<f32>::varied(&mesh, 1.0e7, 1.2e7, 3);
     let mut builder = DataflowFluxSimulator::builder(&mesh)
         .fluid(&fluid)
         .transmissibilities(&trans)
+        .compute_enabled(compute)
+        .diagonals_enabled(diagonals)
         .execution(execution);
     if traced {
         builder = builder.trace(TraceSpec::ring(1 << 14));
@@ -235,6 +268,22 @@ fn assert_pinned(
 #[test]
 fn tpfa_observables_do_not_depend_on_the_schedule() {
     assert_pinned("tpfa", tpfa, TPFA_STATE_FNV, TPFA_TRACE_FNV);
+}
+
+#[test]
+fn tpfa_ablations_do_not_depend_on_the_schedule() {
+    assert_pinned(
+        "tpfa compute off",
+        tpfa_no_compute,
+        NO_COMPUTE_STATE_FNV,
+        NO_COMPUTE_TRACE_FNV,
+    );
+    assert_pinned(
+        "tpfa diagonals off",
+        tpfa_no_diagonals,
+        NO_DIAGONALS_STATE_FNV,
+        NO_DIAGONALS_TRACE_FNV,
+    );
 }
 
 #[test]

@@ -13,8 +13,10 @@
 //! | 32     | —    | payload |
 //!
 //! The payload serializes the driver counters followed by the fabric
-//! snapshot field by field (length-prefixed vectors, tagged options). The
-//! wavelet checksum word is persisted verbatim via
+//! snapshot field by field (length-prefixed vectors, tagged options).
+//! Pending events carry their source and target PE as `u32`, the width of
+//! the engine's own event, with `u32::MAX` for the host. The wavelet
+//! checksum word is persisted verbatim via
 //! [`wse_sim::wavelet::Wavelet::raw_crc`]: a corrupted-in-flight wavelet
 //! carries a deliberately stale checksum, and re-sealing it on restore
 //! would un-detect the fault.
@@ -39,8 +41,10 @@ use wse_sim::wavelet::{Color, Wavelet, WaveletKind, MAX_COLORS};
 /// Magic bytes leading every checkpoint.
 pub const MAGIC: [u8; 8] = *b"MDFVCKPT";
 
-/// Current schema version; bumped on any payload layout change.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Current schema version; bumped on any payload layout change. Version 2
+/// dropped the per-PE router version and narrowed event PE ids to `u32`;
+/// older files are refused, not migrated.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Header size in bytes (magic + version + spec hash + payload length +
 /// payload checksum).
@@ -285,6 +289,12 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// An event's PE index as `u32`; the host's `usize::MAX` becomes
+/// `u32::MAX`.
+fn put_pe_index(out: &mut Vec<u8>, i: usize) {
+    put_u32(out, u32::try_from(i).unwrap_or(u32::MAX));
+}
+
 fn put_report(out: &mut Vec<u8>, r: &RunReport) {
     put_u64(out, r.events);
     put_u64(out, r.final_time);
@@ -321,7 +331,7 @@ fn put_fault_event(out: &mut Vec<u8>, e: &FaultEvent) {
 /// empty fault record. Only sizes the buffer; a longer payload reallocates.
 fn payload_size_hint(d: &DriverSnapshot) -> usize {
     /// Time, seq, src, pe, route tag and a 10-byte wavelet.
-    const EVENT: usize = 43;
+    const EVENT: usize = 35;
     /// Counters, per-PE scalars, length prefixes, trace sequence, faults.
     const PE_FIXED: usize = 320;
     let pe = |p: &PeRecord| {
@@ -369,8 +379,8 @@ fn encode_fabric(out: &mut Vec<u8>, s: &FabricSnapshot) {
     for ev in &s.events {
         put_u64(out, ev.time);
         put_u64(out, ev.seq);
-        put_u64(out, ev.src as u64);
-        put_u64(out, ev.pe as u64);
+        put_pe_index(out, ev.src);
+        put_pe_index(out, ev.pe);
         match ev.route_input {
             None => out.push(0),
             Some(d) => out.push(1 + d.index() as u8),
@@ -397,7 +407,6 @@ fn encode_pe(out: &mut Vec<u8>, pe: &PeRecord) {
         out.push(color);
         out.push(pos);
     }
-    put_u32(out, pe.router_version);
     put_u64(out, pe.fabric_hops);
     put_u64(out, pe.ramp_deliveries);
     put_u64(out, pe.program_state.len() as u64);
@@ -549,6 +558,14 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// An event's PE index; `u32::MAX` is the host's `usize::MAX`.
+    fn pe_index(&mut self) -> Result<usize, CheckpointError> {
+        Ok(match self.u32()? {
+            u32::MAX => usize::MAX,
+            i => i as usize,
+        })
+    }
+
     /// A vector length; rejected if even one-byte elements could not fit
     /// in the remaining payload (so `Vec::with_capacity` stays sane).
     fn len(&mut self, elem_min_bytes: usize) -> Result<usize, CheckpointError> {
@@ -688,13 +705,13 @@ fn decode_fabric(r: &mut Reader) -> Result<FabricSnapshot, CheckpointError> {
     let time = r.u64()?;
     let host_seq = r.u64()?;
     let host_trace_seq = read_trace_seq(r)?;
-    let n_events = r.len(38)?;
+    let n_events = r.len(35)?;
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
         let time = r.u64()?;
         let seq = r.u64()?;
-        let src = r.u64()? as usize;
-        let pe = r.u64()? as usize;
+        let src = r.pe_index()?;
+        let pe = r.pe_index()?;
         let route_input = match r.u8()? {
             0 => None,
             i => Some(direction_from_index(i - 1)?),
@@ -743,7 +760,6 @@ fn decode_pe(r: &mut Reader) -> Result<PeRecord, CheckpointError> {
         let pos = r.u8()?;
         router_positions.push((color, pos));
     }
-    let router_version = r.u32()?;
     let fabric_hops = r.u64()?;
     let ramp_deliveries = r.u64()?;
     let n_state = r.len(1)?;
@@ -769,7 +785,6 @@ fn decode_pe(r: &mut Reader) -> Result<PeRecord, CheckpointError> {
         memory_allocated,
         counters: counters_from_array(counters),
         router_positions,
-        router_version,
         fabric_hops,
         ramp_deliveries,
         program_state,

@@ -2,8 +2,8 @@
 //! checkpoint must be a function of the *problem state*, never of the
 //! engine or in-memory layout that produced it. Struct-of-array scalar
 //! arenas, per-class shared route tables, and lazily-grown PE memories
-//! all canonicalize to one byte stream — so the schema stays at version 1
-//! and checkpoints interchange freely across engines.
+//! all canonicalize to one byte stream — so checkpoints interchange freely
+//! across engines, and only a deliberate payload change moves the schema.
 
 use fv_core::eos::Fluid;
 use fv_core::fields::PermeabilityField;
@@ -70,10 +70,9 @@ fn encoded_bytes_are_independent_of_the_engine() {
         Checkpoint::capture(&sharded).encode(),
         "engine leaked into the wire format"
     );
-    assert_eq!(
-        SCHEMA_VERSION, 1,
-        "arena layout must not force a schema bump"
-    );
+    // Version 2 (from 1) dropped the router version and narrowed event
+    // PE ids to `u32`; the arena layout itself never forced a bump.
+    assert_eq!(SCHEMA_VERSION, 2, "only a payload change moves the schema");
 }
 
 #[test]

@@ -1880,7 +1880,6 @@ impl Fabric {
                     memory_allocated: slot.memory.allocated_words(),
                     counters: slot.counters,
                     router_positions: slot.router.switch_positions(),
-                    router_version: slot.router.version(),
                     fabric_hops: sc.fabric_hops[i],
                     ramp_deliveries: sc.ramp_deliveries[i],
                     program_state: slot.program.save_state(),
@@ -1957,7 +1956,7 @@ impl Fabric {
                 .map_err(|detail| RestoreError::Memory { pe, detail })?;
             slot.counters = rec.counters;
             slot.router
-                .restore_dynamic(&rec.router_positions, rec.router_version)
+                .restore_dynamic(&rec.router_positions)
                 .map_err(|detail| RestoreError::Router { pe, detail })?;
             scalars.fabric_hops[i] = rec.fabric_hops;
             scalars.ramp_deliveries[i] = rec.ramp_deliveries;

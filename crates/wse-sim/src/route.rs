@@ -216,17 +216,14 @@ fn empty_table() -> Arc<RouteTable> {
     EMPTY.get_or_init(|| Arc::new(RouteTable::empty())).clone()
 }
 
-/// A per-PE router, split into an interned static [`RouteTable`] and two
-/// words of dynamic state: the active switch position of each color (one
-/// bit per color) and the configuration version.
+/// A per-PE router, split into an interned static [`RouteTable`] and one
+/// word of dynamic state: the active switch position of each color (one
+/// bit per color).
 #[derive(Debug, Clone)]
 pub struct Router {
     table: Arc<RouteTable>,
     /// Bit `c` = the active switch position of color `c`.
     current_bits: u32,
-    /// Bumped on every [`Router::configure`]. No engine reads it (loaded
-    /// routes are frozen, not revalidated); checkpoint schema v1 records it.
-    version: u32,
 }
 
 impl Default for Router {
@@ -241,7 +238,6 @@ impl Router {
         Self {
             table: empty_table(),
             current_bits: 0,
-            version: 0,
         }
     }
 
@@ -251,7 +247,6 @@ impl Router {
     pub fn configure(&mut self, color: Color, config: ColorConfig) {
         Arc::make_mut(&mut self.table).configs[color.index()] = Some(config);
         self.set_current(color.index(), config.current_index() as u8);
-        self.version = self.version.wrapping_add(1);
     }
 
     #[inline]
@@ -262,13 +257,6 @@ impl Router {
     #[inline]
     fn set_current(&mut self, idx: usize, pos: u8) {
         self.current_bits = (self.current_bits & !(1 << idx)) | ((pos as u32 & 1) << idx);
-    }
-
-    /// Configuration version: bumped on every [`Router::configure`] call
-    /// (checkpointed; see the field).
-    #[inline]
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// The static route table (shared across the PE's equivalence class).
@@ -326,11 +314,11 @@ impl Router {
             .collect()
     }
 
-    /// Restores the dynamic state captured by [`Router::switch_positions`]
-    /// plus the configuration version. Fails when a listed color is
-    /// unconfigured on this router or its position index is out of range —
-    /// the snapshot belongs to a differently-programmed fabric.
-    pub fn restore_dynamic(&mut self, positions: &[(u8, u8)], version: u32) -> Result<(), String> {
+    /// Restores the dynamic state captured by [`Router::switch_positions`].
+    /// Fails when a listed color is unconfigured on this router or its
+    /// position index is out of range — the snapshot belongs to a
+    /// differently-programmed fabric.
+    pub fn restore_dynamic(&mut self, positions: &[(u8, u8)]) -> Result<(), String> {
         for &(id, current) in positions {
             let cfg = self
                 .table
@@ -346,7 +334,6 @@ impl Router {
             }
             self.set_current(id as usize, current);
         }
-        self.version = version;
         Ok(())
     }
 
@@ -599,24 +586,5 @@ mod tests {
         let b = Router::new();
         assert!(Arc::ptr_eq(a.table(), b.table()));
         assert!(a.table().is_empty());
-    }
-
-    #[test]
-    fn configure_bumps_the_version() {
-        let mut r = Router::new();
-        let v0 = r.version();
-        r.configure(
-            Color::new(3),
-            ColorConfig::fixed(RouterPosition::new(
-                DirMask::single(Ramp),
-                DirMask::single(East),
-            )),
-        );
-        assert_ne!(r.version(), v0);
-        let v1 = r.version();
-        // routing and force-toggles do not move the version
-        let _ = r.route(Color::new(3), Ramp, false).unwrap();
-        let _ = r.force_toggle(Color::new(3));
-        assert_eq!(r.version(), v1);
     }
 }

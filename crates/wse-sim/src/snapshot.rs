@@ -115,8 +115,6 @@ pub struct PeRecord {
     pub counters: OpCounters,
     /// Router switch positions as `(color id, active position)` pairs.
     pub router_positions: Vec<(u8, u8)>,
-    /// Router configuration version (revalidates cached forward chains).
-    pub router_version: u32,
     /// Wavelets forwarded per fabric link by this router.
     pub fabric_hops: u64,
     /// Wavelets delivered up this router's ramp.

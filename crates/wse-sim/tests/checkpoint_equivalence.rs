@@ -258,6 +258,16 @@ fn foreign_schema_version_is_rejected() {
 }
 
 #[test]
+fn schema_v1_is_refused_without_a_reader() {
+    let (_, mut bytes) = small_checkpoint();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        Checkpoint::decode(&bytes).unwrap_err(),
+        CheckpointError::BadVersion { found: 1 }
+    );
+}
+
+#[test]
 fn truncated_payload_is_rejected() {
     let (_, bytes) = small_checkpoint();
     let cut = &bytes[..bytes.len() - 17];

@@ -54,5 +54,5 @@ pub mod spec;
 pub use compile::{compile, CompiledStencil};
 pub use exchange::{ColumnExchange, ExchangeEvent};
 pub use pattern::{CardinalLane, CommPattern, DiagonalLane, RouteProgram};
-pub use program::{KernelLayout, StateCursor, StencilKernel, StencilPeProgram};
+pub use program::{KernelLayout, StencilKernel, StencilPeProgram};
 pub use spec::{CompileError, OffsetSpec, StencilSpec};

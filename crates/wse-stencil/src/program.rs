@@ -8,6 +8,10 @@
 //! once-per-step finish hook, the progress counter the fault watchdog
 //! reads, and checkpoint serialization. The kernel owns the math: what
 //! to allocate, what to send, and what to compute when streams land.
+//!
+//! Profiling regions split the same way: the program brackets its
+//! exchange calls in [`TraceRegion::HaloExchange`]; each kernel marks its
+//! own compute regions, so a kernel whose hook does nothing emits nothing.
 
 use crate::exchange::{ColumnExchange, ExchangeEvent};
 use crate::pattern::CommPattern;
@@ -42,7 +46,8 @@ pub trait StencilKernel: Send {
     /// views — one `nz`-element view per quantity.
     fn on_start(&mut self, ctx: &mut PeContext) -> Vec<Dsd>;
 
-    /// Stream `stream` has fully arrived; `recv` addresses its buffers.
+    /// Stream `stream` has fully arrived;
+    /// [`ColumnExchange::recv_view`] addresses its buffers.
     fn on_stream_complete(&mut self, ctx: &mut PeContext, stream: usize, exchange: &ColumnExchange);
 
     /// Every expected stream arrived and every cardinal send left.
@@ -106,19 +111,18 @@ impl StencilPeProgram {
     fn start_step(&mut self, ctx: &mut PeContext) {
         self.step_counted = false;
         self.step_finished = false;
-        ctx.region_begin(TraceRegion::FluxCompute);
         let views = self.kernel.on_start(ctx);
-        ctx.region_end(TraceRegion::FluxCompute);
         ctx.region_begin(TraceRegion::HaloExchange);
         self.exchange().begin(ctx, &views);
         ctx.region_end(TraceRegion::HaloExchange);
     }
 
     /// Bumps the progress counter and fires the finish hook when the
-    /// step is done. Called at the end of every handler so both advance
-    /// the moment the last expected stream arrives (including the
-    /// degenerate 1×1 fabric where the exchange is complete immediately
-    /// after `start_step`).
+    /// step is done. Called wherever completion can change — at launch
+    /// (the degenerate 1×1 fabric is complete immediately), when a
+    /// stream completes and on control (a late cardinal send) — so both
+    /// advance the moment the step is done, without a check per stored
+    /// wavelet.
     fn note_progress(&mut self, ctx: &mut PeContext) {
         let Some(ex) = self.exchange.as_ref() else {
             return;
@@ -129,9 +133,7 @@ impl StencilPeProgram {
         }
         if !self.step_finished && ex.is_complete() && ex.all_sent() {
             self.step_finished = true;
-            ctx.region_begin(TraceRegion::FluxCompute);
             self.kernel.on_step_complete(ctx);
-            ctx.region_end(TraceRegion::FluxCompute);
         }
     }
 }
@@ -156,11 +158,9 @@ impl PeProgram for StencilPeProgram {
         match event {
             ExchangeEvent::Stored => {}
             ExchangeEvent::StreamComplete(stream) => {
-                let ex = self.exchange.take().expect("init not run");
-                ctx.region_begin(TraceRegion::FluxCompute);
-                self.kernel.on_stream_complete(ctx, stream, &ex);
-                ctx.region_end(TraceRegion::FluxCompute);
-                self.exchange = Some(ex);
+                let ex = self.exchange.as_ref().expect("init not run");
+                self.kernel.on_stream_complete(ctx, stream, ex);
+                self.note_progress(ctx);
             }
             ExchangeEvent::NotMine => panic!(
                 "PE ({}, {}): wavelet on unexpected color {}",
@@ -169,7 +169,6 @@ impl PeProgram for StencilPeProgram {
                 w.color.id()
             ),
         }
-        self.note_progress(ctx);
     }
 
     fn on_control(&mut self, ctx: &mut PeContext, w: Wavelet) {
@@ -267,22 +266,22 @@ impl PeProgram for StencilPeProgram {
     }
 }
 
-/// Little-endian byte-slice reader for [`PeProgram::load_state`]
-/// implementations: every read is bounds-checked and reported as a typed
-/// message, and [`StateCursor::finish`] rejects trailing bytes.
-pub struct StateCursor<'a> {
+/// Little-endian byte-slice reader for [`PeProgram::load_state`]: every
+/// read is bounds-checked and reported as a typed message, and
+/// [`StateCursor::finish`] rejects trailing bytes.
+struct StateCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> StateCursor<'a> {
     /// Starts reading at the first byte of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
 
     /// The next `n` bytes, or an error when fewer remain.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
         let Some(end) = end else {
             return Err(format!(
@@ -297,17 +296,17 @@ impl<'a> StateCursor<'a> {
     }
 
     /// The next byte.
-    pub fn u8(&mut self) -> Result<u8, String> {
+    fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
     /// The next little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, String> {
+    fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Ends the read; an error when bytes are left over.
-    pub fn finish(self) -> Result<(), String> {
+    fn finish(self) -> Result<(), String> {
         if self.pos == self.bytes.len() {
             Ok(())
         } else {

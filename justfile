@@ -30,12 +30,15 @@ smoke:
 equivalence:
     timeout 600 cargo test -q -p wse-sim --release --test parallel_equivalence --test dsd_properties
 
-# the stencil-compiler gate: the compiler's unit tests (the golden digest
-# of every PE's TPFA route program among them), spec-compiler property
-# tests, and the two non-TPFA workloads end-to-end
+# the one-PE-program gate (TPFA, Laplacian, wave): the compiler's unit
+# tests (the golden digest of every PE's TPFA route program among them),
+# spec-compiler property tests, the two non-TPFA workloads end-to-end, the
+# TPFA schedule pins and the schema-2 checkpoint pins
 stencil:
     cargo test -q -p wse-stencil --release
     cargo test -q -p tpfa-dataflow --release -- laplace wave
+    cargo test -q -p tpfa-dataflow --release --test order_independence --test deep_column
+    cargo test -q -p wse-serve --release --test arena_checkpoint
     cargo run --release --example seismic_wave
 
 # engine wall-clock comparison (criterion; honest numbers depend on cores)
