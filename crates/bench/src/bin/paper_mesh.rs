@@ -14,10 +14,13 @@
 //! cargo run --release --bin paper_mesh -- [--budget-s S] [--max-rss-mb MB] [--shards N [--threads M]]
 //! ```
 //!
-//! With `--budget-s` / `--max-rss-mb` the run becomes a blocking gate:
-//! exit 1 if the apply exceeds the wall budget or the process high-water
-//! RSS (`VmHWM`, the same figure `/usr/bin/time -v` reports) exceeds the
-//! ceiling. CI runs `just paper-mesh` with both set.
+//! The run always checks its exact counts — events, final fabric time and
+//! route equivalence classes, functions of the program alone and so the
+//! same on every engine — and exits 1 on any mismatch. With `--budget-s` /
+//! `--max-rss-mb` it also gates on cost: exit 1 if the apply exceeds the
+//! wall budget or the process high-water RSS (`VmHWM`, the same figure
+//! `/usr/bin/time -v` reports) exceeds the ceiling. CI runs
+//! `just paper-mesh` with both set.
 
 use std::time::Instant;
 
@@ -27,6 +30,13 @@ use tpfa_dataflow::DataflowFluxSimulator;
 const PAPER_NX: usize = PAPER_MESH_XY.0;
 const PAPER_NY: usize = PAPER_MESH_XY.1;
 const SMOKE_NZ: usize = PAPER_SMOKE_NZ;
+
+/// Events of one apply.
+const PINNED_EVENTS: u64 = 92_120_182;
+/// Fabric time at the end of one apply, in simulated cycles.
+const PINNED_FINAL_TIME: u64 = 325;
+/// Route-program equivalence classes across the whole fabric.
+const PINNED_EQ_CLASSES: u64 = 64;
 
 fn flag_value(args: &[String], flag: &str) -> Option<f64> {
     args.iter()
@@ -89,6 +99,22 @@ fn main() {
     }
 
     let mut failed = false;
+    for (what, got, pinned) in [
+        ("events", report.events, PINNED_EVENTS),
+        ("final time", report.final_time, PINNED_FINAL_TIME),
+        (
+            "equivalence classes",
+            sim.eq_classes() as u64,
+            PINNED_EQ_CLASSES,
+        ),
+    ] {
+        if got != pinned {
+            eprintln!("FAIL: {what} {got}, pinned {pinned}");
+            failed = true;
+        } else {
+            println!("  {what}: {got} == pinned");
+        }
+    }
     if let Some(budget) = budget_s {
         if wall_s > budget {
             eprintln!("FAIL: apply took {wall_s:.1} s, budget {budget:.1} s");

@@ -172,7 +172,10 @@ fn main() {
 
     // `--checkpoint <path>` / `--resume <path>`: kill/restore of a
     // mid-application fabric state, resumed bit-identically.
-    bench::run_checkpoint_demo(&args, nx, ny, nz);
+    if let Err(e) = bench::run_checkpoint_demo(&args, nx, ny, nz) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     // `--metrics <path>`: one instrumented demonstration run, exported as
     // Prometheus text (never part of the measured tables).

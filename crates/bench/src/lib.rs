@@ -213,10 +213,19 @@ pub fn run_faulted_demo(args: &CommonArgs, nx: usize, ny: usize, nz: usize) {
 ///
 /// Both flags together (same path) perform the full cycle in one
 /// invocation; across two invocations they script a real kill/restore.
-pub fn run_checkpoint_demo(args: &CommonArgs, nx: usize, ny: usize, nz: usize) {
+///
+/// A checkpoint that cannot be written, read or restored (an I/O failure,
+/// a truncated file, a foreign schema version or problem) is returned as
+/// the typed error for the caller to report.
+pub fn run_checkpoint_demo(
+    args: &CommonArgs,
+    nx: usize,
+    ny: usize,
+    nz: usize,
+) -> Result<(), wse_serve::CheckpointError> {
     use wse_serve::Checkpoint;
     if args.checkpoint.is_none() && args.resume.is_none() {
-        return;
+        return Ok(());
     }
     let (mesh, fluid, trans) = standard_problem(nx, ny, nz, 42);
     let build = || {
@@ -240,9 +249,7 @@ pub fn run_checkpoint_demo(args: &CommonArgs, nx: usize, ny: usize, nz: usize) {
             .step_events(total_events / 2)
             .expect("stepped run failed");
         assert!(!step.complete, "half the events cannot finish the run");
-        Checkpoint::capture(&sim)
-            .write_file(path)
-            .unwrap_or_else(|e| panic!("writing checkpoint to {path}: {e}"));
+        Checkpoint::capture(&sim).write_file(path)?;
         println!(
             "\n-- checkpoint: mid-application state ({} of {total_events} events, \
              {nx}x{ny}x{nz}, {}) written to {path} --",
@@ -253,10 +260,9 @@ pub fn run_checkpoint_demo(args: &CommonArgs, nx: usize, ny: usize, nz: usize) {
     }
 
     if let Some(path) = &args.resume {
-        let ck = Checkpoint::read_file(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+        let ck = Checkpoint::read_file(path)?;
         let mut sim = build();
-        ck.restore_into(&mut sim)
-            .unwrap_or_else(|e| panic!("restoring {path}: {e}"));
+        ck.restore_into(&mut sim)?;
         println!(
             "\n-- resume: restored {path} on {} --",
             args.execution_label()
@@ -281,6 +287,7 @@ pub fn run_checkpoint_demo(args: &CommonArgs, nx: usize, ny: usize, nz: usize) {
             residual.len()
         );
     }
+    Ok(())
 }
 
 /// Exports a simulator's recorded trace as Chrome `trace_event` JSON to
@@ -540,5 +547,36 @@ mod tests {
         );
         assert_eq!(seq.interior_pe_per_iteration, par.interior_pe_per_iteration);
         assert_eq!(seq.fabric_total, par.fabric_total);
+    }
+
+    #[test]
+    fn a_bad_resume_file_is_a_typed_error_not_a_panic() {
+        use wse_serve::CheckpointError;
+        let path = std::env::temp_dir().join(format!("bench-resume-{}.bin", std::process::id()));
+        let path_arg = path.to_str().expect("temp path is UTF-8").to_string();
+        let demo = |flag: &str| {
+            let args = CommonArgs::from_slice(&[flag.to_string(), path_arg.clone()]).unwrap();
+            run_checkpoint_demo(&args, 4, 4, 3)
+        };
+        demo("--checkpoint").expect("writing a checkpoint");
+        let bytes = std::fs::read(&path).unwrap();
+
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let truncated = demo("--resume");
+
+        let mut schema_1 = bytes;
+        schema_1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &schema_1).unwrap();
+        let old_schema = demo("--resume");
+        let _ = std::fs::remove_file(&path);
+
+        assert!(
+            matches!(truncated, Err(CheckpointError::Truncated { .. })),
+            "{truncated:?}"
+        );
+        assert_eq!(
+            old_schema.unwrap_err().to_string(),
+            "unsupported schema version 1 (expected 2)"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! Exposition: Prometheus text format and a JSON snapshot, hand-rolled
-//! like `wse-prof::bench_json` (the offline build has no serde).
+//! like `wse-prof::report` (the offline build has no serde).
 //!
 //! The text format follows the Prometheus conventions the scrape parser
 //! actually enforces: one `# HELP`/`# TYPE` pair per metric name, sample

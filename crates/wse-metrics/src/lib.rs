@@ -17,13 +17,14 @@
 //! * **Determinism boundary.** Deterministic quantities (event counts,
 //!   stalls, drops, fast-forward hops) are *published into* metrics from
 //!   the engines' already-bit-identical aggregates after a run — telemetry
-//!   never feeds back into simulation, so `perf_diff --deterministic
-//!   --strict` is unaffected. Wall-clock quantities (latencies, rates) are
-//!   kept in separately named metrics and never mixed into deterministic
-//!   ones. `tests/metrics_equivalence.rs` pins the split.
+//!   never feeds back into simulation, so the exact counts pinned in
+//!   `bench/tests/deterministic_pins.rs` are unaffected. Wall-clock
+//!   quantities (latencies, rates) are kept in separately named metrics and
+//!   never mixed into deterministic ones. `tests/metrics_equivalence.rs`
+//!   pins the split.
 //! * **Hand-rolled exposition.** [`MetricsHub::prometheus_text`] and
 //!   [`MetricsHub::json_snapshot`] are written by hand like
-//!   `wse-prof::bench_json` — the offline build environment has no serde.
+//!   `wse-prof::report` — the offline build environment has no serde.
 //!
 //! The crate also hosts the [`FlightRecorder`]: a bounded drop-oldest ring
 //! of recent events that the job server attaches to failures, so a typed

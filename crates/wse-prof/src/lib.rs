@@ -17,9 +17,6 @@
 //!   slack histogram for everything off the path.
 //! * [`report`] — a hand-rolled JSON profile export combining both views
 //!   (`--profile out.json` on the table binaries writes this).
-//! * [`bench_json`] — the schema-versioned `BENCH_<rev>.json` format of the
-//!   perf-regression harness, with an emitter, a parser and a threshold
-//!   comparator (`just perf-diff A.json B.json`).
 //!
 //! Everything here is a pure function of a [`wse_trace::Trace`]: because
 //! per-PE trace streams are bit-identical between the sequential and the
@@ -30,13 +27,9 @@
 #![warn(clippy::all)]
 
 pub mod attribution;
-pub mod bench_json;
 pub mod critical_path;
 pub mod report;
 
 pub use attribution::{bucket_name, Profile, RegionBreakdown, OTHER_REGION, PROFILE_BUCKETS};
-pub use bench_json::{
-    bench_diff, BenchDiff, BenchEntry, BenchReport, DiffLine, BENCH_SCHEMA_VERSION,
-};
 pub use critical_path::{critical_path, CriticalPath, PathStep};
 pub use report::profile_json;

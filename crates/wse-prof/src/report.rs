@@ -101,7 +101,7 @@ mod tests {
         let p = Profile::from_trace(&t);
         let cp = crate::critical_path::critical_path(&t, 1);
         let json = profile_json(&p, cp.as_ref());
-        crate::bench_json::Json::parse(&json).expect("valid JSON");
+        wse_trace::check_json(&json).expect("valid JSON");
         assert!(json.contains("\"schema_version\":1"));
         assert!(json.contains("\"critical_path\":{"));
         assert!(json.contains("flux-compute"));
@@ -113,6 +113,6 @@ mod tests {
         let p = Profile::from_trace(&t);
         let json = profile_json(&p, None);
         assert!(json.contains("\"critical_path\":null"));
-        crate::bench_json::Json::parse(&json).expect("valid JSON");
+        wse_trace::check_json(&json).expect("valid JSON");
     }
 }

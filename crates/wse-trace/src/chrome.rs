@@ -234,14 +234,24 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     em.finish(trace)
 }
 
-/// Minimal JSON well-formedness check, returning the number of elements in
-/// the top-level `traceEvents` array.
+/// Minimal JSON well-formedness check of any one document.
 ///
 /// This is not a general JSON parser — just enough structure validation
-/// (balanced syntax, string/number/bool tokens, the `traceEvents` key) for
-/// tests to assert the exporter emits parseable, non-empty output without a
-/// JSON dependency.
+/// (balanced syntax, string/number/bool tokens) for tests to assert that a
+/// hand-rolled exporter emits parseable output without a JSON dependency.
+pub fn check_json(json: &str) -> Result<(), String> {
+    walk(json).map(|_| ())
+}
+
+/// [`check_json`] for a Chrome trace: also requires a `traceEvents` array
+/// and returns its number of elements.
 pub fn validate(json: &str) -> Result<usize, String> {
+    walk(json)?.ok_or_else(|| "no traceEvents array found".to_string())
+}
+
+/// Walks one JSON document, returning the element count of the last
+/// `traceEvents` array seen, if any.
+fn walk(json: &str) -> Result<Option<usize>, String> {
     let mut p = Parser {
         bytes: json.as_bytes(),
         pos: 0,
@@ -253,8 +263,7 @@ pub fn validate(json: &str) -> Result<usize, String> {
     if p.pos != p.bytes.len() {
         return Err(format!("trailing bytes at offset {}", p.pos));
     }
-    p.trace_events
-        .ok_or_else(|| "no traceEvents array found".to_string())
+    Ok(p.trace_events)
 }
 
 struct Parser<'a> {

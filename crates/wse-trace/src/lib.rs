@@ -38,7 +38,7 @@ pub mod sink;
 pub mod summary;
 pub mod trace;
 
-pub use chrome::{chrome_trace_json, validate};
+pub use chrome::{check_json, chrome_trace_json, validate};
 pub use cli::{
     profile_request_from_arg_slice, profile_request_from_args, trace_request_from_arg_slice,
     trace_request_from_args, ProfileRequest, TraceRequest,

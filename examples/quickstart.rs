@@ -206,7 +206,10 @@ fn main() {
     // 11. Checkpoint/restore (only with `--checkpoint`/`--resume`): write
     //     a mid-application fabric snapshot, or restore one — on any
     //     engine — and finish it bit-identically.
-    bench::run_checkpoint_demo(&args, mesh.nx(), mesh.ny(), mesh.nz());
+    if let Err(e) = bench::run_checkpoint_demo(&args, mesh.nx(), mesh.ny(), mesh.nz()) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     // 12. Telemetry (only with `--metrics <path>`): both engine runs
     //     published into one hub, labeled by engine — written out as

@@ -98,23 +98,12 @@ faults:
     cargo test -q -p tpfa-dataflow --release --test fault_recovery
 
 # the paper-scale smoke: one measured TPFA apply on the paper's 746x989
-# PE footprint (737,794 PEs) with a blocking wall budget and peak-RSS
-# ceiling — the bin reads VmHWM from /proc/self/status, the same figure
+# PE footprint (737,794 PEs), blocking on its exact counts (events, final
+# time, equivalence classes), a wall budget and a peak-RSS ceiling — the
+# bin reads VmHWM from /proc/self/status, the same figure
 # `/usr/bin/time -v` reports as maximum resident set size
 paper-mesh budget_s="300" max_rss_mb="3136":
     cargo run -p bench --release --bin paper_mesh -- --budget-s {{budget_s}} --max-rss-mb {{max_rss_mb}}
-
-# write a schema-versioned BENCH_<rev>.json perf report for this checkout
-perf-report rev="local":
-    cargo run -p bench --release --bin perf_harness -- {{rev}}
-
-# re-measure this checkout and rewrite the committed BENCH_baseline.json
-bench-baseline:
-    cargo run -p bench --release --bin perf_harness -- baseline --update-baseline
-
-# compare two perf reports (report-only; add --strict to fail on regression)
-perf-diff a b *flags="":
-    cargo run -p bench --release --bin perf_diff -- {{a}} {{b}} {{flags}}
 
 # the repo benchmark as a check, not a measurement: all six workloads,
 # untraced and traced, 2 s each; a run exits non-zero when an output check

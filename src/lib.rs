@@ -14,7 +14,7 @@
 //!   workload of the generic simulator, alongside Laplacian and wave)
 //! * [`gpu`] — RAJA-like and CUDA-like reference implementations
 //! * [`perf`] — CS-2 / A100 machine models, rooflines, energy
-//! * [`prof`] — critical-path profiling, cycle attribution, perf harness
+//! * [`prof`] — critical-path profiling, cycle attribution, JSON profile export
 //! * [`serve`] — checkpoint/restore of fabric state + the simulation job
 //!   server with compiled-layout caching
 //! * [`metrics`] — runtime telemetry: lock-free registry, Prometheus/JSON
