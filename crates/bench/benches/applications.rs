@@ -1,11 +1,7 @@
-//! Application-level benches for the extensions: the §8 acoustic-wave
-//! program on the fabric and the GEOS-style two-phase IMPES step.
+//! Application-level benches for the §8 acoustic-wave extension: one step
+//! on the fabric and one step of the serial reference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fv_core::fields::PermeabilityField;
-use fv_core::mesh::{CartesianMesh3, Extents, Spacing};
-use fv_core::trans::{StencilKind, Transmissibilities};
-use fv_core::twophase::{ImpesSimulator, TwoPhaseFluid, VolumetricSource};
 use tpfa_dataflow::wave::{serial_wave_step, WaveParams, WaveSimulator};
 
 fn bench_wave_fabric(c: &mut Criterion) {
@@ -37,43 +33,5 @@ fn bench_wave_serial(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_impes_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("twophase/impes_step");
-    g.sample_size(10);
-    for n in [12usize, 20] {
-        let mesh = CartesianMesh3::new(Extents::new(n, n, 1), Spacing::uniform(5.0));
-        let fluid = TwoPhaseFluid::water_co2();
-        let perm = PermeabilityField::log_normal(&mesh, 1e-13, 0.3, 3);
-        let trans = Transmissibilities::tpfa(&mesh, &perm, StencilKind::TenPoint);
-        let ncells = mesh.num_cells();
-        let sources = vec![
-            VolumetricSource {
-                cell: 0,
-                rate: 1e-4,
-                water_fraction: 1.0,
-            },
-            VolumetricSource {
-                cell: ncells - 1,
-                rate: -1e-4,
-                water_fraction: 0.0,
-            },
-        ];
-        let mut sim = ImpesSimulator::new(ncells, 0.2);
-        let mut p = vec![1.0e7; ncells];
-        let mut s = vec![fluid.s_wc; ncells];
-        let dt = sim.suggest_dt(&mesh, &sources, 0.05);
-        g.throughput(Throughput::Elements(ncells as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(ncells), &n, |b, _| {
-            b.iter(|| sim.step(&mesh, &fluid, &trans, &sources, dt, &mut p, &mut s));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_wave_fabric,
-    bench_wave_serial,
-    bench_impes_step
-);
+criterion_group!(benches, bench_wave_fabric, bench_wave_serial);
 criterion_main!(benches);

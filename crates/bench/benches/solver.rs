@@ -1,14 +1,11 @@
-//! Solver benches for the §8 extension: matrix-free operator application,
-//! conjugate gradients on the Picard operator, BiCGSTAB on the Jacobian,
-//! and one full Newton step of the implicit residual (Eq. 2).
+//! Solver benches for the §8 Krylov host reference: matrix-free
+//! frozen-mobility operator application and conjugate gradients (plain and
+//! Jacobi-preconditioned) on that Picard operator.
 
 use bench::standard_problem;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fv_core::operator::{FrozenMobilityOperator, JacobianOperator, LinearOperator};
-use fv_core::residual::AccumulationParams;
-use fv_core::solver::bicgstab::BiCgStab;
+use fv_core::operator::{FrozenMobilityOperator, LinearOperator};
 use fv_core::solver::cg::ConjugateGradient;
-use fv_core::solver::newton::{NewtonConfig, NewtonSolver};
 use fv_core::state::FlowState;
 
 fn bench_operator_apply(c: &mut Criterion) {
@@ -17,15 +14,11 @@ fn bench_operator_apply(c: &mut Criterion) {
         let (mesh, fluid, trans) = standard_problem(n, n, n, 5);
         let p = FlowState::<f64>::varied(&mesh, 1.0e7, 1.1e7, 0);
         let frozen = FrozenMobilityOperator::new(&mesh, &fluid, &trans, p.pressure());
-        let jac = JacobianOperator::new(&mesh, &fluid, &trans, p.pressure());
         let x: Vec<f64> = (0..mesh.num_cells()).map(|i| (i % 13) as f64).collect();
         let mut y = vec![0.0; mesh.num_cells()];
         g.throughput(Throughput::Elements(mesh.num_cells() as u64));
         g.bench_with_input(BenchmarkId::new("frozen_mobility", n), &n, |b, _| {
             b.iter(|| frozen.apply(&x, &mut y));
-        });
-        g.bench_with_input(BenchmarkId::new("jacobian", n), &n, |b, _| {
-            b.iter(|| jac.apply(&x, &mut y));
         });
     }
     g.finish();
@@ -58,45 +51,8 @@ fn bench_krylov(c: &mut Criterion) {
             cg.solve(&op, &rhs, &mut x)
         });
     });
-    g.bench_function("bicgstab", |b| {
-        let jac = JacobianOperator::new(&mesh, &fluid, &trans, p.pressure())
-            .with_diagonal(vec![1e-8; ncells]);
-        let mut solver = BiCgStab::new(ncells, 500, 1e-8);
-        let mut x = vec![0.0; ncells];
-        b.iter(|| {
-            x.iter_mut().for_each(|v| *v = 0.0);
-            solver.solve(&jac, &rhs, &mut x)
-        });
-    });
     g.finish();
 }
 
-fn bench_newton_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("newton");
-    g.sample_size(10);
-    let n = 10usize;
-    let (mesh, fluid, trans) = standard_problem(n, n, 4, 5);
-    let fluid = fluid.without_gravity();
-    let p0 = FlowState::<f64>::gaussian_pulse(&mesh, 2.0e7, 0.5e6, 2.0);
-    let acc = AccumulationParams {
-        phi_ref: 0.2,
-        rock_compressibility: 1e-9,
-        dt: 3600.0,
-    };
-    g.bench_function("implicit_step", |b| {
-        let mut newton = NewtonSolver::new(mesh.num_cells(), NewtonConfig::default());
-        b.iter(|| {
-            let mut p = p0.pressure().to_vec();
-            newton.step(&mesh, &fluid, &trans, acc, p0.pressure(), &[], &mut p)
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_operator_apply,
-    bench_krylov,
-    bench_newton_step
-);
+criterion_group!(benches, bench_operator_apply, bench_krylov);
 criterion_main!(benches);

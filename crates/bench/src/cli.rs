@@ -134,8 +134,8 @@ impl CommonArgs {
         };
         Ok(Self {
             execution,
-            trace: trace_request_from_arg_slice(args),
-            profile: profile_request_from_arg_slice(args),
+            trace: trace_request_from_arg_slice(args)?,
+            profile: profile_request_from_arg_slice(args)?,
             fault_seed,
             recovery,
             checkpoint: value_of("--checkpoint").cloned(),
@@ -247,6 +247,10 @@ mod tests {
         assert!(CommonArgs::from_slice(&to_args("--faults abc")).is_err());
         assert!(CommonArgs::from_slice(&to_args("--recovery sometimes")).is_err());
         assert!(CommonArgs::from_slice(&to_args("--stencil biharmonic")).is_err());
+        assert!(CommonArgs::from_slice(&to_args("--trace t.json --trace-cap abc")).is_err());
+        assert!(CommonArgs::from_slice(&to_args("--trace t.json --trace-cap")).is_err());
+        assert!(CommonArgs::from_slice(&to_args("--trace --shards 4")).is_err());
+        assert!(CommonArgs::from_slice(&to_args("--profile --trace-cap 64")).is_err());
     }
 
     #[test]

@@ -20,10 +20,7 @@ use wse_sim::trace::{chrome_trace_json, TraceSummary};
 pub mod cli;
 
 pub use cli::CommonArgs;
-pub use wse_sim::trace::{
-    profile_request_from_arg_slice, profile_request_from_args, trace_request_from_arg_slice,
-    trace_request_from_args, ProfileRequest, TraceRequest,
-};
+pub use wse_sim::trace::{ProfileRequest, TraceRequest};
 
 /// The paper's production mesh (750 × 994 × 246 = 183 393 000 cells).
 pub const PAPER_MESH: (usize, usize, usize) = (750, 994, 246);

@@ -64,12 +64,6 @@ impl Fluid {
         rref * (cf * (p - pref)).exp()
     }
 
-    /// Analytic derivative `dρ/dp = c_f · ρ(p)` — used by the Newton solver.
-    #[inline]
-    pub fn d_density_dp<R: Real>(&self, p: R) -> R {
-        R::from_f64(self.compressibility) * self.density(p)
-    }
-
     /// Mobility of the fluid evaluated in a cell: `ρ/μ` (Eq. 4 numerator).
     #[inline]
     pub fn mobility<R: Real>(&self, rho: R) -> R {
@@ -108,16 +102,6 @@ mod tests {
             assert!(rho > last, "density must increase with pressure");
             last = rho;
         }
-    }
-
-    #[test]
-    fn derivative_matches_finite_difference() {
-        let f = Fluid::co2_like();
-        let p = 16.0e6_f64;
-        let h = 1.0;
-        let fd = (f.density(p + h) - f.density(p - h)) / (2.0 * h);
-        let an = f.d_density_dp(p);
-        assert!((fd - an).abs() / an.abs() < 1e-6, "fd={fd} an={an}");
     }
 
     #[test]

@@ -87,45 +87,6 @@ pub fn face_flux_from_pressure<R: Real>(
     face_flux(trans, p_k, p_l, rho_k, rho_l, g_dz, inv_mu)
 }
 
-/// Analytic partial derivatives of `F_KL` with respect to `p_K` and `p_L`,
-/// holding the upwind direction fixed (the standard "frozen upwind" Jacobian
-/// used by implicit FV simulators). Powers the Newton solver (paper §8
-/// extension: matrix-free implicit operator).
-#[inline]
-pub fn face_flux_derivatives<R: Real>(
-    fluid: &Fluid,
-    trans: R,
-    p_k: R,
-    p_l: R,
-    g_dz: R,
-) -> (R, R, R) {
-    let rho_k = fluid.density(p_k);
-    let rho_l = fluid.density(p_l);
-    let drho_k = fluid.d_density_dp(p_k);
-    let drho_l = fluid.d_density_dp(p_l);
-    let inv_mu = R::ONE / R::from_f64(fluid.viscosity);
-
-    let rho_avg = (rho_k + rho_l) * R::HALF;
-    let pot_diff = (p_k - p_l) + rho_avg * g_dz;
-    let upwind_k = pot_diff > R::ZERO;
-    let rho_upw = if upwind_k { rho_k } else { rho_l };
-    let lambda = rho_upw * inv_mu;
-    let flux = trans * lambda * pot_diff;
-
-    // dΔΦ/dp_K = 1 + ½ dρ_K/dp · g·dz ;  dΔΦ/dp_L = −1 + ½ dρ_L/dp · g·dz
-    let dphi_dpk = R::ONE + R::HALF * drho_k * g_dz;
-    let dphi_dpl = -R::ONE + R::HALF * drho_l * g_dz;
-    // dλ/dp upwind-sided
-    let (dlam_dpk, dlam_dpl) = if upwind_k {
-        (drho_k * inv_mu, R::ZERO)
-    } else {
-        (R::ZERO, drho_l * inv_mu)
-    };
-    let df_dpk = trans * (dlam_dpk * pot_diff + lambda * dphi_dpk);
-    let df_dpl = trans * (dlam_dpl * pot_diff + lambda * dphi_dpl);
-    (flux, df_dpk, df_dpl)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,31 +153,6 @@ mod tests {
     fn zero_transmissibility_means_no_flow() {
         let f = face_flux_from_pressure(&fluid(), 0.0_f64, 1.0e6, 9.0e6, 3.0);
         assert_eq!(f.flux, 0.0);
-    }
-
-    #[test]
-    fn derivatives_match_finite_differences() {
-        let fl = Fluid::co2_like();
-        let (pk, pl) = (15.0e6_f64, 15.4e6);
-        let gdz = fl.gravity * -3.0;
-        let t = 2.5e-12;
-        let (f0, dfk, dfl) = face_flux_derivatives(&fl, t, pk, pl, gdz);
-        assert_eq!(f0, face_flux_from_pressure(&fl, t, pk, pl, gdz).flux);
-        let h = 10.0; // Pa
-        let f_pk = face_flux_from_pressure(&fl, t, pk + h, pl, gdz).flux;
-        let f_mk = face_flux_from_pressure(&fl, t, pk - h, pl, gdz).flux;
-        let fd_k = (f_pk - f_mk) / (2.0 * h);
-        assert!(
-            (fd_k - dfk).abs() / dfk.abs().max(1e-30) < 1e-5,
-            "{fd_k} vs {dfk}"
-        );
-        let f_pl = face_flux_from_pressure(&fl, t, pk, pl + h, gdz).flux;
-        let f_ml = face_flux_from_pressure(&fl, t, pk, pl - h, gdz).flux;
-        let fd_l = (f_pl - f_ml) / (2.0 * h);
-        assert!(
-            (fd_l - dfl).abs() / dfl.abs().max(1e-30) < 1e-5,
-            "{fd_l} vs {dfl}"
-        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! transmissibilities, a slightly-compressible equation of state, single-point
 //! upwinding, and the cell-based flux/residual assembly of the paper's
 //! Algorithm 1. It also provides the implicit (backward-Euler) residual of the
-//! paper's Eq. (2), a matrix-free flux operator, and Krylov/Newton solvers —
-//! the extension sketched in the paper's §8 ("Discussions").
+//! paper's Eq. (2), a matrix-free flux operator, and a conjugate-gradient
+//! solver — the host reference for the Krylov extension sketched in the
+//! paper's §8 ("Discussions").
 //!
 //! The serial kernels in [`residual`] are the *ground truth* against which the
 //! dataflow implementation (`tpfa-dataflow` on `wse-sim`) and the GPU-style
@@ -75,8 +76,6 @@ pub mod solver;
 pub mod source;
 pub mod state;
 pub mod trans;
-pub mod twophase;
-pub mod umesh;
 pub mod validate;
 
 /// Convenient re-exports of the most commonly used types.
@@ -90,7 +89,7 @@ pub mod prelude {
     pub use crate::residual::{
         assemble_flux_residual, assemble_flux_residual_facewise, assemble_implicit_residual,
     };
-    pub use crate::solver::{cg::ConjugateGradient, newton::NewtonSolver};
+    pub use crate::solver::cg::ConjugateGradient;
     pub use crate::state::FlowState;
     pub use crate::trans::{StencilKind, Transmissibilities};
 }

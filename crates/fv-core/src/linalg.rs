@@ -1,4 +1,4 @@
-//! Small dense-vector kernels used by the Krylov and Newton solvers.
+//! Small dense-vector kernels used by the conjugate-gradient solver.
 //!
 //! Kept deliberately allocation-free: every operation writes into
 //! caller-provided storage, following the "reuse workhorse buffers" guidance
@@ -17,12 +17,6 @@ pub fn dot<R: Real>(x: &[R], y: &[R]) -> R {
 #[inline]
 pub fn norm2<R: Real>(x: &[R]) -> R {
     dot(x, x).sqrt()
-}
-
-/// Max norm `‖x‖_∞`.
-#[inline]
-pub fn norm_inf<R: Real>(x: &[R]) -> R {
-    x.iter().fold(R::ZERO, |m, &v| m.max(v.abs()))
 }
 
 /// `y ← a·x + y`.
@@ -75,7 +69,6 @@ mod tests {
         let x = [3.0_f64, 4.0];
         assert_eq!(dot(&x, &x), 25.0);
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm_inf(&[1.0_f64, -7.0, 3.0]), 7.0);
     }
 
     #[test]
@@ -111,6 +104,5 @@ mod tests {
         let e: [f64; 0] = [];
         assert_eq!(dot(&e, &e), 0.0);
         assert_eq!(norm2(&e), 0.0);
-        assert_eq!(norm_inf(&e), 0.0);
     }
 }

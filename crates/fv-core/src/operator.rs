@@ -7,10 +7,9 @@
 //! ever forming a matrix, so a Krylov solver only needs repeated flux sweeps.
 
 use crate::eos::Fluid;
-use crate::flux::face_flux_derivatives;
 use crate::mesh::{CartesianMesh3, ALL_NEIGHBORS, NEIGHBOR_COUNT};
 use crate::real::Real;
-use crate::residual::{assemble_flux_residual, gravity_head};
+use crate::residual::assemble_flux_residual;
 use crate::trans::Transmissibilities;
 
 /// A matrix-free linear operator `y = A x`.
@@ -182,123 +181,6 @@ impl<R: Real> LinearOperator<R> for FrozenMobilityOperator<R> {
     }
 }
 
-/// Frozen-upwind Newton Jacobian of the flux residual (optionally plus an
-/// accumulation diagonal), applied matrix-free:
-///
-/// ```text
-/// (J v)_K = Σ_L [ ∂F_KL/∂p_K · v_K + ∂F_KL/∂p_L · v_L ] + d_K v_K
-/// ```
-///
-/// Nonsymmetric in general (upwinding!), so pair it with BiCGSTAB.
-pub struct JacobianOperator<R> {
-    /// `∂F/∂p_K` per cell-face slot.
-    df_dpk: Vec<R>,
-    /// `∂F/∂p_L` per cell-face slot.
-    df_dpl: Vec<R>,
-    /// Accumulation diagonal.
-    diag: Vec<R>,
-    n: usize,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-}
-
-impl<R: Real> JacobianOperator<R> {
-    /// Linearizes the flux residual at pressure `p_lin`.
-    pub fn new(
-        mesh: &CartesianMesh3,
-        fluid: &Fluid,
-        trans: &Transmissibilities,
-        p_lin: &[R],
-    ) -> Self {
-        assert_eq!(p_lin.len(), mesh.num_cells());
-        let n = mesh.num_cells();
-        let mut df_dpk = vec![R::ZERO; n * NEIGHBOR_COUNT];
-        let mut df_dpl = vec![R::ZERO; n * NEIGHBOR_COUNT];
-        for (i, c) in mesh.cells() {
-            for nb in ALL_NEIGHBORS {
-                let Some(l) = mesh.neighbor(c, nb) else {
-                    continue;
-                };
-                let j = mesh.linear_idx(l);
-                let g_dz = gravity_head(fluid, mesh, nb);
-                let (_, dk, dl) = face_flux_derivatives(
-                    fluid,
-                    R::from_f64(trans.t(i, nb)),
-                    p_lin[i],
-                    p_lin[j],
-                    g_dz,
-                );
-                df_dpk[i * NEIGHBOR_COUNT + nb.face_index()] = dk;
-                df_dpl[i * NEIGHBOR_COUNT + nb.face_index()] = dl;
-            }
-        }
-        Self {
-            df_dpk,
-            df_dpl,
-            diag: vec![R::ZERO; n],
-            n,
-            nx: mesh.nx(),
-            ny: mesh.ny(),
-            nz: mesh.nz(),
-        }
-    }
-
-    /// Adds the accumulation diagonal `V d(φρ)/dp / Δt`.
-    pub fn with_diagonal(mut self, diag: Vec<R>) -> Self {
-        assert_eq!(diag.len(), self.n);
-        self.diag = diag;
-        self
-    }
-
-    #[inline]
-    fn neighbor_index(&self, i: usize, face: usize) -> Option<usize> {
-        let x = i % self.nx;
-        let y = (i / self.nx) % self.ny;
-        let z = i / (self.nx * self.ny);
-        let (dx, dy, dz) = crate::mesh::Neighbor::from_face_index(face).offset();
-        let xx = x as i64 + dx;
-        let yy = y as i64 + dy;
-        let zz = z as i64 + dz;
-        if xx < 0
-            || yy < 0
-            || zz < 0
-            || xx >= self.nx as i64
-            || yy >= self.ny as i64
-            || zz >= self.nz as i64
-        {
-            None
-        } else {
-            Some(((zz as usize * self.ny) + yy as usize) * self.nx + xx as usize)
-        }
-    }
-}
-
-impl<R: Real> LinearOperator<R> for JacobianOperator<R> {
-    fn apply(&self, x: &[R], y: &mut [R]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        for i in 0..self.n {
-            let mut acc = self.diag[i] * x[i];
-            for face in 0..NEIGHBOR_COUNT {
-                let dk = self.df_dpk[i * NEIGHBOR_COUNT + face];
-                let dl = self.df_dpl[i * NEIGHBOR_COUNT + face];
-                if dk == R::ZERO && dl == R::ZERO {
-                    continue;
-                }
-                if let Some(j) = self.neighbor_index(i, face) {
-                    acc += dk * x[i] + dl * x[j];
-                }
-            }
-            y[i] = acc;
-        }
-    }
-
-    fn dim(&self) -> usize {
-        self.n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,57 +266,5 @@ mod tests {
         }
         let d = a.diagonal();
         assert!(d.iter().all(|&v| v >= 1.0));
-    }
-
-    #[test]
-    fn jacobian_matches_finite_difference_of_residual() {
-        let (mesh, fluid, trans) = setup();
-        let n = mesh.num_cells();
-        let p = FlowState::<f64>::varied(&mesh, 1.0e7, 1.05e7, 4);
-        let jac = JacobianOperator::new(&mesh, &fluid, &trans, p.pressure());
-        // direction
-        let v: Vec<f64> = (0..n)
-            .map(|i| (((i * 29 + 3) % 11) as f64 - 5.0) * 1.0)
-            .collect();
-        let mut jv = vec![0.0; n];
-        jac.apply(&v, &mut jv);
-        // finite difference of the nonlinear residual
-        let eps = 1e-2; // Pa-scale perturbation
-        let mut p_plus = p.pressure().to_vec();
-        let mut p_minus = p.pressure().to_vec();
-        for i in 0..n {
-            p_plus[i] += eps * v[i];
-            p_minus[i] -= eps * v[i];
-        }
-        let mut r_plus = vec![0.0; n];
-        let mut r_minus = vec![0.0; n];
-        assemble_flux_residual(&mesh, &fluid, &trans, &p_plus, &mut r_plus);
-        assemble_flux_residual(&mesh, &fluid, &trans, &p_minus, &mut r_minus);
-        let scale = jv.iter().map(|v| v.abs()).fold(0.0_f64, f64::max);
-        for i in 0..n {
-            let fd = (r_plus[i] - r_minus[i]) / (2.0 * eps);
-            assert!(
-                (fd - jv[i]).abs() < 1e-5 * scale.max(1e-30),
-                "cell {i}: fd={fd} analytic={}",
-                jv[i]
-            );
-        }
-        assert_eq!(jac.dim(), n);
-    }
-
-    #[test]
-    fn jacobian_diagonal_shift_applies() {
-        let (mesh, fluid, trans) = setup();
-        let n = mesh.num_cells();
-        let p = FlowState::<f64>::uniform(&mesh, 1.0e7);
-        let jac =
-            JacobianOperator::new(&mesh, &fluid, &trans, p.pressure()).with_diagonal(vec![2.0; n]);
-        let v = vec![1.0; n];
-        let mut jv = vec![0.0; n];
-        jac.apply(&v, &mut jv);
-        // uniform pressure without perturbation: flux Jacobian rows sum to
-        // the gravity coupling only; with gravity-free fluid it'd be exact.
-        // Here just check the diagonal showed up.
-        assert!(jv.iter().all(|&x| x != 0.0));
     }
 }

@@ -2,13 +2,10 @@
 //! ("developing nonlinear and linear solvers ... can broaden the scope of FV
 //! applications").
 //!
-//! * [`cg`] — preconditioned conjugate gradients for the SPD Picard operator;
-//! * [`bicgstab`] — BiCGSTAB for the nonsymmetric frozen-upwind Jacobian;
-//! * [`newton`] — a Newton–Krylov loop for the implicit residual of Eq. (2).
+//! * [`cg`] — preconditioned conjugate gradients for the SPD Picard operator,
+//!   the host reference for an on-fabric Krylov solve.
 
-pub mod bicgstab;
 pub mod cg;
-pub mod newton;
 
 use crate::real::Real;
 
@@ -19,7 +16,7 @@ pub enum StopReason {
     Converged,
     /// Iteration budget exhausted.
     MaxIterations,
-    /// A breakdown scalar (e.g. `ρ` in BiCGSTAB) vanished.
+    /// The curvature `pᵀAp` was not positive (operator not SPD).
     Breakdown,
 }
 

@@ -1,8 +1,8 @@
-//! Well / source terms for the injection scenarios.
+//! Well / source terms for the implicit residual.
 //!
 //! The paper's motivating application is CO₂ injection; the flux-kernel study
-//! itself has no wells, but the implicit-solver extension (§8) and the
-//! `co2_injection` example need a mass source.
+//! itself has no wells, but the implicit residual of Eq. (2), which the §8
+//! Krylov extension solves, takes a mass source.
 
 use crate::mesh::{CartesianMesh3, CellIdx};
 use serde::{Deserialize, Serialize};
@@ -34,18 +34,6 @@ impl SourceTerm {
             mass_rate: -mass_rate,
         }
     }
-
-    /// A vertical injection well perforating every Z layer of column
-    /// `(x, y)`, splitting `total_rate` equally.
-    pub fn vertical_well(mesh: &CartesianMesh3, x: usize, y: usize, total_rate: f64) -> Vec<Self> {
-        let per_layer = total_rate / mesh.nz() as f64;
-        (0..mesh.nz())
-            .map(|z| Self {
-                cell: mesh.linear(x, y, z),
-                mass_rate: per_layer,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -65,19 +53,6 @@ mod tests {
         let prod = SourceTerm::producer(&m, CellIdx::new(2, 2, 1), 2.0);
         assert!(prod.mass_rate < 0.0);
         assert_eq!(inj.cell, m.linear(1, 1, 0));
-    }
-
-    #[test]
-    fn vertical_well_splits_rate() {
-        let m = mesh();
-        let well = SourceTerm::vertical_well(&m, 2, 3, 6.0);
-        assert_eq!(well.len(), 3);
-        let total: f64 = well.iter().map(|s| s.mass_rate).sum();
-        assert!((total - 6.0).abs() < 1e-12);
-        for (z, s) in well.iter().enumerate() {
-            assert_eq!(s.cell, m.linear(2, 3, z));
-            assert!((s.mass_rate - 2.0).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -21,28 +21,40 @@ impl TraceRequest {
     }
 }
 
-/// Parse `--trace <path> [--trace-cap <events>]` from an argument slice.
-/// Returns `None` when `--trace` is absent or has no path value.
-pub fn trace_request_from_arg_slice(args: &[String]) -> Option<TraceRequest> {
-    let path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .filter(|v| !v.starts_with("--"))?
-        .clone();
-    let capacity = args
-        .iter()
-        .position(|a| a == "--trace-cap")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_RING_CAPACITY);
-    Some(TraceRequest { path, capacity })
+/// The value after `flag`: `Ok(None)` when the flag is absent, an error
+/// when it is the last argument or is followed by another flag.
+fn value_of<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("missing value for {flag}")),
+    }
 }
 
-/// [`trace_request_from_arg_slice`] over the process's own CLI arguments.
-pub fn trace_request_from_args() -> Option<TraceRequest> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    trace_request_from_arg_slice(&args)
+/// The per-PE ring capacity from `--trace-cap` (default
+/// [`DEFAULT_RING_CAPACITY`]).
+fn ring_capacity(args: &[String]) -> Result<usize, String> {
+    match value_of(args, "--trace-cap")? {
+        None => Ok(DEFAULT_RING_CAPACITY),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("bad value for --trace-cap: {v:?}")),
+    }
+}
+
+/// Parse `--trace <path> [--trace-cap <events>]` from an argument slice.
+/// Returns `Ok(None)` when `--trace` is absent, and an error when it has no
+/// path or `--trace-cap` is not a count.
+pub fn trace_request_from_arg_slice(args: &[String]) -> Result<Option<TraceRequest>, String> {
+    let Some(path) = value_of(args, "--trace")? else {
+        return Ok(None);
+    };
+    Ok(Some(TraceRequest {
+        path: path.clone(),
+        capacity: ring_capacity(args)?,
+    }))
 }
 
 /// A parsed `--profile` request: where to write the profile JSON and how
@@ -65,27 +77,16 @@ impl ProfileRequest {
 }
 
 /// Parse `--profile <path> [--trace-cap <events>]` from an argument slice.
-/// Returns `None` when `--profile` is absent or has no path value.
-pub fn profile_request_from_arg_slice(args: &[String]) -> Option<ProfileRequest> {
-    let path = args
-        .iter()
-        .position(|a| a == "--profile")
-        .and_then(|i| args.get(i + 1))
-        .filter(|v| !v.starts_with("--"))?
-        .clone();
-    let capacity = args
-        .iter()
-        .position(|a| a == "--trace-cap")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_RING_CAPACITY);
-    Some(ProfileRequest { path, capacity })
-}
-
-/// [`profile_request_from_arg_slice`] over the process's own CLI arguments.
-pub fn profile_request_from_args() -> Option<ProfileRequest> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    profile_request_from_arg_slice(&args)
+/// Returns `Ok(None)` when `--profile` is absent, and an error when it has
+/// no path or `--trace-cap` is not a count.
+pub fn profile_request_from_arg_slice(args: &[String]) -> Result<Option<ProfileRequest>, String> {
+    let Some(path) = value_of(args, "--profile")? else {
+        return Ok(None);
+    };
+    Ok(Some(ProfileRequest {
+        path: path.clone(),
+        capacity: ring_capacity(args)?,
+    }))
 }
 
 #[cfg(test)]
@@ -98,51 +99,54 @@ mod tests {
 
     #[test]
     fn parses_trace_flag_with_and_without_cap() {
-        assert_eq!(trace_request_from_arg_slice(&to_args("")), None);
-        assert_eq!(trace_request_from_arg_slice(&to_args("--shards 4")), None);
+        assert_eq!(trace_request_from_arg_slice(&to_args("")), Ok(None));
+        assert_eq!(
+            trace_request_from_arg_slice(&to_args("--shards 4")),
+            Ok(None)
+        );
         assert_eq!(
             trace_request_from_arg_slice(&to_args("--trace out.json")),
-            Some(TraceRequest {
+            Ok(Some(TraceRequest {
                 path: "out.json".into(),
                 capacity: DEFAULT_RING_CAPACITY
-            })
+            }))
         );
         assert_eq!(
             trace_request_from_arg_slice(&to_args("--shards 4 --trace t.json --trace-cap 128")),
-            Some(TraceRequest {
+            Ok(Some(TraceRequest {
                 path: "t.json".into(),
                 capacity: 128
-            })
+            }))
         );
-        // `--trace` immediately followed by another flag is not a path.
+        // `--trace` immediately followed by another flag has no path.
         assert_eq!(
             trace_request_from_arg_slice(&to_args("--trace --trace-cap 128")),
-            None
+            Err("missing value for --trace".into())
         );
     }
 
     #[test]
     fn parses_profile_flag_with_shared_cap() {
-        assert_eq!(profile_request_from_arg_slice(&to_args("")), None);
+        assert_eq!(profile_request_from_arg_slice(&to_args("")), Ok(None));
         assert_eq!(
             profile_request_from_arg_slice(&to_args("--profile p.json")),
-            Some(ProfileRequest {
+            Ok(Some(ProfileRequest {
                 path: "p.json".into(),
                 capacity: DEFAULT_RING_CAPACITY
-            })
+            }))
         );
         assert_eq!(
             profile_request_from_arg_slice(&to_args(
                 "--trace t.json --profile p.json --trace-cap 64"
             )),
-            Some(ProfileRequest {
+            Ok(Some(ProfileRequest {
                 path: "p.json".into(),
                 capacity: 64
-            })
+            }))
         );
         assert_eq!(
             profile_request_from_arg_slice(&to_args("--profile --trace-cap 64")),
-            None
+            Err("missing value for --profile".into())
         );
     }
 }

@@ -40,8 +40,7 @@ pub mod trace;
 
 pub use chrome::{check_json, chrome_trace_json, validate};
 pub use cli::{
-    profile_request_from_arg_slice, profile_request_from_args, trace_request_from_arg_slice,
-    trace_request_from_args, ProfileRequest, TraceRequest,
+    profile_request_from_arg_slice, trace_request_from_arg_slice, ProfileRequest, TraceRequest,
 };
 pub use event::{
     link_name, TraceEvent, TraceEventKind, TraceOp, TraceRegion, LINK_CONTROL_BIT, NUM_REGIONS,

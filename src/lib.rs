@@ -6,7 +6,7 @@
 //! dataflow architecture, with GPU-style reference implementations and the
 //! analytic machine models used to regenerate the paper's evaluation.
 //!
-//! * [`fv`] — physics + serial reference + matrix-free solvers
+//! * [`fv`] — physics + serial reference + matrix-free operators and CG
 //! * [`wse`] — the dataflow-architecture simulator
 //! * [`stencil`] — the stencil→route compiler: declarative specs to
 //!   colors, per-PE route programs and exchange schedules

@@ -1,11 +1,9 @@
-//! Integration tests of the extension subsystems through the public `mdfv`
-//! API: the §8 acoustic wave on the fabric, the §9 unstructured meshes, and
-//! the GEOS-style two-phase IMPES flow.
+//! Integration tests of the §8 acoustic-wave extension through the public
+//! `mdfv` API: the wave on the fabric against its serial reference, and the
+//! wave and TPFA programs sharing one exchange infrastructure.
 
 use mdfv::dataflow::wave::{serial_wave_step, WaveParams, WaveSimulator};
 use mdfv::fv::prelude::*;
-use mdfv::fv::twophase::{ImpesSimulator, TwoPhaseFluid, VolumetricSource};
-use mdfv::fv::umesh::{assemble_flux_residual_unstructured, UnstructuredMesh};
 
 #[test]
 fn wave_on_fabric_agrees_with_serial_through_public_api() {
@@ -43,62 +41,6 @@ fn wave_energy_radiates_but_stays_bounded_without_diagonals() {
     let u = sim.read_field();
     let max = u.iter().map(|v| v.abs()).fold(0.0_f32, f32::max);
     assert!(max.is_finite() && max < 2.0);
-}
-
-#[test]
-fn unstructured_conversion_preserves_newton_compatible_residuals() {
-    // full pipeline: Cartesian problem → general mesh → unstructured
-    // assembly == structured assembly
-    let mesh = CartesianMesh3::new(Extents::new(6, 5, 4), Spacing::new(4.0, 4.0, 2.0));
-    let fluid = Fluid::co2_like();
-    let perm = PermeabilityField::log_normal(&mesh, 1e-13, 0.5, 77);
-    let trans = Transmissibilities::tpfa(&mesh, &perm, StencilKind::TenPoint);
-    let general = UnstructuredMesh::from_cartesian(&mesh, &trans);
-    let p = FlowState::<f64>::gaussian_pulse(&mesh, 1.6e7, 2.0e6, 2.0);
-    let mut structured = vec![0.0_f64; mesh.num_cells()];
-    assemble_flux_residual_facewise(&mesh, &fluid, &trans, p.pressure(), &mut structured);
-    let mut unstructured = vec![0.0_f64; mesh.num_cells()];
-    assemble_flux_residual_unstructured(&general, &fluid, p.pressure(), &mut unstructured);
-    let scale = structured.iter().map(|v| v.abs()).fold(1e-300, f64::max);
-    for i in 0..structured.len() {
-        assert!((structured[i] - unstructured[i]).abs() <= 1e-10 * scale);
-    }
-}
-
-#[test]
-fn impes_waterflood_on_heterogeneous_3d_mesh() {
-    let mesh = CartesianMesh3::new(Extents::new(8, 8, 3), Spacing::uniform(5.0));
-    let fluid = TwoPhaseFluid::water_co2();
-    let perm = PermeabilityField::layered(&mesh, &[3e-13, 5e-14, 2e-13]);
-    let trans = Transmissibilities::tpfa(&mesh, &perm, StencilKind::TenPoint);
-    let n = mesh.num_cells();
-    let sources = vec![
-        VolumetricSource {
-            cell: mesh.linear(0, 0, 0),
-            rate: 1.0e-4,
-            water_fraction: 1.0,
-        },
-        VolumetricSource {
-            cell: mesh.linear(7, 7, 2),
-            rate: -1.0e-4,
-            water_fraction: 0.0,
-        },
-    ];
-    let mut sim = ImpesSimulator::new(n, 0.25);
-    let mut p = vec![1.5e7_f64; n];
-    let mut s = vec![fluid.s_wc; n];
-    let dt = sim.suggest_dt(&mesh, &sources, 0.05);
-    for step in 0..150 {
-        let rep = sim.step(&mesh, &fluid, &trans, &sources, dt, &mut p, &mut s);
-        assert!(rep.pressure_solve.converged(), "step {step}");
-    }
-    // the injector-side high-perm layer floods fastest
-    assert!(s[mesh.linear(0, 0, 0)] > 0.9 * fluid.s_w_max());
-    assert!(s[mesh.linear(1, 0, 0)] > s[mesh.linear(7, 7, 0)]);
-    // bounds preserved everywhere
-    assert!(s
-        .iter()
-        .all(|&v| v >= fluid.s_wc - 1e-12 && v <= fluid.s_w_max() + 1e-12));
 }
 
 #[test]

@@ -1,14 +1,9 @@
-//! Integration tests of the §8 solver extension: implicit time stepping on
-//! heterogeneous problems, steady states, and matrix-free consistency.
+//! Integration test of the §8 Krylov host reference: conjugate gradients on
+//! the matrix-free frozen-mobility operator of a heterogeneous problem.
 
-use mdfv::fv::linalg::{norm2, norm_inf};
-use mdfv::fv::operator::{FrozenMobilityOperator, JacobianOperator, LinearOperator};
+use mdfv::fv::linalg::norm2;
+use mdfv::fv::operator::{FrozenMobilityOperator, LinearOperator};
 use mdfv::fv::prelude::*;
-use mdfv::fv::residual::AccumulationParams;
-use mdfv::fv::solver::bicgstab::BiCgStab;
-use mdfv::fv::solver::cg::ConjugateGradient;
-use mdfv::fv::solver::newton::{NewtonConfig, NewtonSolver};
-use mdfv::fv::source::SourceTerm;
 
 fn heterogeneous_problem() -> (CartesianMesh3, Fluid, Transmissibilities) {
     let mesh = CartesianMesh3::new(Extents::new(10, 8, 5), Spacing::new(12.0, 12.0, 6.0));
@@ -18,112 +13,8 @@ fn heterogeneous_problem() -> (CartesianMesh3, Fluid, Transmissibilities) {
     (mesh, fluid, trans)
 }
 
-fn acc(dt: f64) -> AccumulationParams<f64> {
-    AccumulationParams {
-        phi_ref: 0.2,
-        rock_compressibility: 1e-9,
-        dt,
-    }
-}
-
 #[test]
-fn transient_decays_to_uniform_steady_state() {
-    let (mesh, fluid, trans) = heterogeneous_problem();
-    let fluid = fluid.without_gravity();
-    let n = mesh.num_cells();
-    let initial = FlowState::<f64>::gaussian_pulse(&mesh, 20.0e6, 1.0e6, 2.0);
-    let mut p = initial.pressure().to_vec();
-    let mut p_old = p.clone();
-    let mut newton = NewtonSolver::new(n, NewtonConfig::default());
-    let spread = |v: &[f64]| {
-        v.iter().cloned().fold(f64::MIN, f64::max) - v.iter().cloned().fold(f64::MAX, f64::min)
-    };
-    let initial_spread = spread(&p);
-    for step in 0..40 {
-        let rep = newton.step(&mesh, &fluid, &trans, acc(5.0e4), &p_old, &[], &mut p);
-        assert!(rep.converged, "step {step}: {rep:?}");
-        p_old.copy_from_slice(&p);
-    }
-    assert!(
-        spread(&p) < 0.05 * initial_spread,
-        "pulse must have diffused: {} -> {}",
-        initial_spread,
-        spread(&p)
-    );
-    // mass conservation across the whole transient
-    let vol = mesh.cell_volume();
-    let a = acc(5.0e4);
-    let mass = |v: &[f64]| -> f64 {
-        v.iter()
-            .map(|&pi| {
-                vol * fluid.porosity(a.phi_ref, a.rock_compressibility, pi) * fluid.density(pi)
-            })
-            .sum()
-    };
-    let m0 = mass(initial.pressure());
-    let m1 = mass(&p);
-    assert!(
-        ((m1 - m0) / m0).abs() < 1e-10,
-        "closed system must conserve mass: {m0} -> {m1}"
-    );
-}
-
-#[test]
-fn gravity_equilibrium_is_a_fixed_point() {
-    let (mesh, fluid, trans) = heterogeneous_problem();
-    let n = mesh.num_cells();
-    // start from hydrostatic and take implicit steps: pressure barely moves
-    let initial = FlowState::<f64>::hydrostatic(&mesh, &fluid, 25.0e6);
-    let mut p = initial.pressure().to_vec();
-    let mut p_old = p.clone();
-    let mut newton = NewtonSolver::new(n, NewtonConfig::default());
-    for _ in 0..3 {
-        let rep = newton.step(&mesh, &fluid, &trans, acc(1.0e5), &p_old, &[], &mut p);
-        assert!(rep.converged);
-        p_old.copy_from_slice(&p);
-    }
-    let drift = p
-        .iter()
-        .zip(initial.pressure())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0_f64, f64::max);
-    // tiny drift from compressibility only (< 1 kPa against 25 MPa)
-    assert!(drift < 1.0e3, "hydrostatic drift {drift} Pa");
-}
-
-#[test]
-fn injection_production_pair_reaches_steady_flow() {
-    let (mesh, fluid, trans) = heterogeneous_problem();
-    let fluid = fluid.without_gravity();
-    let n = mesh.num_cells();
-    let sources = vec![
-        SourceTerm::injector(&mesh, CellIdx::new(1, 1, 2), 0.5),
-        SourceTerm::producer(&mesh, CellIdx::new(8, 6, 2), 0.5),
-    ];
-    let p0 = FlowState::<f64>::uniform(&mesh, 20.0e6);
-    let mut p = p0.pressure().to_vec();
-    let mut p_old = p.clone();
-    let mut newton = NewtonSolver::new(n, NewtonConfig::default());
-    let mut last_change = f64::MAX;
-    for _ in 0..30 {
-        let rep = newton.step(&mesh, &fluid, &trans, acc(2.0e5), &p_old, &sources, &mut p);
-        assert!(rep.converged);
-        last_change = p
-            .iter()
-            .zip(&p_old)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0_f64, f64::max);
-        p_old.copy_from_slice(&p);
-    }
-    // balanced source/sink: approaches steady state
-    assert!(last_change < 100.0, "still moving by {last_change} Pa/step");
-    let inj = p[mesh.linear(1, 1, 2)];
-    let prod = p[mesh.linear(8, 6, 2)];
-    assert!(inj > prod, "flow must run from injector to producer");
-}
-
-#[test]
-fn cg_and_bicgstab_agree_on_spd_systems() {
+fn cg_solves_the_heterogeneous_frozen_mobility_system() {
     let (mesh, fluid, trans) = heterogeneous_problem();
     let n = mesh.num_cells();
     let p = FlowState::<f64>::uniform(&mesh, 15.0e6);
@@ -132,71 +23,27 @@ fn cg_and_bicgstab_agree_on_spd_systems() {
     let rhs: Vec<f64> = (0..n)
         .map(|i| (((i * 7) % 13) as f64 - 6.0) * 1e-9)
         .collect();
-    let mut cg = ConjugateGradient::new(n, 2000, 1e-11);
-    let mut x1 = vec![0.0; n];
-    assert!(cg.solve(&op, &rhs, &mut x1).converged());
-    let mut bi = BiCgStab::new(n, 2000, 1e-11);
-    let mut x2 = vec![0.0; n];
-    assert!(bi.solve(&op, &rhs, &mut x2).converged());
-    let scale = norm2(&x1).max(1e-300);
-    let mut diff = x1.clone();
-    for i in 0..n {
-        diff[i] -= x2[i];
-    }
-    assert!(norm2(&diff) / scale < 1e-6, "{}", norm2(&diff) / scale);
-}
-
-#[test]
-fn jacobian_operator_linearizes_the_implicit_residual() {
-    // r(p + εv) − r(p) ≈ ε·J·v for the flux part
-    let (mesh, fluid, trans) = heterogeneous_problem();
-    let n = mesh.num_cells();
-    let p = FlowState::<f64>::varied(&mesh, 1.4e7, 1.5e7, 3);
-    let jac = JacobianOperator::new(&mesh, &fluid, &trans, p.pressure());
-    let v: Vec<f64> = (0..n).map(|i| ((i * 11) % 7) as f64 - 3.0).collect();
-    let eps = 1.0e-2;
-    let mut p_pert = p.pressure().to_vec();
-    for i in 0..n {
-        p_pert[i] += eps * v[i];
-    }
-    let mut r0 = vec![0.0; n];
-    let mut r1 = vec![0.0; n];
-    assemble_flux_residual(&mesh, &fluid, &trans, p.pressure(), &mut r0);
-    assemble_flux_residual(&mesh, &fluid, &trans, &p_pert, &mut r1);
-    let mut jv = vec![0.0; n];
-    jac.apply(&v, &mut jv);
-    let mut fd = vec![0.0; n];
-    for i in 0..n {
-        fd[i] = (r1[i] - r0[i]) / eps;
-    }
-    let scale = norm_inf(&jv).max(1e-300);
-    for i in 0..n {
+    let solve = |cg: &mut ConjugateGradient<f64>| {
+        let mut x = vec![0.0; n];
+        let report = cg.solve(&op, &rhs, &mut x);
+        assert!(report.converged(), "{report:?}");
+        let mut ax = vec![0.0; n];
+        op.apply(&x, &mut ax);
+        for (r, b) in ax.iter_mut().zip(&rhs) {
+            *r -= b;
+        }
         assert!(
-            (fd[i] - jv[i]).abs() < 1e-4 * scale,
-            "cell {i}: fd {} vs J·v {}",
-            fd[i],
-            jv[i]
+            norm2(&ax) <= 1e-8 * norm2(&rhs),
+            "‖Ax − b‖ = {} for ‖b‖ = {}",
+            norm2(&ax),
+            norm2(&rhs)
         );
-    }
-}
-
-#[test]
-fn shrinking_time_step_reduces_newton_work() {
-    let (mesh, fluid, trans) = heterogeneous_problem();
-    let fluid = fluid.without_gravity();
-    let n = mesh.num_cells();
-    let p0 = FlowState::<f64>::gaussian_pulse(&mesh, 20.0e6, 2.0e6, 2.0);
-    let work = |dt: f64| {
-        let mut newton = NewtonSolver::new(n, NewtonConfig::default());
-        let mut p = p0.pressure().to_vec();
-        let rep = newton.step(&mesh, &fluid, &trans, acc(dt), p0.pressure(), &[], &mut p);
-        assert!(rep.converged);
-        rep.iterations
+        x
     };
-    let small = work(1.0e3);
-    let large = work(1.0e6);
-    assert!(
-        small <= large,
-        "smaller steps must not need more Newton iterations ({small} vs {large})"
-    );
+    let plain = solve(&mut ConjugateGradient::new(n, 2000, 1e-11));
+    let diag = op.diagonal();
+    let jacobi = solve(&mut ConjugateGradient::new(n, 2000, 1e-11).with_jacobi(&diag));
+    let diff: Vec<f64> = plain.iter().zip(&jacobi).map(|(a, b)| a - b).collect();
+    let rel = norm2(&diff) / norm2(&plain).max(1e-300);
+    assert!(rel < 1e-6, "plain and Jacobi CG differ by {rel}");
 }
