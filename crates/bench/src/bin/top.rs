@@ -19,7 +19,6 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use wse_serve::{JobServer, JobSpec, JobState, ProblemSpec, ProgressUpdate, ServerConfig};
-use wse_sim::fabric::Execution;
 
 const NX: usize = 16;
 const NY: usize = 16;
@@ -106,12 +105,9 @@ fn main() {
     let busy = hub.gauge("serve_workers_busy", "", &[]);
     let done_ctr = hub.counter("serve_jobs_done_total", "", &[]);
     let hits = hub.counter("serve_cache_hits_total", "", &[]);
-    // Fabric-level series carry an `engine` label; mirror the driver's
-    // label construction so the handles alias the worker-registered ones.
-    let engine = match common.execution {
-        Execution::Sequential => "sequential".to_string(),
-        Execution::Sharded { shards, .. } => format!("sharded{shards}"),
-    };
+    // Fabric-level series carry the driver's `engine` label; the same
+    // label makes these handles alias the worker-registered ones.
+    let engine = tpfa_dataflow::engine_label(common.execution);
     let fabric_label: &[(&str, &str)] = &[("engine", &engine)];
     let eq_classes = hub.gauge("fabric_eq_classes", "", fabric_label);
     let region_ff = hub.counter("fabric_region_ff_jumps_total", "", fabric_label);

@@ -3,8 +3,9 @@
 //! Every table/figure generator accepts the same flag family; parsing it
 //! used to be copy-pasted per binary. [`CommonArgs`] centralizes it:
 //!
-//! * `--shards N [--threads M]` — fabric engine selection (sequential
-//!   reference when absent);
+//! * `--shards N [--threads M]` — fabric engine selection (`Sequential`,
+//!   one strip on the calling thread, when absent or 0; `--threads` needs
+//!   `--shards N ≥ 1` and is at least 1);
 //! * `--trace out.json [--trace-cap N]` — Chrome-JSON event trace export;
 //! * `--profile out.json [--trace-cap N]` — cycle attribution + critical
 //!   path export;
@@ -109,11 +110,15 @@ impl CommonArgs {
                     .map_err(|_| format!("bad value for {flag}: {v:?}")),
             }
         };
-        let execution = match usize_of("--shards")? {
-            None | Some(0) => Execution::Sequential,
-            Some(shards) => {
+        let execution = match (usize_of("--shards")?, usize_of("--threads")?) {
+            (None | Some(0), None) => Execution::Sequential,
+            (None | Some(0), Some(_)) => {
+                return Err("--threads needs --shards N with N >= 1".to_string())
+            }
+            (Some(_), Some(0)) => return Err("bad value for --threads: \"0\"".to_string()),
+            (Some(shards), threads) => {
                 let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                let threads = usize_of("--threads")?.unwrap_or_else(|| shards.min(cores));
+                let threads = threads.unwrap_or_else(|| shards.min(cores));
                 Execution::Sharded { shards, threads }
             }
         };
@@ -244,6 +249,10 @@ mod tests {
     #[test]
     fn rejects_malformed_values() {
         assert!(CommonArgs::from_slice(&to_args("--shards four")).is_err());
+        // `--threads` is never ignored: malformed, without `--shards`, or 0.
+        assert!(CommonArgs::from_slice(&to_args("--threads abc")).is_err());
+        assert!(CommonArgs::from_slice(&to_args("--threads 2")).is_err());
+        assert!(CommonArgs::from_slice(&to_args("--shards 4 --threads 0")).is_err());
         assert!(CommonArgs::from_slice(&to_args("--faults abc")).is_err());
         assert!(CommonArgs::from_slice(&to_args("--recovery sometimes")).is_err());
         assert!(CommonArgs::from_slice(&to_args("--stencil biharmonic")).is_err());

@@ -38,7 +38,13 @@ fn pin_64x64(execution: Execution) {
     assert_eq!(run.final_time, 5_869, "fabric time after {APPLIES} applies");
     assert_eq!(sim.queue_wait_cycles(), 429_161_525, "queue-wait cycles");
     let hops: Vec<u64> = sim.shard_stats(4).iter().map(|s| s.fabric_hops).collect();
-    assert_eq!(hops, [904_704; 4], "fabric hops per strip");
+    // Four row strips of 16 rows each; the 2×2 rectangles this used to
+    // report read [904_704; 4]. Both sum to 3,618,816.
+    assert_eq!(
+        hops,
+        [902_400, 907_008, 907_008, 902_400],
+        "fabric hops per strip"
+    );
 }
 
 #[test]

@@ -68,7 +68,8 @@ pub enum RecoveryPolicy {
     /// so a successful retry is bit-identical to the fault-free run;
     /// persistent faults exhaust the attempts into the typed error.
     Retry {
-        /// Total attempts, including the first (≥ 1).
+        /// Total attempts, including the first (≥ 1; `build()` rejects 0
+        /// with [`BuildError::ZeroRetryAttempts`]).
         max_attempts: u32,
         /// Simulated backoff cycles added before retry `n` as
         /// `backoff · 2^(n−1)`, accumulated in
@@ -187,6 +188,9 @@ pub enum BuildError {
     /// The workload-builder path ([`DataflowFluxSimulator::workload_builder`])
     /// was used without installing a workload.
     MissingWorkload,
+    /// [`RecoveryPolicy::Retry`] with `max_attempts: 0`: the count includes
+    /// the first attempt, so not even that would run.
+    ZeroRetryAttempts,
 }
 
 impl From<CompileError> for BuildError {
@@ -230,6 +234,10 @@ impl std::fmt::Display for BuildError {
             BuildError::MissingWorkload => {
                 write!(f, "no workload supplied (builder.workload(..))")
             }
+            BuildError::ZeroRetryAttempts => write!(
+                f,
+                "RecoveryPolicy::Retry needs max_attempts >= 1 (the first attempt counts)"
+            ),
         }
     }
 }
@@ -530,6 +538,15 @@ impl<'a> SimulatorBuilder<'a> {
         self.fault_plan
             .validate(dims)
             .map_err(BuildError::InvalidFaultPlan)?;
+        if matches!(
+            self.recovery,
+            RecoveryPolicy::Retry {
+                max_attempts: 0,
+                ..
+            }
+        ) {
+            return Err(BuildError::ZeroRetryAttempts);
+        }
 
         let spec = SimSpec {
             nx,
@@ -663,12 +680,18 @@ struct DriverMetrics {
     apply_started: Option<Instant>,
 }
 
+/// The `engine` label of the driver's `fabric_*` / `wall_*` metric series:
+/// `sequential`, or `sharded{n}` for `n` requested strips.
+pub fn engine_label(execution: Execution) -> String {
+    match execution {
+        Execution::Sequential => "sequential".to_string(),
+        Execution::Sharded { shards, .. } => format!("sharded{shards}"),
+    }
+}
+
 impl DriverMetrics {
     fn new(hub: &MetricsHub, execution: Execution) -> Self {
-        let engine = match execution {
-            Execution::Sequential => "sequential".to_string(),
-            Execution::Sharded { shards, .. } => format!("sharded{shards}"),
-        };
+        let engine = engine_label(execution);
         let l: &[(&str, &str)] = &[("engine", &engine)];
         Self {
             live: hub.is_live(),
@@ -875,12 +898,13 @@ impl DataflowFluxSimulator {
         self.metrics.on_begin();
     }
 
-    /// Processes up to `max_events` fabric events of the in-flight
-    /// application, pausing at an event boundary (the sharded engine
-    /// overshoots to the end of the simulated cycle in which the limit was
-    /// reached; the final state is identical either way). Returns whether the fabric reached
-    /// quiescence; calling again after completion is a no-op. On `Err` the
-    /// fabric is in a failed state — discard or restore the simulator.
+    /// Processes about `max_events` fabric events of the in-flight
+    /// application: the pause ends the simulated cycle in which the limit
+    /// was reached (see [`Fabric::run_until`]), on every engine, so nothing
+    /// left pending is at or before the reported `fabric_time`. Returns
+    /// whether the fabric reached quiescence; calling again after
+    /// completion is a no-op. On `Err` the fabric is in a failed state —
+    /// discard or restore the simulator.
     ///
     /// # Panics
     ///
@@ -1108,7 +1132,6 @@ impl DataflowFluxSimulator {
                 max_attempts,
                 backoff,
             } => {
-                assert!(max_attempts >= 1, "Retry requires max_attempts >= 1");
                 let mut backoff_cycles = 0u64;
                 let mut attempt = 0u32;
                 loop {
@@ -1220,10 +1243,15 @@ impl DataflowFluxSimulator {
         self.fabric.stats()
     }
 
-    /// Per-shard statistics under the rectangular reporting partition into
-    /// `shards` (see [`Fabric::shard_stats`]).
-    pub fn shard_stats(&self, shards: usize) -> Vec<FabricStats> {
-        self.fabric.shard_stats(shards)
+    /// Per-strip statistics with the fabric cut into `strips` row strips
+    /// (see [`Fabric::shard_stats`]).
+    pub fn shard_stats(&self, strips: usize) -> Vec<FabricStats> {
+        self.fabric.shard_stats(strips)
+    }
+
+    /// One PE's statistics (see [`Fabric::pe_stats`]).
+    pub fn pe_stats(&self, x: usize, y: usize) -> FabricStats {
+        self.fabric.pe_stats(PeCoord::new(x, y))
     }
 
     /// Route-table equivalence classes after program load (see
@@ -1272,12 +1300,6 @@ impl DataflowFluxSimulator {
     /// tracing is off.
     pub fn trace(&self) -> Option<Trace> {
         self.fabric.trace()
-    }
-
-    /// Trace snapshot attributed to the shards of a hypothetical `shards`
-    /// partition (see [`Fabric::trace_with_shards`]).
-    pub fn trace_with_shards(&self, shards: usize) -> Option<Trace> {
-        self.fabric.trace_with_shards(shards)
     }
 
     /// Zeroes all counters (e.g. between warm-up and measurement).
@@ -1595,6 +1617,19 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, BuildError::InvalidFaultPlan(_)), "{err:?}");
+        // A retry budget without even the first attempt is refused here,
+        // not on the first apply.
+        let err = DataflowFluxSimulator::builder(&mesh)
+            .fluid(&fluid)
+            .transmissibilities(&trans)
+            .recovery(RecoveryPolicy::Retry {
+                max_attempts: 0,
+                backoff: 0,
+            })
+            .build()
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err, BuildError::ZeroRetryAttempts);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub mod wave;
 pub mod workload;
 
 pub use driver::{
-    BuildError, DataflowFluxSimulator, DriverSnapshot, Recovered, RecoveryPolicy, SimulatorBuilder,
-    StepReport, StepTotals,
+    engine_label, BuildError, DataflowFluxSimulator, DriverSnapshot, Recovered, RecoveryPolicy,
+    SimulatorBuilder, StepReport, StepTotals,
 };
 pub use kernel::{compute_face_flux, FaceBuffers, FaceInputs, FluidParams, TpfaKernel};
 pub use laplace::{LaplaceParams, LaplaceWorkload};

@@ -34,7 +34,8 @@ const NO_COMPUTE_TRACE_FNV: u64 = 0xbe1f_3728_5e97_6577;
 const NO_DIAGONALS_STATE_FNV: u64 = 0x3ac5_537c_6920_ca67;
 const NO_DIAGONALS_TRACE_FNV: u64 = 0x8314_811d_b568_d8e9;
 
-/// Events per `step_events` call; prime, so pauses land mid-cycle.
+/// Events per `step_events` call; prime, so the limit trips mid-cycle and
+/// the pause runs that cycle out.
 const CHUNK: u64 = 7_919;
 const WAVE_STEPS: usize = 3;
 
@@ -97,17 +98,18 @@ impl Digest {
         for w in sim.queue_wait_by_pe() {
             self.word(w);
         }
-        // One shard per PE: the per-PE rows of the scalar arena.
-        let per_pe = sim.shard_stats(nx * ny);
-        assert_eq!(per_pe.len(), nx * ny);
-        for s in per_pe {
-            for w in [
-                s.fabric_hops,
-                s.ramp_deliveries,
-                s.edge_drops,
-                s.flow_stalls,
-            ] {
-                self.word(w);
+        // The per-PE rows of the scalar arena, in linear PE order.
+        for y in 0..ny {
+            for x in 0..nx {
+                let s = sim.pe_stats(x, y);
+                for w in [
+                    s.fabric_hops,
+                    s.ramp_deliveries,
+                    s.edge_drops,
+                    s.flow_stalls,
+                ] {
+                    self.word(w);
+                }
             }
         }
         let report = sim.last_run().expect("a run was made");

@@ -243,6 +243,8 @@ pub enum SubmitError {
     },
     /// The server is shutting down.
     ShuttingDown,
+    /// The problem has a zero extent, so there is no mesh to build.
+    EmptyProblem(ProblemSpec),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -252,6 +254,9 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "submission queue full (capacity {capacity})")
             }
             SubmitError::ShuttingDown => write!(f, "server is shutting down"),
+            SubmitError::EmptyProblem(p) => {
+                write!(f, "problem {}x{}x{} has a zero extent", p.nx, p.ny, p.nz)
+            }
         }
     }
 }
@@ -478,8 +483,13 @@ impl JobServer {
         Self { inner, workers }
     }
 
-    /// Submits a job; rejected when the queue is at capacity.
+    /// Submits a job; rejected when its problem has a zero extent or the
+    /// queue is at capacity.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
+        let ProblemSpec { nx, ny, nz, .. } = spec.problem;
+        if nx == 0 || ny == 0 || nz == 0 {
+            return Err(SubmitError::EmptyProblem(spec.problem));
+        }
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
@@ -1035,6 +1045,38 @@ mod tests {
         assert_eq!(status.applications_done, 3);
         assert!(status.events > 0);
         assert_eq!(server.result(id).unwrap(), expected);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_zero_extent_is_refused_at_submit_and_the_worker_survives() {
+        let server = JobServer::start(ServerConfig {
+            workers: 1,
+            queue_capacity: 8,
+            ..ServerConfig::default()
+        });
+        for empty in [
+            ProblemSpec {
+                nx: 0,
+                ..small_problem()
+            },
+            ProblemSpec {
+                ny: 0,
+                ..small_problem()
+            },
+            ProblemSpec {
+                nz: 0,
+                ..small_problem()
+            },
+        ] {
+            assert_eq!(
+                server.submit(JobSpec::new(empty, 1)),
+                Err(SubmitError::EmptyProblem(empty))
+            );
+        }
+        // The lone worker is still there to run the next job.
+        let id = server.submit(JobSpec::new(small_problem(), 1)).unwrap();
+        assert_eq!(server.wait(id).unwrap().state, JobState::Done);
         server.shutdown();
     }
 

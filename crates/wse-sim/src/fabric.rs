@@ -7,26 +7,26 @@
 //! the paper's implementation arranges (§5.3.2: "the fabric and routers work
 //! completely independently from the processing elements").
 //!
-//! # Two execution engines, one result
+//! # One run loop, one partition
 //!
-//! [`Fabric::run`] dispatches on [`FabricConfig::execution`]:
-//!
-//! * [`Execution::Sequential`] — a single event queue over the whole
-//!   fabric (the reference engine).
-//! * [`Execution::Sharded`] — the **cycle-synchronous strip engine**. The
-//!   fabric is cut into contiguous *row strips*; a strip is a contiguous
-//!   range of linear PE indices and owns its PEs' slots, its rows of the
-//!   scalar arena and its own event wheel, all of which live in the
-//!   [`Fabric`] between calls. A run deals the strips in contiguous blocks
-//!   to scoped workers and every worker repeats one step for the agreed
-//!   cycle `t`: drain its strips' events at `t` through the shared step
-//!   function, post events for a neighbouring strip's PEs into that
-//!   strip's mailbox, hand in `min(own next pending time, earliest time
-//!   mailed)` and its event count at **one rendezvous**, where the last
-//!   arrival folds them into the one verdict every worker reads — the next
-//!   `t`, and the event total the pause and budget decisions are made from
-//!   — and take in its strips' mail (`strip_worker` says why one
-//!   rendezvous per step is enough).
+//! [`Fabric::run`] is the **cycle-synchronous strip engine**. The fabric is
+//! cut into contiguous *row strips*; a strip is a contiguous range of
+//! linear PE indices and owns its PEs' slots, its rows of the scalar arena
+//! and its own event wheel, all of which live in the [`Fabric`] between
+//! calls. A run deals the strips in contiguous blocks to workers (the
+//! calling thread is the first) and every worker repeats one step for the
+//! agreed cycle `t`: drain its strips' events at `t` through the shared
+//! step function, post events for a neighbouring strip's PEs into that
+//! strip's mailbox, hand in `min(own next pending time, earliest time
+//! mailed)` and its event count at **one rendezvous**, where the last
+//! arrival folds them into the one verdict every worker reads — the next
+//! `t`, and the event total the pause and budget decisions are made from —
+//! and take in its strips' mail (`strip_worker` says why one rendezvous per
+//! step is enough). [`FabricConfig::execution`] only says how many strips
+//! and workers: [`Execution::Sequential`] is one strip on the calling
+//! thread, [`Execution::Sharded`] any number of each. The strips are also
+//! the one partition [`Fabric::shard_stats`] and [`Fabric::trace`] report
+//! by.
 //!
 //! # Order: per-PE key order is the contract, PE-major is the schedule
 //!
@@ -41,7 +41,7 @@
 //! creator numbers its events, and a key-preserved forward consumes its
 //! predecessor and is its only descendant).
 //!
-//! The engines promise the order **at each PE**: a PE processes the events
+//! The engine promises the order **at each PE**: a PE processes the events
 //! addressed to it in key order. No other order is observable, because
 //! (1) an event mutates one PE's slot and arena row and nothing else —
 //! fast-forwarding adds to the traversed PEs' `fabric_hops`, which commutes,
@@ -50,25 +50,24 @@
 //! interleaving; (3) an effect on *another* PE crosses a link and lands
 //! `hop_latency ≥ 1` cycles later (asserted by [`Fabric::new`]). So every
 //! schedule that runs cycles in order and, within a cycle, each PE's events
-//! in key order yields the same state. Both engines use the **PE-major**
+//! in key order yields the same state. The engine uses the **PE-major**
 //! one — an event's `Ord` is `(time, pe, seq, src)` — which executes a
 //! cycle one PE at a time, while that PE's slot, program and memory are
-//! hot. The smallest-key error both engines report is still chosen by
-//! `(time, seq, src)`. The strip engine needs nothing more than (3): what a
-//! strip mails during cycle `t` lands at `t + hop_latency` or later, so it is
-//! in the destination's wheel (taken in after the barrier of step `t`) before
-//! any worker starts the cycle it belongs to. Results, per-PE
-//! [`OpCounters`], [`RunReport`] totals, and error reporting are
-//! bit-identical between the engines.
+//! hot. The smallest-key error is still chosen by `(time, seq, src)`. The
+//! strips need nothing more than (3): what a strip mails during cycle `t`
+//! lands at `t + hop_latency` or later, so it is in the destination's wheel
+//! (taken in after the barrier of step `t`) before any worker starts the
+//! cycle it belongs to. Results, per-PE [`OpCounters`], [`RunReport`]
+//! totals, and error reporting are bit-identical for every strip and
+//! worker count.
 //!
 //! # Event engine
 //!
 //! Events live in a [`CalendarQueue`] — a two-level timing wheel, O(1)
 //! push/pop for integer-cycle times less than 2²⁰ cycles ahead (see
-//! [`crate::queue`]). Each engine's run loop pops from it and hands the
-//! event to the one step function both share (`Engine::step`), over the
-//! PEs that engine instance owns: the whole fabric for `Sequential`, one
-//! row strip for `Sharded`.
+//! [`crate::queue`]), one per strip. The run loop drains a strip's events
+//! of the current cycle from it and hands each to the step function
+//! (`Engine::step`), over the PEs of that strip.
 //!
 //! On fault-free, untraced runs the step function **fast-forwards static
 //! routes** (`fast_forward`): a data wavelet entering a k-hop chain of
@@ -101,27 +100,36 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use wse_trace::{EventRing, PeTracer, Trace, TraceEventKind, TraceSpec, HOST_PE, LINK_CONTROL_BIT};
 
-/// Which event-loop engine [`Fabric::run`] uses.
+/// How many row strips and worker threads [`Fabric::run`] uses. Every
+/// choice runs the same strip engine (see the module docs) and gives
+/// bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Execution {
-    /// The single-threaded reference engine.
+    /// One strip on the calling thread: `Sharded { shards: 1, threads: 1 }`.
     #[default]
     Sequential,
-    /// The parallel engine: contiguous row strips with private event
-    /// wheels, advanced one simulated cycle at a time with one rendezvous
-    /// per cycle (see the module docs). Bit-identical to
-    /// [`Execution::Sequential`].
+    /// Contiguous row strips with private event wheels, advanced one
+    /// simulated cycle at a time with one rendezvous per cycle.
     Sharded {
         /// Number of row strips to cut the fabric into (clamped to
         /// `1..=rows`; strip `k` of `n` holds rows `k·rows/n ..
-        /// (k+1)·rows/n`). The partition [`Fabric::shard_stats`] and
-        /// [`Fabric::trace`] *report* by is still the rectangular one.
+        /// (k+1)·rows/n`). [`Fabric::trace`] attributes PEs to these strips.
         shards: usize,
         /// Worker threads to run the strips on (clamped to `1..=strips`;
         /// strips are dealt in contiguous blocks, the calling thread is
         /// worker 0 and the others are scoped threads).
         threads: usize,
     },
+}
+
+impl Execution {
+    /// `(strips, threads)` as requested, before clamping.
+    fn strips_and_threads(self) -> (usize, usize) {
+        match self {
+            Execution::Sequential => (1, 1),
+            Execution::Sharded { shards, threads } => (shards, threads),
+        }
+    }
 }
 
 /// Fabric-wide configuration.
@@ -136,7 +144,8 @@ pub struct FabricConfig {
     pub hop_latency: u64,
     /// Safety cap on processed events (default 10⁹).
     pub max_events: u64,
-    /// Event-loop engine (default [`Execution::Sequential`]).
+    /// Row strips and worker threads of the run loop (default
+    /// [`Execution::Sequential`]: one of each).
     pub execution: Execution,
     /// Tracing request (default off — zero overhead beyond one predictable
     /// branch per instrumentation site). When enabled, each PE records into
@@ -266,7 +275,7 @@ type RouteScratch = VecDeque<(Direction, Wavelet, bool)>;
 
 /// The struct-of-arrays arena of per-PE scalar state: flat slices indexed
 /// by PE slot index — local to the [`Strip`] that holds the arena (one
-/// strip spans the whole fabric on the sequential engine). Keeping these nine
+/// strip spans the whole fabric under `Sequential`). Keeping these nine
 /// words out of [`PeSlot`] keeps the hot counters densely packed and the
 /// slot itself small, which is what paper-scale PE counts need.
 #[derive(Debug, Clone, Default)]
@@ -1018,8 +1027,8 @@ fn table_steps(table: &RouteTable) -> [FwdStep; MAX_COLORS] {
 /// jumping to the first PE past its edge and mailing the key-preserved
 /// continuation (time already advanced by its segment's hops) to the
 /// neighbor, which resumes the walk on pop. Segment budgets sum to the
-/// sequential chain's `1 + (k-1)` pops and each segment bumps exactly its
-/// own PEs' `fabric_hops`, so counters and event budgets stay bit-identical.
+/// whole chain's `1 + (k-1)` pops and each segment bumps exactly its own
+/// PEs' `fabric_hops`, so counters and a run's event count stay identical.
 fn fast_forward(
     eng: &mut Engine,
     table: &FwdTable,
@@ -1081,10 +1090,9 @@ struct FfCounters {
     region_jumps: u64,
 }
 
-/// What an engine's run loop hands the shared step function: the PEs it
-/// owns and everything an event may touch besides its queue. `Sequential`
-/// is one `Engine` over the whole fabric (local index = linear index);
-/// `Sharded` builds one per strip and cycle.
+/// What the run loop hands the step function: the PEs of one strip and
+/// everything an event may touch besides the strip's queue. Built per strip
+/// and cycle.
 struct Engine<'a> {
     dims: FabricDims,
     hop_latency: u64,
@@ -1145,85 +1153,15 @@ impl Engine<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// The reporting partition
-// ---------------------------------------------------------------------------
-
-/// A rectangular partition of the fabric into `nx × ny` shards with
-/// balanced (possibly uneven) extents: what [`Fabric::shard_stats`] and
-/// [`Fabric::trace_with_shards`] attribute PEs by. Nothing executes by it —
-/// the parallel engine's partition is the row [`Strip`]s.
-#[derive(Debug, Clone)]
-struct ShardPlan {
-    nx: usize,
-    ny: usize,
-    col_of: Vec<u32>,
-    row_of: Vec<u32>,
-}
-
-impl ShardPlan {
-    /// Chooses a feasible `nx × ny = shards` factorization whose shard
-    /// aspect best matches the fabric's, reducing the shard count when no
-    /// factorization fits (`shards = 1` always does).
-    fn new(dims: FabricDims, requested: usize) -> Self {
-        let mut s = requested.clamp(1, dims.num_pes());
-        let (nx, ny) = loop {
-            let mut best: Option<(usize, usize, f64)> = None;
-            for nx in 1..=s {
-                if !s.is_multiple_of(nx) {
-                    continue;
-                }
-                let ny = s / nx;
-                if nx > dims.cols || ny > dims.rows {
-                    continue;
-                }
-                let score = (dims.cols as f64 / nx as f64 - dims.rows as f64 / ny as f64).abs();
-                match best {
-                    Some((_, _, b)) if b <= score => {}
-                    _ => best = Some((nx, ny, score)),
-                }
-            }
-            if let Some((nx, ny, _)) = best {
-                break (nx, ny);
-            }
-            s -= 1;
-        };
-        let mut col_of = vec![0u32; dims.cols];
-        for k in 0..nx {
-            col_of[k * dims.cols / nx..(k + 1) * dims.cols / nx].fill(k as u32);
-        }
-        let mut row_of = vec![0u32; dims.rows];
-        for k in 0..ny {
-            row_of[k * dims.rows / ny..(k + 1) * dims.rows / ny].fill(k as u32);
-        }
-        Self {
-            nx,
-            ny,
-            col_of,
-            row_of,
-        }
-    }
-
-    #[inline]
-    fn count(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    #[inline]
-    fn shard_of(&self, c: PeCoord) -> usize {
-        self.row_of[c.row] as usize * self.nx + self.col_of[c.col] as usize
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Row strips and the cycle-synchronous engine
 // ---------------------------------------------------------------------------
 
 /// One contiguous block of fabric rows, which is one contiguous range of
-/// linear PE indices: the unit the engines execute over. It owns its PEs'
-/// pending events and their rows of the scalar arena, persistently — the
-/// host addresses both through the owning strip between runs, so a run
-/// neither builds nor merges anything per PE or per pending event.
-/// `Sequential` has one strip, the whole fabric.
+/// linear PE indices: the unit the engine executes over and reports by. It
+/// owns its PEs' pending events and their rows of the scalar arena,
+/// persistently — the host addresses both through the owning strip between
+/// runs, so a run neither builds nor merges anything per PE or per pending
+/// event. `Sequential` has one strip, the whole fabric.
 struct Strip {
     /// The strip's PEs (linear indices); `Fabric::pes[pes]` are their slots.
     pes: Range<usize>,
@@ -1236,19 +1174,22 @@ struct Strip {
     ff: FfCounters,
 }
 
-/// Cuts the fabric into `count` strips of whole rows (clamped to
-/// `1..=rows`), as even as the row count allows.
-fn cut_strips(dims: FabricDims, count: usize) -> Vec<Strip> {
+/// The linear PE ranges of `count` strips of whole rows (clamped to
+/// `1..=rows`), as even as the row count allows: strip `k` of `n` holds
+/// rows `k·rows/n .. (k+1)·rows/n`.
+fn row_strips(dims: FabricDims, count: usize) -> impl Iterator<Item = Range<usize>> {
     let n = count.clamp(1, dims.rows.max(1));
-    (0..n)
-        .map(|k| {
-            let pes = k * dims.rows / n * dims.cols..(k + 1) * dims.rows / n * dims.cols;
-            Strip {
-                queue: CalendarQueue::new(),
-                scalars: PeScalars::new(pes.len()),
-                ff: FfCounters::default(),
-                pes,
-            }
+    (0..n).map(move |k| k * dims.rows / n * dims.cols..(k + 1) * dims.rows / n * dims.cols)
+}
+
+/// Cuts the fabric into `count` [`row_strips`] with empty wheels.
+fn cut_strips(dims: FabricDims, count: usize) -> Vec<Strip> {
+    row_strips(dims, count)
+        .map(|pes| Strip {
+            queue: CalendarQueue::new(),
+            scalars: PeScalars::new(pes.len()),
+            ff: FfCounters::default(),
+            pes,
         })
         .collect()
 }
@@ -1404,6 +1345,16 @@ struct WorkerReport {
     error: Option<(EventKey, FabricError)>,
 }
 
+/// Holds `e`, bound for the strip above or below the one ending at `end`,
+/// for that strip's mailbox, and keeps `mailed` the earliest time held.
+/// Out of line: most emissions stay in their strip, one strip mails none.
+#[cold]
+#[inline(never)]
+fn post(out: &mut [Vec<Event>; 2], mailed: &mut Option<u64>, end: usize, e: Event) {
+    *mailed = Some(mailed.map_or(e.time, |m| m.min(e.time)));
+    out[usize::from(e.pe as usize >= end)].push(e);
+}
+
 /// One worker of the strip engine: `strips` is its contiguous block (the
 /// first of them strip `first_strip` of the fabric), `slots` the PEs of
 /// that block, `next` the earliest pending time in the whole fabric.
@@ -1455,9 +1406,6 @@ fn strip_worker(
             } = strip;
             let strip_slots = &mut slots[held..held + pes.len()];
             held += pes.len();
-            if queue.next_time() != Some(now) {
-                continue;
-            }
             let mut engine = Engine {
                 dims: run.dims,
                 hop_latency: run.hop_latency,
@@ -1473,18 +1421,18 @@ fn strip_worker(
             // The budget must also trip *inside* a cycle: a zero-cost task
             // that re-activates itself never leaves it. The count this
             // worker then hands in carries the verdict to the others.
-            while report.events <= run.max_events && queue.next_time() == Some(now) {
-                let ev = queue.pop().expect("an event is pending at this cycle");
+            while report.events <= run.max_events {
+                let Some(ev) = queue.pop_at(now) else {
+                    break;
+                };
                 // Own PEs (same-cycle self-deliveries included) stay in the
                 // strip's wheel; anything else is one link away, in the
                 // neighbouring strip.
                 report.events += 1 + engine.step(&ev, &mut |e: Event, _| {
-                    let pe = e.pe as usize;
-                    if pes.contains(&pe) {
+                    if pes.contains(&(e.pe as usize)) {
                         queue.push(e);
                     } else {
-                        mailed = Some(mailed.map_or(e.time, |m| m.min(e.time)));
-                        out[usize::from(pe >= pes.end)].push(e);
+                        post(&mut out, &mut mailed, pes.end, e);
                     }
                 });
             }
@@ -1522,8 +1470,8 @@ fn strip_worker(
     report
 }
 
-/// What an engine's drain of the queue leaves to conclude: budget events
-/// consumed, whether the pause limit tripped, the smallest-key routing error.
+/// What a drain of the strips leaves to conclude: budget events consumed,
+/// whether the pause limit tripped, the smallest-key routing error.
 type Drained = (u64, bool, Option<(EventKey, FabricError)>);
 
 /// The simulated wafer: PEs, routers, and the event queue.
@@ -1540,7 +1488,7 @@ pub struct Fabric {
     initialized: bool,
     /// Meta trace stream for host-side and engine-level events (barriers,
     /// host phases, budget/deadlock errors). Kept separate from the per-PE
-    /// streams so sequential and sharded per-PE traces stay bit-identical.
+    /// streams so those stay bit-identical across strip counts.
     host_trace: PeTracer,
     /// The fast-forward table, built by `load` when this configuration can
     /// ever fast-forward: enabled, and tracing off (a trace records every
@@ -1602,15 +1550,11 @@ impl Fabric {
             "FabricConfig::hop_latency must be at least one cycle"
         );
         let num_pes = pes.len();
-        let strips = match config.execution {
-            Execution::Sequential => 1,
-            Execution::Sharded { shards, .. } => shards,
-        };
         Self {
             dims,
             config,
             pes,
-            strips: cut_strips(dims, strips),
+            strips: cut_strips(dims, config.execution.strips_and_threads().0),
             host_seq: 0,
             time: 0,
             initialized: false,
@@ -2025,14 +1969,15 @@ impl Fabric {
         Ok(())
     }
 
-    /// Processes events until the fabric is quiescent, with the engine
-    /// selected by [`FabricConfig::execution`].
+    /// Processes events until the fabric is quiescent, on the strips and
+    /// workers [`FabricConfig::execution`] asks for.
     ///
-    /// Error precedence (identical in both engines): the event budget, then
-    /// the first non-benign injected fault, then the routing error with the
-    /// smallest event key, then a deadlock scan in PE linear order. Routing errors do not abort processing — the
-    /// offending wavelet is dropped and the run continues to quiescence, so
-    /// both engines observe the same error set.
+    /// Error precedence (identical for every strip count): the event
+    /// budget, then the first non-benign injected fault, then the routing
+    /// error with the smallest event key, then a deadlock scan in PE linear
+    /// order. Routing errors do not abort processing — the offending
+    /// wavelet is dropped and the run continues to quiescence, so every
+    /// partition observes the same error set.
     pub fn run(&mut self) -> Result<RunReport, FabricError> {
         self.run_inner(None).map(|p| p.report)
     }
@@ -2044,12 +1989,11 @@ impl Fabric {
     /// `run_until`/`run` call, or both — the final state is bit-identical
     /// to an uninterrupted run regardless of where the pauses landed.
     ///
-    /// The sequential engine pauses exactly at the limit; the strip engine
-    /// pauses between simulated cycles, so it overshoots to the end of the
-    /// cycle in which the limit was reached. Fault and routing errors
-    /// detected in the processed prefix are still reported; the deadlock
-    /// scan is skipped while paused (parked wavelets may simply not have
-    /// been freed *yet*).
+    /// A pause ends a simulated cycle: the run overshoots to the end of the
+    /// cycle in which the limit was reached, so nothing left pending is at
+    /// or before [`Fabric::time`]. Fault and routing errors detected in the
+    /// processed prefix are still reported; the deadlock scan is skipped
+    /// while paused (parked wavelets may simply not have been freed *yet*).
     pub fn run_until(&mut self, event_limit: u64) -> Result<PauseReport, FabricError> {
         self.run_inner(Some(event_limit))
     }
@@ -2058,33 +2002,29 @@ impl Fabric {
         assert!(self.initialized, "call load() before run()");
         let drops_before = self.total_edge_drops();
         let faults_before = self.total_fault_events();
-        // The engines differ in how they drain the queue and spend the event
-        // budget; what a finished (or paused) drain amounts to is shared.
-        let drained = match self.config.execution {
-            Execution::Sequential => self.run_sequential(limit),
-            Execution::Sharded { threads, .. } => self.run_strips(threads, limit),
-        };
-        let result = drained.and_then(|(events, hit_limit, route_error)| {
-            if let Some(error) = self.first_fault_error() {
-                return Err(error);
-            }
-            if let Some((_, error)) = route_error {
-                return Err(error);
-            }
-            let paused = hit_limit && self.strips.iter().any(|s| !s.queue.is_empty());
-            if !paused {
-                self.scan_deadlock()?;
-            }
-            Ok(PauseReport {
-                report: RunReport {
-                    events,
-                    final_time: self.time,
-                    edge_drops: self.total_edge_drops() - drops_before,
-                    faults: self.total_fault_events() - faults_before,
-                },
-                paused,
-            })
-        });
+        let result = self
+            .run_strips(limit)
+            .and_then(|(events, hit_limit, route_error)| {
+                if let Some(error) = self.first_fault_error() {
+                    return Err(error);
+                }
+                if let Some((_, error)) = route_error {
+                    return Err(error);
+                }
+                let paused = hit_limit && self.strips.iter().any(|s| !s.queue.is_empty());
+                if !paused {
+                    self.scan_deadlock()?;
+                }
+                Ok(PauseReport {
+                    report: RunReport {
+                        events,
+                        final_time: self.time,
+                        edge_drops: self.total_edge_drops() - drops_before,
+                        faults: self.total_fault_events() - faults_before,
+                    },
+                    paused,
+                })
+            });
         if let Err(error) = &result {
             // Route errors are traced per-PE where they occur; budget and
             // deadlock errors are engine-level, so they go to the meta
@@ -2099,62 +2039,14 @@ impl Fabric {
         result
     }
 
-    fn run_sequential(&mut self, limit: Option<u64>) -> Result<Drained, FabricError> {
-        let mut events = 0u64;
-        let mut hit_limit = false;
-        let mut first_error: Option<(EventKey, FabricError)> = None;
-        let max_events = self.config.max_events;
-        let [Strip {
-            queue, scalars, ff, ..
-        }] = &mut self.strips[..]
-        else {
-            unreachable!("the sequential engine runs over one strip");
-        };
-        let time = &mut self.time;
-        let mut route_scratch = RouteScratch::new();
-        // One engine over the whole fabric: local index = linear index, and
-        // every emission goes back into the one queue.
-        let mut engine = Engine {
-            dims: self.dims,
-            hop_latency: self.config.hop_latency,
-            fwd: self.fwd.as_ref().filter(|_| !self.faults_installed),
-            first: 0,
-            slots: &mut self.pes,
-            scalars,
-            ff,
-            error: &mut first_error,
-            route_scratch: &mut route_scratch,
-            at: Engine::NOWHERE,
-        };
-        loop {
-            if limit.is_some_and(|lim| events >= lim) {
-                hit_limit = true;
-                break;
-            }
-            let Some(ev) = queue.pop() else {
-                break;
-            };
-            events += 1;
-            *time = (*time).max(ev.time);
-            if events <= max_events {
-                // A chain's intermediate pops happen in bulk.
-                events += engine.step(&ev, &mut |e, _| queue.push(e));
-            }
-            if events > max_events {
-                return Err(FabricError::EventBudgetExceeded { max_events });
-            }
-        }
-        Ok((events, hit_limit, first_error))
-    }
-
     /// The strip engine: deals the strips (and their PEs' slots — a block
     /// of strips is a contiguous slice of `pes`) in contiguous blocks to
     /// `min(threads, strips)` workers and runs [`strip_worker`] on each, the
     /// first on the calling thread. Costs `workers − 1` scoped spawns and
     /// nothing per PE or per pending event.
-    fn run_strips(&mut self, threads: usize, limit: Option<u64>) -> Result<Drained, FabricError> {
+    fn run_strips(&mut self, limit: Option<u64>) -> Result<Drained, FabricError> {
         let n = self.strips.len();
-        let workers = threads.clamp(1, n);
+        let workers = self.config.execution.strips_and_threads().1.clamp(1, n);
         let run = StripRun {
             dims: self.dims,
             hop_latency: self.config.hop_latency,
@@ -2349,13 +2241,6 @@ impl Fabric {
         self.eq_classes
     }
 
-    /// A PE's cumulative fabric-link forwards (per-PE diagnostics; the
-    /// aggregate lives in [`FabricStats::fabric_hops`]).
-    pub fn fabric_hops_at(&self, coord: PeCoord) -> u64 {
-        let (sc, i) = self.row(self.dims.linear(coord));
-        sc.fabric_hops[i]
-    }
-
     /// Event-queue occupancy `(wheel, overflow)`: items inside the timing
     /// wheel's 2²⁰-cycle horizon vs parked in the comparison heap beyond
     /// it, summed over the strips' wheels. A host-side telemetry probe;
@@ -2396,7 +2281,11 @@ impl Fabric {
         }
     }
 
-    fn pe_stats(&self, pe: usize) -> FabricStats {
+    /// One PE's statistics: its counters and every per-PE scalar (link
+    /// forwards, ramp deliveries, drops, stalls), as a one-PE
+    /// [`FabricStats`].
+    pub fn pe_stats(&self, coord: PeCoord) -> FabricStats {
+        let pe = self.dims.linear(coord);
         let slot = &self.pes[pe];
         let (sc, i) = self.row(pe);
         FabricStats {
@@ -2414,28 +2303,28 @@ impl Fabric {
         }
     }
 
-    /// Aggregated fabric statistics.
-    pub fn stats(&self) -> FabricStats {
+    /// Statistics merged over linear PEs `pes`.
+    fn range_stats(&self, pes: Range<usize>) -> FabricStats {
         let mut s = FabricStats::default();
-        for i in 0..self.pes.len() {
-            s.merge(&self.pe_stats(i));
+        for i in pes {
+            s.merge(&self.pe_stats(self.dims.coord(i)));
         }
         s
     }
 
-    /// Per-shard statistics under a rectangular partition into `shards`
-    /// (reduced until an `nx × ny` factorization fits the fabric) — one
-    /// [`FabricStats`] per shard, in shard-id order. `stats()` equals the
-    /// merge of all entries. A reporting partition: the parallel engine
-    /// executes by row strips.
-    pub fn shard_stats(&self, shards: usize) -> Vec<FabricStats> {
-        let plan = ShardPlan::new(self.dims, shards);
-        let mut out = vec![FabricStats::default(); plan.count()];
-        for i in 0..self.pes.len() {
-            let sh = plan.shard_of(self.dims.coord(i));
-            out[sh].merge(&self.pe_stats(i));
-        }
-        out
+    /// Aggregated fabric statistics.
+    pub fn stats(&self) -> FabricStats {
+        self.range_stats(0..self.pes.len())
+    }
+
+    /// Per-strip statistics with the fabric cut into `strips` row strips
+    /// (clamped to `1..=rows`, cut as [`Execution::Sharded`] cuts them) —
+    /// one [`FabricStats`] per strip, top to bottom. `stats()` equals the
+    /// merge of all entries.
+    pub fn shard_stats(&self, strips: usize) -> Vec<FabricStats> {
+        row_strips(self.dims, strips)
+            .map(|pes| self.range_stats(pes))
+            .collect()
     }
 
     /// Whether event tracing was enabled in [`FabricConfig::trace`].
@@ -2451,35 +2340,25 @@ impl Fabric {
             .record_at(time, TraceEventKind::HostPhase, phase, 0, payload);
     }
 
-    /// Snapshot of the recorded trace, attributing PEs to the rectangular
-    /// reporting partition of the configured shard count (1 shard when
-    /// sequential). `None` when tracing is off.
+    /// Snapshot of the recorded trace, attributing each PE to the strip
+    /// that ran it (one strip when sequential). The per-PE event streams
+    /// do not depend on the strips; only this attribution does. `None`
+    /// when tracing is off.
     pub fn trace(&self) -> Option<Trace> {
-        let shards = match self.config.execution {
-            Execution::Sequential => 1,
-            Execution::Sharded { shards, .. } => shards,
-        };
-        self.trace_with_shards(shards)
-    }
-
-    /// Snapshot of the recorded trace under the rectangular reporting
-    /// partition into `shards` (see [`Fabric::shard_stats`]). The per-PE
-    /// event streams are engine-independent; only this attribution changes.
-    pub fn trace_with_shards(&self, shards: usize) -> Option<Trace> {
         if !self.config.trace.enabled {
             return None;
         }
-        let plan = ShardPlan::new(self.dims, shards);
-        let shard_of: Vec<u32> = (0..self.dims.num_pes())
-            .map(|i| plan.shard_of(self.dims.coord(i)) as u32)
-            .collect();
+        let mut shard_of = vec![0u32; self.pes.len()];
+        for (k, strip) in self.strips.iter().enumerate() {
+            shard_of[strip.pes.clone()].fill(k as u32);
+        }
         let rings: Vec<&EventRing> = self.pes.iter().filter_map(|s| s.trace.ring()).collect();
         let empty_host = EventRing::new(HOST_PE, 1);
         let host = self.host_trace.ring().unwrap_or(&empty_host);
         Some(Trace::from_rings(
             self.dims.cols,
             self.dims.rows,
-            plan.count(),
+            self.strips.len(),
             shard_of,
             self.time,
             &rings,
@@ -2886,38 +2765,6 @@ mod tests {
             execution: Execution::Sharded { shards, threads },
             ..FabricConfig::default()
         }
-    }
-
-    #[test]
-    fn shard_plan_factorizations_match_fabric_aspect() {
-        let square = FabricDims::new(12, 12);
-        let p = ShardPlan::new(square, 4);
-        assert_eq!((p.nx, p.ny), (2, 2));
-        let p = ShardPlan::new(square, 9);
-        assert_eq!((p.nx, p.ny), (3, 3));
-        let wide = FabricDims::new(16, 4);
-        let p = ShardPlan::new(wide, 2);
-        assert_eq!((p.nx, p.ny), (2, 1), "wide fabrics split by columns");
-        // 7 shards cannot tile 4×4 (needs a 7 on one axis); falls back to 6
-        let p = ShardPlan::new(FabricDims::new(4, 4), 7);
-        assert_eq!(p.count(), 6);
-        // more shards than PEs is clamped
-        let p = ShardPlan::new(FabricDims::new(2, 2), 64);
-        assert_eq!(p.count(), 4);
-    }
-
-    #[test]
-    fn shard_plan_covers_every_pe_exactly_once() {
-        let dims = FabricDims::new(7, 5); // misaligned splits
-        let plan = ShardPlan::new(dims, 6);
-        // `shard_of` is a function, so no PE is in two shards; every shard
-        // of the 3×2 grid gets its balanced rectangle (columns 2/2/3 × rows
-        // 2/3).
-        let mut sizes = vec![0usize; plan.count()];
-        for c in dims.iter() {
-            sizes[plan.shard_of(c)] += 1;
-        }
-        assert_eq!(sizes, [4, 4, 6, 6, 6, 9]);
     }
 
     #[test]

@@ -486,6 +486,20 @@ impl<T: Timestamped + Ord + Copy> CalendarQueue<T> {
         }
     }
 
+    /// Pops the minimum item if its time is `t`, and `None` otherwise: a
+    /// run loop drains one cycle with one call per item.
+    pub fn pop_at(&mut self, t: u64) -> Option<T> {
+        if self.active_len() == 0 {
+            if self.next_inactive_time() != Some(t) {
+                return None;
+            }
+            self.activate(t);
+        } else if self.cursor != t {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Visits every pending item, in no particular order (the fabric's
     /// snapshot sorts what it collects).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
@@ -654,6 +668,18 @@ mod tests {
     fn pops_in_time_then_tie_order() {
         let items = [Item(5, 1), Item(3, 2), Item(5, 0), Item(3, 1)];
         assert_eq!(pop_all(&mut queue_of(&items)), sorted(&items));
+    }
+
+    #[test]
+    fn pop_at_drains_one_cycle_only() {
+        let mut q = queue_of(&[Item(5, 1), Item(3, 2), Item(5, 0)]);
+        assert_eq!(q.pop_at(5), None, "cycle 3 comes first");
+        assert_eq!(q.pop_at(3), Some(Item(3, 2)));
+        assert_eq!(q.pop_at(3), None);
+        assert_eq!(q.pop_at(5), Some(Item(5, 0)));
+        assert_eq!(q.pop_at(6), None, "the drain is at 5");
+        assert_eq!(q.pop_at(5), Some(Item(5, 1)));
+        assert_eq!((q.pop_at(5), q.len()), (None, 0));
     }
 
     #[test]

@@ -146,7 +146,7 @@ fn run_pipeline(
     f.activate(PeCoord::new(0, 0), KICK, 0);
     let report = f.run().expect("pipeline run failed");
     let hops: Vec<u64> = (0..width)
-        .map(|x| f.fabric_hops_at(PeCoord::new(0, x)))
+        .map(|x| f.pe_stats(PeCoord::new(0, x)).fabric_hops)
         .collect();
     (report, f.stats(), f.time(), hops)
 }
@@ -273,15 +273,14 @@ fn two_shard_chain_crossing_matches_closed_form() {
             assert_eq!(report.events, 10, "{label}: event count");
             assert_eq!(report.final_time, 7 * L, "{label}: sink arrival time");
             let hops: Vec<u64> = (0..8)
-                .map(|x| f.fabric_hops_at(PeCoord::new(0, x)))
+                .map(|x| f.pe_stats(PeCoord::new(0, x)).fabric_hops)
                 .collect();
             assert_eq!(
                 hops,
                 vec![1, 1, 1, 1, 1, 1, 1, 0],
                 "{label}: per-router hops"
             );
-            // Hop split across the row-3/row-4 edge (on a one-column fabric
-            // the 2-shard reporting partition is the 2 strips): 4 + 3.
+            // Hop split across the row-3/row-4 edge of the 2 strips: 4 + 3.
             let per_shard = f.shard_stats(2);
             assert_eq!(per_shard[0].fabric_hops, 4, "{label}: shard-0 hops");
             assert_eq!(per_shard[1].fabric_hops, 3, "{label}: shard-1 hops");

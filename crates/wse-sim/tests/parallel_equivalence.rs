@@ -1,9 +1,10 @@
 //! Differential determinism harness: the cycle-synchronous strip engine
-//! must be **bit-identical** to the sequential reference engine — same
-//! residuals, same per-PE instruction counters, same [`RunReport`], same
-//! final fabric time, and the same error reports — for every strip count
-//! and thread count, including strip counts that do not divide the row
-//! count and more threads than cores, and across pauses and restores.
+//! must be **bit-identical** to its one-strip, one-thread run
+//! (`Execution::Sequential`) — same residuals, same per-PE instruction
+//! counters, same [`RunReport`], same final fabric time, and the same error
+//! reports — for every strip count and thread count, including strip counts
+//! that do not divide the row count and more threads than cores, and across
+//! pauses and restores.
 //!
 //! The workload is the repo's real TPFA flux program (`tpfa-dataflow`,
 //! a dev-dependency) on a 32×32 fabric, not a toy kernel: every mechanism
@@ -114,8 +115,8 @@ fn single_row_fabric_clamps_to_one_strip() {
 
 #[test]
 fn chunked_parallel_run_matches_a_single_run() {
-    // A parallel `run_until` pauses at the end of the cycle in which its
-    // limit was reached; wherever the pauses land, the chunks' reports sum
+    // A `run_until` pauses at the end of the cycle in which its limit was
+    // reached; wherever the pauses land, the chunks' reports sum
     // to the single run's and the final state is the same. A 1-event limit
     // makes every call exactly one cycle.
     let (nx, ny, nz) = (16, 16, 2);
@@ -139,30 +140,40 @@ fn chunked_parallel_run_matches_a_single_run() {
 }
 
 #[test]
-fn sequential_mid_cycle_pause_restores_onto_the_strip_engine() {
-    // The sequential engine pauses exactly at its limit — here in the
-    // middle of cycle 0 (256 host activations are pending at it) and
-    // somewhere inside a later cycle — so the strip engine starts from a
-    // cycle part of whose events have already run.
+fn every_pause_ends_a_simulated_cycle_on_both_engines() {
+    // A 100-event limit trips in the middle of cycle 0 (256 host
+    // activations are pending at it) and of most later cycles; every pause
+    // still runs its cycle out, so nothing left pending is at or before the
+    // reported fabric time, and the chunked run ends where one call does.
     let (nx, ny, nz) = (16, 16, 2);
     let reference = observe_tpfa(nx, ny, nz, Execution::Sequential);
-    for limit in [100, reference.report.events / 2 + 1] {
-        let (mut seq, pressure) = build_tpfa(nx, ny, nz, Execution::Sequential);
-        seq.begin_apply(&pressure);
-        assert!(!seq.step_events(limit).unwrap().complete);
-        let snap = seq.snapshot();
-        let execution = Execution::Sharded {
-            shards: 3,
-            threads: 2,
-        };
-        let (mut par, _) = build_tpfa(nx, ny, nz, execution);
-        par.restore_snapshot(&snap)
-            .expect("engine-portable snapshot");
-        let residual = par.finish_apply().expect("resumed run failed");
+    let sharded = Execution::Sharded {
+        shards: 3,
+        threads: 2,
+    };
+    for execution in [Execution::Sequential, sharded] {
+        let (mut sim, pressure) = build_tpfa(nx, ny, nz, execution);
+        sim.begin_apply(&pressure);
+        let mut pauses = 0;
+        loop {
+            let step = sim.step_events(100).expect("chunk failed");
+            if step.complete {
+                break;
+            }
+            pauses += 1;
+            let early = sim.snapshot().fabric.events.iter().map(|e| e.time).min();
+            assert!(
+                early.is_some_and(|t| t > step.fabric_time),
+                "{execution:?}: pause {pauses} at t={} left an event at {early:?}",
+                step.fabric_time
+            );
+        }
+        assert!(pauses > 1, "{execution:?}: a 100-event limit must pause");
+        let residual = sim.finish_apply().expect("finish failed");
         assert_eq!(
             reference,
-            observation(&par, &residual, nx, ny),
-            "paused after {limit} events"
+            observation(&sim, &residual, nx, ny),
+            "{execution:?}: chunked run diverged from one call"
         );
     }
 }

@@ -108,7 +108,7 @@ fn run_region_along(
         report,
         stats: f.stats(),
         final_time: f.time(),
-        hops: (0..width).map(|i| f.fabric_hops_at(at(i))).collect(),
+        hops: (0..width).map(|i| f.pe_stats(at(i)).fabric_hops).collect(),
         memories: (0..width).map(|i| f.memory(at(i)).read_u32(0)).collect(),
         ff_jumps: f.ff_jumps(),
         region_ff_jumps: f.region_ff_jumps(),

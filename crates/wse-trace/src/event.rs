@@ -38,9 +38,9 @@ pub enum TraceEventKind {
     /// A fabric error was recorded (`a` = error class code, `payload` =
     /// detail; see `wse-sim` for the class table).
     Error = 8,
-    /// Superstep barrier crossed by the sharded engine (`payload` = superstep
-    /// index, `time` = window start). Meta stream only: the sequential engine
-    /// has no barriers, so these are excluded from trace equivalence.
+    /// The end of one fabric run, on any strip count (`b` = strips,
+    /// `payload` = events of the run, `time` = the fabric time at its end).
+    /// Meta stream only, so per-PE streams stay independent of the strips.
     Barrier = 9,
     /// Host-side phase marker emitted by the driver (`a` = phase code,
     /// `payload` = application index). Meta stream only.

@@ -67,7 +67,7 @@ fn sorted_trace_is_bit_identical_across_engines() {
             seq.events, sh.events,
             "{shards}-shard sorted trace diverged from sequential"
         );
-        // Shard attribution reflects the partition actually used.
+        // Shard attribution is the row strips the run used.
         assert_eq!(sh.num_shards, shards);
         assert_eq!(sh.shard_of.len(), NX * NY);
     }
@@ -107,25 +107,26 @@ fn trace_covers_every_event_family() {
 
 #[test]
 fn sharded_meta_stream_records_one_quiescence_barrier() {
-    let (sh, _) = traced_run(
-        Execution::Sharded {
-            shards: 4,
-            threads: 2,
-        },
-        8192,
-    );
-    let barriers = sh
-        .meta
-        .iter()
-        .filter(|e| e.kind == TraceEventKind::Barrier)
-        .count();
-    // The strip engine meets at a barrier every simulated cycle, but logs
-    // none of them: one marker per run, at its end, is all the meta stream
-    // gets (a per-cycle record would flood the host ring).
-    assert_eq!(barriers, 1, "one quiescence marker per sharded run");
-    // Barriers live in the meta stream only — never in the per-PE streams,
-    // which is what keeps those streams engine-independent.
-    assert_eq!(sh.count(TraceEventKind::Barrier), 0);
+    let sharded = Execution::Sharded {
+        shards: 4,
+        threads: 2,
+    };
+    for execution in [Execution::Sequential, sharded] {
+        let (trace, _) = traced_run(execution, 8192);
+        let barriers = trace
+            .meta
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::Barrier)
+            .count();
+        // The strip engine meets at a barrier every simulated cycle — one
+        // strip on one thread too — but logs none of them: one marker per
+        // run, at its end, is all the meta stream gets (a per-cycle record
+        // would flood the host ring).
+        assert_eq!(barriers, 1, "{execution:?}: one quiescence marker per run");
+        // Barriers live in the meta stream only — never in the per-PE
+        // streams, which is what keeps those streams engine-independent.
+        assert_eq!(trace.count(TraceEventKind::Barrier), 0, "{execution:?}");
+    }
 }
 
 #[test]

@@ -24,8 +24,8 @@ smoke:
     cargo run --release --example quickstart
     cargo run -p bench --release --bin table4_instructions
 
-# the differential determinism harness (sequential vs the cycle-synchronous
-# strip engine: strips x threads, pauses, restores, a panicking worker);
+# the differential determinism harness (the strip engine's one-strip run,
+# `Sequential`, vs strips x threads: pauses, restores, a panicking worker);
 # under `timeout` because a broken barrier protocol hangs instead of failing
 equivalence:
     timeout 600 cargo test -q -p wse-sim --release --test parallel_equivalence --test dsd_properties
