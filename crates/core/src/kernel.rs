@@ -31,9 +31,9 @@
 //! [`wse_stencil::StencilPeProgram`]:
 //!
 //! 1. **Launch** (`on_start`): evaluate the density column from pressure
-//!    (Eq. 5), compute the two Z faces immediately (they live in local
-//!    memory — no fabric traffic, paper §7.3), and hand the exchange the
-//!    pressure and density columns to send.
+//!    (Eq. 5) and compute the two Z faces immediately (they live in local
+//!    memory — no fabric traffic, paper §7.3); the exchange then sends the
+//!    pressure and density columns, the layout's send views.
 //! 2. **Receive** (`on_stream_complete`): when a face's stream completes
 //!    (`2·Nz` wavelets: pressure then density), that face's flux is
 //!    computed *immediately* — "Upon receiving the data, the corresponding
@@ -201,8 +201,8 @@ impl FluidParams {
 }
 
 /// The TPFA flux arithmetic of one PE, plugged into the generic
-/// [`wse_stencil::StencilPeProgram`]. Stateless between events: the
-/// residual accumulates in PE memory.
+/// [`wse_stencil::StencilPeProgram`]. Stateless: one kernel serves every
+/// PE, and the residual accumulates in PE memory.
 pub struct TpfaKernel {
     layout: Arc<ColumnLayout>,
     fluid: FluidParams,
@@ -269,17 +269,17 @@ impl TpfaKernel {
 }
 
 impl StencilKernel for TpfaKernel {
-    fn init(&mut self, ctx: &mut PeContext, _streams: usize) -> KernelLayout {
-        // Allocate in the canonical order so host and PE agree on offsets.
+    fn layout(&self, _streams: usize) -> KernelLayout {
+        // The host's column layout, so host and PE agree on offsets.
         let l = &*self.layout;
-        let r = ctx.alloc(l.total_words());
-        assert_eq!(r.offset, 0, "TPFA kernel must own the PE from word 0");
         KernelLayout {
+            words: l.total_words(),
             recv: vec![l.recv_p.to_vec(), l.recv_rho.to_vec()],
+            send: vec![l.p_interior(), l.rho_interior()],
         }
     }
 
-    fn on_start(&mut self, ctx: &mut PeContext) -> Vec<Dsd> {
+    fn on_start(&self, ctx: &mut PeContext) {
         // Densities from pressures (Eq. 5), ghosts included so the shifted
         // Z views read finite values. The EOS pass is attributed to the
         // flux-compute region (it feeds the kernel directly).
@@ -297,15 +297,14 @@ impl StencilKernel for TpfaKernel {
         // exchange the program starts next.
         self.compute_face(ctx, Neighbor::Up);
         self.compute_face(ctx, Neighbor::Down);
-        vec![l.p_interior(), l.rho_interior()]
     }
 
-    fn on_stream_complete(&mut self, ctx: &mut PeContext, stream: usize, _: &ColumnExchange) {
+    fn on_stream_complete(&self, ctx: &mut PeContext, stream: usize, _: &ColumnExchange) {
         // TPFA stream indices are exactly the in-plane face indices.
         self.compute_face(ctx, Neighbor::from_face_index(stream));
     }
 
-    fn on_step_complete(&mut self, _ctx: &mut PeContext) {}
+    fn on_step_complete(&self, _ctx: &mut PeContext) {}
 }
 
 #[cfg(test)]

@@ -26,8 +26,8 @@ use wse_sim::memory::MemRange;
 use wse_sim::pe::{PeContext, PeProgram};
 use wse_sim::trace::TraceRegion;
 use wse_stencil::{
-    ColumnExchange, CommPattern, CompileError, CompiledStencil, KernelLayout, StencilKernel,
-    StencilPeProgram,
+    state_words, ColumnExchange, CommPattern, CompileError, CompiledStencil, KernelLayout,
+    StencilKernel, StencilPeProgram, StencilProgram,
 };
 
 /// Face weights of the 7-point Laplacian (typically `1/h²` per axis).
@@ -121,31 +121,26 @@ impl LaplaceKernel {
 }
 
 impl StencilKernel for LaplaceKernel {
-    fn init(&mut self, ctx: &mut PeContext, streams: usize) -> KernelLayout {
+    fn layout(&self, streams: usize) -> KernelLayout {
         assert_eq!(streams, 4, "laplace7 has four in-plane offsets");
-        let r = ctx.alloc(self.layout.total_words());
-        assert_eq!(r.offset, 0);
+        let l = &*self.layout;
         KernelLayout {
-            recv: vec![self.layout.recv.to_vec()],
+            words: l.total_words(),
+            recv: vec![l.recv.to_vec()],
+            send: vec![l.u_interior()],
         }
     }
 
-    fn on_start(&mut self, ctx: &mut PeContext) -> Vec<Dsd> {
+    fn on_start(&self, ctx: &mut PeContext) {
         let u = self.layout.u_interior();
         let wz = self.params.wz;
         ctx.region_begin(TraceRegion::FluxCompute);
         self.accumulate(ctx, wz, u.shifted(1));
         self.accumulate(ctx, wz, u.shifted(-1));
         ctx.region_end(TraceRegion::FluxCompute);
-        vec![u]
     }
 
-    fn on_stream_complete(
-        &mut self,
-        ctx: &mut PeContext,
-        stream: usize,
-        exchange: &ColumnExchange,
-    ) {
+    fn on_stream_complete(&self, ctx: &mut PeContext, stream: usize, exchange: &ColumnExchange) {
         // Spec order: (1,0) E, (-1,0) W, (0,-1) N, (0,1) S.
         let w = match stream {
             0 | 1 => self.params.wx,
@@ -157,7 +152,7 @@ impl StencilKernel for LaplaceKernel {
         ctx.region_end(TraceRegion::FluxCompute);
     }
 
-    fn on_step_complete(&mut self, _ctx: &mut PeContext) {}
+    fn on_step_complete(&self, _ctx: &mut PeContext) {}
 }
 
 /// The Laplacian as a fabric [`Workload`] for
@@ -170,6 +165,7 @@ pub struct LaplaceWorkload {
     compiled: CompiledStencil,
     pattern: Arc<CommPattern>,
     layout: Arc<LaplaceLayout>,
+    program: Arc<StencilProgram>,
 }
 
 impl LaplaceWorkload {
@@ -183,6 +179,9 @@ impl LaplaceWorkload {
         let compiled =
             wse_stencil::compile(&wse_stencil::StencilSpec::laplace7(params.wx, params.wy))?;
         let pattern = Arc::new(compiled.pattern.clone());
+        let layout = Arc::new(LaplaceLayout::new(nz));
+        let kernel = LaplaceKernel::new(layout.clone(), params);
+        let program = Arc::new(StencilProgram::new(nz, pattern.clone(), kernel));
         Ok(Self {
             nx,
             ny,
@@ -190,7 +189,8 @@ impl LaplaceWorkload {
             params,
             compiled,
             pattern,
-            layout: Arc::new(LaplaceLayout::new(nz)),
+            layout,
+            program,
         })
     }
 }
@@ -217,15 +217,11 @@ impl Workload for LaplaceWorkload {
     }
 
     fn words_per_pe(&self, nz: usize) -> usize {
-        LaplaceLayout::new(nz).total_words()
+        LaplaceLayout::new(nz).total_words() + state_words(self.pattern.streams)
     }
 
     fn make_program(&self) -> Box<dyn PeProgram> {
-        Box::new(StencilPeProgram::new(
-            self.nz,
-            self.pattern.clone(),
-            Box::new(LaplaceKernel::new(self.layout.clone(), self.params)),
-        ))
+        Box::new(StencilPeProgram::new(self.program.clone()))
     }
 
     fn inject(&self, fabric: &mut Fabric, input: &[f32]) {

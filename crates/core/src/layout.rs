@@ -42,6 +42,9 @@ pub struct MemoryPlan {
     pub recv: usize,
     /// Reused kernel temporaries.
     pub temps: usize,
+    /// The program's state words ([`wse_stencil::state_words`]): step
+    /// counter, pending hooks, receive cursors and sent flags.
+    pub state: usize,
 }
 
 impl MemoryPlan {
@@ -56,12 +59,13 @@ impl MemoryPlan {
             trans: NEIGHBOR_COUNT * nz,
             recv: IN_PLANE_NEIGHBORS * QUANTITIES_PER_STREAM * nz,
             temps: REUSED_TEMPS * nz,
+            state: wse_stencil::state_words(IN_PLANE_NEIGHBORS),
         }
     }
 
     /// Total words required with buffer reuse (§5.3.1 enabled).
     pub fn total_words(&self) -> usize {
-        self.p_own + self.rho_own + self.residual + self.trans + self.recv + self.temps
+        self.p_own + self.rho_own + self.residual + self.trans + self.recv + self.temps + self.state
     }
 
     /// Total words if every face kept its own scratch (reuse disabled):
@@ -166,7 +170,8 @@ impl ColumnLayout {
         }
     }
 
-    /// Total words, which must equal [`MemoryPlan::total_words`].
+    /// The kernel's words: [`MemoryPlan::total_words`] less the program's
+    /// state words, which follow them.
     pub fn total_words(&self) -> usize {
         let last = self.temps[REUSED_TEMPS - 1];
         last.offset + last.len
@@ -199,7 +204,8 @@ mod tests {
         assert_eq!(p.trans, 100);
         assert_eq!(p.recv, 160);
         assert_eq!(p.temps, 30);
-        assert_eq!(p.total_words(), 12 + 12 + 10 + 100 + 160 + 30);
+        assert_eq!(p.state, 11);
+        assert_eq!(p.total_words(), 12 + 12 + 10 + 100 + 160 + 30 + 11);
     }
 
     #[test]
@@ -246,8 +252,8 @@ mod tests {
     #[test]
     fn column_layout_matches_memory_plan() {
         for nz in [1, 7, 246] {
-            let l = ColumnLayout::new(nz);
-            assert_eq!(l.total_words(), MemoryPlan::for_nz(nz).total_words());
+            let (l, plan) = (ColumnLayout::new(nz), MemoryPlan::for_nz(nz));
+            assert_eq!(l.total_words() + plan.state, plan.total_words());
         }
     }
 

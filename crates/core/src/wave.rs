@@ -33,8 +33,8 @@ use wse_sim::memory::MemRange;
 use wse_sim::pe::{PeContext, PeProgram};
 use wse_sim::trace::TraceRegion;
 use wse_stencil::{
-    ColumnExchange, CommPattern, CompileError, CompiledStencil, KernelLayout, StencilKernel,
-    StencilPeProgram, StencilSpec,
+    state_words, ColumnExchange, CommPattern, CompileError, CompiledStencil, KernelLayout,
+    StencilKernel, StencilPeProgram, StencilProgram, StencilSpec,
 };
 
 /// Stencil parameters of the wave kernel.
@@ -192,32 +192,27 @@ impl WaveKernel {
 }
 
 impl StencilKernel for WaveKernel {
-    fn init(&mut self, ctx: &mut PeContext, streams: usize) -> KernelLayout {
+    fn layout(&self, streams: usize) -> KernelLayout {
         assert_eq!(streams, 8, "the wave spec is the full in-plane ring");
-        let r = ctx.alloc(self.layout.total_words());
-        assert_eq!(r.offset, 0);
+        let l = &*self.layout;
         KernelLayout {
-            recv: vec![self.layout.recv.to_vec()],
+            words: l.total_words(),
+            recv: vec![l.recv.to_vec()],
+            send: vec![l.u_interior()],
         }
     }
 
-    fn on_start(&mut self, ctx: &mut PeContext) -> Vec<Dsd> {
-        // Z faces from local memory, then hand the exchange the send view.
+    fn on_start(&self, ctx: &mut PeContext) {
+        // Z faces from local memory; the exchange sends `u` next.
         let u = self.layout.u_interior();
         let wz = self.params.weights[Neighbor::Up.face_index()];
         ctx.region_begin(TraceRegion::FluxCompute);
         self.accumulate(ctx, wz, u.shifted(1));
         self.accumulate(ctx, wz, u.shifted(-1));
         ctx.region_end(TraceRegion::FluxCompute);
-        vec![u]
     }
 
-    fn on_stream_complete(
-        &mut self,
-        ctx: &mut PeContext,
-        stream: usize,
-        exchange: &ColumnExchange,
-    ) {
+    fn on_stream_complete(&self, ctx: &mut PeContext, stream: usize, exchange: &ColumnExchange) {
         // Stream index == in-plane face index (the spec lists offsets in
         // canonical face order).
         let w = self.params.weights[stream];
@@ -227,7 +222,7 @@ impl StencilKernel for WaveKernel {
         ctx.region_end(TraceRegion::FluxCompute);
     }
 
-    fn on_step_complete(&mut self, ctx: &mut PeContext) {
+    fn on_step_complete(&self, ctx: &mut PeContext) {
         // The update overwrites `u`, which is also the send buffer; the
         // generic program only fires this once every receive AND every
         // outgoing cardinal send is done (write-after-read hazard).
@@ -248,6 +243,7 @@ pub struct WaveWorkload {
     compiled: CompiledStencil,
     pattern: Arc<CommPattern>,
     layout: Arc<WaveLayout>,
+    program: Arc<StencilProgram>,
 }
 
 impl WaveWorkload {
@@ -256,6 +252,9 @@ impl WaveWorkload {
     pub fn new(nx: usize, ny: usize, nz: usize, params: WaveParams) -> Result<Self, CompileError> {
         let compiled = wse_stencil::compile(&params.spec())?;
         let pattern = Arc::new(compiled.pattern.clone());
+        let layout = Arc::new(WaveLayout::new(nz));
+        let kernel = WaveKernel::new(layout.clone(), params);
+        let program = Arc::new(StencilProgram::new(nz, pattern.clone(), kernel));
         Ok(Self {
             nx,
             ny,
@@ -263,7 +262,8 @@ impl WaveWorkload {
             params,
             compiled,
             pattern,
-            layout: Arc::new(WaveLayout::new(nz)),
+            layout,
+            program,
         })
     }
 }
@@ -290,15 +290,11 @@ impl Workload for WaveWorkload {
     }
 
     fn words_per_pe(&self, nz: usize) -> usize {
-        WaveLayout::new(nz).total_words()
+        WaveLayout::new(nz).total_words() + state_words(self.pattern.streams)
     }
 
     fn make_program(&self) -> Box<dyn PeProgram> {
-        Box::new(StencilPeProgram::new(
-            self.nz,
-            self.pattern.clone(),
-            Box::new(WaveKernel::new(self.layout.clone(), self.params)),
-        ))
+        Box::new(StencilPeProgram::new(self.program.clone()))
     }
 
     /// Accepts either `u` alone (zero-initial-velocity: `u_prev = u`) or

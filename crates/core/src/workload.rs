@@ -23,7 +23,7 @@ use wse_sim::geometry::PeCoord;
 use wse_sim::memory::MemRange;
 use wse_sim::pe::PeProgram;
 use wse_sim::wavelet::Color;
-use wse_stencil::{CommPattern, CompiledStencil, StencilPeProgram, StencilSpec};
+use wse_stencil::{CommPattern, CompiledStencil, StencilPeProgram, StencilProgram, StencilSpec};
 
 /// A complete fabric workload: a compiled stencil plus the host-side
 /// protocol for driving it.
@@ -59,7 +59,7 @@ pub trait Workload: Send + Sync {
     }
 
     /// Builds the per-PE program (called once per PE at fabric
-    /// construction).
+    /// construction) — a handle on one program shared by every PE.
     fn make_program(&self) -> Box<dyn PeProgram>;
 
     /// Uploads static data after `Fabric::load` (e.g. TPFA's ten
@@ -206,6 +206,7 @@ pub struct TpfaWorkload {
     compiled: CompiledStencil,
     pattern: Arc<CommPattern>,
     layout: Arc<ColumnLayout>,
+    program: Arc<StencilProgram>,
     /// Transmissibility columns in upload order: `[y][x][face][z]`,
     /// flattened.
     trans_cols: Vec<f32>,
@@ -231,6 +232,9 @@ impl TpfaWorkload {
         } else {
             Arc::new(tpfa_pattern().without_diagonals())
         };
+        let layout = Arc::new(ColumnLayout::new(nz));
+        let kernel = TpfaKernel::new(layout.clone(), params, compute_enabled);
+        let program = Arc::new(StencilProgram::new(nz, pattern.clone(), kernel));
         Self {
             nx,
             ny,
@@ -240,7 +244,8 @@ impl TpfaWorkload {
             diagonals_enabled,
             compiled,
             pattern,
-            layout: Arc::new(ColumnLayout::new(nz)),
+            layout,
+            program,
             trans_cols,
         }
     }
@@ -272,12 +277,7 @@ impl Workload for TpfaWorkload {
     }
 
     fn make_program(&self) -> Box<dyn PeProgram> {
-        let kernel = TpfaKernel::new(self.layout.clone(), self.params, self.compute_enabled);
-        Box::new(StencilPeProgram::new(
-            self.nz,
-            self.pattern.clone(),
-            Box::new(kernel),
-        ))
+        Box::new(StencilPeProgram::new(self.program.clone()))
     }
 
     fn upload_static(&self, fabric: &mut Fabric) {

@@ -39,8 +39,14 @@ const PINNED_RESIDUAL_FNV: u64 = 0xac81_68ae_2d33_298d;
 // paused exactly at the limit, mid-cycle): was 1,243,641 bytes /
 // 0x3a38_35b2_f3c2_eaf7. The limit is the same; the pause now runs the
 // cycle it trips in to its end, on both engines alike.
-const PINNED_HALF_CHECKPOINT_LEN: usize = 1_241_786;
-const PINNED_HALF_CHECKPOINT_FNV: u64 = 0xe1f9_6b3e_cc37_6c79;
+//
+// Re-pinned for checkpoint schema 3, with the paused state unchanged: was
+// 1,241,786 bytes / 0xe1f9_6b3e_cc37_6c79. The program state moved from a
+// per-PE record (8-byte length + 159 bytes, −167 per PE, −10,688) into 11
+// state words at the end of each PE's arena (+2,720: 680 words, as trailing
+// zero words are trimmed).
+const PINNED_HALF_CHECKPOINT_LEN: usize = 1_233_818;
+const PINNED_HALF_CHECKPOINT_FNV: u64 = 0xf3ad_4481_1797_fe34;
 
 /// Events per `step_events` call; prime, so the limit trips mid-cycle and
 /// the pause runs that cycle out.
@@ -163,6 +169,8 @@ fn half_apply_checkpoint_is_pinned_and_resumes_on_the_other_engine() {
         .expect("decode failed")
         .restore_into(&mut sharded)
         .expect("restore failed");
+    // The step counters travel in PE memory.
+    assert_eq!(sharded.progress_by_pe(), seq.progress_by_pe());
     assert_no_overflow(&sharded);
     let (residual, report) = finish_chunked(&mut sharded);
     assert_pinned(&residual, report);

@@ -1,4 +1,4 @@
-//! Fluid equation of state (paper Eq. 5) and mobility.
+//! Fluid equation of state (paper Eq. 5).
 //!
 //! The paper models supercritical CO₂ injection with a *slightly
 //! compressible* single-phase fluid: density depends exponentially on
@@ -64,12 +64,6 @@ impl Fluid {
         rref * (cf * (p - pref)).exp()
     }
 
-    /// Mobility of the fluid evaluated in a cell: `ρ/μ` (Eq. 4 numerator).
-    #[inline]
-    pub fn mobility<R: Real>(&self, rho: R) -> R {
-        rho / R::from_f64(self.viscosity)
-    }
-
     /// Porosity model `φ(p) = φ_ref (1 + c_r (p − p_ref))` — linear in
     /// pressure per the paper ("the porosity and the density depend linearly
     /// on pressure"; density is in fact exponential via Eq. 5, porosity is
@@ -102,13 +96,6 @@ mod tests {
             assert!(rho > last, "density must increase with pressure");
             last = rho;
         }
-    }
-
-    #[test]
-    fn mobility_is_density_over_viscosity() {
-        let f = Fluid::water_like();
-        let rho: f64 = 998.0;
-        assert!((f.mobility(rho) - rho / f.viscosity).abs() < 1e-9);
     }
 
     #[test]

@@ -37,14 +37,6 @@ pub fn xpby<R: Real>(x: &[R], b: R, y: &mut [R]) {
     }
 }
 
-/// `x ← a·x`.
-#[inline]
-pub fn scale<R: Real>(a: R, x: &mut [R]) {
-    for xi in x.iter_mut() {
-        *xi *= a;
-    }
-}
-
 /// `y ← x`.
 #[inline]
 pub fn copy<R: Real>(x: &[R], y: &mut [R]) {
@@ -89,9 +81,7 @@ mod tests {
 
     #[test]
     fn scale_copy_zero() {
-        let mut x = [2.0_f32, -4.0];
-        scale(0.5, &mut x);
-        assert_eq!(x, [1.0, -2.0]);
+        let x = [1.0_f32, -2.0];
         let mut y = [0.0_f32; 2];
         copy(&x, &mut y);
         assert_eq!(y, x);

@@ -43,8 +43,9 @@ pub const MAGIC: [u8; 8] = *b"MDFVCKPT";
 
 /// Current schema version; bumped on any payload layout change. Version 2
 /// dropped the per-PE router version and narrowed event PE ids to `u32`;
-/// older files are refused, not migrated.
-pub const SCHEMA_VERSION: u32 = 2;
+/// version 3 dropped the per-PE program state record, which now lives in
+/// PE memory. Older files are refused, not migrated.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Header size in bytes (magic + version + spec hash + payload length +
 /// payload checksum).
@@ -326,8 +327,8 @@ fn put_fault_event(out: &mut Vec<u8>, e: &FaultEvent) {
 }
 
 /// About the payload's length: exact for the parts that grow with the
-/// problem (memory words, pending events, program state, router positions,
-/// parked wavelets), a per-PE allowance for the fixed-width fields and an
+/// problem (memory words, pending events, router positions, parked
+/// wavelets), a per-PE allowance for the fixed-width fields and an
 /// empty fault record. Only sizes the buffer; a longer payload reallocates.
 fn payload_size_hint(d: &DriverSnapshot) -> usize {
     /// Time, seq, src, pe, route tag and a 10-byte wavelet.
@@ -335,11 +336,7 @@ fn payload_size_hint(d: &DriverSnapshot) -> usize {
     /// Counters, per-PE scalars, length prefixes, trace sequence, faults.
     const PE_FIXED: usize = 320;
     let pe = |p: &PeRecord| {
-        PE_FIXED
-            + 4 * p.memory_words.len()
-            + p.program_state.len()
-            + 2 * p.router_positions.len()
-            + 11 * p.parked.len()
+        PE_FIXED + 4 * p.memory_words.len() + 2 * p.router_positions.len() + 11 * p.parked.len()
     };
     let s = &d.fabric;
     256 + EVENT * s.events.len() + s.pes.iter().map(pe).sum::<usize>()
@@ -395,9 +392,7 @@ fn encode_fabric(out: &mut Vec<u8>, s: &FabricSnapshot) {
 
 fn encode_pe(out: &mut Vec<u8>, pe: &PeRecord) {
     put_u64(out, pe.memory_words.len() as u64);
-    for &w in &pe.memory_words {
-        put_u32(out, w);
-    }
+    out.extend(pe.memory_words.iter().flat_map(|w| w.to_le_bytes()));
     put_u64(out, pe.memory_allocated as u64);
     for v in counters_to_array(&pe.counters) {
         put_u64(out, v);
@@ -409,8 +404,6 @@ fn encode_pe(out: &mut Vec<u8>, pe: &PeRecord) {
     }
     put_u64(out, pe.fabric_hops);
     put_u64(out, pe.ramp_deliveries);
-    put_u64(out, pe.program_state.len() as u64);
-    out.extend_from_slice(&pe.program_state);
     put_u64(out, pe.busy_until);
     put_u64(out, pe.parked.len() as u64);
     for (dir, w) in &pe.parked {
@@ -744,10 +737,11 @@ fn decode_fabric(r: &mut Reader) -> Result<FabricSnapshot, CheckpointError> {
 
 fn decode_pe(r: &mut Reader) -> Result<PeRecord, CheckpointError> {
     let n_words = r.len(4)?;
-    let mut memory_words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        memory_words.push(r.u32()?);
-    }
+    let memory_words = r
+        .take(4 * n_words)?
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+        .collect();
     let memory_allocated = r.u64()? as usize;
     let mut counters = [0u64; 14];
     for c in &mut counters {
@@ -762,8 +756,6 @@ fn decode_pe(r: &mut Reader) -> Result<PeRecord, CheckpointError> {
     }
     let fabric_hops = r.u64()?;
     let ramp_deliveries = r.u64()?;
-    let n_state = r.len(1)?;
-    let program_state = r.take(n_state)?.to_vec();
     let busy_until = r.u64()?;
     let n_parked = r.len(11)?;
     let mut parked = Vec::with_capacity(n_parked);
@@ -787,7 +779,6 @@ fn decode_pe(r: &mut Reader) -> Result<PeRecord, CheckpointError> {
         router_positions,
         fabric_hops,
         ramp_deliveries,
-        program_state,
         busy_until,
         parked,
         seq,

@@ -71,8 +71,10 @@ fn encoded_bytes_are_independent_of_the_engine() {
         "engine leaked into the wire format"
     );
     // Version 2 (from 1) dropped the router version and narrowed event
-    // PE ids to `u32`; the arena layout itself never forced a bump.
-    assert_eq!(SCHEMA_VERSION, 2, "only a payload change moves the schema");
+    // PE ids to `u32`; version 3 dropped the per-PE program state record,
+    // whose words now travel in the arena. The arena layout itself never
+    // forced a bump.
+    assert_eq!(SCHEMA_VERSION, 3, "only a payload change moves the schema");
 }
 
 #[test]

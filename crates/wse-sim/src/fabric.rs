@@ -1758,7 +1758,8 @@ impl Fabric {
     /// [`PeProgram::progress`]); the host watchdog compares these against
     /// the expected count after each run.
     pub fn progress_by_pe(&self) -> Vec<Option<u64>> {
-        self.pes.iter().map(|s| s.program.progress()).collect()
+        let progress = |s: &PeSlot| s.program.progress(&s.memory);
+        self.pes.iter().map(progress).collect()
     }
 
     /// Records a host-watchdog stall detection: the PE's program made less
@@ -1782,8 +1783,8 @@ impl Fabric {
 
     /// Captures complete fabric state between runs as plain data: the
     /// pending event list in canonical `(time, seq, src)` order, every PE's
-    /// memory/counters/router positions/program state/fault progress/trace
-    /// sequence counters, and the host clock and sequence state. Works
+    /// memory (program state included)/counters/router positions/fault
+    /// progress/trace sequence counters, and the host clock and sequence state. Works
     /// identically under both engines — between `run()` calls every pending
     /// event is in its owner strip's wheel (a run ends with the mailboxes
     /// taken in), so the sorted event list is engine-independent.
@@ -1826,7 +1827,6 @@ impl Fabric {
                     router_positions: slot.router.switch_positions(),
                     fabric_hops: sc.fabric_hops[i],
                     ramp_deliveries: sc.ramp_deliveries[i],
-                    program_state: slot.program.save_state(),
                     busy_until: sc.busy_until[i],
                     parked: slot.parked.clone(),
                     seq: sc.seq[i],
@@ -1898,15 +1898,15 @@ impl Fabric {
             slot.memory
                 .restore_words(&rec.memory_words, rec.memory_allocated)
                 .map_err(|detail| RestoreError::Memory { pe, detail })?;
+            slot.program
+                .check_state(&slot.memory)
+                .map_err(|detail| RestoreError::Program { pe, detail })?;
             slot.counters = rec.counters;
             slot.router
                 .restore_dynamic(&rec.router_positions)
                 .map_err(|detail| RestoreError::Router { pe, detail })?;
             scalars.fabric_hops[i] = rec.fabric_hops;
             scalars.ramp_deliveries[i] = rec.ramp_deliveries;
-            slot.program
-                .load_state(&rec.program_state)
-                .map_err(|detail| RestoreError::Program { pe, detail })?;
             scalars.busy_until[i] = rec.busy_until;
             scalars.seq[i] = rec.seq;
             slot.parked = rec.parked.clone();

@@ -198,6 +198,10 @@ impl<'a> PeContext<'a> {
 /// One instance exists per PE (constructed by the program factory passed to
 /// [`crate::fabric::Fabric::new`]). Handlers must be deterministic; all
 /// cross-PE communication goes through wavelets.
+///
+/// Everything a program changes after `init` lives in its PE's memory, as
+/// on the hardware — the fabric checkpoints that memory and nothing of the
+/// program object, which therefore holds only static configuration.
 pub trait PeProgram: Send {
     /// Runs once at load time: allocate memory, configure router colors.
     fn init(&mut self, ctx: &mut PeContext);
@@ -212,33 +216,22 @@ pub trait PeProgram: Send {
         let _ = (ctx, wavelet);
     }
 
-    /// A monotone progress counter, if the program tracks one (e.g. the
-    /// number of completed iterations). The host-side progress watchdog
-    /// compares this across PEs after a run to localize silent stalls —
-    /// a PE whose counter lags its peers lost wavelets to a fault.
-    fn progress(&self) -> Option<u64> {
+    /// A monotone progress counter read from the PE's `memory`, if the
+    /// program keeps one (e.g. the number of completed iterations). The
+    /// host-side progress watchdog compares this across PEs after a run
+    /// to localize silent stalls — a PE whose counter lags its peers lost
+    /// wavelets to a fault.
+    fn progress(&self, memory: &PeMemory) -> Option<u64> {
+        let _ = memory;
         None
     }
 
-    /// Serializes the program's *dynamic* state for a fabric checkpoint —
-    /// everything that changes after `init` (protocol cursors, progress
-    /// counters). Static structure (allocations, router configuration) is
-    /// reproduced by re-running `init` on the restore target and must not
-    /// be included. The default empty encoding is correct for stateless
-    /// programs.
-    fn save_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Restores state produced by [`PeProgram::save_state`] onto a freshly
-    /// initialized instance of the same program. Implementations must
-    /// reject malformed input with an error (the checkpoint is then refused
-    /// as a whole) rather than silently diverging.
-    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err("program has no dynamic state to restore".to_string())
-        }
+    /// Checks the program's state words in a restored `memory` image. A
+    /// fabric restore refuses the checkpoint with
+    /// [`crate::snapshot::RestoreError::Program`] on an error, before a
+    /// handler could act on an out-of-range word.
+    fn check_state(&self, memory: &PeMemory) -> Result<(), String> {
+        let _ = memory;
+        Ok(())
     }
 }

@@ -555,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn interning_shares_tables_without_touching_dynamic_state() {
+    fn interning_shares_tables_without_touching_switch_positions() {
         let sending = RouterPosition::new(DirMask::single(Ramp), DirMask::single(East));
         let receiving = RouterPosition::new(DirMask::single(West), DirMask::single(Ramp));
         let mut a = Router::new();
@@ -571,7 +571,7 @@ mod tests {
         let _ = b.route(c, Ramp, true).unwrap(); // b toggles first
         b.intern_table(&canonical);
         assert!(Arc::ptr_eq(a.table(), b.table()));
-        assert_eq!(b.position_index(c), Some(1), "dynamic state survives");
+        assert_eq!(b.position_index(c), Some(1), "switch position survives");
         assert_eq!(a.position_index(c), Some(0));
         // reconfiguring b un-shares via copy-on-write; a is unaffected
         b.configure(c, ColorConfig::fixed(sending));

@@ -2,8 +2,9 @@
 //!
 //! A [`FabricSnapshot`] captures everything the simulator needs to resume a
 //! run bit-identically: the pending event list in canonical `(time, seq,
-//! src)` order, every PE's memory arena, counters, router switch positions,
-//! program state, fault-plan progress and trace sequence counters, plus the
+//! src)` order, every PE's memory arena (which holds its program state),
+//! counters, router switch positions, fault-plan progress and trace
+//! sequence counters, plus the
 //! host-side clock and sequence state. The parallel engine needs no extra
 //! fields: a run ends (or pauses) between simulated cycles with every
 //! cross-strip mailbox taken in, so each pending event is in its owner
@@ -107,7 +108,9 @@ impl TraceSeqRecord {
 /// Complete dynamic state of one PE slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeRecord {
-    /// The full memory arena (capacity-sized, unallocated words included).
+    /// The memory arena's written words, trailing zeros trimmed (see
+    /// [`crate::memory::PeMemory::snapshot_words`]); the program's state
+    /// words are among them.
     pub memory_words: Vec<u32>,
     /// Bump-allocator cursor in words.
     pub memory_allocated: usize,
@@ -119,8 +122,6 @@ pub struct PeRecord {
     pub fabric_hops: u64,
     /// Wavelets delivered up this router's ramp.
     pub ramp_deliveries: u64,
-    /// Opaque program state from [`crate::pe::PeProgram::save_state`].
-    pub program_state: Vec<u8>,
     /// The PE is busy (computing) until this fabric time.
     pub busy_until: u64,
     /// Wavelets parked behind a busy PE as `(input link, wavelet)`.
@@ -195,7 +196,8 @@ pub enum RestoreError {
         /// What mismatched.
         detail: String,
     },
-    /// A PE's program refused its recorded state.
+    /// A PE's program refused the state words of its restored memory
+    /// ([`crate::pe::PeProgram::check_state`]).
     Program {
         /// Linear PE index.
         pe: usize,

@@ -14,16 +14,19 @@
 //!
 //! The integrity header gets its own adversarial section: truncation,
 //! bit flips in the payload, a foreign schema version, a foreign problem
-//! — each must be refused with the right typed error, never a panic.
+//! — each must be refused with the right typed error, never a panic. So
+//! must a correctly sealed checkpoint whose program state words (kept in
+//! PE memory) are out of range.
 
 use fv_core::eos::Fluid;
 use fv_core::fields::PermeabilityField;
 use fv_core::mesh::{CartesianMesh3, Extents, Spacing};
 use fv_core::state::FlowState;
 use fv_core::trans::{StencilKind, Transmissibilities};
-use tpfa_dataflow::DataflowFluxSimulator;
+use tpfa_dataflow::{DataflowFluxSimulator, MemoryPlan};
 use wse_serve::checkpoint::{Checkpoint, CheckpointError, HEADER_LEN};
 use wse_sim::fabric::{Execution, RunReport};
+use wse_sim::snapshot::RestoreError;
 use wse_sim::stats::{FabricStats, OpCounters};
 
 struct Problem {
@@ -259,12 +262,52 @@ fn foreign_schema_version_is_rejected() {
 
 #[test]
 fn schema_v1_is_refused_without_a_reader() {
-    let (_, mut bytes) = small_checkpoint();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    assert_eq!(
-        Checkpoint::decode(&bytes).unwrap_err(),
-        CheckpointError::BadVersion { found: 1 }
-    );
+    // Neither schema 1 nor schema 2 (a per-PE program state record) has a
+    // reader: old files are refused, not migrated.
+    let (_, bytes) = small_checkpoint();
+    for found in [1u32, 2] {
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&found.to_le_bytes());
+        assert_eq!(
+            Checkpoint::decode(&old).unwrap_err(),
+            CheckpointError::BadVersion { found }
+        );
+    }
+}
+
+#[test]
+fn out_of_range_state_words_are_refused_not_a_panic() {
+    // TPFA's program state words end each PE's allocation: step counter,
+    // pending hooks, sent flags, then one receive cursor per stream.
+    let (p, bytes) = small_checkpoint();
+    let nz = p.mesh.nz();
+    let plan = MemoryPlan::for_nz(nz);
+    let state = plan.total_words() - plan.state;
+    let stream_len = 2 * nz as u32;
+    let pe = 5;
+    for (word, value, why) in [
+        (state + 3 + 7, stream_len + 1, "receive cursor"),
+        (state + 2, 1 << 4, "sent flags"),
+        (state + 1, 1 << 2, "pending flags"),
+    ] {
+        let mut ck = Checkpoint::decode(&bytes).unwrap();
+        let words = &mut ck.driver.fabric.pes[pe].memory_words;
+        if words.len() <= word {
+            words.resize(word + 1, 0);
+        }
+        words[word] = value;
+        // Re-encoding seals the payload again: only the restore-time
+        // check stands between these words and the task handlers.
+        let sealed = Checkpoint::decode(&ck.encode()).expect("sealed checkpoint decodes");
+        let mut sim = simulator(&p, Execution::Sequential, true);
+        match sim.restore_snapshot(&sealed.driver) {
+            Err(RestoreError::Program { pe: at, detail }) => {
+                assert_eq!(at, pe);
+                assert!(detail.contains(why), "{why}: {detail}");
+            }
+            other => panic!("{why}: restore gave {other:?}"),
+        }
+    }
 }
 
 #[test]

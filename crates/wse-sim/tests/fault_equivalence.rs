@@ -23,7 +23,6 @@ const START: Color = Color::new(1);
 struct Shifter {
     value: f32,
     received: Option<wse_sim::memory::MemRange>,
-    got_data: bool,
 }
 
 impl Shifter {
@@ -31,7 +30,6 @@ impl Shifter {
         Self {
             value,
             received: None,
-            got_data: false,
         }
     }
 }
@@ -59,7 +57,6 @@ impl PeProgram for Shifter {
             }
         } else if w.color == DATA {
             ctx.recv_store(self.received.unwrap().at(0), w.as_f32());
-            self.got_data = true;
         }
     }
 
@@ -67,8 +64,10 @@ impl PeProgram for Shifter {
         ctx.send_f32(DATA, self.value);
     }
 
-    fn progress(&self) -> Option<u64> {
-        Some(self.got_data as u64)
+    /// 1 once the received word holds data instead of its NaN sentinel.
+    fn progress(&self, memory: &wse_sim::memory::PeMemory) -> Option<u64> {
+        let received = self.received?;
+        Some(!memory.read_f32(received.at(0)).is_nan() as u64)
     }
 }
 

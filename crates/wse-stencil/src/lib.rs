@@ -10,12 +10,13 @@
 //!   ([`wse_sim::MAX_COLORS`]),
 //! * per-PE **[`RouteProgram`]s** — switchable cardinal channels plus
 //!   static diagonal source/intermediary/receiver relays,
-//! * an **exchange schedule** ([`ColumnExchange`]) owning the protocol
-//!   state of one halo exchange per step, and
-//! * a **generic PE program** ([`StencilPeProgram`]) that pairs the
-//!   compiled pattern with a [`StencilKernel`] and runs on both fabric
-//!   engines, flowing through fault, trace, checkpoint and metrics
-//!   layers unchanged.
+//! * an **exchange schedule** ([`ColumnExchange`]) running one halo
+//!   exchange per step on protocol state kept in PE memory, and
+//! * a **generic program** ([`StencilProgram`], built once per fabric)
+//!   that pairs the compiled pattern with a stateless [`StencilKernel`];
+//!   each PE runs it as a [`StencilPeProgram`] on both fabric engines,
+//!   flowing through fault, trace, checkpoint and metrics layers
+//!   unchanged.
 //!
 //! Compilation is pure data→data with typed diagnostics
 //! ([`CompileError`]) — no panics on bad specs.
@@ -52,7 +53,7 @@ pub mod program;
 pub mod spec;
 
 pub use compile::{compile, CompiledStencil};
-pub use exchange::{ColumnExchange, ExchangeEvent};
+pub use exchange::{ColumnExchange, ExchangeEvent, PeLanes};
 pub use pattern::{CardinalLane, CommPattern, DiagonalLane, RouteProgram};
-pub use program::{KernelLayout, StencilKernel, StencilPeProgram};
+pub use program::{state_words, KernelLayout, StencilKernel, StencilPeProgram, StencilProgram};
 pub use spec::{CompileError, OffsetSpec, StencilSpec};

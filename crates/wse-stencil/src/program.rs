@@ -5,115 +5,119 @@
 //!
 //! The program owns the protocol skeleton — launch on the pattern's
 //! start color, halo exchange, per-stream completion callbacks, a
-//! once-per-step finish hook, the progress counter the fault watchdog
-//! reads, and checkpoint serialization. The kernel owns the math: what
-//! to allocate, what to send, and what to compute when streams land.
+//! once-per-step finish hook and the progress counter the fault watchdog
+//! reads. The kernel owns the math: its memory layout, what to send, and
+//! what to compute when streams land.
+//!
+//! Like a CSL program, the PE keeps its program state in its own memory:
+//! [`state_words`] words right after the kernel's, holding the step
+//! counter, the step's pending hooks and the exchange's protocol state.
+//! A fabric checkpoint therefore captures them with the arena. Everything
+//! else is static and shared: one [`StencilProgram`] per fabric, and per
+//! PE only the [`PeLanes`] its position on the fabric implies.
 //!
 //! Profiling regions split the same way: the program brackets its
 //! exchange calls in [`TraceRegion::HaloExchange`]; each kernel marks its
 //! own compute regions, so a kernel whose hook does nothing emits nothing.
 
-use crate::exchange::{ColumnExchange, ExchangeEvent};
+use crate::exchange::{ColumnExchange, ExchangeEvent, PeLanes};
 use crate::pattern::CommPattern;
 use std::sync::Arc;
 use wse_sim::dsd::Dsd;
-use wse_sim::memory::MemRange;
+use wse_sim::memory::{MemRange, PeMemory};
 use wse_sim::pe::{PeContext, PeProgram};
 use wse_sim::trace::TraceRegion;
 use wse_sim::wavelet::Wavelet;
 
-/// Receive-buffer layout a kernel hands back from
-/// [`StencilKernel::init`]: `recv[q][stream]`, each range `nz` words.
-pub struct KernelLayout {
-    /// Receive buffers per quantity per stream.
-    pub recv: Vec<Vec<MemRange>>,
+/// Offset of the completed-step counter in the state words — the
+/// progress counter read by the host-side fault watchdog.
+const STEPS: usize = 0;
+/// Offset of the pending-hook word: [`COUNT_PENDING`] | [`FINISH_PENDING`].
+const PENDING: usize = 1;
+/// The current step has not been counted yet.
+const COUNT_PENDING: u32 = 1;
+/// The finish hook has not run for the current step yet.
+const FINISH_PENDING: u32 = 2;
+/// Offset of the exchange's protocol state words.
+const EXCHANGE: usize = 2;
+
+/// Words of program state a PE keeps after its kernel's, for a pattern
+/// of `streams` receive streams. Workloads count them in their memory
+/// footprint.
+pub const fn state_words(streams: usize) -> usize {
+    EXCHANGE + ColumnExchange::state_words(streams)
 }
 
-/// The compute half of a compiled stencil program.
-///
-/// Methods are called single-threaded per PE in a fixed order: `init`
-/// once at load; then per step `on_start` (return the send views),
-/// `on_stream_complete` for each arriving stream, and
-/// `on_step_complete` exactly once when every expected stream has
-/// arrived *and* every outgoing cardinal send has left (safe to
-/// overwrite send buffers).
-pub trait StencilKernel: Send {
-    /// Allocates PE memory and returns the receive-buffer layout
-    /// (`streams` buffers per quantity, `nz` words each).
-    fn init(&mut self, ctx: &mut PeContext, streams: usize) -> KernelLayout;
+/// A kernel's memory layout, the same on every PE.
+pub struct KernelLayout {
+    /// Words the kernel owns, from word 0.
+    pub words: usize,
+    /// Receive buffers per quantity per stream: `recv[q][stream]`, each
+    /// range `nz` words.
+    pub recv: Vec<Vec<MemRange>>,
+    /// Send views, one `nz`-element view per quantity, sent in order on
+    /// every stream every step.
+    pub send: Vec<Dsd>,
+}
 
-    /// Starts one step: local (vertical) faces, then return the send
-    /// views — one `nz`-element view per quantity.
-    fn on_start(&mut self, ctx: &mut PeContext) -> Vec<Dsd>;
+/// The compute half of a compiled stencil program. Kernels are
+/// stateless: one instance serves every PE of a fabric, and everything
+/// that changes lives in PE memory.
+///
+/// Per step the program calls `on_start`, then `on_stream_complete` for
+/// each arriving stream, then `on_step_complete` exactly once when every
+/// expected stream has arrived *and* every outgoing cardinal send has
+/// left (safe to overwrite send buffers).
+pub trait StencilKernel: Send + Sync {
+    /// The kernel's layout for a pattern of `streams` receive streams
+    /// (`streams` buffers per quantity, `nz` words each).
+    fn layout(&self, streams: usize) -> KernelLayout;
+
+    /// Starts one step: local (vertical) faces, before the exchange
+    /// sends the layout's send views.
+    fn on_start(&self, ctx: &mut PeContext);
 
     /// Stream `stream` has fully arrived;
     /// [`ColumnExchange::recv_view`] addresses its buffers.
-    fn on_stream_complete(&mut self, ctx: &mut PeContext, stream: usize, exchange: &ColumnExchange);
+    fn on_stream_complete(&self, ctx: &mut PeContext, stream: usize, exchange: &ColumnExchange);
 
     /// Every expected stream arrived and every cardinal send left.
-    fn on_step_complete(&mut self, ctx: &mut PeContext);
-
-    /// Kernel-private dynamic state for checkpointing (PE memory is
-    /// snapshotted separately by the fabric).
-    fn save_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Restores state captured by [`StencilKernel::save_state`].
-    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("{} unexpected kernel state bytes", state.len()))
-        }
-    }
+    fn on_step_complete(&self, ctx: &mut PeContext);
 }
 
-/// The generic per-PE program: compiled pattern + kernel.
-pub struct StencilPeProgram {
-    nz: usize,
-    pattern: Arc<CommPattern>,
+/// The fabric-wide half of a stencil program: kernel, exchange schedule
+/// and memory layout, built once and shared by every PE.
+pub struct StencilProgram {
     kernel: Box<dyn StencilKernel>,
-    exchange: Option<ColumnExchange>,
-    /// Completed steps — the progress counter read by the host-side
-    /// fault watchdog.
-    steps_done: u64,
-    /// Whether the current step has been counted. Starts true (nothing
-    /// in flight); cleared at the top of each step.
-    step_counted: bool,
-    /// Whether the finish hook has run for the current step.
-    step_finished: bool,
+    exchange: ColumnExchange,
+    /// Words the kernel owns; the state words start here.
+    state: usize,
 }
 
-impl StencilPeProgram {
-    /// Creates the program for columns of `nz` cells.
-    pub fn new(nz: usize, pattern: Arc<CommPattern>, kernel: Box<dyn StencilKernel>) -> Self {
+impl StencilProgram {
+    /// Pairs `kernel` with `pattern` for columns of `nz` cells.
+    pub fn new(nz: usize, pattern: Arc<CommPattern>, kernel: impl StencilKernel + 'static) -> Self {
+        let layout = kernel.layout(pattern.streams);
+        let state = layout.words;
+        let exchange = ColumnExchange::new(nz, pattern, layout.recv, layout.send, state + EXCHANGE);
         Self {
-            nz,
-            pattern,
-            kernel,
-            exchange: None,
-            steps_done: 0,
-            step_counted: true,
-            step_finished: true,
+            kernel: Box::new(kernel),
+            exchange,
+            state,
         }
     }
 
     /// The compiled pattern this program runs.
     pub fn pattern(&self) -> &CommPattern {
-        &self.pattern
+        self.exchange.pattern()
     }
 
-    fn exchange(&mut self) -> &mut ColumnExchange {
-        self.exchange.as_mut().expect("init not run")
-    }
-
-    fn start_step(&mut self, ctx: &mut PeContext) {
-        self.step_counted = false;
-        self.step_finished = false;
-        let views = self.kernel.on_start(ctx);
+    fn start_step(&self, ctx: &mut PeContext) {
+        ctx.memory
+            .write_u32(self.state + PENDING, COUNT_PENDING | FINISH_PENDING);
+        self.kernel.on_start(ctx);
         ctx.region_begin(TraceRegion::HaloExchange);
-        self.exchange().begin(ctx, &views);
+        self.exchange.begin(ctx);
         ctx.region_end(TraceRegion::HaloExchange);
     }
 
@@ -123,44 +127,69 @@ impl StencilPeProgram {
     /// stream completes and on control (a late cardinal send) — so both
     /// advance the moment the step is done, without a check per stored
     /// wavelet.
-    fn note_progress(&mut self, ctx: &mut PeContext) {
-        let Some(ex) = self.exchange.as_ref() else {
+    fn note_progress(&self, lanes: &PeLanes, ctx: &mut PeContext) {
+        let pending = ctx.memory.read_u32(self.state + PENDING);
+        if pending == 0 || !self.exchange.is_complete(lanes, ctx.memory) {
             return;
-        };
-        if !self.step_counted && ex.is_complete() {
-            self.steps_done += 1;
-            self.step_counted = true;
         }
-        if !self.step_finished && ex.is_complete() && ex.all_sent() {
-            self.step_finished = true;
+        let mut left = pending;
+        if pending & COUNT_PENDING != 0 {
+            let steps = ctx.memory.read_u32(self.state + STEPS);
+            ctx.memory.write_u32(self.state + STEPS, steps + 1);
+            left &= !COUNT_PENDING;
+        }
+        let finish = pending & FINISH_PENDING != 0 && self.exchange.all_sent(ctx.memory);
+        if finish {
+            left &= !FINISH_PENDING;
+        }
+        ctx.memory.write_u32(self.state + PENDING, left);
+        if finish {
             self.kernel.on_step_complete(ctx);
+        }
+    }
+}
+
+/// One PE's program: the shared [`StencilProgram`] plus the PE's view of
+/// the exchange lanes.
+pub struct StencilPeProgram {
+    program: Arc<StencilProgram>,
+    lanes: PeLanes,
+}
+
+impl StencilPeProgram {
+    /// Creates a PE's program over the fabric's shared one.
+    pub fn new(program: Arc<StencilProgram>) -> Self {
+        Self {
+            program,
+            lanes: PeLanes::default(),
         }
     }
 }
 
 impl PeProgram for StencilPeProgram {
     fn init(&mut self, ctx: &mut PeContext) {
-        let layout = self.kernel.init(ctx, self.pattern.streams);
-        let mut exchange = ColumnExchange::new(self.nz, self.pattern.clone(), layout.recv);
-        exchange.configure(ctx);
-        self.exchange = Some(exchange);
+        let p = &*self.program;
+        let kernel = ctx.alloc(p.state);
+        assert_eq!(kernel.offset, 0, "the kernel owns the PE from word 0");
+        ctx.alloc(state_words(p.pattern().streams));
+        self.lanes = p.exchange.configure(ctx);
     }
 
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
-        if w.color == self.pattern.start {
-            self.start_step(ctx);
-            self.note_progress(ctx);
+        let p = &*self.program;
+        if w.color == p.pattern().start {
+            p.start_step(ctx);
+            p.note_progress(&self.lanes, ctx);
             return;
         }
         ctx.region_begin(TraceRegion::HaloExchange);
-        let event = self.exchange().on_data(ctx, w);
+        let event = p.exchange.on_data(&self.lanes, ctx, w);
         ctx.region_end(TraceRegion::HaloExchange);
         match event {
             ExchangeEvent::Stored => {}
             ExchangeEvent::StreamComplete(stream) => {
-                let ex = self.exchange.as_ref().expect("init not run");
-                self.kernel.on_stream_complete(ctx, stream, ex);
-                self.note_progress(ctx);
+                p.kernel.on_stream_complete(ctx, stream, &p.exchange);
+                p.note_progress(&self.lanes, ctx);
             }
             ExchangeEvent::NotMine => panic!(
                 "PE ({}, {}): wavelet on unexpected color {}",
@@ -172,149 +201,23 @@ impl PeProgram for StencilPeProgram {
     }
 
     fn on_control(&mut self, ctx: &mut PeContext, w: Wavelet) {
+        let p = &*self.program;
         ctx.region_begin(TraceRegion::HaloExchange);
-        self.exchange().on_control(ctx, w);
+        p.exchange.on_control(ctx, w);
         ctx.region_end(TraceRegion::HaloExchange);
-        self.note_progress(ctx);
+        p.note_progress(&self.lanes, ctx);
     }
 
-    fn progress(&self) -> Option<u64> {
-        Some(self.steps_done)
+    fn progress(&self, memory: &PeMemory) -> Option<u64> {
+        Some(memory.read_u32(self.program.state + STEPS) as u64)
     }
 
-    fn save_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.steps_done.to_le_bytes());
-        out.push(self.step_counted as u8);
-        out.push(self.step_finished as u8);
-        match &self.exchange {
-            None => out.push(0),
-            Some(ex) => {
-                out.push(1);
-                let (recv_count, sent, send_views) = ex.dynamic_state();
-                out.extend_from_slice(&(recv_count.len() as u64).to_le_bytes());
-                for c in recv_count {
-                    out.extend_from_slice(&(c as u64).to_le_bytes());
-                }
-                out.extend_from_slice(&(sent.len() as u64).to_le_bytes());
-                for s in sent {
-                    out.push(s as u8);
-                }
-                out.extend_from_slice(&(send_views.len() as u64).to_le_bytes());
-                for v in send_views {
-                    out.extend_from_slice(&(v.base as u64).to_le_bytes());
-                    out.extend_from_slice(&(v.len as u64).to_le_bytes());
-                    out.extend_from_slice(&(v.stride as u64).to_le_bytes());
-                }
-            }
+    fn check_state(&self, memory: &PeMemory) -> Result<(), String> {
+        let pending = memory.read_u32(self.program.state + PENDING);
+        if pending & !(COUNT_PENDING | FINISH_PENDING) != 0 {
+            return Err(format!("unknown pending flags {pending:#x}"));
         }
-        let kernel = self.kernel.save_state();
-        out.extend_from_slice(&(kernel.len() as u64).to_le_bytes());
-        out.extend_from_slice(&kernel);
-        out
-    }
-
-    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let mut cur = StateCursor::new(state);
-        self.steps_done = cur.u64()?;
-        self.step_counted = cur.u8()? != 0;
-        self.step_finished = cur.u8()? != 0;
-        let has_exchange = cur.u8()? != 0;
-        if has_exchange {
-            let n_streams = cur.u64()? as usize;
-            if n_streams > 64 {
-                return Err(format!("implausible stream count {n_streams}"));
-            }
-            let mut recv_count = vec![0usize; n_streams];
-            for c in &mut recv_count {
-                *c = cur.u64()? as usize;
-            }
-            let n_sent = cur.u64()? as usize;
-            if n_sent > 64 {
-                return Err(format!("implausible cardinal lane count {n_sent}"));
-            }
-            let mut sent = vec![false; n_sent];
-            for s in &mut sent {
-                *s = cur.u8()? != 0;
-            }
-            let n_views = cur.u64()? as usize;
-            if n_views > 64 {
-                return Err(format!("implausible send-view count {n_views}"));
-            }
-            let mut send_views = Vec::with_capacity(n_views);
-            for _ in 0..n_views {
-                let base = cur.u64()? as usize;
-                let len = cur.u64()? as usize;
-                let stride = cur.u64()? as usize;
-                if stride == 0 {
-                    return Err("send view with zero stride".to_string());
-                }
-                send_views.push(Dsd::strided(base, len, stride));
-            }
-            let ex = self
-                .exchange
-                .as_mut()
-                .ok_or("saved state has exchange but program is uninitialized")?;
-            ex.restore_dynamic_state(recv_count, sent, send_views)?;
-        } else if self.exchange.is_some() {
-            return Err("saved state predates init but program is initialized".to_string());
-        }
-        let n_kernel = cur.u64()? as usize;
-        let kernel = cur.take(n_kernel)?.to_vec();
-        self.kernel.load_state(&kernel)?;
-        cur.finish()
-    }
-}
-
-/// Little-endian byte-slice reader for [`PeProgram::load_state`]: every
-/// read is bounds-checked and reported as a typed message, and
-/// [`StateCursor::finish`] rejects trailing bytes.
-struct StateCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> StateCursor<'a> {
-    /// Starts reading at the first byte of `bytes`.
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    /// The next `n` bytes, or an error when fewer remain.
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(format!(
-                "truncated program state: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
-        };
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// The next byte.
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// The next little-endian `u64`.
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Ends the read; an error when bytes are left over.
-    fn finish(self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes in program state",
-                self.bytes.len() - self.pos
-            ))
-        }
+        self.program.exchange.check_state(memory)
     }
 }
 
@@ -327,51 +230,34 @@ mod tests {
     struct NullKernel;
 
     impl StencilKernel for NullKernel {
-        fn init(&mut self, ctx: &mut PeContext, streams: usize) -> KernelLayout {
+        fn layout(&self, streams: usize) -> KernelLayout {
             let nz = 4;
-            let recv = (0..streams).map(|_| ctx.alloc(nz)).collect();
-            let _send = ctx.alloc(nz);
-            KernelLayout { recv: vec![recv] }
+            let recv = (0..streams)
+                .map(|s| MemRange {
+                    offset: s * nz,
+                    len: nz,
+                })
+                .collect();
+            KernelLayout {
+                words: (streams + 1) * nz,
+                recv: vec![recv],
+                send: vec![Dsd::contiguous(streams * nz, nz)],
+            }
         }
 
-        fn on_start(&mut self, _ctx: &mut PeContext) -> Vec<Dsd> {
-            vec![Dsd::contiguous(0, 4)]
-        }
+        fn on_start(&self, _ctx: &mut PeContext) {}
 
-        fn on_stream_complete(
-            &mut self,
-            _ctx: &mut PeContext,
-            _stream: usize,
-            _exchange: &ColumnExchange,
-        ) {
-        }
+        fn on_stream_complete(&self, _: &mut PeContext, _: usize, _: &ColumnExchange) {}
 
-        fn on_step_complete(&mut self, _ctx: &mut PeContext) {}
+        fn on_step_complete(&self, _ctx: &mut PeContext) {}
     }
 
     #[test]
     fn fresh_program_reports_zero_progress() {
         let pattern = Arc::new(compile(&StencilSpec::laplace7(1.0, 1.0)).unwrap().pattern);
-        let p = StencilPeProgram::new(4, pattern, Box::new(NullKernel));
-        assert_eq!(p.progress(), Some(0));
-    }
-
-    #[test]
-    fn state_round_trips_before_init() {
-        let pattern = Arc::new(compile(&StencilSpec::laplace7(1.0, 1.0)).unwrap().pattern);
-        let p = StencilPeProgram::new(4, pattern.clone(), Box::new(NullKernel));
-        let bytes = p.save_state();
-        let mut q = StencilPeProgram::new(4, pattern, Box::new(NullKernel));
-        q.load_state(&bytes).unwrap();
-        assert_eq!(q.progress(), Some(0));
-    }
-
-    #[test]
-    fn truncated_state_is_rejected() {
-        let pattern = Arc::new(compile(&StencilSpec::laplace7(1.0, 1.0)).unwrap().pattern);
-        let p = StencilPeProgram::new(4, pattern.clone(), Box::new(NullKernel));
-        let bytes = p.save_state();
-        let mut q = StencilPeProgram::new(4, pattern, Box::new(NullKernel));
-        assert!(q.load_state(&bytes[..bytes.len() - 1]).is_err());
+        let p = StencilPeProgram::new(Arc::new(StencilProgram::new(4, pattern, NullKernel)));
+        let memory = PeMemory::wse2();
+        assert_eq!(p.progress(&memory), Some(0));
+        assert_eq!(p.check_state(&memory), Ok(()));
     }
 }

@@ -29,6 +29,7 @@ fn main() {
     println!("  transmissibility x10      {:>6} words", plan.trans);
     println!("  receive buffers 8x2       {:>6} words", plan.recv);
     println!("  reused temporaries x3     {:>6} words", plan.temps);
+    println!("  program state             {:>6} words", plan.state);
     println!(
         "  total                     {:>6} words = {:.1} kB of 48 kB ({:.0}% full)",
         plan.total_words(),
@@ -79,5 +80,9 @@ fn main() {
         layout.temps[2].offset,
         layout.temps[2].offset + layout.temps[2].len,
     );
-    println!("  total {} words", layout.total_words());
+    println!(
+        "  total {} words, then {} program state words",
+        layout.total_words(),
+        MemoryPlan::for_nz(8).state
+    );
 }
