@@ -33,6 +33,7 @@
 //! accumulated [`RunReport`] must be bit-identical to an uninterrupted
 //! run, on both engines, with fast-forwarding on and off.
 
+use bench::cli::{flag, or_exit};
 use bench::{pressure_for_iteration, standard_problem};
 use tpfa_dataflow::{DataflowFluxSimulator, Recovered, RecoveryPolicy};
 use wse_metrics::FlightRecorder;
@@ -262,26 +263,12 @@ fn kill_restore_sweep(
     kills
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = bench::CommonArgs::from_slice(&raw).unwrap_or_else(|why| {
-        eprintln!("error: {why}");
-        std::process::exit(2);
-    });
-    let schedules = flag_value(&raw, "--schedules").unwrap_or(50) as usize;
-    let seed0 = flag_value(&raw, "--seed").unwrap_or(1);
-    let report_path = raw
-        .iter()
-        .position(|a| a == "--report")
-        .and_then(|i| raw.get(i + 1))
-        .cloned();
+    let common = or_exit(bench::CommonArgs::from_slice(&raw));
+    let schedules = or_exit(flag(&raw, "--schedules")).unwrap_or(50);
+    let seed0 = or_exit(flag(&raw, "--seed")).unwrap_or(1);
+    let report_path: Option<String> = or_exit(flag(&raw, "--report"));
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
     // One pinned geometry with --shards, otherwise a rotating sweep of
     // shard grids so every boundary layout gets chaos coverage.

@@ -24,6 +24,7 @@
 
 use std::time::Instant;
 
+use bench::cli::{flag, or_exit};
 use bench::{peak_rss_mb, pressure_for_iteration, standard_problem, PAPER_MESH_XY, PAPER_SMOKE_NZ};
 use tpfa_dataflow::DataflowFluxSimulator;
 
@@ -38,21 +39,11 @@ const PINNED_FINAL_TIME: u64 = 325;
 /// Route-program equivalence classes across the whole fabric.
 const PINNED_EQ_CLASSES: u64 = 64;
 
-fn flag_value(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = bench::CommonArgs::from_slice(&raw).unwrap_or_else(|why| {
-        eprintln!("error: {why}");
-        std::process::exit(2);
-    });
-    let budget_s = flag_value(&raw, "--budget-s");
-    let max_rss_mb = flag_value(&raw, "--max-rss-mb");
+    let common = or_exit(bench::CommonArgs::from_slice(&raw));
+    let budget_s: Option<f64> = or_exit(flag(&raw, "--budget-s"));
+    let max_rss_mb: Option<f64> = or_exit(flag(&raw, "--max-rss-mb"));
 
     println!(
         "== paper mesh: {PAPER_NX}x{PAPER_NY}x{SMOKE_NZ} ({} PEs), engine {} ==",

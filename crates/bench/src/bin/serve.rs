@@ -18,6 +18,7 @@
 //! `serve_*`/`fabric_*`/`driver_*` series are written out as Prometheus
 //! text on exit. Exit code 0 iff every assertion holds.
 
+use bench::cli::{flag, or_exit};
 use bench::pressure_for_iteration;
 use tpfa_dataflow::DataflowFluxSimulator;
 use wse_serve::{JobServer, JobSpec, JobState, ProblemSpec, ServerConfig};
@@ -26,20 +27,10 @@ const NX: usize = 12;
 const NY: usize = 12;
 const NZ: usize = 6;
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = bench::CommonArgs::from_slice(&raw).unwrap_or_else(|why| {
-        eprintln!("error: {why}");
-        std::process::exit(2);
-    });
-    let apps = flag_value(&raw, "--apps").unwrap_or(4) as usize;
+    let common = or_exit(bench::CommonArgs::from_slice(&raw));
+    let apps = or_exit(flag(&raw, "--apps")).unwrap_or(4);
     let problem = ProblemSpec {
         nx: NX,
         ny: NY,

@@ -18,19 +18,13 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
+use bench::cli::{flag, or_exit};
 use wse_serve::{JobServer, JobSpec, JobState, ProblemSpec, ProgressUpdate, ServerConfig};
 
 const NX: usize = 16;
 const NY: usize = 16;
 const NZ: usize = 6;
 const BAR: usize = 24;
-
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 /// One rendered dashboard line: `job 3 [#####---] 42.0% apps 1/4 ...`.
 fn render_line(idx: usize, apps_total: usize, u: &ProgressUpdate, state: &str) -> String {
@@ -51,12 +45,9 @@ fn render_line(idx: usize, apps_total: usize, u: &ProgressUpdate, state: &str) -
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = bench::CommonArgs::from_slice(&raw).unwrap_or_else(|why| {
-        eprintln!("error: {why}");
-        std::process::exit(2);
-    });
-    let jobs = flag_value(&raw, "--jobs").unwrap_or(4) as usize;
-    let apps = flag_value(&raw, "--apps").unwrap_or(6) as usize;
+    let common = or_exit(bench::CommonArgs::from_slice(&raw));
+    let jobs = or_exit(flag(&raw, "--jobs")).unwrap_or(4);
+    let apps = or_exit(flag(&raw, "--apps")).unwrap_or(6);
     let plain = raw.iter().any(|a| a == "--plain");
 
     // The dashboard needs a live hub regardless of --metrics; the flag

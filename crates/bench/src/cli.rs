@@ -23,6 +23,8 @@
 //!   (default `tpfa`, the paper's kernel; binaries that only make sense for
 //!   one workload may ignore it).
 
+use std::str::FromStr;
+
 use tpfa_dataflow::RecoveryPolicy;
 use wse_sim::fabric::Execution;
 use wse_sim::fault::FaultPlan;
@@ -93,24 +95,10 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Parses the common flags from an argument slice. Unknown flags are
-    /// ignored (binaries may have extras); malformed values of the known
-    /// flags are an error.
+    /// ignored (binaries may have extras); missing or malformed values of
+    /// the known flags are an error.
     pub fn from_slice(args: &[String]) -> Result<Self, String> {
-        let value_of = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-        };
-        let usize_of = |flag: &str| -> Result<Option<usize>, String> {
-            match value_of(flag) {
-                None => Ok(None),
-                Some(v) => v
-                    .parse::<usize>()
-                    .map(Some)
-                    .map_err(|_| format!("bad value for {flag}: {v:?}")),
-            }
-        };
-        let execution = match (usize_of("--shards")?, usize_of("--threads")?) {
+        let execution = match (flag(args, "--shards")?, flag::<usize>(args, "--threads")?) {
             (None | Some(0), None) => Execution::Sequential,
             (None | Some(0), Some(_)) => {
                 return Err("--threads needs --shards N with N >= 1".to_string())
@@ -122,30 +110,23 @@ impl CommonArgs {
                 Execution::Sharded { shards, threads }
             }
         };
-        let fault_seed = match value_of("--faults") {
-            None => None,
-            Some(v) => Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("bad value for --faults: {v:?}"))?,
-            ),
-        };
-        let recovery = match value_of("--recovery") {
+        let recovery = match flag::<String>(args, "--recovery")? {
             None => RecoveryPolicy::Fail,
-            Some(v) => RecoveryPolicy::parse(v)?,
+            Some(v) => RecoveryPolicy::parse(&v)?,
         };
-        let stencil = match value_of("--stencil") {
+        let stencil = match flag::<String>(args, "--stencil")? {
             None => StencilArg::default(),
-            Some(v) => StencilArg::parse(v)?,
+            Some(v) => StencilArg::parse(&v)?,
         };
         Ok(Self {
             execution,
             trace: trace_request_from_arg_slice(args)?,
             profile: profile_request_from_arg_slice(args)?,
-            fault_seed,
+            fault_seed: flag(args, "--faults")?,
             recovery,
-            checkpoint: value_of("--checkpoint").cloned(),
-            resume: value_of("--resume").cloned(),
-            metrics: value_of("--metrics").cloned(),
+            checkpoint: flag(args, "--checkpoint")?,
+            resume: flag(args, "--resume")?,
+            metrics: flag(args, "--metrics")?,
             stencil,
         })
     }
@@ -154,13 +135,7 @@ impl CommonArgs {
     /// exiting with the parse error on bad input.
     pub fn parse() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::from_slice(&args) {
-            Ok(parsed) => parsed,
-            Err(why) => {
-                eprintln!("error: {why}");
-                std::process::exit(2);
-            }
-        }
+        or_exit(Self::from_slice(&args))
     }
 
     /// Human-readable engine label for benchmark headers.
@@ -177,6 +152,31 @@ impl CommonArgs {
             None => FaultPlan::new(),
         }
     }
+}
+
+/// The value after `name` in `args`, parsed as `T`: `Ok(None)` when the
+/// flag is absent, an error when its value is missing or malformed — a
+/// typo in a flag value is never a silent default.
+pub fn flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(at) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(at + 1)
+        .ok_or_else(|| format!("missing value for {name}"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("bad value for {name}: {value:?}"))
+}
+
+/// The parsed value, or exit 2 with `error: <why>` on stderr: how every
+/// binary reports a bad command line.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|why| {
+        eprintln!("error: {why}");
+        std::process::exit(2);
+    })
 }
 
 #[cfg(test)]
@@ -260,6 +260,11 @@ mod tests {
         assert!(CommonArgs::from_slice(&to_args("--trace t.json --trace-cap")).is_err());
         assert!(CommonArgs::from_slice(&to_args("--trace --shards 4")).is_err());
         assert!(CommonArgs::from_slice(&to_args("--profile --trace-cap 64")).is_err());
+        // The extra flags of single binaries go through the same parser.
+        assert!(flag::<f64>(&to_args("--max-rss-mb 3l36"), "--max-rss-mb").is_err());
+        assert!(flag::<f64>(&to_args("--shards 4 --budget-s"), "--budget-s").is_err());
+        assert!(flag::<usize>(&to_args("--schedules -1"), "--schedules").is_err());
+        assert_eq!(flag::<f64>(&to_args("--shards 4"), "--budget-s"), Ok(None));
     }
 
     #[test]

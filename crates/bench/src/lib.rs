@@ -2,9 +2,8 @@
 //! harness.
 //!
 //! Every table/figure of the paper's evaluation has a generator binary in
-//! `src/bin/` (see `DESIGN.md` for the experiment index) and the criterion
-//! microbenches in `benches/` measure the real Rust kernels at laboratory
-//! scale.
+//! `src/bin/` (see `DESIGN.md` for the experiment index). Host wall-clock
+//! is measured by the repository benchmark (`benchmark/`), not here.
 
 use fv_core::eos::Fluid;
 use fv_core::fields::PermeabilityField;

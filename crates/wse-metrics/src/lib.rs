@@ -12,8 +12,8 @@
 //! * **Zero overhead when off.** Every handle has a [`Counter::Null`]
 //!   variant that compiles to a no-op, exactly like the trace sink's
 //!   `PeTracer::Null`: code instruments unconditionally and the null hub
-//!   erases the cost. `benches/metrics_overhead.rs` in the bench crate
-//!   enforces this the same way `trace_overhead` does for tracing.
+//!   erases the cost. The repository benchmark prices a live hub against
+//!   it as `wse-metrics.live_apply_ratio`, which CI holds to ≤ 1.25.
 //! * **Determinism boundary.** Deterministic quantities (event counts,
 //!   stalls, drops, fast-forward hops) are *published into* metrics from
 //!   the engines' already-bit-identical aggregates after a run — telemetry

@@ -9,8 +9,8 @@
 //! switches, flow stalls, errors — into a bounded drop-oldest
 //! [`EventRing`]. With tracing off (the default) every instrumentation site
 //! dispatches through [`PeTracer::Null`] and compiles down to a single
-//! predictable branch: the `engine/64x64` benchmark shows no measurable
-//! regression, guarded by the `trace_overhead` criterion group.
+//! predictable branch. The repository benchmark prices the ring against
+//! it as `wse-trace.ring_apply_ratio`.
 //!
 //! A finished run is assembled into a [`Trace`] whose event stream is
 //! sorted by the deterministic key `(time, pe, seq)`; because the

@@ -41,39 +41,16 @@ stencil:
     cargo test -q -p wse-serve --release --test arena_checkpoint
     cargo run --release --example seismic_wave
 
-# engine wall-clock comparison (criterion; honest numbers depend on cores)
-bench-engines:
-    cargo bench -p bench --bench weak_scaling -- 'engine/64x64'
-
-# event-queue microbench (BinaryHeap vs the timing-wheel queue: hop-quantized
-# churn at 1k/100k/1M, the deep-column train-burst shape, and dense-cycle
-# activation at 650/1,700/21,000 items per cycle on PE-shaped lanes) and the
-# fast-forwarding on/off toggle on the real 64x64 TPFA apply
-bench-queue:
-    cargo bench -p bench --bench event_queue
-
 # traced quickstart run: asserts trace determinism across engines, writes
 # trace.json (open in https://ui.perfetto.dev or chrome://tracing) and
 # prints the per-shard load summary
 trace:
     cargo run --release --example quickstart -- --trace trace.json
 
-# tracing overhead guard: `trace_overhead/off` must match
-# `engine/64x64/sequential`; the ring variants price enabling tracing
-bench-trace-overhead:
-    cargo bench -p bench --bench weak_scaling -- 'engine/64x64/sequential'
-    cargo bench -p bench --bench trace_overhead
-
 # profiled quickstart run: per-region cycle attribution + recovered
 # critical path, asserted bit-identical across engines, exported as JSON
 profile:
     cargo run --release --example quickstart -- --profile prof.json
-
-# profiler overhead guard: `profile_overhead/regions-off` must match
-# `engine/64x64/sequential`; `analyze` prices the host-side analysis
-bench-profile-overhead:
-    cargo bench -p bench --bench weak_scaling -- 'engine/64x64/sequential'
-    cargo bench -p bench --bench profile_overhead
 
 # chaos harness: seeded random fault schedules x all recovery policies x
 # both engines; every run must recover bit-identically or fail typed
@@ -102,7 +79,7 @@ faults:
 # time, equivalence classes), a wall budget and a peak-RSS ceiling — the
 # bin reads VmHWM from /proc/self/status, the same figure
 # `/usr/bin/time -v` reports as maximum resident set size
-paper-mesh budget_s="300" max_rss_mb="3136":
+paper-mesh budget_s="300" max_rss_mb="2112":
     cargo run -p bench --release --bin paper_mesh -- --budget-s {{budget_s}} --max-rss-mb {{max_rss_mb}}
 
 # the repo benchmark as a check, not a measurement: all six workloads,
@@ -131,9 +108,3 @@ top:
 metrics:
     cargo run -p bench --release --bin serve -- --metrics metrics.prom
     @head -n 24 metrics.prom
-
-# telemetry overhead guard: `metrics_overhead/off` (MetricsHub::Null) must
-# match `engine/64x64/sequential`; `live` prices a live hub
-bench-metrics-overhead:
-    cargo bench -p bench --bench weak_scaling -- 'engine/64x64/sequential'
-    cargo bench -p bench --bench metrics_overhead
