@@ -247,8 +247,6 @@ struct PeSlot {
     counters: OpCounters,
     router: Router,
     program: Box<dyn PeProgram>,
-    outbox: Vec<Wavelet>,
-    activations: Vec<(Color, u32)>,
     /// Wavelets stalled by flow control: the active switch position does
     /// not accept their input link yet. Real WSE routers backpressure the
     /// link in this situation; we park the wavelet and re-inject it when a
@@ -266,12 +264,23 @@ struct PeSlot {
     trace: PeTracer,
 }
 
-const _: () = assert!(std::mem::size_of::<PeSlot>() <= 288);
+const _: () = assert!(std::mem::size_of::<PeSlot>() <= 224);
 
 /// `process_route`'s work list: kept on the [`Engine`] so the routing hot
 /// path never allocates, and always drained back to empty. The flag marks
 /// the primary (incoming) wavelet, whose hop may be key-preserving.
 type RouteScratch = VecDeque<(Direction, Wavelet, bool)>;
+
+/// What one task handler sends: wavelets for the fabric and local task
+/// activations. Only the PE being stepped has any, and [`flush_pe_output`]
+/// drains them right after its handler returns, so each strip worker keeps
+/// one on its [`Engine`] (beside the route scratch) rather than each PE
+/// one of its own.
+#[derive(Default)]
+struct Outbox {
+    wavelets: Vec<Wavelet>,
+    activations: Vec<(Color, u32)>,
+}
 
 /// The struct-of-arrays arena of per-PE scalar state: flat slices indexed
 /// by PE slot index — local to the [`Strip`] that holds the arena (one
@@ -770,7 +779,7 @@ fn process_route(
 
 fn process_deliver(eng: &mut Engine, ev: &Event, emit: &mut impl FnMut(Event, PeCoord)) {
     let Visit { coord, idx, .. } = eng.at;
-    let (slot, sc) = (&mut eng.slots[idx], &mut *eng.scalars);
+    let (slot, sc, outbox) = (&mut eng.slots[idx], &mut *eng.scalars, &mut *eng.outbox);
     if let Some(faults) = slot.faults.as_deref_mut() {
         let (link, payload) = (u16::from(ev.wavelet.is_control()), ev.wavelet.payload);
         // A halted PE swallows every delivery without running a task.
@@ -823,8 +832,8 @@ fn process_deliver(eng: &mut Engine, ev: &Event, emit: &mut impl FnMut(Event, Pe
         &mut slot.counters,
         &mut slot.trace,
         &mut slot.router,
-        &mut slot.outbox,
-        &mut slot.activations,
+        &mut outbox.wavelets,
+        &mut outbox.activations,
         true,
     );
     match ev.wavelet.kind {
@@ -870,15 +879,16 @@ fn process_deliver(eng: &mut Engine, ev: &Event, emit: &mut impl FnMut(Event, Pe
         u16::from(ev.wavelet.is_control()),
         cost as u32,
     );
-    flush_pe_output(slot, sc, eng.at, sc.busy_until[idx], emit);
+    flush_pe_output(slot, sc, outbox, eng.at, sc.busy_until[idx], emit);
 }
 
 /// Injects a PE's pending sends (through its own router, ramp input) and
-/// local activations. The outbox/activation buffers are recycled
-/// (take/clear/restore), so steady-state flushes allocate nothing.
+/// local activations, leaving `outbox` empty. Its buffers are drained, not
+/// dropped, so steady-state flushes allocate nothing.
 fn flush_pe_output(
-    slot: &mut PeSlot,
+    slot: &PeSlot,
     sc: &mut PeScalars,
+    outbox: &mut Outbox,
     Visit { pe, coord, idx }: Visit,
     at: u64,
     emit: &mut impl FnMut(Event, PeCoord),
@@ -887,9 +897,8 @@ fn flush_pe_output(
     // while a fault plan has verification on — the fault-free path never
     // computes a checksum.
     let verify = slot.faults.as_ref().is_some_and(|f| f.verify_checksums);
-    let mut outbox = std::mem::take(&mut slot.outbox);
     // Successive wavelets leave the ramp one cycle apart.
-    for (k, w) in outbox.iter_mut().enumerate() {
+    for (k, mut w) in outbox.wavelets.drain(..).enumerate() {
         if verify {
             w.seal();
         }
@@ -900,14 +909,11 @@ fn flush_pe_output(
             src: pe,
             pe,
             kind: EventKind::Route(Direction::Ramp),
-            wavelet: *w,
+            wavelet: w,
         };
         emit(ev, coord);
     }
-    outbox.clear();
-    slot.outbox = outbox;
-    let mut acts = std::mem::take(&mut slot.activations);
-    for &(color, payload) in acts.iter() {
+    for (color, payload) in outbox.activations.drain(..) {
         let mut w = Wavelet::data(color, payload);
         if verify {
             w.seal();
@@ -923,8 +929,6 @@ fn flush_pe_output(
         };
         emit(ev, coord);
     }
-    acts.clear();
-    slot.activations = acts;
 }
 
 // ---------------------------------------------------------------------------
@@ -1107,6 +1111,7 @@ struct Engine<'a> {
     /// The smallest-key routing error seen so far.
     error: &'a mut Option<(EventKey, FabricError)>,
     route_scratch: &'a mut RouteScratch,
+    outbox: &'a mut Outbox,
     /// PE-major order makes consecutive events share a PE; its coordinate
     /// and local index are resolved when the PE changes, not per event.
     at: Visit,
@@ -1382,6 +1387,7 @@ fn strip_worker(
     // Events bound for the strip above (0) and below (1) the one draining.
     let mut out = [Vec::new(), Vec::new()];
     let mut route_scratch = RouteScratch::new();
+    let mut outbox = Outbox::default();
     let (mut total, mut handed_in) = (0u64, 0u64);
     let mut parity = 0;
     report.stop = loop {
@@ -1416,6 +1422,7 @@ fn strip_worker(
                 ff,
                 error: &mut report.error,
                 route_scratch: &mut route_scratch,
+                outbox: &mut outbox,
                 at: Engine::NOWHERE,
             };
             // The budget must also trip *inside* a cycle: a zero-cost task
@@ -1538,8 +1545,6 @@ impl Fabric {
                 counters: OpCounters::default(),
                 router: Router::new(),
                 program: factory(c),
-                outbox: Vec::new(),
-                activations: Vec::new(),
                 parked: Vec::new(),
                 faults: None,
                 trace: PeTracer::for_spec(config.trace, i as u32),
@@ -1582,7 +1587,10 @@ impl Fabric {
     /// is O(classes), not O(PEs). SPMD programs collapse to a handful of
     /// classes (interior / edges / corners); see [`Fabric::eq_classes`].
     /// The same pass numbers the classes and derives the fast-forward
-    /// table from them; from here on configured routes are frozen.
+    /// table from them; from here on configured routes are frozen. It also
+    /// reserves each PE's memory for the words its `init` allocated, in PE
+    /// order, so neighbouring PEs' memories are neighbours on the host heap
+    /// and no run reallocates one.
     pub fn load(&mut self) {
         assert!(!self.initialized, "fabric already loaded");
         self.initialized = true;
@@ -1598,6 +1606,7 @@ impl Fabric {
         // class donates its table as the class's canonical copy.
         let mut interned: HashMap<Arc<RouteTable>, usize> = HashMap::new();
         let mut canonical: Vec<Arc<RouteTable>> = Vec::new();
+        let mut outbox = Outbox::default();
         for (i, slot) in pes.iter_mut().enumerate() {
             let owner = owner_of(strips, i);
             let Strip {
@@ -1621,11 +1630,12 @@ impl Fabric {
                 &mut slot.counters,
                 &mut slot.trace,
                 &mut slot.router,
-                &mut slot.outbox,
-                &mut slot.activations,
+                &mut outbox.wavelets,
+                &mut outbox.activations,
                 false,
             );
             slot.program.init(&mut ctx);
+            slot.memory.reserve_allocated();
             let table = slot.router.table().clone();
             let class = *interned.entry(table).or_insert(canonical.len());
             if class == canonical.len() {
@@ -1636,7 +1646,7 @@ impl Fabric {
                 fwd.push_pe(class, slot.router.table());
             }
             // Anything sent from init is injected at t = 0.
-            flush_pe_output(slot, scalars, at, 0, &mut |e, _| queue.push(e));
+            flush_pe_output(slot, scalars, &mut outbox, at, 0, &mut |e, _| queue.push(e));
         }
         self.eq_classes = canonical.len();
         self.fwd = fwd;
@@ -1816,10 +1826,6 @@ impl Fabric {
             .enumerate()
             .map(|(pe, slot)| {
                 let (sc, i) = self.row(pe);
-                debug_assert!(
-                    slot.outbox.is_empty() && slot.activations.is_empty(),
-                    "PE scratch buffers are always drained between events"
-                );
                 PeRecord {
                     memory_words: slot.memory.snapshot_words(),
                     memory_allocated: slot.memory.allocated_words(),
@@ -1910,8 +1916,6 @@ impl Fabric {
             scalars.busy_until[i] = rec.busy_until;
             scalars.seq[i] = rec.seq;
             slot.parked = rec.parked.clone();
-            slot.outbox.clear();
-            slot.activations.clear();
             scalars.edge_drops[i] = rec.edge_drops;
             scalars.flow_stalls[i] = rec.flow_stalls;
             scalars.queue_wait_cycles[i] = rec.queue_wait_cycles;
@@ -2847,6 +2851,60 @@ mod tests {
         });
         assert_eq!(seq, par);
         assert!(matches!(seq, FabricError::EventBudgetExceeded { .. }));
+    }
+
+    /// Allocates `WORDS` words at `init` and writes none of them; START
+    /// fills them all and activates DATA, which rewrites the last one.
+    struct Filler(Option<crate::memory::MemRange>);
+
+    impl Filler {
+        const WORDS: usize = 40;
+    }
+
+    impl PeProgram for Filler {
+        fn init(&mut self, ctx: &mut PeContext) {
+            self.0 = Some(ctx.alloc(Self::WORDS));
+        }
+
+        fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
+            let words = self.0.unwrap();
+            if w.color == START {
+                for i in 0..words.len {
+                    ctx.memory.write_u32(words.at(i), i as u32 + 1);
+                }
+                ctx.activate(DATA, 7);
+            } else {
+                ctx.recv_store(words.at(words.len - 1), w.payload as f32);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_inside_the_allocation_never_reallocate_pe_memory() {
+        for execution in [
+            Execution::Sequential,
+            Execution::Sharded {
+                shards: 2,
+                threads: 2,
+            },
+        ] {
+            let config = FabricConfig {
+                execution,
+                ..FabricConfig::default()
+            };
+            let mut f = Fabric::new(FabricDims::new(4, 4), config, |_| Box::new(Filler(None)));
+            f.load();
+            let backing: Vec<_> = f.pes.iter().map(|s| s.memory.backing()).collect();
+            assert!(backing.iter().all(|&(_, cap)| cap >= Filler::WORDS));
+            f.activate_all(START, 0);
+            f.run().unwrap();
+            for (pe, slot) in f.pes.iter().enumerate() {
+                let last = Filler::WORDS - 1;
+                assert_eq!(slot.memory.read_u32(last - 1), last as u32, "PE {pe}");
+                assert_eq!(slot.memory.read_f32(last), 7.0, "PE {pe}");
+                assert_eq!(slot.memory.backing(), backing[pe], "PE {pe} reallocated");
+            }
+        }
     }
 
     #[test]

@@ -48,12 +48,17 @@ impl MemRange {
 /// A PE's private memory: a word-addressed scratchpad with a bump allocator
 /// and a capacity limit.
 ///
-/// The backing store is *lazy*: construction allocates nothing, and the
-/// word vector grows (zero-filled) only as high addresses are written.
-/// Reads beyond the written prefix but within capacity return 0, exactly
-/// as if the full arena had been zero-initialized eagerly. This is what
-/// lets a paper-scale fabric (~738k PEs × 48 kB capacity) fit in host
-/// memory: resident bytes track words actually touched, not capacity.
+/// The backing store covers the *allocated* words, not the capacity:
+/// construction allocates nothing, and `Fabric::load` reserves room for
+/// every word the PE's `init` allocated, right after that `init` and in PE
+/// order, without filling it. The word vector's length stays the written
+/// prefix: it grows (zero-filled) only as high addresses are written, which
+/// inside the reservation never reallocates. Reads beyond the written
+/// prefix but within capacity return 0, exactly as if the full arena had
+/// been zero-initialized eagerly. This is what lets a paper-scale fabric
+/// (~738k PEs × 48 kB capacity) fit in host memory — resident bytes track
+/// words allocated, not capacity — and it keeps neighbouring PEs' memories
+/// neighbours on the host heap.
 #[derive(Debug, Clone)]
 pub struct PeMemory {
     words: Vec<u32>,
@@ -114,6 +119,16 @@ impl PeMemory {
         };
         self.next_free += len;
         Ok(r)
+    }
+
+    /// Reserves backing for every word allocated so far, exactly — no
+    /// zero fill, so the written prefix, the reads past it and
+    /// [`PeMemory::snapshot_words`] are unchanged. Writes inside the
+    /// allocation then never reallocate; a write past it still grows the
+    /// store.
+    pub(crate) fn reserve_allocated(&mut self) {
+        let missing = self.next_free.saturating_sub(self.words.len());
+        self.words.reserve_exact(missing);
     }
 
     /// Words currently allocated (the high-water mark — bump allocators
@@ -192,7 +207,8 @@ impl PeMemory {
         }
     }
 
-    /// Raw word write, growing the lazy backing store as needed.
+    /// Raw word write, growing the written prefix as needed — in place
+    /// inside the reservation `Fabric::load` made.
     #[inline]
     pub fn write_u32(&mut self, addr: usize, value: u32) {
         if addr >= self.words.len() {
@@ -204,6 +220,13 @@ impl PeMemory {
             self.words.resize(addr + 1, 0);
         }
         self.words[addr] = value;
+    }
+
+    /// The backing store's address and capacity, to check that a run did
+    /// not reallocate it.
+    #[cfg(test)]
+    pub(crate) fn backing(&self) -> (*const u32, usize) {
+        (self.words.as_ptr(), self.words.capacity())
     }
 
     /// `f32` view of a word.
@@ -346,6 +369,29 @@ mod tests {
         b.write_u32(2, 9);
         assert_eq!(a.snapshot_words(), b.snapshot_words());
         assert_eq!(a.snapshot_words(), vec![0, 0, 9]);
+    }
+
+    #[test]
+    fn reservation_changes_no_content_and_keeps_writes_in_place() {
+        let mut m = PeMemory::with_capacity_bytes(64); // 16 words
+        let r = m.alloc(8).unwrap();
+        m.write_u32(r.at(1), 4);
+        let image = m.snapshot_words();
+        m.reserve_allocated();
+        let backing = m.backing();
+        assert!(backing.1 >= 8);
+        // nothing was filled: reads past the written prefix are still 0
+        assert_eq!(m.snapshot_words(), image);
+        assert_eq!((m.read_u32(r.at(1)), m.read_u32(r.at(7))), (4, 0));
+        assert_eq!(m.read_u32(12), 0);
+        // writes inside the allocation land in the reserved store
+        m.write_u32(r.at(7), 9);
+        assert_eq!(m.backing(), backing);
+        assert_eq!(m.snapshot_words(), vec![0, 4, 0, 0, 0, 0, 0, 9]);
+        // a write past the allocation, within capacity, still succeeds
+        m.write_u32(15, 3);
+        assert_eq!(m.read_u32(15), 3);
+        assert_eq!(m.snapshot_words().len(), 16);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::geometry::Direction;
 use crate::wavelet::{Color, MAX_COLORS};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// A set of router links, packed as a bitmask.
@@ -181,9 +182,30 @@ impl RouteOutcome {
 /// distinct tables across the whole fabric (interior / edge / corner /
 /// parity variants), so the fabric interns equal tables into shared
 /// `Arc<RouteTable>`s — O(classes) route storage instead of O(PEs).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteTable {
     configs: [Option<ColorConfig>; MAX_COLORS],
+}
+
+/// One word per color, hashed as one slice: interning a table at load then
+/// costs the hasher one write instead of one per field. Equal tables pack
+/// equally, as `Eq` requires; and since a link mask has 5 bits, distinct
+/// tables pack differently too.
+impl Hash for RouteTable {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let packed = self.configs.map(|c| {
+            c.map_or(0, |c| {
+                let [p0, p1] = c
+                    .positions
+                    .map(|p| u32::from(p.rx.0) | u32::from(p.tx.0) << 5);
+                1 | p0 << 1
+                    | p1 << 11
+                    | u32::from(c.num_positions) << 21
+                    | u32::from(c.current) << 23
+            })
+        });
+        u32::hash_slice(&packed, state);
+    }
 }
 
 impl RouteTable {

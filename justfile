@@ -79,7 +79,7 @@ faults:
 # time, equivalence classes), a wall budget and a peak-RSS ceiling — the
 # bin reads VmHWM from /proc/self/status, the same figure
 # `/usr/bin/time -v` reports as maximum resident set size
-paper-mesh budget_s="300" max_rss_mb="2112":
+paper-mesh budget_s="300" max_rss_mb="1728":
     cargo run -p bench --release --bin paper_mesh -- --budget-s {{budget_s}} --max-rss-mb {{max_rss_mb}}
 
 # the repo benchmark as a check, not a measurement: all six workloads,
