@@ -296,6 +296,10 @@ fn put_pe_index(out: &mut Vec<u8>, i: usize) {
     put_u32(out, u32::try_from(i).unwrap_or(u32::MAX));
 }
 
+/// Bytes of one pending-event record: time, seq, source and target PE, the
+/// route tag and a 10-byte wavelet.
+const EVENT_BYTES: usize = 8 + 8 + 4 + 4 + 1 + 10;
+
 fn put_report(out: &mut Vec<u8>, r: &RunReport) {
     put_u64(out, r.events);
     put_u64(out, r.final_time);
@@ -331,15 +335,13 @@ fn put_fault_event(out: &mut Vec<u8>, e: &FaultEvent) {
 /// wavelets), a per-PE allowance for the fixed-width fields and an
 /// empty fault record. Only sizes the buffer; a longer payload reallocates.
 fn payload_size_hint(d: &DriverSnapshot) -> usize {
-    /// Time, seq, src, pe, route tag and a 10-byte wavelet.
-    const EVENT: usize = 35;
     /// Counters, per-PE scalars, length prefixes, trace sequence, faults.
     const PE_FIXED: usize = 320;
     let pe = |p: &PeRecord| {
         PE_FIXED + 4 * p.memory_words.len() + 2 * p.router_positions.len() + 11 * p.parked.len()
     };
     let s = &d.fabric;
-    256 + EVENT * s.events.len() + s.pes.iter().map(pe).sum::<usize>()
+    256 + EVENT_BYTES * s.events.len() + s.pes.iter().map(pe).sum::<usize>()
 }
 
 fn encode_driver(out: &mut Vec<u8>, d: &DriverSnapshot) {
@@ -698,7 +700,7 @@ fn decode_fabric(r: &mut Reader) -> Result<FabricSnapshot, CheckpointError> {
     let time = r.u64()?;
     let host_seq = r.u64()?;
     let host_trace_seq = read_trace_seq(r)?;
-    let n_events = r.len(35)?;
+    let n_events = r.len(EVENT_BYTES)?;
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
         let time = r.u64()?;
@@ -910,6 +912,44 @@ mod tests {
         );
         // The patched header describes the payload it precedes.
         assert_eq!(Checkpoint::decode(&bytes).expect("roundtrip"), ckpt);
+    }
+
+    /// Each check on a pending-event record refuses a bad field with
+    /// `Malformed` even when the payload checksum is valid.
+    #[test]
+    fn malformed_event_records_are_refused() {
+        const TIME: u64 = 0x0123_4567_89ab_cdef;
+        let mut ckpt = tiny_checkpoint();
+        ckpt.driver.fabric.events.push(EventRecord {
+            time: TIME,
+            seq: 7,
+            src: usize::MAX,
+            pe: 3,
+            route_input: Some(Direction::West),
+            wavelet: Wavelet::data(Color::new(2), 0xdead_beef),
+        });
+        let bytes = ckpt.encode();
+        assert_eq!(Checkpoint::decode(&bytes).expect("roundtrip"), ckpt);
+        let at = bytes
+            .windows(8)
+            .position(|w| w == TIME.to_le_bytes())
+            .expect("the record's time");
+        // Route tag, color id and control byte, at their record offsets.
+        for (offset, value, message) in [
+            (24, 7, "direction 6"),
+            (25, 255, "color id 255"),
+            (26, 2, "boolean tag 2"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at + offset] = value;
+            let checksum = murmur3_32(&bad[HEADER_LEN..]);
+            bad[28..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+            assert_eq!(
+                Checkpoint::decode(&bad),
+                Err(CheckpointError::Malformed(message.into())),
+                "byte {offset} of the record set to {value}"
+            );
+        }
     }
 
     #[test]

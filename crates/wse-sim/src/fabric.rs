@@ -238,6 +238,83 @@ impl PartialOrd for Event {
 // Events carry Wavelet (PartialEq only via derive); provide Eq manually.
 impl Eq for Wavelet {}
 
+/// A pending set spread over more than this many cycles per event is
+/// sorted by its full key instead of being bucketed by cycle.
+const CYCLES_PER_EVENT: u64 = 4;
+
+/// A pending event as a snapshot records it.
+fn event_record(e: &Event) -> EventRecord {
+    EventRecord {
+        time: e.time,
+        seq: e.seq,
+        src: if e.src == HOST_SRC {
+            usize::MAX
+        } else {
+            e.src as usize
+        },
+        pe: e.pe as usize,
+        route_input: match e.kind {
+            EventKind::Route(d) => Some(d),
+            EventKind::Deliver => None,
+        },
+        wavelet: e.wavelet,
+    }
+}
+
+/// The pending `events` as snapshot records in canonical key order `(time,
+/// seq, src)`. Keys are unique, so this is the one order a sort by key
+/// gives.
+///
+/// A pending set spans few cycles for its size (878 cycles hold 342,526
+/// events half-way through a 32×32×64 apply), so a counting pass groups the
+/// events by cycle, and each cycle's run is ordered by `(seq, src)` alone,
+/// as packed 16-byte keys `seq << 64 | src << 32 | index`. A set spread
+/// over more than [`CYCLES_PER_EVENT`] cycles per event — far-future fault
+/// schedules, saturated `u64::MAX` times — is sorted by the full key. A
+/// plain sort of the events, stable or not, measured slower on the
+/// benchmark's round trips (DESIGN.md, "Capture order").
+fn in_canonical_order(mut events: Vec<Event>) -> Vec<EventRecord> {
+    let n = events.len();
+    let (lo, hi) = events.iter().fold((u64::MAX, 0), |(lo, hi), e| {
+        (lo.min(e.time), hi.max(e.time))
+    });
+    let Some(span) = hi.checked_sub(lo) else {
+        return Vec::new();
+    };
+    if span / CYCLES_PER_EVENT >= n as u64 {
+        events.sort_unstable_by_key(Event::key);
+        debug_assert!(events.windows(2).all(|w| w[0].key() != w[1].key()));
+        return events.iter().map(event_record).collect();
+    }
+    // Indices and cursors are `u32`: 2^32 events would be 160 GiB.
+    assert!(u32::try_from(n).is_ok(), "{n} pending events");
+    // Per cycle, its first slot; after the scatter below, its end.
+    let mut cursor = vec![0u32; span as usize + 1];
+    for e in &events {
+        cursor[(e.time - lo) as usize] += 1;
+    }
+    let mut at = 0;
+    for c in &mut cursor {
+        (*c, at) = (at, at + *c);
+    }
+    let mut keys = vec![0u128; n];
+    for (i, e) in events.iter().enumerate() {
+        let slot = &mut cursor[(e.time - lo) as usize];
+        keys[*slot as usize] = u128::from(e.seq) << 64 | u128::from(e.src) << 32 | i as u128;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for &end in &cursor {
+        let run = &mut keys[start..end as usize];
+        run.sort_unstable();
+        debug_assert!(run.windows(2).all(|w| w[0] >> 32 != w[1] >> 32));
+        start = end as usize;
+    }
+    keys.iter()
+        .map(|&k| event_record(&events[k as u32 as usize]))
+        .collect()
+}
+
 /// Per-PE state that does *not* fit the struct-of-arrays arena: the things
 /// with per-PE identity (memory, program, router dynamic state, fault
 /// machinery, trace sink). Every plain per-PE scalar lives in
@@ -1797,29 +1874,13 @@ impl Fabric {
     /// progress/trace sequence counters, and the host clock and sequence state. Works
     /// identically under both engines — between `run()` calls every pending
     /// event is in its owner strip's wheel (a run ends with the mailboxes
-    /// taken in), so the sorted event list is engine-independent.
+    /// taken in), so the ordered event list is engine-independent. The
+    /// wheels are read in storage order and the events put in key order by
+    /// grouping them by cycle and ordering each cycle's run by `(seq, src)`
+    /// (`in_canonical_order`), not by a comparison sort on the full key.
     pub fn snapshot(&self) -> FabricSnapshot {
-        let mut events: Vec<EventRecord> = self
-            .strips
-            .iter()
-            .flat_map(|strip| strip.queue.iter())
-            .map(|e| EventRecord {
-                time: e.time,
-                seq: e.seq,
-                src: if e.src == HOST_SRC {
-                    usize::MAX
-                } else {
-                    e.src as usize
-                },
-                pe: e.pe as usize,
-                route_input: match e.kind {
-                    EventKind::Route(d) => Some(d),
-                    EventKind::Deliver => None,
-                },
-                wavelet: e.wavelet,
-            })
-            .collect();
-        events.sort_by_key(|e| (e.time, e.seq, e.src));
+        let pending = self.strips.iter().flat_map(|s| s.queue.iter());
+        let events = in_canonical_order(pending.copied().collect());
         let pes = self
             .pes
             .iter()
@@ -1928,7 +1989,7 @@ impl Fabric {
                 .restore_seq_state(t.next_seq, t.dropped, t.base_time, t.base_cycles);
         }
         for strip in &mut self.strips {
-            let _ = strip.queue.drain_unordered();
+            strip.queue.clear();
         }
         // Indices were checked above: below the PE count, so below `u32::MAX`.
         let event = |er: &EventRecord| Event {
@@ -2920,6 +2981,87 @@ mod tests {
                 merged.merge(s);
             }
             assert_eq!(merged, global, "{shards} shards");
+        }
+    }
+
+    /// SplitMix64: a cheap deterministic word per `(seed, i)`.
+    fn mix(seed: u64, i: u64) -> u64 {
+        let mut z = seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A pending event at `time` drawn from `r`. Few sequence numbers and
+    /// sources, so a cycle's events tie on `seq` across sources and on
+    /// `src` across sequence numbers; one in eight is a host event.
+    fn pending_event(time: u64, r: u64) -> Event {
+        Event {
+            time,
+            seq: (r >> 8) % 512,
+            src: if r.is_multiple_of(8) {
+                HOST_SRC
+            } else {
+                (r >> 3) as u32 % 64
+            },
+            pe: (r >> 32) as u32 % 64,
+            kind: EventKind::Deliver,
+            wavelet: Wavelet::data(DATA, r as u32),
+        }
+    }
+
+    /// `events` with repeated keys dropped (pending keys are unique), in
+    /// the order drawn.
+    fn unique(events: Vec<Event>) -> Vec<Event> {
+        let mut seen = std::collections::HashSet::new();
+        events
+            .into_iter()
+            .filter(|e| seen.insert(e.key()))
+            .collect()
+    }
+
+    /// Checks the capture order against the reference: the records in a
+    /// stable sort by the full key.
+    fn assert_key_order(events: &[Event]) {
+        let mut reference: Vec<EventRecord> = events.iter().map(event_record).collect();
+        reference.sort_by_key(|r| (r.time, r.seq, r.src));
+        assert_eq!(in_canonical_order(events.to_vec()), reference);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Same-cycle runs of thousands of events (host events among them)
+        /// come out in key order from the cycle buckets; with overflow-tier
+        /// times and a saturated `u64::MAX` time beside time 0 added, from
+        /// the full-key sort.
+        #[test]
+        fn pending_events_come_out_in_key_order(
+            base in 0u64..1 << 40,
+            cycles in proptest::collection::vec((0u64..900, 1_000u64..3_000), 1..5),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut events = Vec::new();
+            for (c, &(offset, count)) in cycles.iter().enumerate() {
+                for i in 0..count {
+                    events.push(pending_event(base + offset, mix(seed, (c as u64) << 32 | i)));
+                }
+            }
+            let dense = unique(events);
+            let lo = dense.iter().map(|e| e.time).min().unwrap();
+            let span = dense.iter().map(|e| e.time).max().unwrap() - lo;
+            proptest::prop_assert!(span / CYCLES_PER_EVENT < dense.len() as u64, "bucketed");
+            assert_key_order(&dense);
+
+            let mut wide = dense;
+            for i in 0..64 {
+                let far = base + (1 << 20) + mix(seed, !i) % (1 << 24);
+                wide.push(pending_event(far, mix(seed, i)));
+            }
+            wide.push(pending_event(u64::MAX, mix(seed, 1 << 40)));
+            wide.push(pending_event(0, mix(seed, 1 << 41)));
+            wide.push(pending_event(u64::MAX, mix(seed, 1 << 42)));
+            assert_key_order(&unique(wide));
         }
     }
 }

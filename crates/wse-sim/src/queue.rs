@@ -501,7 +501,8 @@ impl<T: Timestamped + Ord + Copy> CalendarQueue<T> {
     }
 
     /// Visits every pending item, in no particular order (the fabric's
-    /// snapshot sorts what it collects).
+    /// snapshot groups what it collects by cycle and orders each cycle's
+    /// items by key).
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.chunks
             .iter()
@@ -509,6 +510,26 @@ impl<T: Timestamped + Ord + Copy> CalendarQueue<T> {
             .chain(self.drain[..self.drain_len].iter())
             .chain(self.side.iter().map(|Reverse(e)| e))
             .chain(self.overflow.iter().map(|Reverse(e)| e))
+    }
+
+    /// Drops every pending item in place, keeping the storage: the queue
+    /// then behaves like a fresh one, and its next push anchors the wheel.
+    pub fn clear(&mut self) {
+        // Every chunk goes back on the free list, chained in index order.
+        let mut next = NIL;
+        for (i, chunk) in self.chunks.iter_mut().enumerate().rev() {
+            chunk.items.clear();
+            chunk.next = std::mem::replace(&mut next, i as u32);
+        }
+        self.free = next;
+        self.drain_len = 0;
+        self.side.clear();
+        self.overflow.clear();
+        self.heads.fill(NIL);
+        self.epoch_min.fill(u64::MAX);
+        self.occupied0 = Occupancy::default();
+        self.occupied1 = Occupancy::default();
+        self.len = 0;
     }
 }
 
@@ -592,22 +613,8 @@ impl<T: Timestamped + Ord + Copy> EventQueue<T> for CalendarQueue<T> {
 
     fn drain_unordered(&mut self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len);
-        // Every chunk goes back on the free list, chained in index order.
-        let mut next = NIL;
-        for (i, chunk) in self.chunks.iter_mut().enumerate().rev() {
-            out.append(&mut chunk.items);
-            chunk.next = std::mem::replace(&mut next, i as u32);
-        }
-        self.free = next;
-        out.extend_from_slice(&self.drain[..self.drain_len]);
-        self.drain_len = 0;
-        out.extend(self.side.drain().map(|Reverse(e)| e));
-        out.extend(self.overflow.drain().map(|Reverse(e)| e));
-        self.heads.fill(NIL);
-        self.epoch_min.fill(u64::MAX);
-        self.occupied0 = Occupancy::default();
-        self.occupied1 = Occupancy::default();
-        self.len = 0;
+        out.extend(self.iter().copied());
+        self.clear();
         out
     }
 }

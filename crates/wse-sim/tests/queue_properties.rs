@@ -203,6 +203,44 @@ proptest! {
         prop_assert!(cal.is_empty());
     }
 
+    /// A cleared queue behaves like a fresh one. Before the clear, items
+    /// sit in both levels, the overflow heap, a partly popped active cycle
+    /// and its side heap; after it, pushes at any time, earlier than the
+    /// old cursor too, pop like the oracle's.
+    #[test]
+    fn cleared_queue_pops_like_a_fresh_one(
+        before in proptest::collection::vec((0u64..3_000_000, 0usize..4), 1..256),
+        pops in 1usize..64,
+        after in proptest::collection::vec((0u64..3_000_000, 0usize..4), 0..256),
+    ) {
+        let mut cal = CalendarQueue::new();
+        let keys = unique_keys(before);
+        let mut seq = keys.len() as u64;
+        for k in keys {
+            cal.push(k);
+        }
+        for _ in 0..pops {
+            if let Some(k) = cal.pop() {
+                cal.push(Key::new(k.time, seq, 3));
+                seq += 1;
+            }
+        }
+        cal.clear();
+        prop_assert!(cal.is_empty());
+        prop_assert_eq!(cal.next_time(), None);
+        prop_assert_eq!(cal.iter().count(), 0);
+        let mut heap = HeapQueue::new();
+        for (time, src) in after {
+            let k = Key::new(time, seq, src);
+            seq += 1;
+            cal.push(k);
+            heap.push(k);
+        }
+        prop_assert_eq!(cal.len(), heap.len());
+        prop_assert_eq!(cal.next_time(), heap.next_time());
+        assert_same_drain(&mut cal, &mut heap);
+    }
+
     /// The far-horizon walk: every queue operation interleaved, with
     /// pushes anywhere from the active cycle to beyond the wheel, checking
     /// `len` and `next_time` against the oracle after every step.
