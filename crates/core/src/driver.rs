@@ -52,6 +52,7 @@ use wse_metrics::{Counter, Gauge, Histogram, MetricsHub};
 use wse_sim::fabric::{Execution, Fabric, FabricConfig, FabricError, RunReport};
 use wse_sim::fault::{FaultClass, FaultEvent, FaultPlan};
 use wse_sim::geometry::{FabricDims, PeCoord};
+use wse_sim::hash::ContentHasher;
 use wse_sim::snapshot::{FabricSnapshot, RestoreError};
 use wse_sim::stats::FabricStats;
 use wse_sim::trace::{Trace, TraceSpec};
@@ -259,12 +260,13 @@ struct SimSpec {
 }
 
 impl SimSpec {
-    /// FNV-1a over everything that determines snapshot compatibility:
-    /// geometry, the stencil spec's canonical bytes, the workload's own
-    /// content (parameters, static field bits), the fabric configuration
-    /// and the fault plan. Two different workloads — even with the same
-    /// geometry — hash differently, so cross-workload restores are
-    /// refused with a typed mismatch instead of misread PE memory.
+    /// The content hash ([`wse_sim::hash`]) of everything that determines
+    /// snapshot compatibility: geometry, the stencil spec's canonical
+    /// bytes, the workload's own content (parameters, static field bits),
+    /// the fabric configuration and the fault plan. Two different
+    /// workloads — even with the same geometry — hash differently, so
+    /// cross-workload restores are refused with a typed mismatch instead of
+    /// misread PE memory.
     ///
     /// Deliberately excludes the event-loop engine, fast-forwarding, and
     /// the trace spec: those choose *how* the fabric is driven, not *what*
@@ -272,32 +274,24 @@ impl SimSpec {
     /// checkpoint equivalence tests restore Sequential snapshots into
     /// Sharded simulators and vice versa).
     fn content_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = ContentHasher::new();
         for v in [self.nx as u64, self.ny as u64, self.nz as u64] {
-            eat(&v.to_le_bytes());
+            h.write_u64(v);
         }
-        eat(self.workload.name().as_bytes());
-        eat(&self.workload.compiled().spec.content_bytes());
-        self.workload.hash_content(&mut eat);
+        h.write(self.workload.name().as_bytes());
+        h.write(&self.workload.compiled().spec.content_bytes());
+        self.workload.hash_content(&mut h);
         for v in [
             self.config.pe_memory_bytes as u64,
             self.config.hop_latency,
             self.config.max_events,
         ] {
-            eat(&v.to_le_bytes());
+            h.write_u64(v);
         }
         // `FaultPlan` derives a stable `Debug` over plain integer fields —
         // cheap to hash without a bespoke serializer.
-        eat(format!("{:?}", self.fault_plan).as_bytes());
-        h
+        h.write(format!("{:?}", self.fault_plan).as_bytes());
+        h.finish()
     }
 }
 
@@ -1059,11 +1053,12 @@ impl DataflowFluxSimulator {
         Ok(())
     }
 
-    /// Content hash (FNV-1a) of the full problem specification: geometry,
-    /// fluid constants, ablation flags, fabric configuration, fault plan,
-    /// and every transmissibility bit. Two simulators with equal hashes
-    /// accept each other's snapshots; `wse-serve` keys its checkpoint
-    /// integrity check and compiled-layout cache on this.
+    /// Content hash ([`wse_sim::hash`]) of the full problem specification:
+    /// geometry, fluid constants, ablation flags, fabric configuration,
+    /// fault plan, and every transmissibility bit. Two simulators with
+    /// equal hashes accept each other's snapshots; `wse-serve` writes it
+    /// into every checkpoint header and checks it on restore. Computed on
+    /// each call, not cached at build.
     pub fn spec_hash(&self) -> u64 {
         self.spec.content_hash()
     }

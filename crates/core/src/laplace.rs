@@ -22,6 +22,7 @@ use crate::workload::{collect_columns, inject_columns, Workload};
 use std::sync::Arc;
 use wse_sim::dsd::{Dsd, Operand};
 use wse_sim::fabric::Fabric;
+use wse_sim::hash::ContentHasher;
 use wse_sim::memory::MemRange;
 use wse_sim::pe::{PeContext, PeProgram};
 use wse_sim::trace::TraceRegion;
@@ -233,10 +234,8 @@ impl Workload for LaplaceWorkload {
         collect_columns(fabric, (self.nx, self.ny, self.nz), self.layout.out)
     }
 
-    fn hash_content(&self, eat: &mut dyn FnMut(&[u8])) {
-        for w in [self.params.wx, self.params.wy, self.params.wz] {
-            eat(&w.to_bits().to_le_bytes());
-        }
+    fn hash_content(&self, h: &mut ContentHasher) {
+        h.write_f32s(&[self.params.wx, self.params.wy, self.params.wz]);
     }
 }
 

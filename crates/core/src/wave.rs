@@ -29,6 +29,7 @@ use fv_core::mesh::{Neighbor, ALL_NEIGHBORS, NEIGHBOR_COUNT};
 use std::sync::Arc;
 use wse_sim::dsd::{Dsd, Operand};
 use wse_sim::fabric::{Fabric, FabricError};
+use wse_sim::hash::ContentHasher;
 use wse_sim::memory::MemRange;
 use wse_sim::pe::{PeContext, PeProgram};
 use wse_sim::trace::TraceRegion;
@@ -320,11 +321,9 @@ impl Workload for WaveWorkload {
         collect_columns(fabric, (self.nx, self.ny, self.nz), self.layout.u)
     }
 
-    fn hash_content(&self, eat: &mut dyn FnMut(&[u8])) {
-        for w in self.params.weights {
-            eat(&w.to_bits().to_le_bytes());
-        }
-        eat(&self.params.c_dt_sq.to_bits().to_le_bytes());
+    fn hash_content(&self, h: &mut ContentHasher) {
+        h.write_f32s(&self.params.weights);
+        h.write_f32s(&[self.params.c_dt_sq]);
     }
 }
 

@@ -20,6 +20,7 @@ use fv_core::mesh::ALL_NEIGHBORS;
 use std::sync::{Arc, OnceLock};
 use wse_sim::fabric::Fabric;
 use wse_sim::geometry::PeCoord;
+use wse_sim::hash::ContentHasher;
 use wse_sim::memory::MemRange;
 use wse_sim::pe::PeProgram;
 use wse_sim::wavelet::Color;
@@ -86,7 +87,7 @@ pub trait Workload: Send + Sync {
     /// Feeds workload-specific content (beyond the stencil spec bytes,
     /// which the driver hashes unconditionally) into the spec hash —
     /// physical parameters, static field bits, ablation flags.
-    fn hash_content(&self, eat: &mut dyn FnMut(&[u8]));
+    fn hash_content(&self, h: &mut ContentHasher);
 }
 
 /// Host → fabric column transpose: PE `(x, y)` receives cells
@@ -306,21 +307,17 @@ impl Workload for TpfaWorkload {
         collect_columns(fabric, (self.nx, self.ny, self.nz), self.layout.residual)
     }
 
-    fn hash_content(&self, eat: &mut dyn FnMut(&[u8])) {
-        for f in [
+    fn hash_content(&self, h: &mut ContentHasher) {
+        h.write_f32s(&[
             self.params.rho_ref,
             self.params.c_f,
             self.params.p_ref,
             self.params.inv_mu,
             self.params.g_dz_up,
             self.params.g_dz_down,
-        ] {
-            eat(&f.to_bits().to_le_bytes());
-        }
-        eat(&[self.compute_enabled as u8, self.diagonals_enabled as u8]);
-        for t in &self.trans_cols {
-            eat(&t.to_bits().to_le_bytes());
-        }
+        ]);
+        h.write(&[self.compute_enabled as u8, self.diagonals_enabled as u8]);
+        h.write_f32s(&self.trans_cols);
     }
 }
 
@@ -355,16 +352,18 @@ mod tests {
 
     #[test]
     fn hash_content_covers_parameters_and_static_data() {
-        let collect = |w: &TpfaWorkload| {
-            let mut bytes = Vec::new();
-            w.hash_content(&mut |b| bytes.extend_from_slice(b));
-            bytes
+        let digest = |w: &TpfaWorkload| {
+            let mut h = ContentHasher::new();
+            w.hash_content(&mut h);
+            h.finish()
         };
-        let a = collect(&workload(2, 2, 3));
-        let b = collect(&workload(2, 2, 3));
-        assert_eq!(a, b);
+        let a = digest(&workload(2, 2, 3));
+        assert_eq!(a, digest(&workload(2, 2, 3)));
         let mut other = workload(2, 2, 3);
         other.trans_cols[0] = 0.75;
-        assert_ne!(a, collect(&other));
+        assert_ne!(a, digest(&other));
+        let mut other = workload(2, 2, 3);
+        other.params.inv_mu *= 2.0;
+        assert_ne!(a, digest(&other));
     }
 }

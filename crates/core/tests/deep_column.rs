@@ -45,8 +45,13 @@ const PINNED_RESIDUAL_FNV: u64 = 0xac81_68ae_2d33_298d;
 // per-PE record (8-byte length + 159 bytes, −167 per PE, −10,688) into 11
 // state words at the end of each PE's arena (+2,720: 680 words, as trailing
 // zero words are trimmed).
+//
+// Re-pinned for checkpoint schema 4, with the paused state and the length
+// unchanged: was 0xf3ad_4481_1797_fe34. Only the header moved — its version
+// field, and the spec hash and payload checksum, which became the content
+// hash (`wse_sim::hash`) in place of FNV-1a and murmur3.
 const PINNED_HALF_CHECKPOINT_LEN: usize = 1_233_818;
-const PINNED_HALF_CHECKPOINT_FNV: u64 = 0xf3ad_4481_1797_fe34;
+const PINNED_HALF_CHECKPOINT_FNV: u64 = 0xefaa_4ede_4f0b_eb3e;
 
 /// Events per `step_events` call; prime, so the limit trips mid-cycle and
 /// the pause runs that cycle out.

@@ -9,8 +9,13 @@
 //! | 8      | 4    | schema version ([`SCHEMA_VERSION`]) |
 //! | 12     | 8    | problem spec hash ([`DataflowFluxSimulator::spec_hash`]) |
 //! | 20     | 8    | payload length in bytes |
-//! | 28     | 4    | murmur3_32 checksum of the payload |
+//! | 28     | 4    | payload checksum ([`payload_checksum`]) |
 //! | 32     | —    | payload |
+//!
+//! Both header digests come from the program's one content hash
+//! ([`wse_sim::hash`], a lane-parallel 64-bit hash): the spec hash field
+//! holds the spec's digest, the checksum field the payload's digest folded
+//! to 32 bits.
 //!
 //! The payload serializes the driver counters followed by the fabric
 //! snapshot field by field (length-prefixed vectors, tagged options).
@@ -23,9 +28,12 @@
 //!
 //! Decoding validates the magic, version, payload length, and checksum
 //! before touching the payload, and every variable-length count inside the
-//! payload is bounds-checked against the remaining bytes — a truncated or
-//! bit-flipped checkpoint is rejected with a typed [`CheckpointError`],
-//! never a panic or a silently wrong state.
+//! payload is bounds-checked before anything is reserved for it: the PE
+//! count must be the fabric's `cols × rows`, and every count times its
+//! record's minimum encoded size must fit in the remaining bytes — a
+//! truncated, bit-flipped or hostile checkpoint is rejected with a typed
+//! [`CheckpointError`], never a panic, an abort on allocation or a silently
+//! wrong state. The checksum detects damage; it does not authenticate.
 
 use std::path::Path;
 
@@ -41,11 +49,13 @@ use wse_sim::wavelet::{Color, Wavelet, WaveletKind, MAX_COLORS};
 /// Magic bytes leading every checkpoint.
 pub const MAGIC: [u8; 8] = *b"MDFVCKPT";
 
-/// Current schema version; bumped on any payload layout change. Version 2
-/// dropped the per-PE router version and narrowed event PE ids to `u32`;
-/// version 3 dropped the per-PE program state record, which now lives in
-/// PE memory. Older files are refused, not migrated.
-pub const SCHEMA_VERSION: u32 = 3;
+/// Current schema version; bumped on any header or payload layout change.
+/// Version 2 dropped the per-PE router version and narrowed event PE ids to
+/// `u32`; version 3 dropped the per-PE program state record, which now
+/// lives in PE memory; version 4 replaced the murmur3 payload checksum and
+/// the FNV-1a spec hash with the content hash. Older files are refused, not
+/// migrated.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Header size in bytes (magic + version + spec hash + payload length +
 /// payload checksum).
@@ -118,36 +128,11 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Murmur3 32-bit hash (x86 variant, seed 0) — the payload integrity
-/// checksum. Self-contained; the container has no hashing crates.
-pub fn murmur3_32(data: &[u8]) -> u32 {
-    const C1: u32 = 0xcc9e_2d51;
-    const C2: u32 = 0x1b87_3593;
-    let mut h: u32 = 0;
-    let mut chunks = data.chunks_exact(4);
-    for chunk in &mut chunks {
-        let mut k = u32::from_le_bytes(chunk.try_into().unwrap());
-        k = k.wrapping_mul(C1).rotate_left(15).wrapping_mul(C2);
-        h = (h ^ k)
-            .rotate_left(13)
-            .wrapping_mul(5)
-            .wrapping_add(0xe654_6b64);
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        let mut k: u32 = 0;
-        for (i, &b) in tail.iter().enumerate() {
-            k |= (b as u32) << (8 * i);
-        }
-        k = k.wrapping_mul(C1).rotate_left(15).wrapping_mul(C2);
-        h ^= k;
-    }
-    h ^= data.len() as u32;
-    h ^= h >> 16;
-    h = h.wrapping_mul(0x85eb_ca6b);
-    h ^= h >> 13;
-    h = h.wrapping_mul(0xc2b2_ae35);
-    h ^ (h >> 16)
+/// The header's payload checksum: the payload's content hash
+/// ([`wse_sim::hash::hash64`]) folded to 32 bits, low word XOR high word.
+pub fn payload_checksum(payload: &[u8]) -> u32 {
+    let d = wse_sim::hash::hash64(payload);
+    (d as u32) ^ ((d >> 32) as u32)
 }
 
 /// A complete, portable checkpoint: the driver snapshot plus the hash of
@@ -197,7 +182,7 @@ impl Checkpoint {
         out.resize(HEADER_LEN, 0);
         encode_driver(&mut out, &self.driver);
         let payload_len = (out.len() - HEADER_LEN) as u64;
-        let checksum = murmur3_32(&out[HEADER_LEN..]);
+        let checksum = payload_checksum(&out[HEADER_LEN..]);
         out[20..28].copy_from_slice(&payload_len.to_le_bytes());
         out[28..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
         out
@@ -232,7 +217,7 @@ impl Checkpoint {
             }
         };
         let payload = &bytes[HEADER_LEN..needed];
-        let computed = murmur3_32(payload);
+        let computed = payload_checksum(payload);
         if computed != stored {
             return Err(CheckpointError::ChecksumMismatch { stored, computed });
         }
@@ -391,6 +376,11 @@ fn encode_fabric(out: &mut Vec<u8>, s: &FabricSnapshot) {
         encode_pe(out, pe);
     }
 }
+
+/// Bytes of the shortest encoded PE record (every vector empty): the
+/// fixed-width fields plus nine 8-byte length prefixes. Bounds the PE count
+/// on decode, so a small payload cannot claim a huge fabric.
+const PE_RECORD_MIN_BYTES: usize = 296;
 
 fn encode_pe(out: &mut Vec<u8>, pe: &PeRecord) {
     put_u64(out, pe.memory_words.len() as u64);
@@ -561,8 +551,9 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// A vector length; rejected if even one-byte elements could not fit
-    /// in the remaining payload (so `Vec::with_capacity` stays sane).
+    /// A vector length; rejected if that many elements of at least
+    /// `elem_min_bytes` each could not fit in the remaining payload (so
+    /// `Vec::with_capacity` reserves at most a small multiple of it).
     fn len(&mut self, elem_min_bytes: usize) -> Result<usize, CheckpointError> {
         let n = self.u64()? as usize;
         let remaining = self.bytes.len() - self.pos;
@@ -721,7 +712,12 @@ fn decode_fabric(r: &mut Reader) -> Result<FabricSnapshot, CheckpointError> {
             wavelet,
         });
     }
-    let n_pes = r.len(8)?;
+    let n_pes = r.len(PE_RECORD_MIN_BYTES)?;
+    if cols.checked_mul(rows) != Some(n_pes) {
+        return Err(CheckpointError::Malformed(format!(
+            "{n_pes} PE records for a {cols}×{rows} fabric"
+        )));
+    }
     let mut pes = Vec::with_capacity(n_pes);
     for _ in 0..n_pes {
         pes.push(decode_pe(r)?);
@@ -853,16 +849,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn murmur3_reference_vectors() {
-        // Published test vectors for MurmurHash3_x86_32 with seed 0.
-        assert_eq!(murmur3_32(b""), 0);
-        assert_eq!(murmur3_32(b"a"), 0x3c25_69b2);
-        assert_eq!(murmur3_32(b"hello"), 0x248b_fa47);
-        assert_eq!(murmur3_32(b"Hello, world!"), 0xc036_3e43);
-        assert_eq!(
-            murmur3_32(b"The quick brown fox jumps over the lazy dog"),
-            0x2e4f_f723
-        );
+    fn payload_checksum_folds_the_content_hash() {
+        // XXH64("") = 0xef46_db37_51d8_e999, XXH64("abc") =
+        // 0x44bc_2cf5_ad77_0999: the low and high words XORed.
+        assert_eq!(payload_checksum(b""), 0xbe9e_32ae);
+        assert_eq!(payload_checksum(b"abc"), 0xe9cb_256c);
+    }
+
+    #[test]
+    fn pe_record_min_bytes_is_an_empty_record() {
+        let mut out = Vec::new();
+        encode_pe(&mut out, &PeRecord::default());
+        assert_eq!(out.len(), PE_RECORD_MIN_BYTES);
+    }
+
+    /// Writes the payload checksum of `bytes` into its header.
+    fn reseal(bytes: &mut [u8]) {
+        let checksum = payload_checksum(&bytes[HEADER_LEN..]);
+        bytes[28..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     }
 
     #[test]
@@ -942,14 +946,73 @@ mod tests {
         ] {
             let mut bad = bytes.clone();
             bad[at + offset] = value;
-            let checksum = murmur3_32(&bad[HEADER_LEN..]);
-            bad[28..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+            reseal(&mut bad);
             assert_eq!(
                 Checkpoint::decode(&bad),
                 Err(CheckpointError::Malformed(message.into())),
                 "byte {offset} of the record set to {value}"
             );
         }
+    }
+
+    /// A PE count that disagrees with the fabric's `cols × rows`, or whose
+    /// records could not fit in the remaining payload, is refused with
+    /// `Malformed` naming the count before anything is reserved for it.
+    #[test]
+    fn impossible_pe_counts_are_refused_before_reserving() {
+        let bytes = tiny_checkpoint().encode();
+        let put = |bytes: &mut Vec<u8>, at: usize, v: u64| {
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        };
+        let get = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        // The fabric section opens with cols = rows = 4; the event count
+        // follows time, host sequence and the 28-byte trace record, and the
+        // PE count follows the (here empty) events.
+        let cols_at = HEADER_LEN
+            + bytes[HEADER_LEN..]
+                .windows(16)
+                .position(|w| w[..8] == 4u64.to_le_bytes() && w[8..] == 4u64.to_le_bytes())
+                .expect("the fabric's cols and rows");
+        assert_eq!(get(cols_at + 60), 0, "no pending events");
+        let pes_at = cols_at + 68;
+        assert_eq!(get(pes_at), 16, "the PE count");
+        let remaining = (bytes.len() - pes_at - 8) as u64;
+
+        let refused = |patches: &[(usize, u64)], message: String| {
+            let mut bad = bytes.clone();
+            for &(at, v) in patches {
+                put(&mut bad, at, v);
+            }
+            reseal(&mut bad);
+            assert_eq!(
+                Checkpoint::decode(&bad),
+                Err(CheckpointError::Malformed(message)),
+                "{patches:?}"
+            );
+        };
+        // A million PEs in a few KB.
+        refused(
+            &[(pes_at, 1_000_000)],
+            format!("count 1000000 needs at least 296000000 bytes, {remaining} remain"),
+        );
+        // As many PEs as 8-byte records would fit, on a fabric that size:
+        // within the 8 bytes a PE count used to be checked against, far
+        // beyond what real records need.
+        let n = remaining / 8;
+        refused(
+            &[(cols_at, n), (cols_at + 8, 1), (pes_at, n)],
+            format!(
+                "count {n} needs at least {} bytes, {remaining} remain",
+                296 * n
+            ),
+        );
+        // A plausible count for another fabric, and a fabric whose size
+        // overflows.
+        refused(&[(pes_at, 15)], "15 PE records for a 4×4 fabric".into());
+        refused(
+            &[(cols_at, 1 << 32), (cols_at + 8, 1 << 32)],
+            "16 PE records for a 4294967296×4294967296 fabric".into(),
+        );
     }
 
     #[test]

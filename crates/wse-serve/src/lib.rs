@@ -7,7 +7,8 @@
 //! * [`checkpoint`] — a versioned binary encoding of the complete driver +
 //!   fabric state ([`tpfa_dataflow::DriverSnapshot`]) with an integrity
 //!   header: magic, schema version, problem-spec hash, payload length, and
-//!   a murmur3 payload checksum. Truncated, bit-flipped, or wrong-problem
+//!   a payload checksum (both digests are the lane-parallel content hash of
+//!   [`wse_sim::hash`]). Truncated, bit-flipped, or wrong-problem
 //!   checkpoints are rejected with typed errors; accepted ones resume
 //!   **bit-identically**, on either engine, with fast-forwarding on or
 //!   off.

@@ -34,6 +34,7 @@ use tpfa_dataflow::DataflowFluxSimulator;
 use wse_metrics::{Counter, FlightRecorder, Gauge, Histogram, MetricsHub};
 use wse_sim::fabric::{Execution, FabricError};
 use wse_sim::fault::FaultPlan;
+use wse_sim::hash::ContentHasher;
 use wse_sim::stats::FabricStats;
 
 use crate::checkpoint::Checkpoint;
@@ -63,23 +64,18 @@ pub struct ProblemSpec {
 }
 
 impl ProblemSpec {
-    /// FNV-1a content hash — the compiled-layout cache key.
+    /// Content hash ([`wse_sim::hash`]) — the compiled-layout cache key.
     pub fn content_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
+        let mut h = ContentHasher::new();
         for v in [
             self.nx as u64,
             self.ny as u64,
             self.nz as u64,
             self.perm_seed,
         ] {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            h.write_u64(v);
         }
-        h
+        h.finish()
     }
 }
 

@@ -72,9 +72,12 @@ fn encoded_bytes_are_independent_of_the_engine() {
     );
     // Version 2 (from 1) dropped the router version and narrowed event
     // PE ids to `u32`; version 3 dropped the per-PE program state record,
-    // whose words now travel in the arena. The arena layout itself never
-    // forced a bump.
-    assert_eq!(SCHEMA_VERSION, 3, "only a payload change moves the schema");
+    // whose words now travel in the arena; version 4 changed the header's
+    // checksum and spec hash. The arena layout itself never forced a bump.
+    assert_eq!(
+        SCHEMA_VERSION, 4,
+        "only a payload or header change moves the schema"
+    );
 }
 
 #[test]

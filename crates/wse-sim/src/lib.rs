@@ -38,6 +38,7 @@ pub mod dsd;
 pub mod fabric;
 pub mod fault;
 pub mod geometry;
+pub mod hash;
 pub mod memory;
 pub mod pe;
 pub mod queue;

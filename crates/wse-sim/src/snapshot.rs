@@ -106,7 +106,7 @@ impl TraceSeqRecord {
 }
 
 /// Complete dynamic state of one PE slot.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PeRecord {
     /// The memory arena's written words, trailing zeros trimmed (see
     /// [`crate::memory::PeMemory::snapshot_words`]); the program's state

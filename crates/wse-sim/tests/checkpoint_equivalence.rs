@@ -262,10 +262,11 @@ fn foreign_schema_version_is_rejected() {
 
 #[test]
 fn schema_v1_is_refused_without_a_reader() {
-    // Neither schema 1 nor schema 2 (a per-PE program state record) has a
-    // reader: old files are refused, not migrated.
+    // Neither schema 1, schema 2 (a per-PE program state record) nor
+    // schema 3 (murmur3 checksum, FNV-1a spec hash) has a reader: old files
+    // are refused, not migrated.
     let (_, bytes) = small_checkpoint();
-    for found in [1u32, 2] {
+    for found in [1u32, 2, 3] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         assert_eq!(
@@ -328,7 +329,7 @@ fn truncated_payload_is_rejected() {
 #[test]
 fn every_payload_bit_flip_is_caught_by_the_checksum() {
     let (_, bytes) = small_checkpoint();
-    // Flip one byte at a spread of payload offsets; the murmur3 header
+    // Flip one byte at a spread of payload offsets; the header's payload
     // checksum must catch each before decoding starts.
     let payload_len = bytes.len() - HEADER_LEN;
     for frac in [0, payload_len / 3, payload_len / 2, payload_len - 1] {
