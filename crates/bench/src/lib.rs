@@ -572,7 +572,7 @@ mod tests {
         );
         assert_eq!(
             old_schema.unwrap_err().to_string(),
-            "unsupported schema version 1 (expected 4)"
+            "unsupported schema version 1 (expected 5)"
         );
     }
 }

@@ -192,6 +192,19 @@ pub enum BuildError {
     /// [`RecoveryPolicy::Retry`] with `max_attempts: 0`: the count includes
     /// the first attempt, so not even that would run.
     ZeroRetryAttempts,
+    /// A PE's `init` failed at load ([`Fabric::load_error`]): it ran out
+    /// of PE memory, or accessed memory before the layout existed.
+    Load(FabricError),
+    /// A PE's `init` allocated more words than the workload declares
+    /// ([`Workload::words_per_pe`]): a memory plan that under-counts.
+    UnderDeclaredMemory {
+        /// The first such PE, in PE order.
+        pe: PeCoord,
+        /// Words its `init` allocated.
+        allocated: usize,
+        /// Words the workload declares per PE.
+        declared: usize,
+    },
 }
 
 impl From<CompileError> for BuildError {
@@ -238,6 +251,17 @@ impl std::fmt::Display for BuildError {
             BuildError::ZeroRetryAttempts => write!(
                 f,
                 "RecoveryPolicy::Retry needs max_attempts >= 1 (the first attempt counts)"
+            ),
+            BuildError::Load(e) => write!(f, "fabric load failed: {e}"),
+            BuildError::UnderDeclaredMemory {
+                pe,
+                allocated,
+                declared,
+            } => write!(
+                f,
+                "PE ({}, {}) allocated {allocated} words at load, more than the {declared} \
+                 words per PE the workload declares",
+                pe.col, pe.row
             ),
         }
     }
@@ -288,9 +312,7 @@ impl SimSpec {
         ] {
             h.write_u64(v);
         }
-        // `FaultPlan` derives a stable `Debug` over plain integer fields —
-        // cheap to hash without a bespoke serializer.
-        h.write(format!("{:?}", self.fault_plan).as_bytes());
+        self.fault_plan.hash_into(&mut h);
         h.finish()
     }
 }
@@ -558,6 +580,17 @@ impl<'a> SimulatorBuilder<'a> {
             fault_plan: self.fault_plan,
         };
         let fabric = build_fabric(&spec, &spec.fault_plan.clone());
+        if let Some(error) = fabric.load_error() {
+            return Err(BuildError::Load(error.clone()));
+        }
+        let allocated = |&pe: &PeCoord| fabric.memory(pe).len();
+        if let Some(pe) = dims.iter().find(|pe| allocated(pe) > needed_words) {
+            return Err(BuildError::UnderDeclaredMemory {
+                pe,
+                allocated: allocated(&pe),
+                declared: needed_words,
+            });
+        }
         let metrics = DriverMetrics::new(&self.metrics, self.execution);
         Ok(DataflowFluxSimulator {
             fabric,
@@ -1321,6 +1354,7 @@ impl DataflowFluxSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::laplace::{LaplaceParams, LaplaceWorkload};
     use fv_core::fields::PermeabilityField;
     use fv_core::mesh::{Extents, Spacing};
     use fv_core::residual::assemble_flux_residual;
@@ -1764,5 +1798,112 @@ mod tests {
         let (mesh2, fluid2, trans2) = problem(4, 4, 4, StencilKind::TenPoint);
         let other = simulator(&mesh2, &fluid2, &trans2);
         assert_ne!(seq.spec_hash(), other.spec_hash());
+    }
+
+    fn laplace() -> LaplaceWorkload {
+        LaplaceWorkload::new(3, 2, 4, LaplaceParams::from_spacing(1.0, 2.0, 3.0)).unwrap()
+    }
+
+    /// A spec hash change moves every checkpoint header: the encoding of a
+    /// fixed spec with a two-fault plan is pinned.
+    #[test]
+    fn spec_hash_of_a_fixed_spec_with_faults_is_pinned() {
+        let plan = FaultPlan::new()
+            .with(Fault {
+                pe: PeCoord::new(1, 0),
+                at: 5,
+                kind: FaultKind::PeSlow {
+                    factor: 3,
+                    until: 9,
+                },
+                persistent: true,
+            })
+            .with(Fault {
+                pe: PeCoord::new(2, 1),
+                at: 7,
+                kind: FaultKind::RouterFlip {
+                    color: wse_sim::wavelet::Color::new(4),
+                },
+                persistent: false,
+            });
+        let sim = DataflowFluxSimulator::workload_builder()
+            .workload(laplace())
+            .fault_plan(plan)
+            .build()
+            .unwrap();
+        assert_eq!(sim.spec_hash(), 0xaeef_1632_3227_a00e);
+    }
+
+    /// A Laplacian that declares one word per PE fewer than its `init`
+    /// allocates.
+    struct UnderDeclared(LaplaceWorkload);
+
+    impl Workload for UnderDeclared {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn compiled(&self) -> &wse_stencil::CompiledStencil {
+            self.0.compiled()
+        }
+        fn pattern(&self) -> Arc<wse_stencil::CommPattern> {
+            self.0.pattern()
+        }
+        fn grid(&self) -> (usize, usize) {
+            self.0.grid()
+        }
+        fn nz(&self) -> usize {
+            self.0.nz()
+        }
+        fn words_per_pe(&self, nz: usize) -> usize {
+            self.0.words_per_pe(nz) - 1
+        }
+        fn make_program(&self) -> Box<dyn wse_sim::pe::PeProgram> {
+            self.0.make_program()
+        }
+        fn inject(&self, fabric: &mut Fabric, input: &[f32]) {
+            self.0.inject(fabric, input)
+        }
+        fn collect(&self, fabric: &Fabric) -> Vec<f32> {
+            self.0.collect(fabric)
+        }
+        fn hash_content(&self, h: &mut ContentHasher) {
+            self.0.hash_content(h)
+        }
+    }
+
+    #[test]
+    fn builder_refuses_a_workload_that_allocates_more_than_it_declares() {
+        let declared = UnderDeclared(laplace()).words_per_pe(4);
+        let build = |bytes: usize| {
+            DataflowFluxSimulator::workload_builder()
+                .workload(UnderDeclared(laplace()))
+                .pe_memory_bytes(bytes)
+                .build()
+                .map(|_| ())
+                .unwrap_err()
+        };
+        let err = build(wse_sim::memory::WSE2_PE_MEMORY_BYTES);
+        let expected = BuildError::UnderDeclaredMemory {
+            pe: PeCoord::new(0, 0),
+            allocated: declared + 1,
+            declared,
+        };
+        assert_eq!(err, expected);
+        assert!(err.to_string().contains("(0, 0)"), "{err}");
+        // With exactly the declared words of memory, `init` runs out first.
+        match build(4 * declared) {
+            BuildError::Load(FabricError::Memory {
+                pe,
+                error:
+                    wse_sim::memory::MemoryError::Exhausted {
+                        requested,
+                        available,
+                    },
+            }) => {
+                assert_eq!(pe, PeCoord::new(0, 0));
+                assert_eq!(requested, available + 1);
+            }
+            other => panic!("expected an exhausted load, got {other:?}"),
+        }
     }
 }

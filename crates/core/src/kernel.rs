@@ -264,7 +264,7 @@ impl TpfaKernel {
             t1: Dsd::contiguous(l.temps[1].offset, nz),
             t2: Dsd::contiguous(l.temps[2].offset, nz),
         };
-        compute_face_flux(ctx.memory, ctx.counters, ctx.tracer, r, inputs, buf);
+        compute_face_flux(&mut ctx.memory, ctx.counters, ctx.tracer, r, inputs, buf);
     }
 }
 
@@ -322,9 +322,9 @@ mod tests {
         assert_eq!(p.g_dz_down, 9.81_f32 * 2.0);
     }
 
-    /// Builds a PE memory with `n`-element columns for a kernel test.
-    struct Rig {
-        mem: PeMemory,
+    /// A PE memory with `n`-element columns for a kernel test.
+    struct Rig<'a> {
+        mem: PeMemory<'a>,
         ctr: OpCounters,
         tr: PeTracer,
         r: Dsd,
@@ -333,9 +333,11 @@ mod tests {
         n: usize,
     }
 
-    fn rig(n: usize, g_dz: f32, inv_mu: f32) -> Rig {
-        let mut mem = PeMemory::with_capacity_bytes(16384);
-        let mut next = || Dsd::contiguous(mem.alloc(n).unwrap().offset, n);
+    /// The rig's nine columns in `words`.
+    fn rig(words: &mut [u32], n: usize, g_dz: f32, inv_mu: f32) -> Rig<'_> {
+        assert!(words.len() >= 9 * n);
+        let mut columns = (0..9).map(|k| Dsd::contiguous(k * n, n));
+        let mut next = || columns.next().unwrap();
         let p_k = next();
         let rho_k = next();
         let p_l = next();
@@ -346,7 +348,7 @@ mod tests {
         let t1 = next();
         let t2 = next();
         Rig {
-            mem,
+            mem: PeMemory::new(words),
             ctr: OpCounters::default(),
             tr: PeTracer::null(),
             r,
@@ -364,7 +366,7 @@ mod tests {
         }
     }
 
-    fn fill(rig: &mut Rig, f: impl Fn(usize) -> (f32, f32, f32, f32, f32)) {
+    fn fill(rig: &mut Rig<'_>, f: impl Fn(usize) -> (f32, f32, f32, f32, f32)) {
         for i in 0..rig.n {
             let (pk, rk, pl, rl, t) = f(i);
             rig.mem.write_f32(rig.inp.p_k.at(i), pk);
@@ -379,7 +381,8 @@ mod tests {
     fn matches_scalar_reference_flux() {
         let g_dz = -9.81_f32 * 2.0;
         let inv_mu = 1.0 / 1.0e-3;
-        let mut rg = rig(16, g_dz, inv_mu);
+        let mut words = [0; 4096];
+        let mut rg = rig(&mut words, 16, g_dz, inv_mu);
         fill(&mut rg, |i| {
             let pk = 1.0e7 + (i as f32) * 3.0e4;
             let pl = 1.05e7 - (i as f32) * 2.0e4;
@@ -409,7 +412,8 @@ mod tests {
     #[test]
     fn instruction_mix_is_exactly_table_4_per_flux() {
         let n = 246; // the paper's Nz
-        let mut rg = rig(n, 0.0, 1000.0);
+        let mut words = [0; 4096];
+        let mut rg = rig(&mut words, n, 0.0, 1000.0);
         fill(&mut rg, |i| {
             (1.0e7, 1000.0, 1.0e7 + i as f32, 1000.0, 1e-12)
         });
@@ -436,7 +440,8 @@ mod tests {
         // 60/40/10/10/10 and 390 memory accesses — plus the 16 FMOV receive
         // stores counted by the comm layer, totalling the paper's 406.
         let n = 8;
-        let mut rg = rig(n, 0.0, 1.0);
+        let mut words = [0; 4096];
+        let mut rg = rig(&mut words, n, 0.0, 1.0);
         fill(&mut rg, |_| (1.0, 1.0, 2.0, 1.0, 1.0));
         for _ in 0..10 {
             let (mem, ctr, tr) = (&mut rg.mem, &mut rg.ctr, &mut rg.tr);
@@ -456,7 +461,8 @@ mod tests {
     #[test]
     fn upwind_selection_respects_potential_sign() {
         let inv_mu = 1.0;
-        let mut rg = rig(2, 0.0, inv_mu);
+        let mut words = [0; 4096];
+        let mut rg = rig(&mut words, 2, 0.0, inv_mu);
         // element 0: p_k > p_l (ΔΦ > 0, upwind K); element 1: reversed.
         fill(&mut rg, |i| {
             if i == 0 {
@@ -475,7 +481,8 @@ mod tests {
 
     #[test]
     fn zero_transmissibility_contributes_nothing() {
-        let mut rg = rig(4, -19.62, 1.0e3);
+        let mut words = [0; 4096];
+        let mut rg = rig(&mut words, 4, -19.62, 1.0e3);
         fill(&mut rg, |_| (1.0e7, 1000.0, 5.0e6, 900.0, 0.0));
         // preload residual with sentinels
         for i in 0..4 {
@@ -490,7 +497,8 @@ mod tests {
 
     #[test]
     fn accumulates_across_faces() {
-        let mut rg = rig(1, 0.0, 1.0);
+        let mut words = [0; 4096];
+        let mut rg = rig(&mut words, 1, 0.0, 1.0);
         fill(&mut rg, |_| (2.0, 1.0, 1.0, 1.0, 3.0));
         for _ in 0..4 {
             let (mem, ctr, tr) = (&mut rg.mem, &mut rg.ctr, &mut rg.tr);

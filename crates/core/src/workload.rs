@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 use wse_sim::fabric::Fabric;
 use wse_sim::geometry::PeCoord;
 use wse_sim::hash::ContentHasher;
-use wse_sim::memory::MemRange;
+use wse_sim::memory::{host_write_f32, MemRange};
 use wse_sim::pe::PeProgram;
 use wse_sim::wavelet::Color;
 use wse_stencil::{CommPattern, CompiledStencil, StencilPeProgram, StencilProgram, StencilSpec};
@@ -104,21 +104,19 @@ pub(crate) fn inject_columns(
 ) {
     assert_eq!(field.len(), nx * ny * nz, "field covers the mesh");
     let ghost = ghost_words(range, nz);
-    let mut col = vec![0.0_f32; range.len];
-    let zeros = vec![0.0_f32; nz];
     for y in 0..ny {
         for x in 0..nx {
+            let words = fabric.memory_mut(PeCoord::new(x, y));
+            let col = &mut words[range.words()];
             for z in 0..nz {
-                col[z + ghost] = field[(z * ny + y) * nx + x];
+                col[z + ghost] = field[(z * ny + y) * nx + x].to_bits();
             }
             if ghost == 1 {
                 col[0] = col[1];
                 col[nz + 1] = col[nz];
             }
-            let mem = fabric.memory_mut(PeCoord::new(x, y));
-            mem.host_write_f32(range, &col);
             for &r in zeroed {
-                mem.host_write_f32(r, &zeros);
+                words[r.words()].fill(0);
             }
         }
     }
@@ -133,14 +131,11 @@ pub(crate) fn collect_columns(
 ) -> Vec<f32> {
     let ghost = ghost_words(range, nz);
     let mut out = vec![0.0_f32; nx * ny * nz];
-    let mut col = vec![0.0_f32; range.len];
     for y in 0..ny {
         for x in 0..nx {
-            fabric
-                .memory(PeCoord::new(x, y))
-                .host_read_f32_into(range, &mut col);
+            let col = &fabric.memory(PeCoord::new(x, y))[range.words()];
             for z in 0..nz {
-                out[(z * ny + y) * nx + x] = col[z + ghost];
+                out[(z * ny + y) * nx + x] = f32::from_bits(col[z + ghost]);
             }
         }
     }
@@ -287,11 +282,10 @@ impl Workload for TpfaWorkload {
         for y in 0..self.ny {
             for x in 0..self.nx {
                 let pe = PeCoord::new(x, y);
+                let words = fabric.memory_mut(pe);
                 for nb in ALL_NEIGHBORS {
                     let col = cols.next().expect("trans_cols covers every PE face");
-                    fabric
-                        .memory_mut(pe)
-                        .host_write_f32(layout.trans[nb.face_index()], col);
+                    host_write_f32(words, layout.trans[nb.face_index()], col);
                 }
             }
         }

@@ -50,8 +50,14 @@ const PINNED_RESIDUAL_FNV: u64 = 0xac81_68ae_2d33_298d;
 // unchanged: was 0xf3ad_4481_1797_fe34. Only the header moved — its version
 // field, and the spec hash and payload checksum, which became the content
 // hash (`wse_sim::hash`) in place of FNV-1a and murmur3.
+//
+// Re-pinned for checkpoint schema 5, with the paused state, the length and
+// the payload unchanged: was 0xefaa_4ede_4f0b_eb3e. Only the header's
+// version and spec hash moved, as the spec hash now encodes the fault plan
+// field by field; the payload (bytes 32..) is pinned on its own.
 const PINNED_HALF_CHECKPOINT_LEN: usize = 1_233_818;
-const PINNED_HALF_CHECKPOINT_FNV: u64 = 0xefaa_4ede_4f0b_eb3e;
+const PINNED_HALF_CHECKPOINT_FNV: u64 = 0x5d2d_aaed_592f_8854;
+const PINNED_HALF_CHECKPOINT_PAYLOAD_FNV: u64 = 0x1d2e_3267_7357_7f20;
 
 /// Events per `step_events` call; prime, so the limit trips mid-cycle and
 /// the pause runs that cycle out.
@@ -167,6 +173,11 @@ fn half_apply_checkpoint_is_pinned_and_resumes_on_the_other_engine() {
         fnv1a(bytes.iter().copied()),
         PINNED_HALF_CHECKPOINT_FNV,
         "half-apply checkpoint bytes moved"
+    );
+    assert_eq!(
+        fnv1a(bytes[32..].iter().copied()),
+        PINNED_HALF_CHECKPOINT_PAYLOAD_FNV,
+        "half-apply checkpoint payload moved"
     );
 
     let mut sharded = build(&p, SHARDED);

@@ -53,9 +53,10 @@ pub const MAGIC: [u8; 8] = *b"MDFVCKPT";
 /// Version 2 dropped the per-PE router version and narrowed event PE ids to
 /// `u32`; version 3 dropped the per-PE program state record, which now
 /// lives in PE memory; version 4 replaced the murmur3 payload checksum and
-/// the FNV-1a spec hash with the content hash. Older files are refused, not
-/// migrated.
-pub const SCHEMA_VERSION: u32 = 4;
+/// the FNV-1a spec hash with the content hash; version 5 hashes the spec's
+/// fault plan field by field instead of its `Debug` text, which moves every
+/// spec hash. Older files are refused, not migrated.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Header size in bytes (magic + version + spec hash + payload length +
 /// payload checksum).

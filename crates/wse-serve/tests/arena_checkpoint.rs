@@ -1,8 +1,8 @@
 //! The checkpoint codec against the SPMD arena representation: a wire
 //! checkpoint must be a function of the *problem state*, never of the
 //! engine or in-memory layout that produced it. Struct-of-array scalar
-//! arenas, per-class shared route tables, and lazily-grown PE memories
-//! all canonicalize to one byte stream — so checkpoints interchange freely
+//! arenas, per-class shared route tables, and PE memories laid out in one
+//! slab all canonicalize to one byte stream — so checkpoints interchange freely
 //! across engines, and only a deliberate payload change moves the schema.
 
 use fv_core::eos::Fluid;
@@ -73,9 +73,10 @@ fn encoded_bytes_are_independent_of_the_engine() {
     // Version 2 (from 1) dropped the router version and narrowed event
     // PE ids to `u32`; version 3 dropped the per-PE program state record,
     // whose words now travel in the arena; version 4 changed the header's
-    // checksum and spec hash. The arena layout itself never forced a bump.
+    // checksum and spec hash, and version 5 the spec hash's fault-plan
+    // encoding. The arena layout itself never forced a bump.
     assert_eq!(
-        SCHEMA_VERSION, 4,
+        SCHEMA_VERSION, 5,
         "only a payload or header change moves the schema"
     );
 }

@@ -275,12 +275,12 @@ pub fn fmov_recv(
 /// **not** counted as PE memory traffic: the paper's Table 4 charges FMOV
 /// with "1 store, 1 fabric load" on the *receiving* side only, so the
 /// per-cell loads+stores total (406) excludes transmit reads.
-pub fn fmov_send<'m>(
-    mem: &'m PeMemory,
+pub fn fmov_send<'m, 'w>(
+    mem: &'m PeMemory<'w>,
     ctr: &mut OpCounters,
     trace: &mut PeTracer,
     src: Dsd,
-) -> impl Iterator<Item = f32> + 'm {
+) -> impl Iterator<Item = f32> + use<'m, 'w> {
     trace.dsd(ctr.cycles(), TraceOp::FmovOut, src.len as u32);
     let n = src.len as u64;
     ctr.fmov_out += n;
@@ -318,29 +318,28 @@ pub fn eos_density(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::MemRange;
 
-    fn setup(len: usize) -> (PeMemory, OpCounters, PeTracer, Dsd, Dsd, Dsd) {
-        let mut mem = PeMemory::with_capacity_bytes(4096);
-        let a = mem.alloc(len).unwrap();
-        let b = mem.alloc(len).unwrap();
-        let d = mem.alloc(len).unwrap();
-        for i in 0..len {
-            mem.write_f32(a.at(i), i as f32 + 1.0);
-            mem.write_f32(b.at(i), 2.0);
-        }
+    /// Three `len`-element vectors `a = 1, 2, …`, `b = 2, 2, …` and `d`
+    /// in a PE memory of `3 * len` words.
+    fn setup(len: usize) -> (Vec<u32>, OpCounters, PeTracer, Dsd, Dsd, Dsd) {
+        let mut words: Vec<u32> = (0..len).map(|i| (i as f32 + 1.0).to_bits()).collect();
+        words.extend(std::iter::repeat_n(2.0_f32.to_bits(), len));
+        words.resize(3 * len, 0);
         (
-            mem,
+            words,
             OpCounters::default(),
             PeTracer::null(),
-            Dsd::contiguous(a.offset, len),
-            Dsd::contiguous(b.offset, len),
-            Dsd::contiguous(d.offset, len),
+            Dsd::contiguous(0, len),
+            Dsd::contiguous(len, len),
+            Dsd::contiguous(2 * len, len),
         )
     }
 
     #[test]
     fn fmuls_computes_and_counts() {
-        let (mut mem, mut ctr, mut tr, a, b, d) = setup(5);
+        let (mut words, mut ctr, mut tr, a, b, d) = setup(5);
+        let mut mem = PeMemory::new(&mut words);
         fmuls(
             &mut mem,
             &mut ctr,
@@ -361,7 +360,8 @@ mod tests {
 
     #[test]
     fn scalar_operand_broadcasts() {
-        let (mut mem, mut ctr, mut tr, a, _, d) = setup(4);
+        let (mut words, mut ctr, mut tr, a, _, d) = setup(4);
+        let mut mem = PeMemory::new(&mut words);
         fmuls(
             &mut mem,
             &mut ctr,
@@ -377,7 +377,8 @@ mod tests {
 
     #[test]
     fn fsubs_fadds_fnegs() {
-        let (mut mem, mut ctr, mut tr, a, b, d) = setup(3);
+        let (mut words, mut ctr, mut tr, a, b, d) = setup(3);
+        let mut mem = PeMemory::new(&mut words);
         fsubs(
             &mut mem,
             &mut ctr,
@@ -408,7 +409,8 @@ mod tests {
 
     #[test]
     fn fmacs_accumulates_with_two_flops() {
-        let (mut mem, mut ctr, mut tr, a, b, d) = setup(3);
+        let (mut words, mut ctr, mut tr, a, b, d) = setup(3);
+        let mut mem = PeMemory::new(&mut words);
         for i in 0..3 {
             mem.write_f32(d.at(i), 10.0);
         }
@@ -430,7 +432,8 @@ mod tests {
 
     #[test]
     fn gate_multiply_implements_upwind_selection() {
-        let (mut mem, mut ctr, mut tr, a, b, d) = setup(4);
+        let (mut words, mut ctr, mut tr, a, b, d) = setup(4);
+        let mut mem = PeMemory::new(&mut words);
         // gate: alternate signs, zero counts as "not >0"
         mem.write_f32(b.at(0), 1.0);
         mem.write_f32(b.at(1), -1.0);
@@ -453,7 +456,8 @@ mod tests {
 
     #[test]
     fn fmov_pair_counts_fabric_traffic() {
-        let (mut mem, mut ctr, mut tr, a, _, d) = setup(4);
+        let (mut words, mut ctr, mut tr, a, _, d) = setup(4);
+        let mut mem = PeMemory::new(&mut words);
         let vals: Vec<f32> = fmov_send(&mem, &mut ctr, &mut tr, a).collect();
         assert_eq!(vals, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(ctr.fmov_out, 4);
@@ -471,8 +475,9 @@ mod tests {
 
     #[test]
     fn shifted_dsd_views_the_z_neighbor() {
-        let mut mem = PeMemory::with_capacity_bytes(256);
-        let col = mem.alloc(6).unwrap();
+        let mut words = [0; 6];
+        let mut mem = PeMemory::new(&mut words);
+        let col = MemRange { offset: 0, len: 6 };
         for i in 0..6 {
             mem.write_f32(col.at(i), i as f32 * 10.0);
         }
@@ -486,8 +491,9 @@ mod tests {
 
     #[test]
     fn strided_dsd() {
-        let mut mem = PeMemory::with_capacity_bytes(256);
-        let r = mem.alloc(12).unwrap();
+        let mut words = [0; 12];
+        let mut mem = PeMemory::new(&mut words);
+        let r = MemRange { offset: 0, len: 12 };
         for i in 0..12 {
             mem.write_f32(r.at(i), i as f32);
         }
@@ -498,10 +504,11 @@ mod tests {
 
     #[test]
     fn eos_density_matches_formula() {
-        let mut mem = PeMemory::with_capacity_bytes(256);
+        let mut words = [0; 6];
+        let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
-        let p = mem.alloc(3).unwrap();
-        let rho = mem.alloc(3).unwrap();
+        let p = MemRange { offset: 0, len: 3 };
+        let rho = MemRange { offset: 3, len: 3 };
         for i in 0..3 {
             mem.write_f32(p.at(i), 1.0e7 + i as f32 * 1.0e5);
         }
@@ -528,7 +535,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn length_mismatch_panics() {
-        let (mut mem, mut ctr, mut tr, a, _, d) = setup(4);
+        let (mut words, mut ctr, mut tr, a, _, d) = setup(4);
+        let mut mem = PeMemory::new(&mut words);
         let short = Dsd::contiguous(a.base, 2);
         fmuls(
             &mut mem,

@@ -43,7 +43,8 @@
 //!
 //! The engine promises the order **at each PE**: a PE processes the events
 //! addressed to it in key order. No other order is observable, because
-//! (1) an event mutates one PE's slot and arena row and nothing else —
+//! (1) an event mutates one PE's slot, memory words and arena row and
+//! nothing else —
 //! fast-forwarding adds to the traversed PEs' `fabric_hops`, which commutes,
 //! and reads only routes frozen at `load()`; (2) keys are causally local:
 //! they depend on the creating PE's own history, never on global
@@ -85,7 +86,7 @@
 
 use crate::fault::{FaultClass, FaultEvent, FaultKind, FaultPlan};
 use crate::geometry::{Direction, FabricDims, PeCoord};
-use crate::memory::PeMemory;
+use crate::memory::{self, MemRange, MemoryError, PeMemory};
 use crate::pe::{PeContext, PeProgram};
 use crate::queue::{advance_time, CalendarQueue, EventQueue, Timestamped};
 use crate::route::{DirMask, RouteError, RouteTable, Router};
@@ -316,11 +317,14 @@ fn in_canonical_order(mut events: Vec<Event>) -> Vec<EventRecord> {
 }
 
 /// Per-PE state that does *not* fit the struct-of-arrays arena: the things
-/// with per-PE identity (memory, program, router dynamic state, fault
-/// machinery, trace sink). Every plain per-PE scalar lives in
-/// [`PeScalars`] instead, indexed by the engine's slot index.
+/// with per-PE identity (program, router dynamic state, fault machinery,
+/// trace sink) and where the PE's memory lies in the fabric's slab. Every
+/// plain per-PE scalar lives in [`PeScalars`] instead, indexed by the
+/// engine's slot index.
 struct PeSlot {
-    memory: PeMemory,
+    /// This PE's words in [`Fabric::slab`]: its whole allocation, laid out
+    /// by [`Fabric::load`].
+    memory: MemRange,
     counters: OpCounters,
     router: Router,
     program: Box<dyn PeProgram>,
@@ -341,7 +345,7 @@ struct PeSlot {
     trace: PeTracer,
 }
 
-const _: () = assert!(std::mem::size_of::<PeSlot>() <= 224);
+const _: () = assert!(std::mem::size_of::<PeSlot>() <= 200);
 
 /// `process_route`'s work list: kept on the [`Engine`] so the routing hot
 /// path never allocates, and always drained back to empty. The flag marks
@@ -493,6 +497,15 @@ pub enum FabricError {
         /// Class-dependent detail (see [`FaultEvent::detail`]).
         detail: u32,
     },
+    /// A PE accessed memory outside its allocation, or allocated after
+    /// load (a run error), or its `init` overflowed its memory or accessed
+    /// it before the layout existed ([`Fabric::load_error`]).
+    Memory {
+        /// Offending PE.
+        pe: PeCoord,
+        /// The refused access or allocation.
+        error: MemoryError,
+    },
     /// The fabric went quiescent with wavelets still stalled by flow
     /// control — no control wavelet will ever release them.
     Deadlock {
@@ -513,6 +526,9 @@ impl std::fmt::Display for FabricError {
             }
             FabricError::EventBudgetExceeded { max_events } => {
                 write!(f, "event budget exceeded ({max_events})")
+            }
+            FabricError::Memory { pe, error } => {
+                write!(f, "memory error at PE ({}, {}): {error}", pe.col, pe.row)
             }
             FabricError::Fault {
                 pe,
@@ -543,9 +559,11 @@ impl std::fmt::Display for FabricError {
 impl std::error::Error for FabricError {}
 
 /// Trace `a`/`payload` encoding of a [`FabricError`]: `(class, detail)`.
-/// Classes: 0 = event budget, 1 = route, 2 = deadlock, 3 = fault. Route
-/// errors carry the offending color id as detail; deadlocks carry the
-/// stalled count; faults carry the [`FaultClass`] code.
+/// Classes: 0 = event budget, 1 = route, 2 = deadlock, 3 = fault, 4 =
+/// memory. Route errors carry the offending color id as detail; deadlocks
+/// carry the stalled count; faults carry the [`FaultClass`] code; memory
+/// errors the word address (the words requested, for an exhausted
+/// memory).
 fn error_code(error: &FabricError) -> (u8, u32) {
     match error {
         FabricError::EventBudgetExceeded { .. } => (0, 0),
@@ -558,6 +576,15 @@ fn error_code(error: &FabricError) -> (u8, u32) {
         }
         FabricError::Deadlock { stalled, .. } => (2, *stalled as u32),
         FabricError::Fault { class, .. } => (3, u32::from(class.code())),
+        FabricError::Memory { error, .. } => {
+            let word = match *error {
+                MemoryError::Read { addr, .. }
+                | MemoryError::Write { addr, .. }
+                | MemoryError::Frozen { addr, .. } => addr,
+                MemoryError::Exhausted { requested, .. } => requested,
+            };
+            (4, word as u32)
+        }
     }
 }
 
@@ -902,25 +929,31 @@ fn process_deliver(eng: &mut Engine, ev: &Event, emit: &mut impl FnMut(Event, Pe
         ev.wavelet.payload,
     );
     slot.trace.task_begin(start, cycles_before);
+    let words = &mut eng.words[slot.memory.offset - eng.words_first..][..slot.memory.len];
     let mut ctx = PeContext::new(
         coord,
         eng.dims,
-        &mut slot.memory,
+        PeMemory::new(words),
         &mut slot.counters,
         &mut slot.trace,
         &mut slot.router,
         &mut outbox.wavelets,
         &mut outbox.activations,
-        true,
+        None,
     );
     match ev.wavelet.kind {
         WaveletKind::Data => slot.program.on_data(&mut ctx, ev.wavelet),
         WaveletKind::Control => slot.program.on_control(&mut ctx, ev.wavelet),
     }
-    // The handler tried to rewire a loaded route: refused (the route stands)
-    // and reported like any other routing error, keyed by this event.
-    if let Some(error) = ctx.refused {
-        let error = FabricError::Route { pe: coord, error };
+    // The handler tried to rewire a loaded route (refused: the route
+    // stands), or to touch memory outside its PE's allocation or allocate
+    // more (refused: reads give 0, writes and allocations are dropped).
+    // Reported like any other routing error, keyed by this event.
+    let refused = [
+        (ctx.refused).map(|error| FabricError::Route { pe: coord, error }),
+        (ctx.memory.fault()).map(|error| FabricError::Memory { pe: coord, error }),
+    ];
+    for error in refused.into_iter().flatten() {
         report_error(&mut slot.trace, start, eng.error, ev.key(), error);
     }
     let mut cost = slot.counters.cycles() - cycles_before;
@@ -1183,9 +1216,13 @@ struct Engine<'a> {
     /// `first .. first + slots.len()`, in linear order.
     first: usize,
     slots: &'a mut [PeSlot],
+    /// The slab words of PEs `first ..` (at least): PE memory at slab
+    /// offset `o` is `words[o - words_first]`.
+    words: &'a mut [u32],
+    words_first: usize,
     scalars: &'a mut PeScalars,
     ff: &'a mut FfCounters,
-    /// The smallest-key routing error seen so far.
+    /// The smallest-key routing or memory error seen so far.
     error: &'a mut Option<(EventKey, FabricError)>,
     route_scratch: &'a mut RouteScratch,
     outbox: &'a mut Outbox,
@@ -1423,7 +1460,7 @@ struct WorkerReport {
     events: u64,
     /// The last cycle the run executed.
     time: Option<u64>,
-    /// The smallest-key routing error among this worker's strips.
+    /// The smallest-key routing or memory error among this worker's strips.
     error: Option<(EventKey, FabricError)>,
 }
 
@@ -1439,7 +1476,8 @@ fn post(out: &mut [Vec<Event>; 2], mailed: &mut Option<u64>, end: usize, e: Even
 
 /// One worker of the strip engine: `strips` is its contiguous block (the
 /// first of them strip `first_strip` of the fabric), `slots` the PEs of
-/// that block, `next` the earliest pending time in the whole fabric.
+/// that block and `words` their memory, `next` the earliest pending time
+/// in the whole fabric.
 ///
 /// Each iteration is one simulated cycle (see the module docs), with one
 /// rendezvous. That is enough because the mailboxes are double-buffered by
@@ -1451,10 +1489,12 @@ fn strip_worker(
     first_strip: usize,
     strips: &mut [Strip],
     slots: &mut [PeSlot],
+    words: &mut [u32],
     run: &StripRun,
     mut next: Option<u64>,
 ) -> WorkerReport {
     let _poison = PoisonOnUnwind(&run.rendezvous);
+    let words_first = slots.first().map_or(0, |s| s.memory.offset);
     let mut report = WorkerReport {
         stop: Stop::Quiescent,
         events: 0,
@@ -1495,6 +1535,8 @@ fn strip_worker(
                 fwd: run.fwd,
                 first: pes.start,
                 slots: strip_slots,
+                words: &mut *words,
+                words_first,
                 scalars,
                 ff,
                 error: &mut report.error,
@@ -1555,7 +1597,7 @@ fn strip_worker(
 }
 
 /// What a drain of the strips leaves to conclude: budget events consumed,
-/// whether the pause limit tripped, the smallest-key routing error.
+/// whether the pause limit tripped, the smallest-key routing or memory error.
 type Drained = (u64, bool, Option<(EventKey, FabricError)>);
 
 /// The simulated wafer: PEs, routers, and the event queue.
@@ -1563,6 +1605,12 @@ pub struct Fabric {
     dims: FabricDims,
     config: FabricConfig,
     pes: Vec<PeSlot>,
+    /// Every PE's memory, in PE order, laid out by `load`: PE `i`'s words
+    /// are `slab[pes[i].memory.words()]`. Empty until then.
+    slab: Vec<u32>,
+    /// The first PE `init` that failed at `load` — out of memory, or an
+    /// access to memory before it was laid out — in PE order.
+    load_error: Option<FabricError>,
     /// The row strips, in fabric order, holding every pending event and the
     /// per-PE scalar arena: one strip under `Sequential`, `min(shards,
     /// rows)` under `Sharded`.
@@ -1618,7 +1666,7 @@ impl Fabric {
             .iter()
             .enumerate()
             .map(|(i, c)| PeSlot {
-                memory: PeMemory::with_capacity_bytes(config.pe_memory_bytes),
+                memory: MemRange { offset: 0, len: 0 },
                 counters: OpCounters::default(),
                 router: Router::new(),
                 program: factory(c),
@@ -1631,11 +1679,17 @@ impl Fabric {
             config.hop_latency >= 1,
             "FabricConfig::hop_latency must be at least one cycle"
         );
+        assert!(
+            config.pe_memory_bytes.is_multiple_of(4),
+            "FabricConfig::pe_memory_bytes must be word-aligned"
+        );
         let num_pes = pes.len();
         Self {
             dims,
             config,
             pes,
+            slab: Vec::new(),
+            load_error: None,
             strips: cut_strips(dims, config.execution.strips_and_threads().0),
             host_seq: 0,
             time: 0,
@@ -1664,10 +1718,14 @@ impl Fabric {
     /// is O(classes), not O(PEs). SPMD programs collapse to a handful of
     /// classes (interior / edges / corners); see [`Fabric::eq_classes`].
     /// The same pass numbers the classes and derives the fast-forward
-    /// table from them; from here on configured routes are frozen. It also
-    /// reserves each PE's memory for the words its `init` allocated, in PE
-    /// order, so neighbouring PEs' memories are neighbours on the host heap
-    /// and no run reallocates one.
+    /// table from them; from here on configured routes are frozen. Last, it
+    /// lays every PE's allocated words out, zero-filled and in PE order, in
+    /// one slab; from here on the memory layout is frozen too.
+    ///
+    /// A PE whose `init` overflowed its memory or accessed memory (which
+    /// does not exist before the layout) fails the load: the first such PE
+    /// in PE order is [`Fabric::load_error`], and [`Fabric::run`] refuses
+    /// to run.
     pub fn load(&mut self) {
         assert!(!self.initialized, "fabric already loaded");
         self.initialized = true;
@@ -1684,6 +1742,7 @@ impl Fabric {
         let mut interned: HashMap<Arc<RouteTable>, usize> = HashMap::new();
         let mut canonical: Vec<Arc<RouteTable>> = Vec::new();
         let mut outbox = Outbox::default();
+        let (mut words, mut load_error) = (0, None);
         for (i, slot) in pes.iter_mut().enumerate() {
             let owner = owner_of(strips, i);
             let Strip {
@@ -1703,16 +1762,26 @@ impl Fabric {
             let mut ctx = PeContext::new(
                 at.coord,
                 dims,
-                &mut slot.memory,
+                PeMemory::new(&mut []),
                 &mut slot.counters,
                 &mut slot.trace,
                 &mut slot.router,
                 &mut outbox.wavelets,
                 &mut outbox.activations,
-                false,
+                Some(config.pe_memory_bytes / 4),
             );
             slot.program.init(&mut ctx);
-            slot.memory.reserve_allocated();
+            if let Some(error) = ctx.memory.fault() {
+                load_error.get_or_insert(FabricError::Memory {
+                    pe: at.coord,
+                    error,
+                });
+            }
+            slot.memory = MemRange {
+                offset: words,
+                len: ctx.allocated,
+            };
+            words += ctx.allocated;
             let table = slot.router.table().clone();
             let class = *interned.entry(table).or_insert(canonical.len());
             if class == canonical.len() {
@@ -1727,6 +1796,15 @@ impl Fabric {
         }
         self.eq_classes = canonical.len();
         self.fwd = fwd;
+        self.slab = vec![0; words];
+        self.load_error = load_error;
+    }
+
+    /// Why [`Fabric::load`] failed, if it did: the first PE, in PE order,
+    /// whose `init` overflowed its memory or accessed memory before the
+    /// layout existed.
+    pub fn load_error(&self) -> Option<&FabricError> {
+        self.load_error.as_ref()
     }
 
     /// Delivers a wavelet directly to a PE's program at the current time —
@@ -1845,7 +1923,7 @@ impl Fabric {
     /// [`PeProgram::progress`]); the host watchdog compares these against
     /// the expected count after each run.
     pub fn progress_by_pe(&self) -> Vec<Option<u64>> {
-        let progress = |s: &PeSlot| s.program.progress(&s.memory);
+        let progress = |s: &PeSlot| s.program.progress(&self.slab[s.memory.words()]);
         self.pes.iter().map(progress).collect()
     }
 
@@ -1888,8 +1966,8 @@ impl Fabric {
             .map(|(pe, slot)| {
                 let (sc, i) = self.row(pe);
                 PeRecord {
-                    memory_words: slot.memory.snapshot_words(),
-                    memory_allocated: slot.memory.allocated_words(),
+                    memory_words: memory::trimmed(&self.slab[slot.memory.words()]).to_vec(),
+                    memory_allocated: slot.memory.len,
                     counters: slot.counters,
                     router_positions: slot.router.switch_positions(),
                     fabric_hops: sc.fabric_hops[i],
@@ -1957,16 +2035,18 @@ impl Fabric {
         let installed =
             |r: &PeRecord| r.faults.active || r.faults.verify_checksums || !r.faults.log.is_empty();
         self.faults_installed = snap.pes.iter().any(installed);
-        let Self { pes, strips, .. } = self;
+        let Self {
+            pes, strips, slab, ..
+        } = self;
         for (pe, (slot, rec)) in pes.iter_mut().zip(&snap.pes).enumerate() {
             let owner = owner_of(strips, pe);
             let strip = &mut strips[owner];
             let (scalars, i) = (&mut strip.scalars, pe - strip.pes.start);
-            slot.memory
-                .restore_words(&rec.memory_words, rec.memory_allocated)
+            let words = &mut slab[slot.memory.words()];
+            memory::restore_image(words, &rec.memory_words, rec.memory_allocated)
                 .map_err(|detail| RestoreError::Memory { pe, detail })?;
             slot.program
-                .check_state(&slot.memory)
+                .check_state(words)
                 .map_err(|detail| RestoreError::Program { pe, detail })?;
             slot.counters = rec.counters;
             slot.router
@@ -2037,12 +2117,13 @@ impl Fabric {
     /// Processes events until the fabric is quiescent, on the strips and
     /// workers [`FabricConfig::execution`] asks for.
     ///
-    /// Error precedence (identical for every strip count): the event
-    /// budget, then the first non-benign injected fault, then the routing
-    /// error with the smallest event key, then a deadlock scan in PE linear
-    /// order. Routing errors do not abort processing — the offending
-    /// wavelet is dropped and the run continues to quiescence, so every
-    /// partition observes the same error set.
+    /// Error precedence (identical for every strip count): a failed load,
+    /// then the event budget, then the first non-benign injected fault,
+    /// then the routing or memory error with the smallest event key, then
+    /// a deadlock scan in PE linear order. Routing and memory errors do
+    /// not abort processing — the offending wavelet, write or allocation
+    /// is dropped and the run continues to quiescence, so every partition
+    /// observes the same error set.
     pub fn run(&mut self) -> Result<RunReport, FabricError> {
         self.run_inner(None).map(|p| p.report)
     }
@@ -2065,6 +2146,9 @@ impl Fabric {
 
     fn run_inner(&mut self, limit: Option<u64>) -> Result<PauseReport, FabricError> {
         assert!(self.initialized, "call load() before run()");
+        if let Some(error) = &self.load_error {
+            return Err(error.clone());
+        }
         let drops_before = self.total_edge_drops();
         let faults_before = self.total_fault_events();
         let result = self
@@ -2130,7 +2214,9 @@ impl Fabric {
             .filter_map(|s| s.queue.next_time())
             .min();
         let (mut strips, mut slots) = (&mut self.strips[..], &mut self.pes[..]);
-        // Worker `w`'s block of strips, the block's first strip, and its PEs.
+        let (mut words, mut words_first) = (&mut self.slab[..], 0);
+        // Worker `w`'s block of strips, the block's first strip, its PEs
+        // and their memory.
         let mut deal = |w: usize| {
             let (lo, hi) = (w * n / workers, (w + 1) * n / workers);
             let (block, rest) = std::mem::take(&mut strips).split_at_mut(hi - lo);
@@ -2138,18 +2224,25 @@ impl Fabric {
             let held = block.iter().map(|s| s.pes.len()).sum();
             let (block_slots, rest) = std::mem::take(&mut slots).split_at_mut(held);
             slots = rest;
-            (lo, block, block_slots)
+            let end = block_slots
+                .last()
+                .map_or(words_first, |s| s.memory.words().end);
+            let (block_words, rest) = std::mem::take(&mut words).split_at_mut(end - words_first);
+            (words, words_first) = (rest, end);
+            (lo, block, block_slots, block_words)
         };
         let mut reports = std::thread::scope(|scope| {
             let run = &run;
-            let (_, block, block_slots) = deal(0);
+            let (_, block, block_slots, block_words) = deal(0);
             let spawned: Vec<_> = (1..workers)
                 .map(|w| {
-                    let (lo, block, block_slots) = deal(w);
-                    scope.spawn(move || strip_worker(lo, block, block_slots, run, first))
+                    let (lo, block, block_slots, block_words) = deal(w);
+                    scope.spawn(move || {
+                        strip_worker(lo, block, block_slots, block_words, run, first)
+                    })
                 })
                 .collect();
-            let mut reports = vec![strip_worker(0, block, block_slots, run, first)];
+            let mut reports = vec![strip_worker(0, block, block_slots, block_words, run, first)];
             for handle in spawned {
                 // A worker's panic (a `PeProgram`'s, say) is the caller's.
                 reports.push(
@@ -2318,15 +2411,16 @@ impl Fabric {
         )
     }
 
-    /// Host access to a PE's memory (SDK `memcpy`).
-    pub fn memory(&self, coord: PeCoord) -> &PeMemory {
-        &self.pes[self.dims.linear(coord)].memory
+    /// Host access to a PE's memory (SDK `memcpy`): its allocated words,
+    /// none before [`Fabric::load`].
+    pub fn memory(&self, coord: PeCoord) -> &[u32] {
+        &self.slab[self.pes[self.dims.linear(coord)].memory.words()]
     }
 
     /// Mutable host access to a PE's memory.
-    pub fn memory_mut(&mut self, coord: PeCoord) -> &mut PeMemory {
-        let i = self.dims.linear(coord);
-        &mut self.pes[i].memory
+    pub fn memory_mut(&mut self, coord: PeCoord) -> &mut [u32] {
+        let words = self.pes[self.dims.linear(coord)].memory.words();
+        &mut self.slab[words]
     }
 
     /// A PE's instruction counters.
@@ -2441,8 +2535,9 @@ mod tests {
     const DATA: Color = Color::new(0);
     const START: Color = Color::new(1);
 
-    /// Eastward shift: every PE stores one value; on START it sends the
-    /// value east; values arriving from the west are stored.
+    /// Eastward shift: every PE holds one value (the host uploads it, with
+    /// a NaN "nothing received" marker); on START it sends the value east;
+    /// values arriving from the west are stored.
     struct Shifter {
         value: f32,
         slot: Option<crate::memory::MemRange>,
@@ -2461,12 +2556,8 @@ mod tests {
 
     impl PeProgram for Shifter {
         fn init(&mut self, ctx: &mut PeContext) {
-            let slot = ctx.alloc(1);
-            let received = ctx.alloc(1);
-            ctx.memory.write_f32(slot.at(0), self.value);
-            ctx.memory.write_f32(received.at(0), f32::NAN);
-            self.slot = Some(slot);
-            self.received = Some(received);
+            self.slot = Some(ctx.alloc(1));
+            self.received = Some(ctx.alloc(1));
             // DATA: accept from ramp (to send east) and from the west
             // (deliver to ramp). Expressed as two switch positions is the
             // hardware-faithful way, but East-sends and West-receives never
@@ -2511,10 +2602,13 @@ mod tests {
 
     fn build_shifter_fabric_with(cols: usize, config: FabricConfig) -> Fabric {
         let dims = FabricDims::new(cols, 1);
-        let mut f = Fabric::new(dims, config, |c| {
-            Box::new(Shifter::new(c.col as f32 + 100.0))
-        });
+        let value = |c: PeCoord| c.col as f32 + 100.0;
+        let mut f = Fabric::new(dims, config, |c| Box::new(Shifter::new(value(c))));
         f.load();
+        for c in dims.iter() {
+            let words = f.memory_mut(c);
+            words.copy_from_slice(&[value(c).to_bits(), f32::NAN.to_bits()]);
+        }
         f
     }
 
@@ -2528,10 +2622,10 @@ mod tests {
         // value; column 0 receives nothing.
         for col in 1..4 {
             let pe = PeCoord::new(col, 0);
-            let received = f.memory(pe).read_f32(1); // second allocated word
+            let received = f32::from_bits(f.memory(pe)[1]); // second allocated word
             assert_eq!(received, (col - 1) as f32 + 100.0, "col {col}");
         }
-        let col0 = f.memory(PeCoord::new(0, 0)).read_f32(1);
+        let col0 = f32::from_bits(f.memory(PeCoord::new(0, 0))[1]);
         assert!(col0.is_nan(), "column 0 has no west neighbor");
     }
 
@@ -2591,7 +2685,7 @@ mod tests {
             f.activate_all(START, 0);
             let r = f.run().unwrap();
             let mem: Vec<f32> = (0..6)
-                .map(|c| f.memory(PeCoord::new(c, 0)).read_f32(1))
+                .map(|c| f32::from_bits(f.memory(PeCoord::new(c, 0))[1]))
                 .collect();
             (r.events, r.final_time, format!("{mem:?}"))
         };
@@ -2670,6 +2764,7 @@ mod tests {
                 let sending = RouterPosition::new(DirMask::single(Ramp), DirMask::single(East));
                 let receiving = RouterPosition::new(DirMask::single(West), DirMask::single(Ramp));
                 ctx.configure_color(C, ColorConfig::switchable(sending, receiving, 0));
+                let _ = ctx.alloc(8);
             }
             fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
                 if w.color == DATA {
@@ -2735,10 +2830,8 @@ mod tests {
         assert!(stats.flow_stalls > 0, "data must have been backpressured");
         // all three values arrive, in their original order
         let mem = f.memory(PeCoord::new(1, 0));
-        assert_eq!(mem.read_u32(0), 3);
-        assert_eq!(mem.read_f32(1), 1.0);
-        assert_eq!(mem.read_f32(2), 2.0);
-        assert_eq!(mem.read_f32(3), 3.0);
+        let arrived = [1.0_f32, 2.0, 3.0].map(f32::to_bits);
+        assert_eq!(mem[..4], [3, arrived[0], arrived[1], arrived[2]]);
     }
 
     #[test]
@@ -2838,9 +2931,7 @@ mod tests {
             let mut f = build_shifter_fabric_with(8, config);
             f.activate_all(START, 0);
             let r = f.run().unwrap();
-            let mem: Vec<u32> = (0..8)
-                .map(|c| f.memory(PeCoord::new(c, 0)).read_u32(1))
-                .collect();
+            let mem: Vec<u32> = (0..8).map(|c| f.memory(PeCoord::new(c, 0))[1]).collect();
             let counters: Vec<OpCounters> =
                 (0..8).map(|c| *f.counters(PeCoord::new(c, 0))).collect();
             (r, mem, counters, f.time())
@@ -2914,34 +3005,24 @@ mod tests {
         assert!(matches!(seq, FabricError::EventBudgetExceeded { .. }));
     }
 
-    /// Allocates `WORDS` words at `init` and writes none of them; START
-    /// fills them all and activates DATA, which rewrites the last one.
-    struct Filler(Option<crate::memory::MemRange>);
-
-    impl Filler {
-        const WORDS: usize = 40;
-    }
+    /// PE `.0` allocates `1 + .0 % 5` words at `init`; START fills them
+    /// with `.0 + 1`.
+    struct Filler(usize, Option<MemRange>);
 
     impl PeProgram for Filler {
         fn init(&mut self, ctx: &mut PeContext) {
-            self.0 = Some(ctx.alloc(Self::WORDS));
+            self.1 = Some(ctx.alloc(1 + self.0 % 5));
         }
 
-        fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
-            let words = self.0.unwrap();
-            if w.color == START {
-                for i in 0..words.len {
-                    ctx.memory.write_u32(words.at(i), i as u32 + 1);
-                }
-                ctx.activate(DATA, 7);
-            } else {
-                ctx.recv_store(words.at(words.len - 1), w.payload as f32);
+        fn on_data(&mut self, ctx: &mut PeContext, _w: Wavelet) {
+            for addr in self.1.unwrap().words() {
+                ctx.memory.write_u32(addr, self.0 as u32 + 1);
             }
         }
     }
 
     #[test]
-    fn runs_inside_the_allocation_never_reallocate_pe_memory() {
+    fn load_lays_pe_memories_out_in_pe_order_in_one_zeroed_frozen_slab() {
         for execution in [
             Execution::Sequential,
             Execution::Sharded {
@@ -2953,17 +3034,30 @@ mod tests {
                 execution,
                 ..FabricConfig::default()
             };
-            let mut f = Fabric::new(FabricDims::new(4, 4), config, |_| Box::new(Filler(None)));
+            let dims = FabricDims::new(4, 4);
+            let mut f = Fabric::new(dims, config, |c| Box::new(Filler(dims.linear(c), None)));
+            assert!(f.slab.is_empty() && f.memory(PeCoord::new(3, 3)).is_empty());
             f.load();
-            let backing: Vec<_> = f.pes.iter().map(|s| s.memory.backing()).collect();
-            assert!(backing.iter().all(|&(_, cap)| cap >= Filler::WORDS));
+            assert_eq!(f.load_error(), None);
+            // PE order, contiguous: each PE's words start where the
+            // previous PE's end, and the slab holds exactly all of them
+            let mut end = 0;
+            for (pe, slot) in f.pes.iter().enumerate() {
+                let len = 1 + pe % 5;
+                assert_eq!(slot.memory, MemRange { offset: end, len }, "PE {pe}");
+                end += len;
+            }
+            assert_eq!(f.slab.len(), end);
+            assert!(f.slab.iter().all(|&w| w == 0), "zero-filled");
+            let slab = (f.slab.as_ptr(), f.slab.len());
             f.activate_all(START, 0);
             f.run().unwrap();
-            for (pe, slot) in f.pes.iter().enumerate() {
-                let last = Filler::WORDS - 1;
-                assert_eq!(slot.memory.read_u32(last - 1), last as u32, "PE {pe}");
-                assert_eq!(slot.memory.read_f32(last), 7.0, "PE {pe}");
-                assert_eq!(slot.memory.backing(), backing[pe], "PE {pe} reallocated");
+            // frozen: the run filled every PE's words in place
+            assert_eq!((f.slab.as_ptr(), f.slab.len()), slab);
+            for (pe, c) in dims.iter().enumerate() {
+                let words = f.memory(c);
+                assert_eq!(words.len(), 1 + pe % 5, "PE {pe}");
+                assert!(words.iter().all(|&w| w == pe as u32 + 1), "PE {pe}");
             }
         }
     }

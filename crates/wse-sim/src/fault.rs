@@ -13,11 +13,13 @@
 //! [`crate::wavelet::Wavelet::checksum_ok`]) and a host-side progress
 //! watchdog (driver crate). Every injection and detection is recorded as a
 //! [`FaultEvent`]; non-benign events surface as the typed
-//! `FabricError::Fault` with `Budget > Fault > Route > Deadlock` precedence.
+//! `FabricError::Fault` with `Budget > Fault > Route/Memory > Deadlock`
+//! precedence.
 
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::{Direction, FabricDims, PeCoord, CARDINALS};
+use crate::hash::ContentHasher;
 use crate::wavelet::{Color, MAX_COLORS};
 
 /// What kind of fault to inject at a site.
@@ -190,6 +192,32 @@ impl FaultPlan {
         self
     }
 
+    /// Feeds the plan into a content hash, field by field as `u64` words:
+    /// the fault count, then per fault its PE column and row, `at`,
+    /// `persistent`, and a fixed tag per [`FaultKind`] variant followed by
+    /// the variant's fields (zero-padded to two).
+    pub fn hash_into(&self, h: &mut ContentHasher) {
+        h.write_u64(self.faults.len() as u64);
+        for f in &self.faults {
+            let kind = match f.kind {
+                FaultKind::LinkDown { dir, until } => [0, dir.index() as u64, until],
+                FaultKind::PeHalt => [1, 0, 0],
+                FaultKind::PeSlow { factor, until } => [2, u64::from(factor), until],
+                FaultKind::CorruptPayload { xor } => [3, u64::from(xor), 0],
+                FaultKind::RouterFlip { color } => [4, u64::from(color.id()), 0],
+            };
+            let site = [
+                f.pe.col as u64,
+                f.pe.row as u64,
+                f.at,
+                u64::from(f.persistent),
+            ];
+            for word in site.into_iter().chain(kind) {
+                h.write_u64(word);
+            }
+        }
+    }
+
     /// The plan as seen by retry attempt `attempt`: attempt 0 sees every
     /// fault, later attempts only the persistent ones.
     pub fn for_attempt(&self, attempt: u32) -> Self {
@@ -315,6 +343,79 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_fault_field_and_kind_moves_the_plan_hash() {
+        let digest = |plan: &FaultPlan| {
+            let mut h = ContentHasher::new();
+            plan.hash_into(&mut h);
+            h.finish()
+        };
+        let base = Fault {
+            pe: PeCoord::new(2, 3),
+            at: 40,
+            kind: FaultKind::LinkDown {
+                dir: Direction::East,
+                until: 90,
+            },
+            persistent: false,
+        };
+        let kinds = [
+            base.kind,
+            FaultKind::LinkDown {
+                dir: Direction::North,
+                until: 90,
+            },
+            FaultKind::LinkDown {
+                dir: Direction::East,
+                until: 91,
+            },
+            FaultKind::PeHalt,
+            FaultKind::PeSlow {
+                factor: 2,
+                until: 90,
+            },
+            FaultKind::PeSlow {
+                factor: 3,
+                until: 90,
+            },
+            FaultKind::PeSlow {
+                factor: 2,
+                until: 91,
+            },
+            FaultKind::CorruptPayload { xor: 1 },
+            FaultKind::CorruptPayload { xor: 2 },
+            FaultKind::RouterFlip {
+                color: Color::new(1),
+            },
+            FaultKind::RouterFlip {
+                color: Color::new(2),
+            },
+        ];
+        let mut plans = vec![FaultPlan::new(), FaultPlan::new().with(base).with(base)];
+        plans.extend(kinds.map(|kind| FaultPlan::new().with(Fault { kind, ..base })));
+        for changed in [
+            Fault {
+                pe: PeCoord::new(3, 3),
+                ..base
+            },
+            Fault {
+                pe: PeCoord::new(2, 4),
+                ..base
+            },
+            Fault { at: 41, ..base },
+            Fault {
+                persistent: true,
+                ..base
+            },
+        ] {
+            plans.push(FaultPlan::new().with(changed));
+        }
+        let mut digests: Vec<u64> = plans.iter().map(digest).collect();
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), plans.len(), "every change moves the digest");
+    }
 
     #[test]
     fn class_codes_round_trip() {

@@ -8,7 +8,7 @@
 
 use crate::dsd::{self, Dsd, Operand};
 use crate::geometry::{FabricDims, PeCoord};
-use crate::memory::{MemRange, OutOfMemory, PeMemory};
+use crate::memory::{MemRange, MemoryError, PeMemory};
 use crate::route::{ColorConfig, RouteError, Router};
 use crate::stats::OpCounters;
 use crate::wavelet::{Color, Wavelet};
@@ -21,8 +21,9 @@ pub struct PeContext<'a> {
     pub coord: PeCoord,
     /// Fabric dimensions (for boundary awareness).
     pub dims: FabricDims,
-    /// The PE's private memory.
-    pub memory: &'a mut PeMemory,
+    /// The PE's private memory: its allocation, frozen at load. While
+    /// `init` runs there is none yet — `init` lays it out.
+    pub memory: PeMemory<'a>,
     /// The PE's instruction counters.
     pub counters: &'a mut OpCounters,
     /// The PE's trace sink — a no-op unless tracing is enabled in
@@ -32,8 +33,13 @@ pub struct PeContext<'a> {
     router: &'a mut Router,
     outbox: &'a mut Vec<Wavelet>,
     activations: &'a mut Vec<(Color, u32)>,
-    /// The fabric is loaded: configured routes are frozen.
-    loaded: bool,
+    /// The PE's capacity in words while `init` lays it out; `None` once
+    /// the fabric is loaded, and configured routes and the memory layout
+    /// are frozen.
+    init_capacity: Option<usize>,
+    /// Words allocated: so far while `init` runs, the whole allocation
+    /// once loaded.
+    pub(crate) allocated: usize,
     /// The first reconfiguration this handler was refused, for the fabric
     /// to report as the PE's routing error.
     pub(crate) refused: Option<RouteError>,
@@ -44,24 +50,25 @@ impl<'a> PeContext<'a> {
     pub(crate) fn new(
         coord: PeCoord,
         dims: FabricDims,
-        memory: &'a mut PeMemory,
+        memory: PeMemory<'a>,
         counters: &'a mut OpCounters,
         tracer: &'a mut PeTracer,
         router: &'a mut Router,
         outbox: &'a mut Vec<Wavelet>,
         activations: &'a mut Vec<(Color, u32)>,
-        loaded: bool,
+        init_capacity: Option<usize>,
     ) -> Self {
         Self {
             coord,
             dims,
+            allocated: memory.words().len(),
             memory,
             counters,
             tracer,
             router,
             outbox,
             activations,
-            loaded,
+            init_capacity,
             refused: None,
         }
     }
@@ -73,7 +80,7 @@ impl<'a> PeContext<'a> {
     /// the run fails with [`RouteError::Frozen`] at this PE — because
     /// wavelets already fast-forwarded past this router could not see it.
     pub fn configure_color(&mut self, color: Color, config: ColorConfig) {
-        if self.loaded && self.router.position_index(color).is_some() {
+        if self.init_capacity.is_none() && self.router.position_index(color).is_some() {
             self.refused.get_or_insert(RouteError::Frozen(color));
         } else {
             self.router.configure(color, config);
@@ -85,22 +92,33 @@ impl<'a> PeContext<'a> {
         self.router.position_index(color)
     }
 
-    /// Allocates PE memory (panics on exhaustion with a clear message — a
-    /// program that overflows its scratchpad is a bug, like on hardware).
+    /// Allocates `len` words of PE memory. Only `init` may allocate: an
+    /// allocation past the PE's capacity, or one from a task handler after
+    /// load, is refused with a [`MemoryError`] the fabric reports for this
+    /// PE (a load failure from `init`, a run error from a handler). The
+    /// refused range lies past the allocation, so accesses to it are
+    /// refused too.
     pub fn alloc(&mut self, len: usize) -> MemRange {
-        match self.memory.alloc(len) {
-            Ok(r) => r,
-            Err(OutOfMemory {
-                requested,
-                available,
-            }) => panic!(
-                "PE ({}, {}): out of local memory (requested {requested} words, \
-                 {available} available of {})",
-                self.coord.col,
-                self.coord.row,
-                self.memory.capacity_words()
-            ),
-        }
+        let range = MemRange {
+            offset: self.allocated,
+            len,
+        };
+        let error = match self.init_capacity {
+            Some(capacity) if len <= capacity - self.allocated => {
+                self.allocated += len;
+                return range;
+            }
+            Some(capacity) => MemoryError::Exhausted {
+                requested: len,
+                available: capacity - self.allocated,
+            },
+            None => MemoryError::Frozen {
+                addr: range.offset,
+                len,
+            },
+        };
+        self.memory.refuse(error);
+        range
     }
 
     /// Sends one data wavelet into the fabric through this PE's router.
@@ -111,7 +129,7 @@ impl<'a> PeContext<'a> {
     /// Sends a whole memory vector as consecutive wavelets (an FMOV-out
     /// per element, with fabric-traffic accounting).
     pub fn send_vector(&mut self, color: Color, src: Dsd) {
-        let values = dsd::fmov_send(self.memory, self.counters, self.tracer, src);
+        let values = dsd::fmov_send(&self.memory, self.counters, self.tracer, src);
         self.outbox
             .extend(values.map(|v| Wavelet::data_f32(color, v)));
     }
@@ -129,7 +147,7 @@ impl<'a> PeContext<'a> {
 
     /// Stores a received wavelet payload (FMOV-in accounting).
     pub fn recv_store(&mut self, addr: usize, value: f32) {
-        dsd::fmov_recv(self.memory, self.counters, self.tracer, addr, value);
+        dsd::fmov_recv(&mut self.memory, self.counters, self.tracer, addr, value);
     }
 
     /// Opens a named profiling region, timestamped from the PE's current
@@ -150,38 +168,38 @@ impl<'a> PeContext<'a> {
 
     /// `dst = a * b`.
     pub fn fmuls(&mut self, dst: Dsd, a: Operand, b: Operand) {
-        dsd::fmuls(self.memory, self.counters, self.tracer, dst, a, b);
+        dsd::fmuls(&mut self.memory, self.counters, self.tracer, dst, a, b);
     }
 
     /// `dst = a * H(gate > 0)` — predicated multiply (upwind selection).
     pub fn fmuls_gate(&mut self, dst: Dsd, a: Operand, gate: Operand) {
-        dsd::fmuls_gate(self.memory, self.counters, self.tracer, dst, a, gate);
+        dsd::fmuls_gate(&mut self.memory, self.counters, self.tracer, dst, a, gate);
     }
 
     /// `dst = a - b`.
     pub fn fsubs(&mut self, dst: Dsd, a: Operand, b: Operand) {
-        dsd::fsubs(self.memory, self.counters, self.tracer, dst, a, b);
+        dsd::fsubs(&mut self.memory, self.counters, self.tracer, dst, a, b);
     }
 
     /// `dst = a + b`.
     pub fn fadds(&mut self, dst: Dsd, a: Operand, b: Operand) {
-        dsd::fadds(self.memory, self.counters, self.tracer, dst, a, b);
+        dsd::fadds(&mut self.memory, self.counters, self.tracer, dst, a, b);
     }
 
     /// `dst += a * b`.
     pub fn fmacs(&mut self, dst: Dsd, a: Operand, b: Operand) {
-        dsd::fmacs(self.memory, self.counters, self.tracer, dst, a, b);
+        dsd::fmacs(&mut self.memory, self.counters, self.tracer, dst, a, b);
     }
 
     /// `dst = -a`.
     pub fn fnegs(&mut self, dst: Dsd, a: Operand) {
-        dsd::fnegs(self.memory, self.counters, self.tracer, dst, a);
+        dsd::fnegs(&mut self.memory, self.counters, self.tracer, dst, a);
     }
 
     /// Vector EOS density evaluation (Eq. 5) — outside Table-4 accounting.
     pub fn eos_density(&mut self, dst: Dsd, p: Dsd, rho_ref: f32, c_f: f32, p_ref: f32) {
         dsd::eos_density(
-            self.memory,
+            &mut self.memory,
             self.counters,
             self.tracer,
             dst,
@@ -204,6 +222,10 @@ impl<'a> PeContext<'a> {
 /// program object, which therefore holds only static configuration.
 pub trait PeProgram: Send {
     /// Runs once at load time: allocate memory, configure router colors.
+    /// The memory itself is laid out after every PE's `init` — zero-filled,
+    /// for the host to upload into — so `init` cannot read or write it: an
+    /// access is refused like one outside the allocation, and the load
+    /// fails.
     fn init(&mut self, ctx: &mut PeContext);
 
     /// A data wavelet of some color reached this PE's ramp (either from the
@@ -216,21 +238,23 @@ pub trait PeProgram: Send {
         let _ = (ctx, wavelet);
     }
 
-    /// A monotone progress counter read from the PE's `memory`, if the
+    /// A monotone progress counter read from the PE's `memory` (its
+    /// allocated words), if the
     /// program keeps one (e.g. the number of completed iterations). The
     /// host-side progress watchdog compares this across PEs after a run
     /// to localize silent stalls — a PE whose counter lags its peers lost
     /// wavelets to a fault.
-    fn progress(&self, memory: &PeMemory) -> Option<u64> {
+    fn progress(&self, memory: &[u32]) -> Option<u64> {
         let _ = memory;
         None
     }
 
-    /// Checks the program's state words in a restored `memory` image. A
+    /// Checks the program's state words in a restored `memory` (its
+    /// allocated words). A
     /// fabric restore refuses the checkpoint with
     /// [`crate::snapshot::RestoreError::Program`] on an error, before a
     /// handler could act on an out-of-range word.
-    fn check_state(&self, memory: &PeMemory) -> Result<(), String> {
+    fn check_state(&self, memory: &[u32]) -> Result<(), String> {
         let _ = memory;
         Ok(())
     }

@@ -108,11 +108,11 @@ impl TraceSeqRecord {
 /// Complete dynamic state of one PE slot.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PeRecord {
-    /// The memory arena's written words, trailing zeros trimmed (see
-    /// [`crate::memory::PeMemory::snapshot_words`]); the program's state
-    /// words are among them.
+    /// The PE's allocated words, trailing zeros trimmed (see
+    /// [`crate::memory::trimmed`]); the program's state words are among
+    /// them.
     pub memory_words: Vec<u32>,
-    /// Bump-allocator cursor in words.
+    /// Words the PE allocated: its memory's size in the loaded layout.
     pub memory_allocated: usize,
     /// Instruction/traffic counters.
     pub counters: OpCounters,
@@ -181,8 +181,8 @@ pub enum RestoreError {
         /// Geometry of the restore target.
         fabric: (usize, usize),
     },
-    /// A PE's memory arena does not match the snapshot (capacity or
-    /// cursor).
+    /// A PE's memory does not match the snapshot: its allocation differs
+    /// from the loaded layout, or its image is longer.
     Memory {
         /// Linear PE index.
         pe: usize,

@@ -13,17 +13,18 @@ use wse_sim::memory::PeMemory;
 use wse_sim::stats::OpCounters;
 use wse_sim::trace::PeTracer;
 
-fn setup(values_a: &[f32], values_b: &[f32]) -> (PeMemory, Dsd, Dsd, Dsd) {
+/// `a` and `b` holding the values and a result vector `d`, in a PE memory
+/// of exactly their words.
+fn setup(values_a: &[f32], values_b: &[f32]) -> (Vec<u32>, Dsd, Dsd, Dsd) {
     let n = values_a.len();
-    let mut mem = PeMemory::with_capacity_bytes(((3 * n * 4) + 64).next_multiple_of(4));
-    let a = Dsd::contiguous(mem.alloc(n).unwrap().offset, n);
-    let b = Dsd::contiguous(mem.alloc(n).unwrap().offset, n);
-    let d = Dsd::contiguous(mem.alloc(n).unwrap().offset, n);
-    for i in 0..n {
-        mem.write_f32(a.at(i), values_a[i]);
-        mem.write_f32(b.at(i), values_b[i]);
-    }
-    (mem, a, b, d)
+    let mut words: Vec<u32> = values_a
+        .iter()
+        .chain(values_b)
+        .map(|v| v.to_bits())
+        .collect();
+    words.resize(3 * n, 0);
+    let [a, b, d] = [0, n, 2 * n].map(|base| Dsd::contiguous(base, n));
+    (words, a, b, d)
 }
 
 fn finite_vec() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
@@ -38,7 +39,8 @@ fn finite_vec() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
 proptest! {
     #[test]
     fn fmuls_matches_scalar_semantics((va, vb) in finite_vec()) {
-        let (mut mem, a, b, d) = setup(&va, &vb);
+        let (mut words, a, b, d) = setup(&va, &vb);
+        let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
         let mut tr = PeTracer::null();
         dsd::fmuls(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a), Operand::Mem(b));
@@ -52,7 +54,8 @@ proptest! {
 
     #[test]
     fn fsubs_fadds_match_scalar_semantics((va, vb) in finite_vec()) {
-        let (mut mem, a, b, d) = setup(&va, &vb);
+        let (mut words, a, b, d) = setup(&va, &vb);
+        let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
         let mut tr = PeTracer::null();
         dsd::fsubs(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a), Operand::Mem(b));
@@ -67,7 +70,8 @@ proptest! {
 
     #[test]
     fn fmacs_is_fused_multiply_add((va, vb) in finite_vec()) {
-        let (mut mem, a, b, d) = setup(&va, &vb);
+        let (mut words, a, b, d) = setup(&va, &vb);
+        let mut mem = PeMemory::new(&mut words);
         // preload the accumulator
         for i in 0..va.len() {
             mem.write_f32(d.at(i), 10.0);
@@ -84,7 +88,8 @@ proptest! {
 
     #[test]
     fn fnegs_is_sign_flip((va, vb) in finite_vec()) {
-        let (mut mem, a, _b, d) = setup(&va, &vb);
+        let (mut words, a, _b, d) = setup(&va, &vb);
+        let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
         let mut tr = PeTracer::null();
         dsd::fnegs(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a));
@@ -96,7 +101,8 @@ proptest! {
 
     #[test]
     fn gate_multiply_is_heaviside((va, vb) in finite_vec()) {
-        let (mut mem, a, b, d) = setup(&va, &vb);
+        let (mut words, a, b, d) = setup(&va, &vb);
+        let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
         let mut tr = PeTracer::null();
         dsd::fmuls_gate(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a), Operand::Mem(b));
@@ -110,7 +116,8 @@ proptest! {
 
     #[test]
     fn fmov_roundtrip_is_bit_exact((va, vb) in finite_vec()) {
-        let (mut mem, a, _b, d) = setup(&va, &vb);
+        let (mut words, a, _b, d) = setup(&va, &vb);
+        let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
         let mut tr = PeTracer::null();
         let sent: Vec<f32> = dsd::fmov_send(&mem, &mut ctr, &mut tr, a).collect();
@@ -127,7 +134,8 @@ proptest! {
 
     #[test]
     fn scalar_operands_broadcast(s in -1.0e6_f32..1.0e6, (va, vb) in finite_vec()) {
-        let (mut mem, a, _b, d) = setup(&va, &vb);
+        let (mut words, a, _b, d) = setup(&va, &vb);
+        let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
         let mut tr = PeTracer::null();
         dsd::fmuls(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a), Operand::Scalar(s));
@@ -229,8 +237,8 @@ mod event_ordering {
             .iter()
             .map(|c| {
                 let mem = f.memory(c);
-                let count = (mem.read_u32(0) as usize).min(LOG_CAP);
-                (0..1 + 2 * count).map(|i| mem.read_u32(i)).collect()
+                let count = (mem[0] as usize).min(LOG_CAP);
+                mem[..1 + 2 * count].to_vec()
             })
             .collect();
         (logs, report, f.time())

@@ -209,6 +209,7 @@ impl PeProgram for BoundaryChainProgram {
             ))
         };
         ctx.configure_color(CHAIN, cfg);
+        ctx.alloc(1);
     }
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
         if w.color == KICK && ctx.coord.row == 0 {
@@ -285,9 +286,9 @@ fn two_shard_chain_crossing_matches_closed_form() {
             assert_eq!(per_shard[0].fabric_hops, 4, "{label}: shard-0 hops");
             assert_eq!(per_shard[1].fabric_hops, 3, "{label}: shard-1 hops");
             // Exactly one ramp delivery, at the far end of the chain.
-            assert_eq!(f.memory(PeCoord::new(0, 7)).read_u32(0), 1, "{label}");
+            assert_eq!(f.memory(PeCoord::new(0, 7))[0], 1, "{label}");
             for x in 0..7 {
-                assert_eq!(f.memory(PeCoord::new(0, x)).read_u32(0), 0, "{label}");
+                assert_eq!(f.memory(PeCoord::new(0, x))[0], 0, "{label}");
             }
             // The budget is exact: 10 events fit, 9 do not — even when the
             // chain is jumped in bulk (segments bill `1 + (hops-1)` pops).
@@ -330,6 +331,8 @@ struct RewiredChainProgram {
 impl PeProgram for RewiredChainProgram {
     fn init(&mut self, ctx: &mut PeContext) {
         BoundaryChainProgram { width: self.width }.init(ctx);
+        // the in-flight rewire's burn vector
+        ctx.alloc(6);
     }
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
         let intercept = ColorConfig::fixed(RouterPosition::new(
@@ -391,7 +394,7 @@ fn reconfiguring_a_loaded_route_is_a_typed_error() {
         f.activate(PeCoord::new(0, 0), KICK, 0);
         let result = f.run();
         let memories: Vec<u32> = (0..WIDTH)
-            .map(|x| f.memory(PeCoord::new(0, x)).read_u32(0))
+            .map(|x| f.memory(PeCoord::new(0, x))[0])
             .collect();
         let errors = f.trace().map(|t| t.count(TraceEventKind::Error));
         (result, f.stats(), f.time(), memories, errors)

@@ -36,9 +36,7 @@ impl Shifter {
 
 impl PeProgram for Shifter {
     fn init(&mut self, ctx: &mut PeContext) {
-        let received = ctx.alloc(1);
-        ctx.memory.write_f32(received.at(0), f32::NAN);
-        self.received = Some(received);
+        self.received = Some(ctx.alloc(1));
         let sending = RouterPosition::new(DirMask::single(Ramp), DirMask::single(East));
         let receiving = RouterPosition::new(DirMask::single(West), DirMask::single(Ramp));
         let initial = if ctx.coord.col.is_multiple_of(2) {
@@ -65,9 +63,9 @@ impl PeProgram for Shifter {
     }
 
     /// 1 once the received word holds data instead of its NaN sentinel.
-    fn progress(&self, memory: &wse_sim::memory::PeMemory) -> Option<u64> {
+    fn progress(&self, memory: &[u32]) -> Option<u64> {
         let received = self.received?;
-        Some(!memory.read_f32(received.at(0)).is_nan() as u64)
+        Some(!f32::from_bits(memory[received.at(0)]).is_nan() as u64)
     }
 }
 
@@ -81,6 +79,10 @@ fn shifter_fabric(cols: usize, execution: Execution, plan: &FaultPlan) -> Fabric
         |c| Box::new(Shifter::new(c.col as f32 + 100.0)),
     );
     f.load();
+    // The host marks every received word "nothing yet".
+    for c in f.dims().iter() {
+        f.memory_mut(c)[0] = f32::NAN.to_bits();
+    }
     if !plan.is_empty() {
         f.set_fault_plan(plan);
     }
@@ -125,8 +127,8 @@ fn link_failure_at_known_edge_produces_the_predicted_fault() {
         other => panic!("expected a LinkDown fault, got: {other}"),
     }
     // Column 1 never received; columns 2->3 still completed their exchange.
-    assert!(f.memory(PeCoord::new(1, 0)).read_f32(0).is_nan());
-    assert_eq!(f.memory(PeCoord::new(3, 0)).read_f32(0), 102.0);
+    assert!(f32::from_bits(f.memory(PeCoord::new(1, 0))[0]).is_nan());
+    assert_eq!(f32::from_bits(f.memory(PeCoord::new(3, 0))[0]), 102.0);
     // Both wavelets (0,0) emits eastward die on the downed link: the data
     // send and the handover control.
     let stats = f.stats();
@@ -176,7 +178,7 @@ fn corrupted_payload_is_injected_upstream_and_detected_at_the_ramp() {
     assert!(!detected[0].benign);
     assert_eq!(detected[0].pe, PeCoord::new(1, 0));
     // The corrupted value was discarded, not stored.
-    assert!(f.memory(PeCoord::new(1, 0)).read_f32(0).is_nan());
+    assert!(f32::from_bits(f.memory(PeCoord::new(1, 0))[0]).is_nan());
     assert_eq!(f.stats().checksum_drops, 1);
 }
 

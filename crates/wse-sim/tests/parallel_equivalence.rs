@@ -371,6 +371,7 @@ fn pending_event_at_the_end_of_time_is_processed_on_both_engines() {
             };
             let position = RouterPosition::new(DirMask::single(rx), DirMask::single(tx));
             ctx.configure_color(LINK, ColorConfig::fixed(position));
+            ctx.alloc(1);
         }
         fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
             if w.color == DATA {
@@ -391,7 +392,7 @@ fn pending_event_at_the_end_of_time_is_processed_on_both_engines() {
         f.load();
         f.activate(PeCoord::new(0, 0), DATA, 0);
         let report = f.run().expect("run failed");
-        let received = f.memory(PeCoord::new(0, 1)).read_f32(0);
+        let received = f32::from_bits(f.memory(PeCoord::new(0, 1))[0]);
         (report, f.time(), received, f.stats())
     };
     let reference = run(Execution::Sequential, false);
@@ -485,6 +486,7 @@ impl PeProgram for HopperProgram {
             ))
         };
         ctx.configure_color(HOP_SOUTH, south);
+        ctx.alloc(1);
     }
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
         if w.color == DATA {
@@ -537,7 +539,7 @@ fn observe_hopper(
         stats: f.stats(),
         final_time: f.time(),
         memories: (0..cols * rows)
-            .map(|i| f.memory(PeCoord::new(i % cols, i / cols)).read_u32(0))
+            .map(|i| f.memory(PeCoord::new(i % cols, i / cols))[0])
             .collect(),
         counters: (0..cols * rows)
             .map(|i| *f.counters(PeCoord::new(i % cols, i / cols)))

@@ -57,6 +57,7 @@ impl PeProgram for RegionChain {
             ))
         };
         ctx.configure_color(CHAIN, cfg);
+        ctx.alloc(1);
     }
     fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
         if w.color == KICK && self.along(ctx.coord) == 0 {
@@ -109,7 +110,7 @@ fn run_region_along(
         stats: f.stats(),
         final_time: f.time(),
         hops: (0..width).map(|i| f.pe_stats(at(i)).fabric_hops).collect(),
-        memories: (0..width).map(|i| f.memory(at(i)).read_u32(0)).collect(),
+        memories: (0..width).map(|i| f.memory(at(i))[0]).collect(),
         ff_jumps: f.ff_jumps(),
         region_ff_jumps: f.region_ff_jumps(),
         eq_classes: f.eq_classes(),

@@ -20,7 +20,7 @@
 use crate::pattern::CommPattern;
 use std::sync::Arc;
 use wse_sim::dsd::Dsd;
-use wse_sim::memory::{MemRange, PeMemory};
+use wse_sim::memory::MemRange;
 use wse_sim::pe::PeContext;
 use wse_sim::wavelet::{Color, Wavelet, MAX_COLORS};
 
@@ -128,8 +128,8 @@ impl ColumnExchange {
         (1 << self.pattern.cardinals.len()) - 1
     }
 
-    fn cursor(&self, memory: &PeMemory, stream: usize) -> usize {
-        memory.read_u32(self.state + CURSORS + stream) as usize
+    fn cursor(&self, memory: &[u32], stream: usize) -> usize {
+        memory[self.state + CURSORS + stream] as usize
     }
 
     /// Installs the router configuration on this PE (call from `init`)
@@ -200,7 +200,7 @@ impl ColumnExchange {
             return ExchangeEvent::NotMine;
         };
         let stream = stream as usize;
-        let cursor = self.cursor(ctx.memory, stream);
+        let cursor = self.cursor(ctx.memory.words(), stream);
         let total = self.stream_len();
         debug_assert!(
             cursor < total,
@@ -234,20 +234,20 @@ impl ColumnExchange {
     /// the wave time update) must wait for this in addition to
     /// [`ColumnExchange::is_complete`], or late hand-over sends would
     /// ship updated values — a write-after-read hazard.
-    pub fn all_sent(&self, memory: &PeMemory) -> bool {
-        memory.read_u32(self.state + SENT) == self.all_lanes()
+    pub fn all_sent(&self, memory: &[u32]) -> bool {
+        memory[self.state + SENT] == self.all_lanes()
     }
 
     /// True once every stream `lanes` expects has fully arrived.
-    pub fn is_complete(&self, lanes: &PeLanes, memory: &PeMemory) -> bool {
+    pub fn is_complete(&self, lanes: &PeLanes, memory: &[u32]) -> bool {
         (0..self.pattern.streams)
             .all(|s| !lanes.expects(s) || self.cursor(memory, s) == self.stream_len())
     }
 
     /// Checks restored protocol state words: no cursor past the stream
     /// length and no sent flag for a lane the pattern lacks.
-    pub fn check_state(&self, memory: &PeMemory) -> Result<(), String> {
-        let sent = memory.read_u32(self.state + SENT);
+    pub fn check_state(&self, memory: &[u32]) -> Result<(), String> {
+        let sent = memory[self.state + SENT];
         if sent & !self.all_lanes() != 0 {
             return Err(format!("unknown sent flags {sent:#x}"));
         }
@@ -295,12 +295,12 @@ mod tests {
     #[test]
     fn completion_tracking() {
         let ex = tpfa_exchange(4);
-        let mut mem = PeMemory::wse2();
+        let mut mem = vec![0; 300 + ColumnExchange::state_words(ex.pattern().streams)];
         let mut lanes = PeLanes::default();
         assert!(ex.is_complete(&lanes, &mem), "nothing expected yet");
         lanes.expected |= 1 << 3;
         assert!(!ex.is_complete(&lanes, &mem));
-        mem.write_u32(300 + CURSORS + 3, 8);
+        mem[300 + CURSORS + 3] = 8;
         assert!(ex.is_complete(&lanes, &mem));
         assert!(lanes.expects(3));
         assert!(!lanes.expects(2));

@@ -24,7 +24,7 @@ use crate::exchange::{ColumnExchange, ExchangeEvent, PeLanes};
 use crate::pattern::CommPattern;
 use std::sync::Arc;
 use wse_sim::dsd::Dsd;
-use wse_sim::memory::{MemRange, PeMemory};
+use wse_sim::memory::MemRange;
 use wse_sim::pe::{PeContext, PeProgram};
 use wse_sim::trace::TraceRegion;
 use wse_sim::wavelet::Wavelet;
@@ -129,7 +129,7 @@ impl StencilProgram {
     /// wavelet.
     fn note_progress(&self, lanes: &PeLanes, ctx: &mut PeContext) {
         let pending = ctx.memory.read_u32(self.state + PENDING);
-        if pending == 0 || !self.exchange.is_complete(lanes, ctx.memory) {
+        if pending == 0 || !self.exchange.is_complete(lanes, ctx.memory.words()) {
             return;
         }
         let mut left = pending;
@@ -138,7 +138,7 @@ impl StencilProgram {
             ctx.memory.write_u32(self.state + STEPS, steps + 1);
             left &= !COUNT_PENDING;
         }
-        let finish = pending & FINISH_PENDING != 0 && self.exchange.all_sent(ctx.memory);
+        let finish = pending & FINISH_PENDING != 0 && self.exchange.all_sent(ctx.memory.words());
         if finish {
             left &= !FINISH_PENDING;
         }
@@ -208,12 +208,12 @@ impl PeProgram for StencilPeProgram {
         p.note_progress(&self.lanes, ctx);
     }
 
-    fn progress(&self, memory: &PeMemory) -> Option<u64> {
-        Some(memory.read_u32(self.program.state + STEPS) as u64)
+    fn progress(&self, memory: &[u32]) -> Option<u64> {
+        Some(u64::from(memory[self.program.state + STEPS]))
     }
 
-    fn check_state(&self, memory: &PeMemory) -> Result<(), String> {
-        let pending = memory.read_u32(self.program.state + PENDING);
+    fn check_state(&self, memory: &[u32]) -> Result<(), String> {
+        let pending = memory[self.program.state + PENDING];
         if pending & !(COUNT_PENDING | FINISH_PENDING) != 0 {
             return Err(format!("unknown pending flags {pending:#x}"));
         }
@@ -226,6 +226,7 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use crate::spec::StencilSpec;
+    use wse_sim::memory::WSE2_PE_MEMORY_BYTES;
 
     struct NullKernel;
 
@@ -256,7 +257,7 @@ mod tests {
     fn fresh_program_reports_zero_progress() {
         let pattern = Arc::new(compile(&StencilSpec::laplace7(1.0, 1.0)).unwrap().pattern);
         let p = StencilPeProgram::new(Arc::new(StencilProgram::new(4, pattern, NullKernel)));
-        let memory = PeMemory::wse2();
+        let memory = vec![0; WSE2_PE_MEMORY_BYTES / 4];
         assert_eq!(p.progress(&memory), Some(0));
         assert_eq!(p.check_state(&memory), Ok(()));
     }
