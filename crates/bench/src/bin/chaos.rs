@@ -30,7 +30,7 @@
 //! ([`wse_serve::Checkpoint`], the full binary codec), the live simulator
 //! is dropped, the bytes are restored into a freshly built one, and the
 //! run finishes — the residual, per-PE counters, aggregate stats and
-//! accumulated [`RunReport`] must be bit-identical to an uninterrupted
+//! accumulated [`RunReport`](wse_sim::fabric::RunReport) must be bit-identical to an uninterrupted
 //! run, on both engines, with fast-forwarding on and off.
 
 use bench::cli::{flag, or_exit};

@@ -2,8 +2,8 @@
 //! Algorithm 1, and extracts residuals.
 //!
 //! Mirrors the paper's experimental setup: the host only schedules work and
-//! moves data in and out ("the [host] is only used to schedule the workload,
-//! and no computations take place on the [host] machine during the
+//! moves data in and out ("the \[host\] is only used to schedule the workload,
+//! and no computations take place on the \[host\] machine during the
 //! experiments", §7.1). Algorithm 1 is applied repeatedly — 1000 times in
 //! the paper — "with a different pressure vector at every call".
 //!
@@ -29,7 +29,7 @@
 //! * [`RecoveryPolicy::Fail`] — surface the typed error (the default).
 //! * [`RecoveryPolicy::Retry`] — rebuild the fabric, re-upload the static
 //!   data, and re-inject the pressure vector; transient faults
-//!   ([`Fault::persistent`]` == false`) do not re-fire, so the retry
+//!   ([`Fault::persistent`](wse_sim::fault::Fault::persistent)` == false`) do not re-fire, so the retry
 //!   recovers **bit-identically** to the fault-free residual. Persistent
 //!   faults re-fire every attempt and exhaust the budget into the typed
 //!   error. A rebuild resets fabric time and counters, so cumulative

@@ -277,16 +277,19 @@ impl Workload for TpfaWorkload {
     }
 
     fn upload_static(&self, fabric: &mut Fabric) {
-        let layout = &self.layout;
-        let mut cols = self.trans_cols.chunks_exact(self.nz);
+        // The ten face columns lie back to back in face order, in the
+        // layout as in `trans_cols`: one copy per PE.
+        let [first, .., last] = self.layout.trans;
+        let columns = MemRange {
+            offset: first.offset,
+            len: last.offset + last.len - first.offset,
+        };
+        debug_assert_eq!(columns.len, ALL_NEIGHBORS.len() * self.nz);
+        let mut cols = self.trans_cols.chunks_exact(columns.len);
         for y in 0..self.ny {
             for x in 0..self.nx {
-                let pe = PeCoord::new(x, y);
-                let words = fabric.memory_mut(pe);
-                for nb in ALL_NEIGHBORS {
-                    let col = cols.next().expect("trans_cols covers every PE face");
-                    host_write_f32(words, layout.trans[nb.face_index()], col);
-                }
+                let col = cols.next().expect("trans_cols covers every PE");
+                host_write_f32(fabric.memory_mut(PeCoord::new(x, y)), columns, col);
             }
         }
     }

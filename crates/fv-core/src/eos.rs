@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 pub struct Fluid {
     /// Reference density `ρ_ref` [kg/m³].
     pub rho_ref: f64,
-    /// Reference pressure `p_ref` [Pa].
+    /// Reference pressure `p_ref` \[Pa\].
     pub p_ref: f64,
     /// Fluid compressibility `c_f` [1/Pa].
     pub compressibility: f64,

@@ -101,7 +101,7 @@ impl<R> std::ops::IndexMut<usize> for CellField<R> {
     }
 }
 
-/// Scalar (isotropic) permeability field `κ` [m²].
+/// Scalar (isotropic) permeability field `κ` \[m²\].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PermeabilityField {
     values: Vec<f64>,

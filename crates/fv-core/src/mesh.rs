@@ -42,11 +42,11 @@ impl Extents {
 /// Uniform grid spacing (cell dimensions) in meters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Spacing {
-    /// Cell size along X [m].
+    /// Cell size along X \[m\].
     pub dx: f64,
-    /// Cell size along Y [m].
+    /// Cell size along Y \[m\].
     pub dy: f64,
-    /// Cell size along Z [m].
+    /// Cell size along Z \[m\].
     pub dz: f64,
 }
 
@@ -262,7 +262,7 @@ impl CartesianMesh3 {
         self.extents.num_cells()
     }
 
-    /// Cell volume `V_K = dx·dy·dz` [m³].
+    /// Cell volume `V_K = dx·dy·dz` \[m³\].
     #[inline]
     pub fn cell_volume(&self) -> f64 {
         self.spacing.dx * self.spacing.dy * self.spacing.dz
@@ -322,7 +322,7 @@ impl CartesianMesh3 {
     }
 
     /// Elevation (center Z coordinate, increasing upward) of a cell with Z
-    /// index `z` [m]; layer 0 is the deepest.
+    /// index `z` \[m\]; layer 0 is the deepest.
     ///
     /// The gravity term of Eq. (3b) uses `z_K − z_L`; with a uniform grid this
     /// is `±dz` for vertical faces and `0` in-plane.
@@ -331,7 +331,7 @@ impl CartesianMesh3 {
         (z as f64 + 0.5) * self.spacing.dz
     }
 
-    /// Cell center coordinates [m].
+    /// Cell center coordinates \[m\].
     #[inline]
     pub fn cell_center(&self, c: CellIdx) -> (f64, f64, f64) {
         (

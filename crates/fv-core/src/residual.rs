@@ -110,7 +110,7 @@ pub struct AccumulationParams<R> {
     pub phi_ref: R,
     /// Rock compressibility `c_r` [1/Pa] in `φ(p) = φ_ref (1 + c_r (p−p_ref))`.
     pub rock_compressibility: R,
-    /// Time-step size `Δt` [s].
+    /// Time-step size `Δt` \[s\].
     pub dt: R,
 }
 
@@ -121,7 +121,7 @@ pub struct AccumulationParams<R> {
 /// ```
 ///
 /// where `q_K` collects well/source mass rates. The paper's kernel study
-/// "neglect[s] the accumulation term"; this full version backs the implicit
+/// "neglect\[s\] the accumulation term"; this full version backs the implicit
 /// time-stepping extension (§8) exercised by the CO₂-injection example.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_implicit_residual<R: Real>(

@@ -18,7 +18,7 @@ pub struct SmLimits {
     pub max_blocks: usize,
     /// Registers per SM.
     pub registers: usize,
-    /// Shared memory per SM [bytes].
+    /// Shared memory per SM \[bytes\].
     pub shared_memory: usize,
     /// Threads per warp.
     pub warp_size: usize,
@@ -46,7 +46,7 @@ pub struct KernelResources {
     /// register-heavy inner loop; ≥ 33 caps a 1024-thread block at one
     /// block per SM on GA100).
     pub registers_per_thread: usize,
-    /// Static shared memory per block [bytes].
+    /// Static shared memory per block \[bytes\].
     pub shared_per_block: usize,
 }
 

@@ -22,7 +22,7 @@ pub struct A100Model {
     /// Sustained fraction of peak bandwidth the kernel achieves (the
     /// paper's kernel reaches 76 % of its roofline).
     pub bandwidth_efficiency: f64,
-    /// DRAM traffic per cell per application [bytes]; see module docs.
+    /// DRAM traffic per cell per application \[bytes\]; see module docs.
     pub bytes_per_cell: f64,
     /// FLOPs per cell per application (Table 4: 140 for the flux kernel;
     /// Nsight additionally counts the EOS/exp expansions, captured by the
@@ -30,7 +30,7 @@ pub struct A100Model {
     pub flops_per_cell: f64,
     /// Arithmetic intensity reported by profiling [FLOP/B] (paper: 2.11).
     pub profiled_intensity: f64,
-    /// Board power under load [W] ("the A100 runs consume a peak of
+    /// Board power under load \[W\] ("the A100 runs consume a peak of
     /// 250 W").
     pub power_watts: f64,
 }

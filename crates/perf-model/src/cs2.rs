@@ -17,7 +17,7 @@ use wse_sim::stats::OpCounters;
 /// CS-2 hardware parameters (published values as defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Cs2Model {
-    /// PE clock frequency [Hz]. WSE-2 runs at 850 MHz.
+    /// PE clock frequency \[Hz\]. WSE-2 runs at 850 MHz.
     pub clock_hz: f64,
     /// Fabric columns in use (max 750 on CS-2, paper §7.1).
     pub fabric_cols: usize,
@@ -31,7 +31,7 @@ pub struct Cs2Model {
     /// Per-PE fabric injection/ejection bandwidth [bytes/cycle]: one 32-bit
     /// wavelet per cycle.
     pub fabric_bytes_per_cycle: f64,
-    /// Steady-state power draw [W] ("the CS-2 consumes an average 23 kW").
+    /// Steady-state power draw \[W\] ("the CS-2 consumes an average 23 kW").
     pub power_watts: f64,
 }
 

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Power × time → efficiency for one machine/workload pair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyModel {
-    /// Steady-state power [W].
+    /// Steady-state power \[W\].
     pub power_watts: f64,
 }
 
@@ -23,7 +23,7 @@ impl EnergyModel {
         Self { power_watts }
     }
 
-    /// Energy for a run [J].
+    /// Energy for a run \[J\].
     pub fn energy_joules(&self, time_s: f64) -> f64 {
         self.power_watts * time_s
     }

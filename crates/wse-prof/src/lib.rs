@@ -11,7 +11,7 @@
 //!   `perf_model::Cs2Model::breakdown_from_cycles`, so the paper's Table 3
 //!   communication/computation split can be *profile-derived* rather than
 //!   asserted from aggregate counters.
-//! * [`critical_path`] — recovers the dependency chain (task → wavelet
+//! * [`critical_path()`] — recovers the dependency chain (task → wavelet
 //!   send → hop latency → wavelet recv → task) whose length *is* the
 //!   fabric makespan, reporting the bounding PEs, colors and links plus a
 //!   slack histogram for everything off the path.

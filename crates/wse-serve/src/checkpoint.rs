@@ -42,6 +42,7 @@ use tpfa_dataflow::DataflowFluxSimulator;
 use wse_sim::fabric::RunReport;
 use wse_sim::fault::{FaultClass, FaultEvent};
 use wse_sim::geometry::{Direction, PeCoord};
+use wse_sim::hash::{hash64, ContentHasher};
 use wse_sim::snapshot::{EventRecord, FabricSnapshot, FaultRecord, PeRecord, TraceSeqRecord};
 use wse_sim::stats::OpCounters;
 use wse_sim::wavelet::{Color, Wavelet, WaveletKind, MAX_COLORS};
@@ -132,8 +133,29 @@ impl std::error::Error for CheckpointError {}
 /// The header's payload checksum: the payload's content hash
 /// ([`wse_sim::hash::hash64`]) folded to 32 bits, low word XOR high word.
 pub fn payload_checksum(payload: &[u8]) -> u32 {
-    let d = wse_sim::hash::hash64(payload);
-    (d as u32) ^ ((d >> 32) as u32)
+    fold(hash64(payload))
+}
+
+fn fold(digest: u64) -> u32 {
+    (digest as u32) ^ ((digest >> 32) as u32)
+}
+
+/// The content hash of a payload as it is written: each section is fed
+/// right after it is written, while its bytes are still in cache, instead
+/// of the whole payload in a second pass. Any split gives the digest of the
+/// whole.
+struct Hashed {
+    hasher: ContentHasher,
+    /// Bytes of the output already fed.
+    upto: usize,
+}
+
+impl Hashed {
+    /// Feeds the bytes of `out` written since the last call.
+    fn catch_up(&mut self, out: &[u8]) {
+        self.hasher.write(&out[self.upto..]);
+        self.upto = out.len();
+    }
 }
 
 /// A complete, portable checkpoint: the driver snapshot plus the hash of
@@ -173,17 +195,23 @@ impl Checkpoint {
     }
 
     /// Serializes to the versioned binary format, into one buffer sized
-    /// from the snapshot: the payload is written behind the header, whose
-    /// length and checksum fields are patched in last.
+    /// from the snapshot: the payload is written behind the header and
+    /// hashed as it is written, and the header's length and checksum
+    /// fields are patched in last.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload_size_hint(&self.driver));
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
         out.extend_from_slice(&self.spec_hash.to_le_bytes());
         out.resize(HEADER_LEN, 0);
-        encode_driver(&mut out, &self.driver);
+        let mut hashed = Hashed {
+            hasher: ContentHasher::new(),
+            upto: HEADER_LEN,
+        };
+        encode_driver(&mut out, &self.driver, &mut hashed);
+        hashed.catch_up(&out);
         let payload_len = (out.len() - HEADER_LEN) as u64;
-        let checksum = payload_checksum(&out[HEADER_LEN..]);
+        let checksum = fold(hashed.hasher.finish());
         out[20..28].copy_from_slice(&payload_len.to_le_bytes());
         out[28..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
         out
@@ -330,7 +358,7 @@ fn payload_size_hint(d: &DriverSnapshot) -> usize {
     256 + EVENT_BYTES * s.events.len() + s.pes.iter().map(pe).sum::<usize>()
 }
 
-fn encode_driver(out: &mut Vec<u8>, d: &DriverSnapshot) {
+fn encode_driver(out: &mut Vec<u8>, d: &DriverSnapshot, hashed: &mut Hashed) {
     put_u64(out, d.applications);
     put_u64(out, d.fabric_applications);
     match &d.in_flight {
@@ -351,10 +379,10 @@ fn encode_driver(out: &mut Vec<u8>, d: &DriverSnapshot) {
             put_report(out, r);
         }
     }
-    encode_fabric(out, &d.fabric);
+    encode_fabric(out, &d.fabric, hashed);
 }
 
-fn encode_fabric(out: &mut Vec<u8>, s: &FabricSnapshot) {
+fn encode_fabric(out: &mut Vec<u8>, s: &FabricSnapshot, hashed: &mut Hashed) {
     put_u64(out, s.cols as u64);
     put_u64(out, s.rows as u64);
     put_u64(out, s.time);
@@ -372,9 +400,11 @@ fn encode_fabric(out: &mut Vec<u8>, s: &FabricSnapshot) {
         }
         put_wavelet(out, &ev.wavelet);
     }
+    hashed.catch_up(out);
     put_u64(out, s.pes.len() as u64);
     for pe in &s.pes {
         encode_pe(out, pe);
+        hashed.catch_up(out);
     }
 }
 

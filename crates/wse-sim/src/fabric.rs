@@ -87,15 +87,15 @@
 use crate::fault::{FaultClass, FaultEvent, FaultKind, FaultPlan};
 use crate::geometry::{Direction, FabricDims, PeCoord};
 use crate::memory::{self, MemRange, MemoryError, PeMemory};
-use crate::pe::{PeContext, PeProgram};
+use crate::pe::{PeContext, PeProgram, Phase};
 use crate::queue::{advance_time, CalendarQueue, EventQueue, Timestamped};
-use crate::route::{DirMask, RouteError, RouteTable, Router};
+use crate::route::{ClassMap, DirMask, RouteError, RouteTable, Router};
 use crate::snapshot::{
     EventRecord, FabricSnapshot, FaultRecord, PeRecord, RestoreError, TraceSeqRecord,
 };
 use crate::stats::{FabricStats, OpCounters};
 use crate::wavelet::{Color, Wavelet, WaveletKind, MAX_COLORS};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -936,10 +936,9 @@ fn process_deliver(eng: &mut Engine, ev: &Event, emit: &mut impl FnMut(Event, Pe
         PeMemory::new(words),
         &mut slot.counters,
         &mut slot.trace,
-        &mut slot.router,
+        Phase::Loaded(&mut slot.router),
         &mut outbox.wavelets,
         &mut outbox.activations,
-        None,
     );
     match ev.wavelet.kind {
         WaveletKind::Data => slot.program.on_data(&mut ctx, ev.wavelet),
@@ -1711,16 +1710,21 @@ impl Fabric {
         self.time
     }
 
-    /// Runs every PE's `init` handler (allocate memory, configure routes),
-    /// then interns the resulting static route tables: PEs with identical
-    /// tables share one `Arc<RouteTable>` per equivalence class. Interning
-    /// happens per PE right after its `init`, so the transient footprint
-    /// is O(classes), not O(PEs). SPMD programs collapse to a handful of
-    /// classes (interior / edges / corners); see [`Fabric::eq_classes`].
-    /// The same pass numbers the classes and derives the fast-forward
-    /// table from them; from here on configured routes are frozen. Last, it
-    /// lays every PE's allocated words out, zero-filled and in PE order, in
-    /// one slab; from here on the memory layout is frozen too.
+    /// Runs every PE's `init` handler (allocate memory, configure routes)
+    /// and gives PEs with identical static route tables one shared
+    /// `Arc<RouteTable>` per equivalence class. `init` configures into a
+    /// plain table on load's stack, empty for each PE, so a route costs no
+    /// allocation or reference count; after each `init` the table's packed
+    /// words find the PE's class in a map, a new class gets the only
+    /// allocation, and the PE's router is a clone of its class's router.
+    /// The transient footprint is O(classes), not O(PEs); SPMD programs
+    /// collapse to a handful of classes (interior / edges / corners), see
+    /// [`Fabric::eq_classes`]. Classes are numbered in first-seen PE order,
+    /// and the same pass derives the fast-forward table from them; from
+    /// here on configured routes are frozen (a handler may still add a
+    /// color, which copies the PE's table). Last, it lays every PE's
+    /// allocated words out, zero-filled and in PE order, in one slab; from
+    /// here on the memory layout is frozen too.
     ///
     /// A PE whose `init` overflowed its memory or accessed memory (which
     /// does not exist before the layout) fails the load: the first such PE
@@ -1737,64 +1741,72 @@ impl Fabric {
         } = self;
         let dims = self.dims;
         let mut fwd = (config.fast_forward && !config.trace.enabled).then(FwdTable::default);
-        // Table → class id, numbered in first-seen order; the first PE of a
-        // class donates its table as the class's canonical copy.
-        let mut interned: HashMap<Arc<RouteTable>, usize> = HashMap::new();
-        let mut canonical: Vec<Arc<RouteTable>> = Vec::new();
+        // Table → class number, in first-seen order, and each class's
+        // router over its one shared table.
+        let mut interned = ClassMap::default();
+        let mut classes: Vec<Router> = Vec::new();
         let mut outbox = Outbox::default();
         let (mut words, mut load_error) = (0, None);
-        for (i, slot) in pes.iter_mut().enumerate() {
-            let owner = owner_of(strips, i);
+        let mut slots = pes.iter_mut().enumerate();
+        for strip in strips.iter_mut() {
             let Strip {
                 pes: held,
                 queue,
                 scalars,
                 ..
-            } = &mut strips[owner];
-            let at = Visit {
-                pe: i as u32,
-                coord: dims.coord(i),
-                idx: i - held.start,
-            };
-            // Init runs at t = 0; DSD ops traced from init are stamped
-            // relative to the PE's cycle count at this point.
-            slot.trace.task_begin(0, slot.counters.cycles());
-            let mut ctx = PeContext::new(
-                at.coord,
-                dims,
-                PeMemory::new(&mut []),
-                &mut slot.counters,
-                &mut slot.trace,
-                &mut slot.router,
-                &mut outbox.wavelets,
-                &mut outbox.activations,
-                Some(config.pe_memory_bytes / 4),
-            );
-            slot.program.init(&mut ctx);
-            if let Some(error) = ctx.memory.fault() {
-                load_error.get_or_insert(FabricError::Memory {
-                    pe: at.coord,
-                    error,
-                });
+            } = strip;
+            for (i, slot) in slots.by_ref().take(held.len()) {
+                let at = Visit {
+                    pe: i as u32,
+                    coord: dims.coord(i),
+                    idx: i - held.start,
+                };
+                // Init runs at t = 0; DSD ops traced from init are stamped
+                // relative to the PE's cycle count at this point.
+                slot.trace.task_begin(0, slot.counters.cycles());
+                let mut staged = RouteTable::empty();
+                let mut ctx = PeContext::new(
+                    at.coord,
+                    dims,
+                    PeMemory::new(&mut []),
+                    &mut slot.counters,
+                    &mut slot.trace,
+                    Phase::Init {
+                        routes: &mut staged,
+                        capacity: config.pe_memory_bytes / 4,
+                    },
+                    &mut outbox.wavelets,
+                    &mut outbox.activations,
+                );
+                slot.program.init(&mut ctx);
+                if let Some(error) = ctx.memory.fault() {
+                    load_error.get_or_insert(FabricError::Memory {
+                        pe: at.coord,
+                        error,
+                    });
+                }
+                slot.memory = MemRange {
+                    offset: words,
+                    len: ctx.allocated,
+                };
+                words += ctx.allocated;
+                let class = match interned.get(&staged) {
+                    Some(&class) => class,
+                    None => {
+                        interned.insert(staged.clone(), classes.len());
+                        classes.push(Router::with_table(Arc::new(staged.clone())));
+                        classes.len() - 1
+                    }
+                };
+                slot.router = classes[class].clone();
+                if let Some(fwd) = &mut fwd {
+                    fwd.push_pe(class, slot.router.table());
+                }
+                // Anything sent from init is injected at t = 0.
+                flush_pe_output(slot, scalars, &mut outbox, at, 0, &mut |e, _| queue.push(e));
             }
-            slot.memory = MemRange {
-                offset: words,
-                len: ctx.allocated,
-            };
-            words += ctx.allocated;
-            let table = slot.router.table().clone();
-            let class = *interned.entry(table).or_insert(canonical.len());
-            if class == canonical.len() {
-                canonical.push(slot.router.table().clone());
-            }
-            slot.router.intern_table(&canonical[class]);
-            if let Some(fwd) = &mut fwd {
-                fwd.push_pe(class, slot.router.table());
-            }
-            // Anything sent from init is injected at t = 0.
-            flush_pe_output(slot, scalars, &mut outbox, at, 0, &mut |e, _| queue.push(e));
         }
-        self.eq_classes = canonical.len();
+        self.eq_classes = classes.len();
         self.fwd = fwd;
         self.slab = vec![0; words];
         self.load_error = load_error;
@@ -2646,6 +2658,102 @@ mod tests {
             // The odd column's own on_control sent data but no control, so
             // every router toggled exactly once.
             assert_eq!(pos, 1 - initial, "col {col}");
+        }
+    }
+
+    /// What [`ClassMates`] does when the host activates `START` with this
+    /// payload.
+    const TOGGLE: u32 = 0;
+    const ADD_COLOR: u32 = 1;
+    const REWIRE: u32 = 2;
+    const LATE: Color = Color::new(5);
+
+    /// Columns below 4 route `DATA` (a loopback in position 0), the rest
+    /// configure nothing; handlers toggle the switch, add a color after
+    /// load, or try to re-configure `DATA`.
+    struct ClassMates;
+
+    impl PeProgram for ClassMates {
+        fn init(&mut self, ctx: &mut PeContext) {
+            ctx.alloc(1);
+            if ctx.coord.col < 4 {
+                let loopback = RouterPosition::new(DirMask::single(Ramp), DirMask::single(Ramp));
+                let receiving = RouterPosition::new(DirMask::single(West), DirMask::single(Ramp));
+                ctx.configure_color(DATA, ColorConfig::switchable(loopback, receiving, 0));
+            }
+        }
+
+        fn on_data(&mut self, ctx: &mut PeContext, w: Wavelet) {
+            let loopback = RouterPosition::new(DirMask::single(Ramp), DirMask::single(Ramp));
+            match (w.color, w.payload) {
+                (START, TOGGLE) => ctx.send_control(DATA, 0),
+                (START, ADD_COLOR) => {
+                    ctx.configure_color(LATE, ColorConfig::fixed(loopback));
+                    ctx.send_f32(LATE, 1.0);
+                }
+                (START, REWIRE) => ctx.configure_color(DATA, ColorConfig::fixed(loopback)),
+                (LATE, _) => ctx.memory.write_u32(0, 1),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn load_shares_one_table_per_class_and_a_later_color_copies_it() {
+        for execution in [
+            Execution::Sequential,
+            Execution::Sharded {
+                shards: 4,
+                threads: 2,
+            },
+        ] {
+            let config = FabricConfig {
+                execution,
+                ..FabricConfig::default()
+            };
+            let mut f = Fabric::new(FabricDims::new(6, 2), config, |_| Box::new(ClassMates));
+            f.load();
+            let pe = |col, row| PeCoord::new(col, row);
+            let table = |f: &Fabric, col, row| Arc::clone(f.router(pe(col, row)).table());
+            // one allocation per class: routed columns, and the empty table
+            assert_eq!(f.eq_classes(), 2);
+            let (routed, empty) = (table(&f, 0, 0), table(&f, 4, 0));
+            assert!(routed.config(DATA).is_some_and(|c| !c.is_fixed()));
+            assert!(empty.is_empty(), "{empty:?}");
+            for c in f.dims().iter() {
+                let class = if c.col < 4 { &routed } else { &empty };
+                assert!(Arc::ptr_eq(class, f.router(c).table()), "{c:?}");
+            }
+
+            // a switch position is the PE's own; the table stays shared
+            f.activate(pe(1, 0), START, TOGGLE);
+            f.run().unwrap();
+            assert_eq!(f.router(pe(1, 0)).position_index(DATA), Some(1));
+            assert_eq!(f.router(pe(0, 0)).position_index(DATA), Some(0));
+            assert!(Arc::ptr_eq(&routed, f.router(pe(1, 0)).table()));
+
+            // a color added after load copies the PE's table and routes
+            f.activate(pe(1, 0), START, ADD_COLOR);
+            f.activate(pe(5, 1), START, ADD_COLOR);
+            f.run().unwrap();
+            for (col, row, class) in [(1, 0, &routed), (5, 1, &empty)] {
+                let own = f.router(pe(col, row));
+                assert!(!Arc::ptr_eq(class, own.table()), "({col}, {row}) copied");
+                assert!(own.config(LATE).is_some());
+                assert_eq!(f.memory(pe(col, row))[0], 1, "LATE delivered");
+            }
+            assert_eq!(f.router(pe(1, 0)).position_index(DATA), Some(1));
+            assert!(routed.config(LATE).is_none() && empty.is_empty());
+            assert!(Arc::ptr_eq(&routed, f.router(pe(2, 0)).table()));
+
+            // re-configuring a loaded color is refused, and the route stands
+            f.activate(pe(2, 1), START, REWIRE);
+            let frozen = FabricError::Route {
+                pe: pe(2, 1),
+                error: RouteError::Frozen(DATA),
+            };
+            assert_eq!(f.run(), Err(frozen));
+            assert!(Arc::ptr_eq(&routed, f.router(pe(2, 1)).table()));
         }
     }
 

@@ -9,7 +9,7 @@
 use crate::dsd::{self, Dsd, Operand};
 use crate::geometry::{FabricDims, PeCoord};
 use crate::memory::{MemRange, MemoryError, PeMemory};
-use crate::route::{ColorConfig, RouteError, Router};
+use crate::route::{ColorConfig, RouteError, RouteTable, Router};
 use crate::stats::OpCounters;
 use crate::wavelet::{Color, Wavelet};
 use wse_trace::{PeTracer, TraceRegion};
@@ -30,19 +30,30 @@ pub struct PeContext<'a> {
     /// [`crate::fabric::FabricConfig::trace`]. DSD ops record through it;
     /// pass it to [`crate::dsd`] free functions called directly.
     pub tracer: &'a mut PeTracer,
-    router: &'a mut Router,
+    phase: Phase<'a>,
     outbox: &'a mut Vec<Wavelet>,
     activations: &'a mut Vec<(Color, u32)>,
-    /// The PE's capacity in words while `init` lays it out; `None` once
-    /// the fabric is loaded, and configured routes and the memory layout
-    /// are frozen.
-    init_capacity: Option<usize>,
     /// Words allocated: so far while `init` runs, the whole allocation
     /// once loaded.
     pub(crate) allocated: usize,
     /// The first reconfiguration this handler was refused, for the fabric
     /// to report as the PE's routing error.
     pub(crate) refused: Option<RouteError>,
+}
+
+/// Where a handler's routes go and whether it may allocate.
+pub(crate) enum Phase<'a> {
+    /// `init` runs: routes are staged in a plain table the fabric's load
+    /// interns afterwards, and up to `capacity` words may be allocated.
+    Init {
+        /// The PE's staged routes.
+        routes: &'a mut RouteTable,
+        /// The PE's capacity in words.
+        capacity: usize,
+    },
+    /// The fabric is loaded: the PE's own router, whose configured routes
+    /// and memory layout are frozen.
+    Loaded(&'a mut Router),
 }
 
 impl<'a> PeContext<'a> {
@@ -53,10 +64,9 @@ impl<'a> PeContext<'a> {
         memory: PeMemory<'a>,
         counters: &'a mut OpCounters,
         tracer: &'a mut PeTracer,
-        router: &'a mut Router,
+        phase: Phase<'a>,
         outbox: &'a mut Vec<Wavelet>,
         activations: &'a mut Vec<(Color, u32)>,
-        init_capacity: Option<usize>,
     ) -> Self {
         Self {
             coord,
@@ -65,10 +75,9 @@ impl<'a> PeContext<'a> {
             memory,
             counters,
             tracer,
-            router,
+            phase,
             outbox,
             activations,
-            init_capacity,
             refused: None,
         }
     }
@@ -80,16 +89,21 @@ impl<'a> PeContext<'a> {
     /// the run fails with [`RouteError::Frozen`] at this PE — because
     /// wavelets already fast-forwarded past this router could not see it.
     pub fn configure_color(&mut self, color: Color, config: ColorConfig) {
-        if self.init_capacity.is_none() && self.router.position_index(color).is_some() {
-            self.refused.get_or_insert(RouteError::Frozen(color));
-        } else {
-            self.router.configure(color, config);
+        match &mut self.phase {
+            Phase::Init { routes, .. } => routes.set(color, config),
+            Phase::Loaded(router) if router.position_index(color).is_some() => {
+                self.refused.get_or_insert(RouteError::Frozen(color));
+            }
+            Phase::Loaded(router) => router.configure(color, config),
         }
     }
 
     /// The active switch position of `color` on this PE's router.
     pub fn switch_position(&self, color: Color) -> Option<usize> {
-        self.router.position_index(color)
+        match &self.phase {
+            Phase::Init { routes, .. } => routes.config(color).map(|c| c.current_index()),
+            Phase::Loaded(router) => router.position_index(color),
+        }
     }
 
     /// Allocates `len` words of PE memory. Only `init` may allocate: an
@@ -103,16 +117,16 @@ impl<'a> PeContext<'a> {
             offset: self.allocated,
             len,
         };
-        let error = match self.init_capacity {
-            Some(capacity) if len <= capacity - self.allocated => {
+        let error = match self.phase {
+            Phase::Init { capacity, .. } if len <= capacity - self.allocated => {
                 self.allocated += len;
                 return range;
             }
-            Some(capacity) => MemoryError::Exhausted {
+            Phase::Init { capacity, .. } => MemoryError::Exhausted {
                 requested: len,
                 available: capacity - self.allocated,
             },
-            None => MemoryError::Frozen {
+            Phase::Loaded(_) => MemoryError::Frozen {
                 addr: range.offset,
                 len,
             },

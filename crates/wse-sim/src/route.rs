@@ -12,7 +12,9 @@
 use crate::geometry::Direction;
 use crate::wavelet::{Color, MAX_COLORS};
 use serde::{Deserialize, Serialize};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::num::NonZeroU32;
 use std::sync::{Arc, OnceLock};
 
 /// A set of router links, packed as a bitmask.
@@ -90,58 +92,94 @@ impl RouterPosition {
 }
 
 /// A color's routing configuration: one or two switch positions plus the
-/// currently active one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ColorConfig {
-    positions: [RouterPosition; 2],
-    num_positions: u8,
-    current: u8,
+/// currently active one, as one nonzero word — bit 0 set, each position's
+/// `rx | tx << 5` at bits 1 and 11, the position count at bit 21 and the
+/// active position at bit 23. A link mask has 5 bits, so distinct
+/// configurations are distinct words, and a [`RouteTable`] compares and
+/// hashes as 24 words.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct ColorConfig(NonZeroU32);
+
+impl std::fmt::Debug for ColorConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let positions = [self.position(0), self.position(1)];
+        f.debug_struct("ColorConfig")
+            .field("positions", &&positions[..self.num_positions()])
+            .field("current", &self.current_index())
+            .finish()
+    }
 }
 
 impl ColorConfig {
+    const fn new(positions: [RouterPosition; 2], num_positions: u32, current: u32) -> Self {
+        let [p0, p1] = positions;
+        let word = 1
+            | (p0.rx.0 as u32 | (p0.tx.0 as u32) << 5) << 1
+            | (p1.rx.0 as u32 | (p1.tx.0 as u32) << 5) << 11
+            | num_positions << 21
+            | current << 23;
+        match NonZeroU32::new(word) {
+            Some(word) => Self(word),
+            None => unreachable!(),
+        }
+    }
+
     /// A single-position (static) route.
     pub const fn fixed(pos: RouterPosition) -> Self {
-        Self {
-            positions: [pos, pos],
-            num_positions: 1,
-            current: 0,
-        }
+        Self::new([pos, pos], 1, 0)
     }
 
     /// A two-position switchable route, starting in `initial` (0 or 1).
     pub fn switchable(pos0: RouterPosition, pos1: RouterPosition, initial: usize) -> Self {
         assert!(initial < 2);
-        Self {
-            positions: [pos0, pos1],
-            num_positions: 2,
-            current: initial as u8,
+        Self::new([pos0, pos1], 2, initial as u32)
+    }
+
+    #[inline]
+    fn position(self, index: usize) -> RouterPosition {
+        let bits = self.0.get() >> (1 + 10 * index);
+        RouterPosition {
+            rx: DirMask((bits & 0x1f) as u8),
+            tx: DirMask((bits >> 5 & 0x1f) as u8),
         }
+    }
+
+    #[inline]
+    fn num_positions(self) -> usize {
+        (self.0.get() >> 21 & 3) as usize
+    }
+
+    /// The configuration with position `index` active.
+    #[inline]
+    fn at(self, index: usize) -> Self {
+        let word = self.0.get() & !(1 << 23) | ((index as u32 & 1) << 23);
+        Self(NonZeroU32::new(word).expect("bit 0 stays set"))
     }
 
     /// The active position.
     #[inline]
     pub fn active(&self) -> RouterPosition {
-        self.positions[self.current as usize]
+        self.position(self.current_index())
     }
 
     /// The active position's index (0 or 1).
     #[inline]
     pub fn current_index(&self) -> usize {
-        self.current as usize
+        (self.0.get() >> 23 & 1) as usize
     }
 
     /// Toggles between positions (no-op for a fixed route).
     #[inline]
     pub fn toggle(&mut self) {
-        if self.num_positions == 2 {
-            self.current ^= 1;
+        if !self.is_fixed() {
+            *self = self.at(self.current_index() ^ 1);
         }
     }
 
     /// True for single-position routes (built with [`ColorConfig::fixed`]).
     #[inline]
     pub fn is_fixed(&self) -> bool {
-        self.num_positions == 1
+        self.num_positions() == 1
     }
 }
 
@@ -177,97 +215,129 @@ impl RouteOutcome {
 }
 
 /// The *static* half of a router: the 24 per-color configurations as
-/// installed by the program, with each color's `current` field holding its
-/// initial switch position. SPMD programs install only a handful of
-/// distinct tables across the whole fabric (interior / edge / corner /
-/// parity variants), so the fabric interns equal tables into shared
-/// `Arc<RouteTable>`s — O(classes) route storage instead of O(PEs).
+/// installed by the program, with each color's active position its
+/// initial one. A configuration is one word, so a table is a plain 96-byte
+/// value: [`crate::fabric::Fabric::load`] stages every PE's routes in one
+/// and finds its equivalence class by those words. SPMD programs install
+/// only a handful of distinct tables across the whole fabric (interior /
+/// edge / corner / parity variants), and the PEs of a class share one
+/// `Arc<RouteTable>` — O(classes) route storage instead of O(PEs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteTable {
     configs: [Option<ColorConfig>; MAX_COLORS],
 }
 
-/// One word per color, hashed as one slice: interning a table at load then
-/// costs the hasher one write instead of one per field. Equal tables pack
-/// equally, as `Eq` requires; and since a link mask has 5 bits, distinct
-/// tables pack differently too.
+/// The table's words (0 for an unconfigured color) as one slice: a hasher
+/// takes one write, not one per color.
 impl Hash for RouteTable {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let packed = self.configs.map(|c| {
-            c.map_or(0, |c| {
-                let [p0, p1] = c
-                    .positions
-                    .map(|p| u32::from(p.rx.0) | u32::from(p.tx.0) << 5);
-                1 | p0 << 1
-                    | p1 << 11
-                    | u32::from(c.num_positions) << 21
-                    | u32::from(c.current) << 23
-            })
-        });
-        u32::hash_slice(&packed, state);
+        let words = self.configs.map(|c| c.map_or(0, |c| c.0.get()));
+        u32::hash_slice(&words, state);
     }
 }
 
 impl RouteTable {
     /// A table with no colors configured.
-    pub fn empty() -> Self {
+    pub const fn empty() -> Self {
         Self {
             configs: [None; MAX_COLORS],
         }
     }
 
-    /// The installed configuration of a color (with `current` at its
-    /// *initial* position — the live position is the router's dynamic
-    /// state).
+    /// The installed configuration of a color (with its *initial* position
+    /// active — the live position is the router's dynamic state).
     #[inline]
-    pub fn config(&self, color: Color) -> Option<&ColorConfig> {
-        self.configs[color.index()].as_ref()
+    pub fn config(&self, color: Color) -> Option<ColorConfig> {
+        self.configs[color.index()]
     }
 
     /// True if no color is configured.
     pub fn is_empty(&self) -> bool {
         self.configs.iter().all(|c| c.is_none())
     }
+
+    /// Installs a color configuration in place.
+    pub(crate) fn set(&mut self, color: Color, config: ColorConfig) {
+        self.configs[color.index()] = Some(config);
+    }
+
+    /// Bit `c` = the initial switch position of color `c`.
+    fn initial_positions(&self) -> u32 {
+        let current = |c: &Option<ColorConfig>| c.map_or(0, |c| c.current_index() as u32);
+        (self.configs.iter().enumerate()).fold(0, |bits, (c, cfg)| bits | current(cfg) << c)
+    }
 }
 
-/// The one empty table every fresh router shares — building a paper-scale
-/// fabric must not allocate 738k identical empty tables before `load`
-/// interns the real ones.
-fn empty_table() -> Arc<RouteTable> {
+/// Route tables to their class numbers, hashed by [`WordHasher`].
+pub(crate) type ClassMap = HashMap<RouteTable, usize, BuildHasherDefault<WordHasher>>;
+
+/// A multiply-rotate hasher over 8-byte words, for [`ClassMap`]: a table's
+/// 96 bytes are twelve rounds of one multiply each. Keys are a program's
+/// own route tables, not adversarial input, so no keyed hash is needed.
+/// (The content hash, [`crate::hash::ContentHasher`], would do too, but
+/// costs a 256×256 load ≈ 1.5 ms more.)
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(23) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits, which pick the bucket, the
+        // weakest: fold the high half down.
+        self.0 ^ self.0 >> 32
+    }
+}
+
+/// The table of a router no program has configured: what
+/// [`Router::table`] shows until a color is configured or the fabric loads.
+fn empty_table() -> &'static Arc<RouteTable> {
     static EMPTY: OnceLock<Arc<RouteTable>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(RouteTable::empty())).clone()
+    EMPTY.get_or_init(|| Arc::new(RouteTable::empty()))
 }
 
-/// A per-PE router, split into an interned static [`RouteTable`] and one
+/// A per-PE router, split into a shared static [`RouteTable`] and one
 /// word of dynamic state: the active switch position of each color (one
 /// bit per color).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Router {
-    table: Arc<RouteTable>,
+    /// `None` until a color is configured or a loaded table is installed,
+    /// so building a fabric touches no reference count per PE.
+    table: Option<Arc<RouteTable>>,
     /// Bit `c` = the active switch position of color `c`.
     current_bits: u32,
-}
-
-impl Default for Router {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Router {
     /// A router with no colors configured.
     pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A router over a shared table, every color in its initial switch
+    /// position: the router [`crate::fabric::Fabric::load`] clones onto
+    /// each PE of the table's class.
+    pub(crate) fn with_table(table: Arc<RouteTable>) -> Self {
         Self {
-            table: empty_table(),
-            current_bits: 0,
+            current_bits: table.initial_positions(),
+            table: Some(table),
         }
     }
 
     /// Installs a color configuration (program-load time on real hardware).
     /// Clones the static table if it is shared (copy-on-write), so a color
-    /// added after load quietly un-interns the PE from its class.
+    /// a handler adds after load takes the PE out of its class's shared
+    /// table; at load the fabric stages routes in a plain table instead.
     pub fn configure(&mut self, color: Color, config: ColorConfig) {
-        Arc::make_mut(&mut self.table).configs[color.index()] = Some(config);
+        let table = (self.table).get_or_insert_with(|| Arc::new(RouteTable::empty()));
+        Arc::make_mut(table).set(color, config);
         self.set_current(color.index(), config.current_index() as u8);
     }
 
@@ -284,28 +354,20 @@ impl Router {
     /// The static route table (shared across the PE's equivalence class).
     #[inline]
     pub fn table(&self) -> &Arc<RouteTable> {
-        &self.table
-    }
-
-    /// Swaps the static table for a canonical shared copy with identical
-    /// content — the fabric's interning hook. Dynamic state is untouched.
-    pub fn intern_table(&mut self, canonical: &Arc<RouteTable>) {
-        debug_assert_eq!(*self.table, **canonical, "interning must preserve routes");
-        self.table = Arc::clone(canonical);
+        self.table.as_ref().unwrap_or_else(|| empty_table())
     }
 
     /// The configuration of a color, if installed, with `current` set to
     /// the *live* switch position.
     pub fn config(&self, color: Color) -> Option<ColorConfig> {
-        self.table.configs[color.index()].map(|mut c| {
-            c.current = self.current(color.index()) as u8;
-            c
-        })
+        (self.table().config(color)).map(|c| c.at(self.current(color.index())))
     }
 
     /// The active switch-position index of a color (testing/diagnostics).
     pub fn position_index(&self, color: Color) -> Option<usize> {
-        self.table.configs[color.index()].map(|_| self.current(color.index()))
+        self.table()
+            .config(color)
+            .map(|_| self.current(color.index()))
     }
 
     /// Force-toggles a color's switch position outside the normal control
@@ -314,8 +376,7 @@ impl Router {
     /// `None` (benign) when the color is unconfigured or not switchable.
     pub fn force_toggle(&mut self, color: Color) -> Option<usize> {
         let idx = color.index();
-        let cfg = self.table.configs[idx].as_ref()?;
-        if cfg.num_positions != 2 {
+        if self.table().config(color)?.is_fixed() {
             return None;
         }
         self.current_bits ^= 1 << idx;
@@ -328,11 +389,8 @@ impl Router {
     /// themselves are static program state, reinstalled by program `init`
     /// on the restore target.
     pub fn switch_positions(&self) -> Vec<(u8, u8)> {
-        self.table
-            .configs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|_| (i as u8, self.current(i) as u8)))
+        (0..MAX_COLORS as u8)
+            .filter_map(|c| Some((c, self.position_index(Color::new(c))? as u8)))
             .collect()
     }
 
@@ -342,16 +400,14 @@ impl Router {
     /// differently-programmed fabric.
     pub fn restore_dynamic(&mut self, positions: &[(u8, u8)]) -> Result<(), String> {
         for &(id, current) in positions {
-            let cfg = self
-                .table
-                .configs
-                .get(id as usize)
-                .and_then(|c| c.as_ref())
+            let cfg = (id < MAX_COLORS as u8)
+                .then(|| self.table().config(Color::new(id)))
+                .flatten()
                 .ok_or_else(|| format!("color {id} is not configured on this router"))?;
-            if current >= cfg.num_positions {
+            if usize::from(current) >= cfg.num_positions() {
                 return Err(format!(
                     "color {id}: position {current} out of range ({} configured)",
-                    cfg.num_positions
+                    cfg.num_positions()
                 ));
             }
             self.set_current(id as usize, current);
@@ -375,10 +431,11 @@ impl Router {
         is_control: bool,
     ) -> Result<RouteOutcome, RouteError> {
         let idx = color.index();
-        let cfg = self.table.configs[idx]
-            .as_ref()
+        let cfg = self
+            .table()
+            .config(color)
             .ok_or(RouteError::UnconfiguredColor(color))?;
-        let pos = cfg.positions[self.current(idx)];
+        let pos = cfg.position(self.current(idx));
         if !pos.rx.contains(input) {
             return Err(RouteError::InputNotAccepted {
                 color,
@@ -387,7 +444,7 @@ impl Router {
             });
         }
         let outputs = pos.tx;
-        let fixed = cfg.num_positions == 1;
+        let fixed = cfg.is_fixed();
         let toggled = if is_control {
             if !fixed {
                 self.current_bits ^= 1 << idx;
@@ -577,29 +634,58 @@ mod tests {
     }
 
     #[test]
-    fn interning_shares_tables_without_touching_switch_positions() {
+    fn packed_words_round_trip_every_configuration() {
+        let masks = [
+            DirMask::EMPTY,
+            DirMask::single(Ramp),
+            DirMask::of(&[North, East, South, West, Ramp]),
+        ];
+        let mut tables = Vec::new();
+        for rx in masks {
+            for tx in masks {
+                let (a, b) = (RouterPosition::new(rx, tx), RouterPosition::new(tx, rx));
+                for cfg in [
+                    ColorConfig::fixed(a),
+                    ColorConfig::switchable(a, b, 0),
+                    ColorConfig::switchable(a, b, 1),
+                ] {
+                    let mut table = RouteTable::empty();
+                    table.set(Color::new(7), cfg);
+                    assert_eq!(table.config(Color::new(7)), Some(cfg));
+                    assert_eq!(table.config(Color::new(6)), None);
+                    tables.push(table);
+                }
+            }
+        }
+        // distinct configurations give distinct tables
+        for (i, a) in tables.iter().enumerate() {
+            assert!(tables[i + 1..].iter().all(|b| a != b), "{a:?}");
+        }
+    }
+
+    #[test]
+    fn a_loaded_router_starts_in_its_tables_initial_positions() {
         let sending = RouterPosition::new(DirMask::single(Ramp), DirMask::single(East));
         let receiving = RouterPosition::new(DirMask::single(West), DirMask::single(Ramp));
-        let mut a = Router::new();
-        let mut b = Router::new();
-        let c = Color::new(0);
-        a.configure(c, ColorConfig::switchable(sending, receiving, 0));
-        b.configure(c, ColorConfig::switchable(sending, receiving, 0));
-        // equal content, separate allocations
-        assert_eq!(**a.table(), **b.table());
+        let mut table = RouteTable::empty();
+        table.set(
+            Color::new(0),
+            ColorConfig::switchable(sending, receiving, 1),
+        );
+        table.set(Color::new(3), ColorConfig::fixed(sending));
+        let shared = Arc::new(table);
+        let mut a = Router::with_table(Arc::clone(&shared));
+        let b = Router::with_table(Arc::clone(&shared));
+        assert_eq!(a.position_index(Color::new(0)), Some(1));
+        assert_eq!(a.position_index(Color::new(3)), Some(0));
+        assert_eq!(a.switch_positions(), vec![(0, 1), (3, 0)]);
+        // a toggle is the router's own; a configure after load copies
+        a.force_toggle(Color::new(0));
+        assert_eq!(b.position_index(Color::new(0)), Some(1));
+        a.configure(Color::new(5), ColorConfig::fixed(receiving));
         assert!(!Arc::ptr_eq(a.table(), b.table()));
-        // intern b onto a's canonical table
-        let canonical = Arc::clone(a.table());
-        let _ = b.route(c, Ramp, true).unwrap(); // b toggles first
-        b.intern_table(&canonical);
-        assert!(Arc::ptr_eq(a.table(), b.table()));
-        assert_eq!(b.position_index(c), Some(1), "switch position survives");
-        assert_eq!(a.position_index(c), Some(0));
-        // reconfiguring b un-shares via copy-on-write; a is unaffected
-        b.configure(c, ColorConfig::fixed(sending));
-        assert!(!Arc::ptr_eq(a.table(), b.table()));
-        assert_eq!(a.position_index(c), Some(0));
-        assert!(b.config(c).unwrap().is_fixed());
+        assert_eq!(a.position_index(Color::new(0)), Some(0));
+        assert!(b.config(Color::new(5)).is_none());
     }
 
     #[test]

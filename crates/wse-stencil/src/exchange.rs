@@ -149,11 +149,12 @@ impl ColumnExchange {
             );
         }
         for lane in &self.pattern.diagonals {
-            for (color, cfg) in lane.router_configs(ctx.coord) {
+            let roles = lane.router_configs(ctx.coord);
+            for (color, cfg) in roles {
                 ctx.configure_color(color, cfg);
             }
-            let color = lane.receive_color(ctx.coord);
-            expect(lane.stream, color, lane.has_sender(ctx.dims, ctx.coord));
+            let (receive, _) = roles[2];
+            expect(lane.stream, receive, lane.has_sender(ctx.dims, ctx.coord));
         }
         lanes
     }

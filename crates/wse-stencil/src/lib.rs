@@ -3,7 +3,7 @@
 //! One declarative IR for many workloads: a [`StencilSpec`] names the
 //! in-plane neighbor offsets, per-face quantities/weights, diagonal
 //! phases, halo radius and reserved reduction colors of a stencil
-//! computation, and [`compile`] turns it into everything that used to
+//! computation, and [`compile()`] turns it into everything that used to
 //! be hand-derived per workload:
 //!
 //! * a **color assignment** within the fabric's routable budget

@@ -1,7 +1,7 @@
 //! Compiled communication artifacts: color lanes and per-PE route
 //! programs.
 //!
-//! A [`CommPattern`] is the pure-data output of [`crate::compile`]: for
+//! A [`CommPattern`] is the pure-data output of [`crate::compile()`]: for
 //! every in-plane stream of the spec it records either a *cardinal lane*
 //! (one switchable color implementing the paper's Fig. 6 two-step
 //! hand-over) or a *diagonal lane* (a family of `phases` static colors
@@ -123,53 +123,68 @@ impl DiagonalLane {
         }
     }
 
-    fn phase_color(&self, key: i64) -> Color {
-        let phase = key.rem_euclid(self.phases as i64) as u8;
-        Color::new(self.base_color + phase)
+    /// The source, intermediary and receive colors of PE `c`: the phases
+    /// of `key`, `key − key_step` and `key − 2·key_step`. Only the first
+    /// takes a division: `key_step` is ±1, so each next phase is the last
+    /// one stepped and wrapped by at most one period.
+    fn role_colors(&self, c: PeCoord) -> [Color; 3] {
+        let phases = i64::from(self.phases);
+        debug_assert!(self.key_step.abs() <= phases, "{self:?}");
+        let mut phase = self.key(c).rem_euclid(phases);
+        [(); 3].map(|()| {
+            let color = Color::new(self.base_color + phase as u8);
+            phase -= self.key_step;
+            if phase < 0 {
+                phase += phases;
+            } else if phase >= phases {
+                phase -= phases;
+            }
+            color
+        })
     }
 
     /// The color a PE *sources* (sends its own column on) for this family.
     pub fn source_color(&self, c: PeCoord) -> Color {
-        self.phase_color(self.key(c))
+        self.role_colors(c)[0]
     }
 
     /// The color on which a PE *receives* this family's stream (the data
     /// of its delivered neighbor): the stream sourced two hops upstream.
     pub fn receive_color(&self, c: PeCoord) -> Color {
-        self.phase_color(self.key(c) - 2 * self.key_step)
+        self.role_colors(c)[2]
     }
 
     /// The color this PE forwards as an intermediary.
     pub fn intermediary_color(&self, c: PeCoord) -> Color {
-        self.phase_color(self.key(c) - self.key_step)
+        self.role_colors(c)[1]
     }
 
     /// The three router configurations of this family's colors at PE `c`:
     /// `(color, config)` pairs for source, intermediary and receiver
     /// roles.
     pub fn router_configs(&self, c: PeCoord) -> [(Color, ColorConfig); 3] {
-        let source = (
-            self.source_color(c),
-            ColorConfig::fixed(RouterPosition::new(
-                DirMask::single(Direction::Ramp),
-                DirMask::single(self.leg1),
-            )),
-        );
-        let inter = (
-            self.intermediary_color(c),
-            ColorConfig::fixed(RouterPosition::new(
-                DirMask::single(self.leg1.arrival_side()),
-                DirMask::single(self.leg2),
-            )),
-        );
-        let recv = (
-            self.receive_color(c),
-            ColorConfig::fixed(RouterPosition::new(
-                DirMask::single(self.leg2.arrival_side()),
-                DirMask::single(Direction::Ramp),
-            )),
-        );
-        [source, inter, recv]
+        let [source, inter, recv] = self.role_colors(c);
+        let fixed = |rx, tx| ColorConfig::fixed(RouterPosition::new(rx, tx));
+        [
+            (
+                source,
+                fixed(DirMask::single(Direction::Ramp), DirMask::single(self.leg1)),
+            ),
+            (
+                inter,
+                fixed(
+                    DirMask::single(self.leg1.arrival_side()),
+                    DirMask::single(self.leg2),
+                ),
+            ),
+            (
+                recv,
+                fixed(
+                    DirMask::single(self.leg2.arrival_side()),
+                    DirMask::single(Direction::Ramp),
+                ),
+            ),
+        ]
     }
 
     /// True if PE `c` will actually receive this family's stream (the

@@ -3,7 +3,7 @@
 //!
 //! A spec names *what* a workload exchanges — which in-plane neighbors,
 //! how many same-length columns per neighbor, how many diagonal phases —
-//! and the compiler ([`crate::compile`]) decides *how*: which of the
+//! and the compiler ([`crate::compile()`]) decides *how*: which of the
 //! fabric's `MAX_COLORS` routable colors carry each stream, what every
 //! PE's router does, and in which order streams are injected.
 
