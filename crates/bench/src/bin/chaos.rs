@@ -265,7 +265,11 @@ fn kill_restore_sweep(
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = or_exit(bench::CommonArgs::from_slice(&raw));
+    let common = or_exit(bench::CommonArgs::from_slice(
+        &raw,
+        &["--schedules", "--seed", "--report"],
+        &[],
+    ));
     let schedules = or_exit(flag(&raw, "--schedules")).unwrap_or(50);
     let seed0 = or_exit(flag(&raw, "--seed")).unwrap_or(1);
     let report_path: Option<String> = or_exit(flag(&raw, "--report"));
@@ -384,28 +388,14 @@ fn main() {
         }
     }
 
-    let w = [18, 8, 10, 8];
-    bench::print_row(
-        &[
-            "policy".into(),
-            "clean".into(),
-            "degraded".into(),
-            "error".into(),
-        ],
-        &w,
+    let rows = ["fail", "retry:3:64", "degrade"]
+        .iter()
+        .zip(&tally)
+        .map(|(name, [clean, degraded, error])| format!("{name} | {clean} | {degraded} | {error}"));
+    print!(
+        "{}",
+        bench::markdown_table("policy | clean | degraded | error", rows)
     );
-    bench::print_sep(&w);
-    for (pi, name) in ["fail", "retry:3:64", "degrade"].iter().enumerate() {
-        bench::print_row(
-            &[
-                (*name).into(),
-                tally[pi][0].to_string(),
-                tally[pi][1].to_string(),
-                tally[pi][2].to_string(),
-            ],
-            &w,
-        );
-    }
     println!(
         "\nall {} runs upheld the contract: clean ⇒ bit-identical, degraded ⇒ \
          valid PEs bit-identical, otherwise a typed fault error; engines agree.",

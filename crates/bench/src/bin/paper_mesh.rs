@@ -41,7 +41,11 @@ const PINNED_EQ_CLASSES: u64 = 64;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = or_exit(bench::CommonArgs::from_slice(&raw));
+    let common = or_exit(bench::CommonArgs::from_slice(
+        &raw,
+        &["--budget-s", "--max-rss-mb"],
+        &[],
+    ));
     let budget_s: Option<f64> = or_exit(flag(&raw, "--budget-s"));
     let max_rss_mb: Option<f64> = or_exit(flag(&raw, "--max-rss-mb"));
 

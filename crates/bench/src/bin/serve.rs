@@ -29,7 +29,7 @@ const NZ: usize = 6;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = or_exit(bench::CommonArgs::from_slice(&raw));
+    let common = or_exit(bench::CommonArgs::from_slice(&raw, &["--apps"], &[]));
     let apps = or_exit(flag(&raw, "--apps")).unwrap_or(4);
     let problem = ProblemSpec {
         nx: NX,
@@ -132,32 +132,23 @@ fn main() {
         "compiled-layout cache ({} entry):",
         server.cached_problems()
     );
-    let w = [8, 12, 14, 10, 12, 12];
-    bench::print_row(
-        &[
-            "job".into(),
-            "cache_hit".into(),
-            "setup [µs]".into(),
-            "progress".into(),
-            "hops".into(),
-            "stalls".into(),
-        ],
-        &w,
+    let rows = [("first", &first), ("repeat", &second)].map(|(label, s)| {
+        format!(
+            "{label} | {:?} | {:.1} | {:.0}% | {} | {}",
+            s.cache_hit == Some(true),
+            s.setup_nanos.unwrap() as f64 / 1_000.0,
+            s.progress * 100.0,
+            s.stats.fabric_hops,
+            s.stats.flow_stalls
+        )
+    });
+    print!(
+        "{}",
+        bench::markdown_table(
+            "job | cache_hit | setup [µs] | progress | hops | stalls",
+            rows
+        )
     );
-    bench::print_sep(&w);
-    for (label, s) in [("first", &first), ("repeat", &second)] {
-        bench::print_row(
-            &[
-                label.into(),
-                format!("{:?}", s.cache_hit == Some(true)),
-                format!("{:.1}", s.setup_nanos.unwrap() as f64 / 1_000.0),
-                format!("{:.0}%", s.progress * 100.0),
-                format!("{}", s.stats.fabric_hops),
-                format!("{}", s.stats.flow_stalls),
-            ],
-            &w,
-        );
-    }
     assert_eq!(first.progress, 1.0, "a done job reports progress 1.0");
     assert!(
         second.stats.fabric_hops > 0,

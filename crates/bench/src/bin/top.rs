@@ -45,7 +45,11 @@ fn render_line(idx: usize, apps_total: usize, u: &ProgressUpdate, state: &str) -
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = or_exit(bench::CommonArgs::from_slice(&raw));
+    let common = or_exit(bench::CommonArgs::from_slice(
+        &raw,
+        &["--jobs", "--apps"],
+        &["--plain"],
+    ));
     let jobs = or_exit(flag(&raw, "--jobs")).unwrap_or(4);
     let apps = or_exit(flag(&raw, "--apps")).unwrap_or(6);
     let plain = raw.iter().any(|a| a == "--plain");

@@ -1,7 +1,6 @@
-//! Shared CLI parsing for the benchmark binaries.
+//! Shared CLI parsing for the harness binaries and the quickstart example.
 //!
-//! Every table/figure generator accepts the same flag family; parsing it
-//! used to be copy-pasted per binary. [`CommonArgs`] centralizes it:
+//! They accept the same flag family, parsed once by [`CommonArgs`]:
 //!
 //! * `--shards N [--threads M]` — fabric engine selection (`Sequential`,
 //!   one strip on the calling thread, when absent or 0; `--threads` needs
@@ -18,10 +17,10 @@
 //!   (see [`crate::run_checkpoint_demo`]);
 //! * `--metrics <path>` — collect runtime telemetry into a live
 //!   [`wse_metrics::MetricsHub`] and write the Prometheus text exposition
-//!   there on exit (see [`crate::metrics_hub`] / [`crate::export_metrics`]);
-//! * `--stencil tpfa|laplace7|wave` — which compiled workload to drive
-//!   (default `tpfa`, the paper's kernel; binaries that only make sense for
-//!   one workload may ignore it).
+//!   there on exit (see [`crate::metrics_hub`] / [`crate::export_metrics`]).
+//!
+//! A binary declares its own extra flags; any other flag, and any stray
+//! positional argument, is an error, never silently ignored.
 
 use std::str::FromStr;
 
@@ -32,43 +31,6 @@ use wse_sim::geometry::FabricDims;
 use wse_sim::trace::{
     profile_request_from_arg_slice, trace_request_from_arg_slice, ProfileRequest, TraceRequest,
 };
-
-/// Which compiled stencil workload a benchmark binary drives
-/// (`--stencil`). All three run through the same `builder.workload(...)`
-/// path of the generic simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StencilArg {
-    /// The paper's ten-point TPFA flux kernel (the default).
-    #[default]
-    Tpfa,
-    /// The 7-point Laplacian (cardinal-only compiled pattern).
-    Laplace7,
-    /// The second-order seismic wave stencil (full in-plane ring).
-    Wave,
-}
-
-impl StencilArg {
-    /// Parses a `--stencil` value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "tpfa" => Ok(Self::Tpfa),
-            "laplace7" => Ok(Self::Laplace7),
-            "wave" => Ok(Self::Wave),
-            other => Err(format!(
-                "bad value for --stencil: {other:?} (expected tpfa, laplace7 or wave)"
-            )),
-        }
-    }
-
-    /// The workload name as the stencil compiler spells it.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Tpfa => "tpfa",
-            Self::Laplace7 => "laplace7",
-            Self::Wave => "wave",
-        }
-    }
-}
 
 /// The flag set shared by all benchmark binaries, parsed once.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,15 +51,29 @@ pub struct CommonArgs {
     pub resume: Option<String>,
     /// `--metrics <path>`: write the Prometheus text exposition here.
     pub metrics: Option<String>,
-    /// `--stencil <workload>` (default [`StencilArg::Tpfa`]).
-    pub stencil: StencilArg,
 }
 
+/// The flags [`CommonArgs`] parses, each followed by a value.
+const COMMON_FLAGS: [&str; 10] = [
+    "--shards",
+    "--threads",
+    "--trace",
+    "--trace-cap",
+    "--profile",
+    "--faults",
+    "--recovery",
+    "--checkpoint",
+    "--resume",
+    "--metrics",
+];
+
 impl CommonArgs {
-    /// Parses the common flags from an argument slice. Unknown flags are
-    /// ignored (binaries may have extras); missing or malformed values of
-    /// the known flags are an error.
-    pub fn from_slice(args: &[String]) -> Result<Self, String> {
+    /// Parses the common flags from an argument slice. `own` names the
+    /// calling binary's extra flags that take a value and `switches` those
+    /// that take none; the binary reads them itself with [`flag`]. Missing
+    /// or malformed values of the common flags, unknown flags and stray
+    /// positional arguments are an error.
+    pub fn from_slice(args: &[String], own: &[&str], switches: &[&str]) -> Result<Self, String> {
         let execution = match (flag(args, "--shards")?, flag::<usize>(args, "--threads")?) {
             (None | Some(0), None) => Execution::Sequential,
             (None | Some(0), Some(_)) => {
@@ -114,11 +90,7 @@ impl CommonArgs {
             None => RecoveryPolicy::Fail,
             Some(v) => RecoveryPolicy::parse(&v)?,
         };
-        let stencil = match flag::<String>(args, "--stencil")? {
-            None => StencilArg::default(),
-            Some(v) => StencilArg::parse(&v)?,
-        };
-        Ok(Self {
+        let parsed = Self {
             execution,
             trace: trace_request_from_arg_slice(args)?,
             profile: profile_request_from_arg_slice(args)?,
@@ -127,15 +99,28 @@ impl CommonArgs {
             checkpoint: flag(args, "--checkpoint")?,
             resume: flag(args, "--resume")?,
             metrics: flag(args, "--metrics")?,
-            stencil,
-        })
+        };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if COMMON_FLAGS.contains(&arg.as_str()) || own.contains(&arg.as_str()) {
+                rest.next();
+            } else if !switches.contains(&arg.as_str()) {
+                return Err(if arg.starts_with('-') {
+                    format!("unknown flag {arg}")
+                } else {
+                    format!("unexpected argument {arg:?}")
+                });
+            }
+        }
+        Ok(parsed)
     }
 
-    /// [`CommonArgs::from_slice`] over the process's own CLI arguments,
-    /// exiting with the parse error on bad input.
+    /// [`CommonArgs::from_slice`] over the process's own CLI arguments for
+    /// a binary with no extra flags, exiting with the parse error on bad
+    /// input.
     pub fn parse() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        or_exit(Self::from_slice(&args))
+        or_exit(Self::from_slice(&args, &[], &[]))
     }
 
     /// Human-readable engine label for benchmark headers.
@@ -187,9 +172,14 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// Parses `s` for a binary with no extra flags.
+    fn parse(s: &str) -> Result<CommonArgs, String> {
+        CommonArgs::from_slice(&to_args(s), &[], &[])
+    }
+
     #[test]
     fn defaults_with_no_flags() {
-        let args = CommonArgs::from_slice(&to_args("")).unwrap();
+        let args = parse("").unwrap();
         assert_eq!(args.execution, Execution::Sequential);
         assert_eq!(args.trace, None);
         assert_eq!(args.profile, None);
@@ -198,16 +188,15 @@ mod tests {
         assert_eq!(args.checkpoint, None);
         assert_eq!(args.resume, None);
         assert_eq!(args.metrics, None);
-        assert_eq!(args.stencil, StencilArg::Tpfa);
     }
 
     #[test]
     fn parses_the_full_flag_family() {
-        let args = CommonArgs::from_slice(&to_args(
+        let args = parse(
             "--shards 4 --threads 2 --trace t.json --profile p.json --trace-cap 64 \
              --faults 7 --recovery retry:5:100 --checkpoint c.bin --resume r.bin \
-             --metrics m.prom --stencil wave",
-        ))
+             --metrics m.prom",
+        )
         .unwrap();
         assert_eq!(
             args.execution,
@@ -223,7 +212,6 @@ mod tests {
         assert_eq!(args.checkpoint.as_deref(), Some("c.bin"));
         assert_eq!(args.resume.as_deref(), Some("r.bin"));
         assert_eq!(args.metrics.as_deref(), Some("m.prom"));
-        assert_eq!(args.stencil, StencilArg::Wave);
         assert_eq!(
             args.recovery,
             RecoveryPolicy::Retry {
@@ -235,12 +223,9 @@ mod tests {
 
     #[test]
     fn shard_count_zero_is_sequential_and_threads_default_within_the_shards() {
-        let zero = CommonArgs::from_slice(&to_args("--shards 0")).unwrap();
+        let zero = parse("--shards 0").unwrap();
         assert_eq!(zero.execution, Execution::Sequential);
-        match CommonArgs::from_slice(&to_args("--shards 4"))
-            .unwrap()
-            .execution
-        {
+        match parse("--shards 4").unwrap().execution {
             Execution::Sharded { shards: 4, threads } => assert!((1..=4).contains(&threads)),
             other => panic!("unexpected {other:?}"),
         }
@@ -248,18 +233,17 @@ mod tests {
 
     #[test]
     fn rejects_malformed_values() {
-        assert!(CommonArgs::from_slice(&to_args("--shards four")).is_err());
+        assert!(parse("--shards four").is_err());
         // `--threads` is never ignored: malformed, without `--shards`, or 0.
-        assert!(CommonArgs::from_slice(&to_args("--threads abc")).is_err());
-        assert!(CommonArgs::from_slice(&to_args("--threads 2")).is_err());
-        assert!(CommonArgs::from_slice(&to_args("--shards 4 --threads 0")).is_err());
-        assert!(CommonArgs::from_slice(&to_args("--faults abc")).is_err());
-        assert!(CommonArgs::from_slice(&to_args("--recovery sometimes")).is_err());
-        assert!(CommonArgs::from_slice(&to_args("--stencil biharmonic")).is_err());
-        assert!(CommonArgs::from_slice(&to_args("--trace t.json --trace-cap abc")).is_err());
-        assert!(CommonArgs::from_slice(&to_args("--trace t.json --trace-cap")).is_err());
-        assert!(CommonArgs::from_slice(&to_args("--trace --shards 4")).is_err());
-        assert!(CommonArgs::from_slice(&to_args("--profile --trace-cap 64")).is_err());
+        assert!(parse("--threads abc").is_err());
+        assert!(parse("--threads 2").is_err());
+        assert!(parse("--shards 4 --threads 0").is_err());
+        assert!(parse("--faults abc").is_err());
+        assert!(parse("--recovery sometimes").is_err());
+        assert!(parse("--trace t.json --trace-cap abc").is_err());
+        assert!(parse("--trace t.json --trace-cap").is_err());
+        assert!(parse("--trace --shards 4").is_err());
+        assert!(parse("--profile --trace-cap 64").is_err());
         // The extra flags of single binaries go through the same parser.
         assert!(flag::<f64>(&to_args("--max-rss-mb 3l36"), "--max-rss-mb").is_err());
         assert!(flag::<f64>(&to_args("--shards 4 --budget-s"), "--budget-s").is_err());
@@ -268,24 +252,39 @@ mod tests {
     }
 
     #[test]
-    fn stencil_flag_selects_each_workload() {
-        for (value, want) in [
-            ("tpfa", StencilArg::Tpfa),
-            ("laplace7", StencilArg::Laplace7),
-            ("wave", StencilArg::Wave),
-        ] {
-            let args = CommonArgs::from_slice(&to_args(&format!("--stencil {value}"))).unwrap();
-            assert_eq!(args.stencil, want);
-            assert_eq!(args.stencil.name(), value);
-        }
+    fn unknown_flags_and_stray_arguments_are_refused() {
+        assert_eq!(
+            parse("--shard 4").unwrap_err(),
+            "unknown flag --shard",
+            "a misspelt flag never falls back to the default engine"
+        );
+        assert_eq!(
+            parse("--shards 4 table2").unwrap_err(),
+            "unexpected argument \"table2\""
+        );
+        assert_eq!(parse("--apps 3").unwrap_err(), "unknown flag --apps");
+        // A binary's declared flags pass, and their values are not strays.
+        let own = CommonArgs::from_slice(
+            &to_args("--apps 3 --shards 2 --plain --report out.json"),
+            &["--apps", "--report"],
+            &["--plain"],
+        )
+        .unwrap();
+        assert!(matches!(
+            own.execution,
+            Execution::Sharded { shards: 2, .. }
+        ));
+        assert!(CommonArgs::from_slice(&to_args("--plain 3"), &[], &["--plain"]).is_err());
+        // A common flag's value that looks like a flag is still its value.
+        assert!(parse("--checkpoint -c.bin").is_ok());
     }
 
     #[test]
     fn fault_plan_is_empty_without_the_flag_and_seeded_with_it() {
         let dims = FabricDims::new(4, 4);
-        let off = CommonArgs::from_slice(&to_args("")).unwrap();
+        let off = parse("").unwrap();
         assert!(off.fault_plan(dims, 1000, 3).is_empty());
-        let on = CommonArgs::from_slice(&to_args("--faults 42")).unwrap();
+        let on = parse("--faults 42").unwrap();
         let a = on.fault_plan(dims, 1000, 3);
         let b = on.fault_plan(dims, 1000, 3);
         assert!(!a.is_empty());

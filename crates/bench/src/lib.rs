@@ -1,9 +1,11 @@
 //! Shared workload generators and reporting helpers for the benchmark
 //! harness.
 //!
-//! Every table/figure of the paper's evaluation has a generator binary in
-//! `src/bin/` (see `DESIGN.md` for the experiment index). Host wall-clock
-//! is measured by the repository benchmark (`benchmark/`), not here.
+//! Every table and figure of the paper's evaluation is a markdown fragment
+//! of [`paper`], printed by the `paper` binary and checked against
+//! `EXPERIMENTS.md` by this crate's tests (see `DESIGN.md` for the
+//! experiment index). Host wall-clock is measured by the repository
+//! benchmark (`benchmark/`), not here.
 
 use fv_core::eos::Fluid;
 use fv_core::fields::PermeabilityField;
@@ -11,15 +13,13 @@ use fv_core::mesh::{CartesianMesh3, Extents, Spacing};
 use fv_core::state::FlowState;
 use fv_core::trans::{StencilKind, Transmissibilities};
 use tpfa_dataflow::DataflowFluxSimulator;
-use wse_prof::{critical_path, profile_json, Profile};
 use wse_sim::fabric::Execution;
 use wse_sim::stats::OpCounters;
-use wse_sim::trace::{chrome_trace_json, TraceSummary};
 
 pub mod cli;
+pub mod paper;
 
 pub use cli::CommonArgs;
-pub use wse_sim::trace::{ProfileRequest, TraceRequest};
 
 /// The paper's production mesh (750 × 994 × 246 = 183 393 000 cells).
 pub const PAPER_MESH: (usize, usize, usize) = (750, 994, 246);
@@ -76,12 +76,6 @@ pub struct DataflowMeasurement {
     pub interior_pe_per_iteration: OpCounters,
     /// Aggregate counters over the whole fabric and run.
     pub fabric_total: OpCounters,
-    /// Iterations measured.
-    pub iterations: usize,
-    /// Cells in the mesh.
-    pub num_cells: usize,
-    /// Column height.
-    pub nz: usize,
 }
 
 /// Human-readable engine label for benchmark headers.
@@ -150,9 +144,6 @@ pub fn measure_dataflow_with(
     DataflowMeasurement {
         interior_pe_per_iteration: per_iter,
         fabric_total: sim.stats().total,
-        iterations,
-        num_cells: mesh.num_cells(),
-        nz,
     }
 }
 
@@ -160,7 +151,7 @@ pub fn measure_dataflow_with(
 /// one application of the standard problem with the requested seeded fault
 /// plan and recovery policy on the selected engine, and prints the outcome
 /// (clean, recovered, degraded, or the typed failure). A no-op when
-/// `--faults` was not given, so generators can call it unconditionally.
+/// `--faults` was not given, so callers can call it unconditionally.
 pub fn run_faulted_demo(args: &CommonArgs, nx: usize, ny: usize, nz: usize) {
     let Some(seed) = args.fault_seed else { return };
     let (mesh, fluid, trans) = standard_problem(nx, ny, nz, 42);
@@ -286,122 +277,6 @@ pub fn run_checkpoint_demo(
     Ok(())
 }
 
-/// Exports a simulator's recorded trace as Chrome `trace_event` JSON to
-/// `req.path` and prints the compact summary (per-shard load timelines,
-/// per-color wavelet histogram, hottest PEs) plus the drop count.
-///
-/// Call after the measured run, on a simulator built with
-/// `.trace(req.spec())` on its builder. Panics if the simulator
-/// was not built with tracing enabled (a harness bug, not user input).
-pub fn export_trace(sim: &DataflowFluxSimulator, req: &TraceRequest) {
-    let trace = sim
-        .trace()
-        .expect("export_trace called on an untraced simulator");
-    std::fs::write(&req.path, chrome_trace_json(&trace))
-        .unwrap_or_else(|e| panic!("writing trace to {}: {e}", req.path));
-    println!();
-    print!("{}", TraceSummary::from_trace(&trace, 5));
-    println!(
-        "trace written to {} ({} events, {} dropped; open in Perfetto / chrome://tracing)",
-        req.path,
-        trace.events.len(),
-        trace.dropped
-    );
-    if trace.dropped > 0 {
-        println!(
-            "  note: rings overflowed (drop-oldest); rerun with a larger --trace-cap \
-             for a complete trace"
-        );
-    }
-}
-
-/// Runs `iterations` applications of Algorithm 1 on an `nx × ny × nz`
-/// standard problem with tracing on, then exports the trace via
-/// [`export_trace`]. The common tail of every benchmark binary's `--trace`
-/// handling.
-pub fn run_traced(
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    iterations: usize,
-    execution: Execution,
-    req: &TraceRequest,
-) {
-    let (mesh, fluid, trans) = standard_problem(nx, ny, nz, 42);
-    let mut sim = DataflowFluxSimulator::builder(&mesh)
-        .fluid(&fluid)
-        .transmissibilities(&trans)
-        .execution(execution)
-        .trace(req.spec())
-        .build()
-        .expect("standard problem is always valid");
-    sim.apply_many(iterations, |i| pressure_for_iteration(&mesh, i))
-        .expect("traced run failed");
-    export_trace(&sim, req);
-}
-
-/// Profiles a simulator's recorded trace: prints the per-region cycle
-/// attribution and the recovered critical path, and writes the combined
-/// JSON document to `req.path`.
-///
-/// Call after the measured run, on a simulator built with
-/// `.trace(req.spec())` on its builder. Panics if the simulator
-/// was not built with tracing enabled (a harness bug, not user input).
-/// Returns the profile for callers that post-process it (Table 3's
-/// profile-derived breakdown).
-pub fn export_profile(sim: &DataflowFluxSimulator, req: &ProfileRequest) -> Profile {
-    let trace = sim
-        .trace()
-        .expect("export_profile called on an untraced simulator");
-    let profile = Profile::from_trace(&trace);
-    let path = critical_path(&trace, 1);
-    println!();
-    print!("{profile}");
-    if let Some(cp) = &path {
-        print!("{cp}");
-    }
-    std::fs::write(&req.path, profile_json(&profile, path.as_ref()))
-        .unwrap_or_else(|e| panic!("writing profile to {}: {e}", req.path));
-    println!(
-        "profile written to {} ({} events analyzed, {} dropped)",
-        req.path,
-        trace.events.len(),
-        trace.dropped
-    );
-    if trace.dropped > 0 {
-        println!(
-            "  note: rings overflowed (drop-oldest); attribution covers the retained \
-             tail only — rerun with a larger --trace-cap for full coverage"
-        );
-    }
-    profile
-}
-
-/// Runs `iterations` applications of Algorithm 1 on an `nx × ny × nz`
-/// standard problem with tracing on, then profiles it via
-/// [`export_profile`]. The common tail of every benchmark binary's
-/// `--profile` handling.
-pub fn run_profiled(
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    iterations: usize,
-    execution: Execution,
-    req: &ProfileRequest,
-) -> Profile {
-    let (mesh, fluid, trans) = standard_problem(nx, ny, nz, 42);
-    let mut sim = DataflowFluxSimulator::builder(&mesh)
-        .fluid(&fluid)
-        .transmissibilities(&trans)
-        .execution(execution)
-        .trace(req.spec())
-        .build()
-        .expect("standard problem is always valid");
-    sim.apply_many(iterations, |i| pressure_for_iteration(&mesh, i))
-        .expect("profiled run failed");
-    export_profile(&sim, req)
-}
-
 /// The telemetry hub the shared `--metrics <path>` flag requests: live
 /// when the flag was given, [`wse_metrics::MetricsHub::Null`] (every probe
 /// a no-op) otherwise. Pass the result to `.metrics(...)` on simulator
@@ -431,47 +306,16 @@ pub fn export_metrics(args: &CommonArgs, hub: &wse_metrics::MetricsHub) {
     );
 }
 
-/// Honors `--metrics <path>` for the table binaries: reruns one
-/// instrumented application on the selected engine with a live hub and
-/// writes the Prometheus exposition. Never part of the measured tables —
-/// a separate demonstration run, like [`run_faulted_demo`]. A no-op when
-/// the flag was not given.
-pub fn run_metered_demo(args: &CommonArgs, nx: usize, ny: usize, nz: usize) {
-    if args.metrics.is_none() {
-        return;
+/// A GitHub-flavoured markdown table from a `header` and `rows` written
+/// as their cells joined by ` | `, each line ending in a newline. Every
+/// table the harness prints goes through it.
+pub fn markdown_table(header: &str, rows: impl IntoIterator<Item = String>) -> String {
+    let columns = header.split(" | ").count();
+    let mut out = format!("| {header} |\n|{}\n", " --- |".repeat(columns));
+    for row in rows {
+        out += &format!("| {row} |\n");
     }
-    let hub = metrics_hub(args);
-    let (mesh, fluid, trans) = standard_problem(nx, ny, nz, 42);
-    let mut sim = DataflowFluxSimulator::builder(&mesh)
-        .fluid(&fluid)
-        .transmissibilities(&trans)
-        .execution(args.execution)
-        .metrics(hub.clone())
-        .build()
-        .expect("metered demo problem must pass builder validation");
-    sim.apply(&pressure_for_iteration(&mesh, 0))
-        .expect("metered demo run failed");
-    export_metrics(args, &hub);
-}
-
-/// Prints a fixed-width table row.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let mut line = String::new();
-    for (c, w) in cells.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$}  ", w = w));
-    }
-    println!("{}", line.trim_end());
-}
-
-/// Prints a separator line.
-pub fn print_sep(widths: &[usize]) {
-    let total: usize = widths.iter().map(|w| w + 2).sum();
-    println!("{}", "-".repeat(total));
-}
-
-/// Formats seconds with 4 decimal places (the paper's table precision).
-pub fn fmt_s(v: f64) -> String {
-    format!("{v:.4}")
+    out
 }
 
 #[cfg(test)]
@@ -497,9 +341,9 @@ mod tests {
 
     #[test]
     fn measured_interior_pe_matches_table_4() {
-        let m = measure_dataflow(5, 5, 4, 2, true);
+        let nz = 4;
+        let m = measure_dataflow(5, 5, nz as usize, 2, true);
         let c = &m.interior_pe_per_iteration;
-        let nz = m.nz as u64;
         assert_eq!(c.fmul, 60 * nz);
         assert_eq!(c.fsub, 40 * nz);
         assert_eq!(c.fneg, 10 * nz);
@@ -551,7 +395,8 @@ mod tests {
         let path = std::env::temp_dir().join(format!("bench-resume-{}.bin", std::process::id()));
         let path_arg = path.to_str().expect("temp path is UTF-8").to_string();
         let demo = |flag: &str| {
-            let args = CommonArgs::from_slice(&[flag.to_string(), path_arg.clone()]).unwrap();
+            let args =
+                CommonArgs::from_slice(&[flag.to_string(), path_arg.clone()], &[], &[]).unwrap();
             run_checkpoint_demo(&args, 4, 4, 3)
         };
         demo("--checkpoint").expect("writing a checkpoint");

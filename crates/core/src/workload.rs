@@ -190,8 +190,7 @@ pub fn tpfa_pattern() -> Arc<CommPattern> {
 }
 
 /// The paper's TPFA flux workload: Algorithm 1 on the 10-face stencil,
-/// built by the classic `fluid()`/`transmissibilities()` builder path
-/// (and by `--stencil tpfa` in the bench CLI).
+/// built by the classic `fluid()`/`transmissibilities()` builder path.
 pub struct TpfaWorkload {
     nx: usize,
     ny: usize,

@@ -116,8 +116,8 @@ impl Cs2Model {
 
     /// Table-3-style compute/communication/total wall-clock split from a
     /// cycle breakdown of the critical-path PE (e.g. per-region cycles
-    /// attributed by `wse-prof`). Mirrors the counter-derived method used by
-    /// `table3_breakdown`: communication time is modeled from the
+    /// attributed by `wse-prof`). Mirrors Table 3's counter-derived method
+    /// (`bench::paper`): communication time is modeled from the
     /// communication cycles alone, computation is the remainder of the total.
     pub fn breakdown_from_cycles(
         &self,

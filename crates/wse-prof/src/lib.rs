@@ -16,7 +16,7 @@
 //!   fabric makespan, reporting the bounding PEs, colors and links plus a
 //!   slack histogram for everything off the path.
 //! * [`report`] — a hand-rolled JSON profile export combining both views
-//!   (`--profile out.json` on the table binaries writes this).
+//!   (the quickstart's `--profile out.json` writes this).
 //!
 //! Everything here is a pure function of a [`wse_trace::Trace`]: because
 //! per-PE trace streams are bit-identical between the sequential and the

@@ -7,6 +7,8 @@
 //! cargo run --example quickstart -- --trace trace.json [--trace-cap N]
 //! cargo run --example quickstart -- --profile prof.json [--trace-cap N]
 //! cargo run --example quickstart -- --metrics metrics.prom
+//! cargo run --example quickstart -- --checkpoint ckpt.bin
+//! cargo run --example quickstart -- --resume ckpt.bin --shards 4
 //! ```
 //!
 //! With `--trace`, both engine runs record per-PE event traces; the sorted
@@ -16,7 +18,11 @@
 //! instead: per-region cycle attribution plus the recovered critical path,
 //! both asserted bit-identical across engines, exported as JSON. With
 //! `--metrics`, both engine runs publish `fabric_*`/`driver_*` telemetry
-//! into one live hub, written out as Prometheus text on exit.
+//! into one live hub, written out as Prometheus text on exit. With
+//! `--checkpoint`, a run is stopped half-way and its fabric state written
+//! out; `--resume` restores such a file on any engine, finishes the run and
+//! asserts the residual bit-identical to an uninterrupted one. An unknown
+//! flag exits 2.
 
 use bench::CommonArgs;
 use mdfv::dataflow::DataflowFluxSimulator;

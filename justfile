@@ -22,7 +22,7 @@ smoke:
     cargo test -q -p wse-sim
     cargo test -q -p wse-sim --release --test parallel_equivalence
     cargo run --release --example quickstart
-    cargo run -p bench --release --bin table4_instructions
+    cargo run -p bench --release --bin paper -- table4
 
 # the differential determinism harness (the strip engine's one-strip run,
 # `Sequential`, vs strips x threads: pauses, restores, a panicking worker);
@@ -89,14 +89,10 @@ bench-check:
     for w in tpfa-small tpfa-wide tpfa-deep tpfa-sharded wave-steps serve-mix; do for t in 0 1; do bash benchmark/run.sh --workload $w --seed 1 --seconds 2 --trace $t || exit 1; done; done
     test -z "$(git status --porcelain benchmark/)"
 
-# regenerate every table/figure of the paper's evaluation
+# print every table/figure of the paper's evaluation (`cargo test` checks
+# the deterministic ones against EXPERIMENTS.md)
 tables:
-    cargo run -p bench --release --bin table1
-    cargo run -p bench --release --bin table2_scaling
-    cargo run -p bench --release --bin table3_breakdown
-    cargo run -p bench --release --bin table4_instructions
-    cargo run -p bench --release --bin figure8_roofline
-    cargo run -p bench --release --bin energy
+    cargo run -p bench --release --bin paper
 
 # live ASCII dashboard over the job server's progress streams: one bar
 # per job at chunk granularity plus a serve_* telemetry footer
@@ -104,7 +100,7 @@ top:
     cargo run -p bench --release --bin top
 
 # instrumented serve-harness run: serve_*/fabric_*/driver_* series
-# written as Prometheus text (also see `--metrics` on every table binary)
+# written as Prometheus text (also see `--metrics` on quickstart and `top`)
 metrics:
     cargo run -p bench --release --bin serve -- --metrics metrics.prom
     @head -n 24 metrics.prom
