@@ -267,7 +267,7 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let common = or_exit(bench::CommonArgs::from_slice(
         &raw,
-        &["--schedules", "--seed", "--report"],
+        &["--shards", "--threads", "--schedules", "--seed", "--report"],
         &[],
     ));
     let schedules = or_exit(flag(&raw, "--schedules")).unwrap_or(50);

@@ -43,7 +43,7 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let common = or_exit(bench::CommonArgs::from_slice(
         &raw,
-        &["--budget-s", "--max-rss-mb"],
+        &["--shards", "--threads", "--budget-s", "--max-rss-mb"],
         &[],
     ));
     let budget_s: Option<f64> = or_exit(flag(&raw, "--budget-s"));

@@ -29,7 +29,11 @@ const NZ: usize = 6;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let common = or_exit(bench::CommonArgs::from_slice(&raw, &["--apps"], &[]));
+    let common = or_exit(bench::CommonArgs::from_slice(
+        &raw,
+        &["--shards", "--threads", "--metrics", "--apps"],
+        &[],
+    ));
     let apps = or_exit(flag(&raw, "--apps")).unwrap_or(4);
     let problem = ProblemSpec {
         nx: NX,

@@ -47,7 +47,7 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let common = or_exit(bench::CommonArgs::from_slice(
         &raw,
-        &["--jobs", "--apps"],
+        &["--shards", "--threads", "--metrics", "--jobs", "--apps"],
         &["--plain"],
     ));
     let jobs = or_exit(flag(&raw, "--jobs")).unwrap_or(4);

@@ -1,6 +1,7 @@
 //! Shared CLI parsing for the harness binaries and the quickstart example.
 //!
-//! They accept the same flag family, parsed once by [`CommonArgs`]:
+//! The common flag family, parsed once by [`CommonArgs`] (quickstart
+//! accepts all of it; each harness binary only the flags it reads):
 //!
 //! * `--shards N [--threads M]` — fabric engine selection (`Sequential`,
 //!   one strip on the calling thread, when absent or 0; `--threads` needs
@@ -19,8 +20,9 @@
 //!   [`wse_metrics::MetricsHub`] and write the Prometheus text exposition
 //!   there on exit (see [`crate::metrics_hub`] / [`crate::export_metrics`]).
 //!
-//! A binary declares its own extra flags; any other flag, and any stray
-//! positional argument, is an error, never silently ignored.
+//! A binary declares every flag it reads, common or its own; any other
+//! flag, and any stray positional argument, is an error, never silently
+//! ignored.
 
 use std::str::FromStr;
 
@@ -28,19 +30,20 @@ use tpfa_dataflow::RecoveryPolicy;
 use wse_sim::fabric::Execution;
 use wse_sim::fault::FaultPlan;
 use wse_sim::geometry::FabricDims;
-use wse_sim::trace::{
-    profile_request_from_arg_slice, trace_request_from_arg_slice, ProfileRequest, TraceRequest,
-};
+use wse_sim::trace::{TraceSpec, DEFAULT_RING_CAPACITY};
 
 /// The flag set shared by all benchmark binaries, parsed once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommonArgs {
     /// Fabric engine (`--shards`/`--threads`; sequential when absent).
     pub execution: Execution,
-    /// `--trace` request, if any.
-    pub trace: Option<TraceRequest>,
-    /// `--profile` request, if any.
-    pub profile: Option<ProfileRequest>,
+    /// `--trace <path>`: write the Chrome trace JSON here.
+    pub trace: Option<String>,
+    /// `--profile <path>`: write the profile JSON here.
+    pub profile: Option<String>,
+    /// `--trace-cap <events>`: per-PE ring capacity of a traced or
+    /// profiled run (default [`DEFAULT_RING_CAPACITY`]).
+    pub trace_cap: usize,
     /// `--faults <seed>`: seed for a randomized fault plan, if any.
     pub fault_seed: Option<u64>,
     /// `--recovery <policy>` (default [`RecoveryPolicy::Fail`]).
@@ -53,8 +56,9 @@ pub struct CommonArgs {
     pub metrics: Option<String>,
 }
 
-/// The flags [`CommonArgs`] parses, each followed by a value.
-const COMMON_FLAGS: [&str; 10] = [
+/// The flags [`CommonArgs`] parses, each followed by a value — the whole
+/// family quickstart accepts.
+pub const COMMON_FLAGS: [&str; 10] = [
     "--shards",
     "--threads",
     "--trace",
@@ -68,12 +72,26 @@ const COMMON_FLAGS: [&str; 10] = [
 ];
 
 impl CommonArgs {
-    /// Parses the common flags from an argument slice. `own` names the
-    /// calling binary's extra flags that take a value and `switches` those
-    /// that take none; the binary reads them itself with [`flag`]. Missing
-    /// or malformed values of the common flags, unknown flags and stray
-    /// positional arguments are an error.
-    pub fn from_slice(args: &[String], own: &[&str], switches: &[&str]) -> Result<Self, String> {
+    /// Parses the common flags from an argument slice. `flags` names every
+    /// flag the calling binary reads that takes a value — the common ones
+    /// it honours and its own, which it reads itself with [`flag`] — and
+    /// `switches` those that take none. Missing or malformed values, any
+    /// other flag (a common one included) and stray positional arguments
+    /// are an error.
+    pub fn from_slice(args: &[String], flags: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut rest = args.iter().peekable();
+        while let Some(arg) = rest.next() {
+            if flags.contains(&arg.as_str()) {
+                // Its value, unless that is missing ([`flag`] reports it).
+                rest.next_if(|v| !v.starts_with("--"));
+            } else if !switches.contains(&arg.as_str()) {
+                return Err(if arg.starts_with('-') {
+                    format!("unknown flag {arg}")
+                } else {
+                    format!("unexpected argument {arg:?}")
+                });
+            }
+        }
         let execution = match (flag(args, "--shards")?, flag::<usize>(args, "--threads")?) {
             (None | Some(0), None) => Execution::Sequential,
             (None | Some(0), Some(_)) => {
@@ -90,37 +108,36 @@ impl CommonArgs {
             None => RecoveryPolicy::Fail,
             Some(v) => RecoveryPolicy::parse(&v)?,
         };
-        let parsed = Self {
+        Ok(Self {
             execution,
-            trace: trace_request_from_arg_slice(args)?,
-            profile: profile_request_from_arg_slice(args)?,
+            trace: flag(args, "--trace")?,
+            profile: flag(args, "--profile")?,
+            trace_cap: flag(args, "--trace-cap")?.unwrap_or(DEFAULT_RING_CAPACITY),
             fault_seed: flag(args, "--faults")?,
             recovery,
             checkpoint: flag(args, "--checkpoint")?,
             resume: flag(args, "--resume")?,
             metrics: flag(args, "--metrics")?,
-        };
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            if COMMON_FLAGS.contains(&arg.as_str()) || own.contains(&arg.as_str()) {
-                rest.next();
-            } else if !switches.contains(&arg.as_str()) {
-                return Err(if arg.starts_with('-') {
-                    format!("unknown flag {arg}")
-                } else {
-                    format!("unexpected argument {arg:?}")
-                });
-            }
-        }
-        Ok(parsed)
+        })
     }
 
-    /// [`CommonArgs::from_slice`] over the process's own CLI arguments for
-    /// a binary with no extra flags, exiting with the parse error on bad
-    /// input.
+    /// [`CommonArgs::from_slice`] over the process's own CLI arguments with
+    /// the whole [`COMMON_FLAGS`] family and nothing else, exiting with the
+    /// parse error on bad input.
     pub fn parse() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        or_exit(Self::from_slice(&args, &[], &[]))
+        or_exit(Self::from_slice(&args, &COMMON_FLAGS, &[]))
+    }
+
+    /// The tracing the flags request: a ring of `--trace-cap` events per PE
+    /// when `--trace` or `--profile` was given (a profile is replayed from
+    /// the trace), off otherwise.
+    pub fn trace_spec(&self) -> TraceSpec {
+        if self.trace.is_some() || self.profile.is_some() {
+            TraceSpec::ring(self.trace_cap)
+        } else {
+            TraceSpec::OFF
+        }
     }
 
     /// Human-readable engine label for benchmark headers.
@@ -140,14 +157,16 @@ impl CommonArgs {
 }
 
 /// The value after `name` in `args`, parsed as `T`: `Ok(None)` when the
-/// flag is absent, an error when its value is missing or malformed — a
-/// typo in a flag value is never a silent default.
+/// flag is absent, an error when its value is missing (the last argument,
+/// or another `--flag`) or malformed — a typo in a flag value is never a
+/// silent default.
 pub fn flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
     let Some(at) = args.iter().position(|a| a == name) else {
         return Ok(None);
     };
     let value = args
         .get(at + 1)
+        .filter(|v| !v.starts_with("--"))
         .ok_or_else(|| format!("missing value for {name}"))?;
     value
         .parse()
@@ -172,9 +191,9 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    /// Parses `s` for a binary with no extra flags.
+    /// Parses `s` the way quickstart does: the whole common family.
     fn parse(s: &str) -> Result<CommonArgs, String> {
-        CommonArgs::from_slice(&to_args(s), &[], &[])
+        CommonArgs::from_slice(&to_args(s), &COMMON_FLAGS, &[])
     }
 
     #[test]
@@ -183,6 +202,7 @@ mod tests {
         assert_eq!(args.execution, Execution::Sequential);
         assert_eq!(args.trace, None);
         assert_eq!(args.profile, None);
+        assert_eq!(args.trace_spec(), TraceSpec::OFF);
         assert_eq!(args.fault_seed, None);
         assert_eq!(args.recovery, RecoveryPolicy::Fail);
         assert_eq!(args.checkpoint, None);
@@ -205,9 +225,9 @@ mod tests {
                 threads: 2
             }
         );
-        assert_eq!(args.trace.as_ref().unwrap().path, "t.json");
-        assert_eq!(args.trace.as_ref().unwrap().capacity, 64);
-        assert_eq!(args.profile.as_ref().unwrap().path, "p.json");
+        assert_eq!(args.trace.as_deref(), Some("t.json"));
+        assert_eq!(args.profile.as_deref(), Some("p.json"));
+        assert_eq!(args.trace_spec(), TraceSpec::ring(64));
         assert_eq!(args.fault_seed, Some(7));
         assert_eq!(args.checkpoint.as_deref(), Some("c.bin"));
         assert_eq!(args.resume.as_deref(), Some("r.bin"));
@@ -218,6 +238,38 @@ mod tests {
                 max_attempts: 5,
                 backoff: 100
             }
+        );
+    }
+
+    #[test]
+    fn parses_trace_flag_with_and_without_cap() {
+        assert_eq!(parse("--shards 4").unwrap().trace, None);
+        let plain = parse("--trace out.json").unwrap();
+        assert_eq!(plain.trace.as_deref(), Some("out.json"));
+        assert_eq!(plain.trace_spec(), TraceSpec::ring(DEFAULT_RING_CAPACITY));
+        let capped = parse("--shards 4 --trace t.json --trace-cap 128").unwrap();
+        assert_eq!(capped.trace.as_deref(), Some("t.json"));
+        assert_eq!(capped.trace_spec(), TraceSpec::ring(128));
+        // `--trace` immediately followed by another flag has no path.
+        assert_eq!(
+            parse("--trace --trace-cap 128").unwrap_err(),
+            "missing value for --trace"
+        );
+    }
+
+    #[test]
+    fn parses_profile_flag_with_shared_cap() {
+        let plain = parse("--profile p.json").unwrap();
+        assert_eq!(plain.profile.as_deref(), Some("p.json"));
+        assert_eq!(plain.trace, None);
+        // Profiling replays a trace, so it turns the ring on by itself.
+        assert_eq!(plain.trace_spec(), TraceSpec::ring(DEFAULT_RING_CAPACITY));
+        let both = parse("--trace t.json --profile p.json --trace-cap 64").unwrap();
+        assert_eq!(both.profile.as_deref(), Some("p.json"));
+        assert_eq!(both.trace_spec(), TraceSpec::ring(64));
+        assert_eq!(
+            parse("--profile --trace-cap 64").unwrap_err(),
+            "missing value for --profile"
         );
     }
 
@@ -242,7 +294,10 @@ mod tests {
         assert!(parse("--recovery sometimes").is_err());
         assert!(parse("--trace t.json --trace-cap abc").is_err());
         assert!(parse("--trace t.json --trace-cap").is_err());
-        assert!(parse("--trace --shards 4").is_err());
+        assert_eq!(
+            parse("--trace --shards 4").unwrap_err(),
+            "missing value for --trace"
+        );
         assert!(parse("--profile --trace-cap 64").is_err());
         // The extra flags of single binaries go through the same parser.
         assert!(flag::<f64>(&to_args("--max-rss-mb 3l36"), "--max-rss-mb").is_err());
@@ -264,9 +319,10 @@ mod tests {
         );
         assert_eq!(parse("--apps 3").unwrap_err(), "unknown flag --apps");
         // A binary's declared flags pass, and their values are not strays.
+        let top = ["--shards", "--threads", "--metrics", "--jobs", "--apps"];
         let own = CommonArgs::from_slice(
-            &to_args("--apps 3 --shards 2 --plain --report out.json"),
-            &["--apps", "--report"],
+            &to_args("--apps 3 --shards 2 --plain --metrics m.prom"),
+            &top,
             &["--plain"],
         )
         .unwrap();
@@ -274,6 +330,26 @@ mod tests {
             own.execution,
             Execution::Sharded { shards: 2, .. }
         ));
+        // A common flag the binary does not read is refused like any other
+        // (`serve --trace t.json` would otherwise write nothing and exit 0).
+        for common in [
+            "--trace",
+            "--trace-cap",
+            "--profile",
+            "--faults",
+            "--checkpoint",
+        ] {
+            assert_eq!(
+                CommonArgs::from_slice(&to_args(&format!("{common} 1")), &top, &["--plain"])
+                    .unwrap_err(),
+                format!("unknown flag {common}")
+            );
+        }
+        let paper_mesh = ["--shards", "--threads", "--budget-s", "--max-rss-mb"];
+        assert_eq!(
+            CommonArgs::from_slice(&to_args("--metrics m.prom"), &paper_mesh, &[]).unwrap_err(),
+            "unknown flag --metrics"
+        );
         assert!(CommonArgs::from_slice(&to_args("--plain 3"), &[], &["--plain"]).is_err());
         // A common flag's value that looks like a flag is still its value.
         assert!(parse("--checkpoint -c.bin").is_ok());

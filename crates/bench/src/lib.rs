@@ -395,8 +395,12 @@ mod tests {
         let path = std::env::temp_dir().join(format!("bench-resume-{}.bin", std::process::id()));
         let path_arg = path.to_str().expect("temp path is UTF-8").to_string();
         let demo = |flag: &str| {
-            let args =
-                CommonArgs::from_slice(&[flag.to_string(), path_arg.clone()], &[], &[]).unwrap();
+            let args = CommonArgs::from_slice(
+                &[flag.to_string(), path_arg.clone()],
+                &cli::COMMON_FLAGS,
+                &[],
+            )
+            .unwrap();
             run_checkpoint_demo(&args, 4, 4, 3)
         };
         demo("--checkpoint").expect("writing a checkpoint");

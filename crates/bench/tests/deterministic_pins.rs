@@ -80,7 +80,7 @@ fn tpfa_16x16_profile_and_cs2_model() {
     );
 
     let profile = Profile::from_trace(&trace);
-    assert_eq!(profile.max_pe_counters.cycles(), 1004, "pacing PE cycles");
+    assert_eq!(profile.max_pe_counters().cycles(), 1004, "pacing PE cycles");
     let shares: Vec<(&str, u64)> = (0..PROFILE_BUCKETS)
         .map(|i| (bucket_name(i), profile.share(i).to_bits()))
         .collect();

@@ -384,13 +384,6 @@ impl<'a> SimulatorBuilder<'a> {
         self
     }
 
-    /// Installs an already-shared workload (e.g. one reused across
-    /// simulators for differential runs).
-    pub fn workload_arc(mut self, workload: Arc<dyn Workload>) -> Self {
-        self.workload = Some(workload);
-        self
-    }
-
     /// The working fluid (required).
     pub fn fluid(mut self, fluid: &'a Fluid) -> Self {
         self.fluid = Some(fluid);

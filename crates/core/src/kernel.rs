@@ -350,7 +350,7 @@ mod tests {
         Rig {
             mem: PeMemory::new(words),
             ctr: OpCounters::default(),
-            tr: PeTracer::null(),
+            tr: PeTracer::Null,
             r,
             inp: FaceInputs {
                 p_k,

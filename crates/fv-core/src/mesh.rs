@@ -314,13 +314,6 @@ impl CartesianMesh3 {
         }
     }
 
-    /// Linear index of the neighbor of `idx` in direction `n`, if interior.
-    #[inline]
-    pub fn neighbor_linear(&self, idx: usize, n: Neighbor) -> Option<usize> {
-        self.neighbor(self.structured(idx), n)
-            .map(|c| self.linear_idx(c))
-    }
-
     /// Elevation (center Z coordinate, increasing upward) of a cell with Z
     /// index `z` \[m\]; layer 0 is the deepest.
     ///
@@ -329,16 +322,6 @@ impl CartesianMesh3 {
     #[inline]
     pub fn elevation(&self, z: usize) -> f64 {
         (z as f64 + 0.5) * self.spacing.dz
-    }
-
-    /// Cell center coordinates \[m\].
-    #[inline]
-    pub fn cell_center(&self, c: CellIdx) -> (f64, f64, f64) {
-        (
-            (c.x as f64 + 0.5) * self.spacing.dx,
-            (c.y as f64 + 0.5) * self.spacing.dy,
-            (c.z as f64 + 0.5) * self.spacing.dz,
-        )
     }
 
     /// Iterates over all cells in linear-index order (x fastest).

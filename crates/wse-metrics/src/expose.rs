@@ -1,5 +1,5 @@
-//! Exposition: Prometheus text format and a JSON snapshot, hand-rolled
-//! like `wse-prof::report` (the offline build has no serde).
+//! Exposition in the Prometheus text format, hand-rolled like
+//! `wse-prof::report` (the offline build has no serde).
 //!
 //! The text format follows the Prometheus conventions the scrape parser
 //! actually enforces: one `# HELP`/`# TYPE` pair per metric name, sample
@@ -19,22 +19,6 @@ fn escape_label(v: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
             c => out.push(c),
         }
     }
@@ -143,53 +127,6 @@ pub fn prometheus_text(samples: &[Sample]) -> String {
     out
 }
 
-/// Renders samples as a standalone JSON document:
-/// `{"metrics": [{"name": ..., "type": ..., "labels": {...}, ...}]}`.
-pub fn json_snapshot(samples: &[Sample]) -> String {
-    let mut out = String::with_capacity(96 * samples.len().max(1));
-    out.push_str("{\n  \"metrics\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let labels = s
-            .labels
-            .iter()
-            .map(|(k, v)| format!("\"{}\": \"{}\"", escape_json(k), escape_json(v)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, ",
-            escape_json(&s.name)
-        );
-        match &s.value {
-            SampleValue::Counter(v) => {
-                let _ = write!(out, "\"type\": \"counter\", \"value\": {v}");
-            }
-            SampleValue::Gauge(v) => {
-                let v = if v.is_finite() { *v } else { 0.0 };
-                let _ = write!(out, "\"type\": \"gauge\", \"value\": {v}");
-            }
-            SampleValue::Histogram {
-                buckets,
-                sum,
-                count,
-            } => {
-                let bs = buckets
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = write!(
-                    out,
-                    "\"type\": \"histogram\", \"buckets\": [{bs}], \"sum\": {sum}, \"count\": {count}"
-                );
-            }
-        }
-        let _ = writeln!(out, "}}{}", if i + 1 < samples.len() { "," } else { "" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::registry::MetricsHub;
@@ -250,25 +187,5 @@ mod tests {
         hub.counter("x_total", "x", &[("path", "a\"b\\c\nd")]).inc();
         let text = hub.prometheus_text();
         assert!(text.contains("x_total{path=\"a\\\"b\\\\c\\nd\"} 1"));
-        let json = hub.json_snapshot();
-        assert!(json.contains("\"path\": \"a\\\"b\\\\c\\nd\""));
-    }
-
-    #[test]
-    fn json_snapshot_is_balanced_and_complete() {
-        let json = demo_hub().json_snapshot();
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
-        assert!(json.contains("\"name\": \"events_total\""));
-        assert!(json.contains("\"type\": \"counter\", \"value\": 12"));
-        assert!(json.contains("\"sum\": 10, \"count\": 3"));
-        // A null hub still produces a valid document.
-        assert_eq!(
-            MetricsHub::Null.json_snapshot(),
-            "{\n  \"metrics\": [\n  ]\n}\n"
-        );
     }
 }

@@ -22,9 +22,9 @@
 //!   quantities (latencies, rates) are kept in separately named metrics and
 //!   never mixed into deterministic ones. `tests/metrics_equivalence.rs`
 //!   pins the split.
-//! * **Hand-rolled exposition.** [`MetricsHub::prometheus_text`] and
-//!   [`MetricsHub::json_snapshot`] are written by hand like
-//!   `wse-prof::report` — the offline build environment has no serde.
+//! * **Hand-rolled exposition.** [`MetricsHub::prometheus_text`] is
+//!   written by hand like `wse-prof::report` — the offline build
+//!   environment has no serde.
 //!
 //! The crate also hosts the [`FlightRecorder`]: a bounded drop-oldest ring
 //! of recent events that the job server attaches to failures, so a typed

@@ -397,12 +397,6 @@ impl MetricsHub {
     pub fn prometheus_text(&self) -> String {
         crate::expose::prometheus_text(&self.snapshot())
     }
-
-    /// The registry rendered as a JSON document (an empty `metrics` array
-    /// for a null hub).
-    pub fn json_snapshot(&self) -> String {
-        crate::expose::json_snapshot(&self.snapshot())
-    }
 }
 
 #[cfg(test)]

@@ -39,12 +39,12 @@ pub fn profile_json(profile: &Profile, path: Option<&CriticalPath>) -> String {
         "{{\"schema_version\":{PROFILE_SCHEMA_VERSION},\"horizon_cycles\":{},\"attributed_cycles\":{},\"num_pes\":{},\"max_pe\":{},\"max_pe_cycles\":{},\"max_pe_compute_cycles\":{},\"max_pe_fabric_cycles\":{},\"unpaired_markers\":{},\"regions\":[",
         profile.horizon,
         profile.attributed_cycles(),
-        profile.per_pe_cycles.len(),
+        profile.per_pe.len(),
         profile.max_pe,
-        profile.max_pe_counters.cycles(),
+        profile.max_pe_counters().cycles(),
         profile.pacing_compute_cycles(),
         profile.pacing_comm_cycles(),
-        profile.unpaired_markers,
+        profile.unpaired_markers(),
     );
     region_json(&mut out, profile);
     out.push_str("],\"critical_path\":");

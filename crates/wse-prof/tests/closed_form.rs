@@ -204,13 +204,16 @@ fn three_pe_attribution_is_exact() {
     let p = Profile::from_trace(&trace);
 
     let flux = TraceRegion::FluxCompute.code() as usize;
-    assert_eq!(p.unpaired_markers, 0);
+    assert_eq!(p.unpaired_markers(), 0);
     // PE1's marked work lands in flux-compute; PE0/PE2's unmarked work in
     // the "other" bucket. send_f32 costs nothing (a single outbox push).
     assert_eq!(p.regions[flux].counters.compute_cycles, W1);
     assert_eq!(p.regions[OTHER_REGION].counters.compute_cycles, W0 + W2);
     assert_eq!(p.attributed_cycles(), W0 + W1 + W2);
-    assert_eq!(p.per_pe_cycles, vec![W0, W1, W2]);
+    assert_eq!(
+        p.per_pe.iter().map(|c| c.cycles()).collect::<Vec<_>>(),
+        vec![W0, W1, W2]
+    );
     assert_eq!(p.max_pe, 0);
     // Idle of the pacing PE: everything after its own task.
     assert_eq!(p.idle_cycles(0), p.horizon - W0);

@@ -65,7 +65,7 @@ fn profiler_output_is_bit_identical_across_engines() {
     let halo = TraceRegion::HaloExchange.code() as usize;
     let flux = TraceRegion::FluxCompute.code() as usize;
     let resid = TraceRegion::ResidualAccumulate.code() as usize;
-    assert_eq!(seq.profile.unpaired_markers, 0);
+    assert_eq!(seq.profile.unpaired_markers(), 0);
     assert!(seq.profile.regions[halo].cycles() > 0, "halo region empty");
     assert!(seq.profile.regions[flux].cycles() > 0, "flux region empty");
     assert!(
@@ -120,7 +120,7 @@ fn attribution_totals_match_fabric_counters() {
     let profile = Profile::from_trace(&trace);
     let stats = sim.stats();
     assert_eq!(profile.attributed_cycles(), stats.total.cycles());
-    assert_eq!(profile.max_pe_counters.cycles(), stats.max_pe_cycles);
+    assert_eq!(profile.max_pe_counters().cycles(), stats.max_pe_cycles);
     // The critical path ends at the last task. The last TaskEnd timestamp
     // may exceed the last *processed event* time (a task's end is recorded
     // at busy_until without being an event itself), and trailing wavelets

@@ -1,8 +1,9 @@
 //! Cross-check: a complete trace is a lossless account of the simulator's
 //! work. Replaying every traced DSD op and wavelet event through
-//! [`wse_sim::stats::stats_from_trace`] must reconstruct the aggregate
-//! [`FabricStats`] *exactly* — instruction counters, cycle maxima, and
-//! fabric traffic alike — on the quickstart-sized TPFA program.
+//! [`Profile::from_trace`] must reconstruct the aggregate
+//! [`wse_sim::stats::FabricStats`] *exactly* ([`Profile::stats`]) —
+//! instruction counters, cycle maxima, and fabric traffic alike — on the
+//! quickstart-sized TPFA program.
 
 use fv_core::eos::Fluid;
 use fv_core::fields::PermeabilityField;
@@ -10,8 +11,8 @@ use fv_core::mesh::{CartesianMesh3, Extents, Spacing};
 use fv_core::state::FlowState;
 use fv_core::trans::{StencilKind, Transmissibilities};
 use tpfa_dataflow::DataflowFluxSimulator;
+use wse_prof::Profile;
 use wse_sim::fabric::Execution;
-use wse_sim::stats::stats_from_trace;
 use wse_sim::trace::TraceSpec;
 
 fn cross_check(execution: Execution) {
@@ -34,7 +35,7 @@ fn cross_check(execution: Execution) {
         trace.dropped, 0,
         "cross-check requires a complete (undropped) trace"
     );
-    let from_trace = stats_from_trace(&trace);
+    let from_trace = Profile::from_trace(&trace).stats();
     let direct = sim.stats();
     assert_eq!(
         from_trace, direct,

@@ -706,13 +706,6 @@ impl JobServer {
         st.jobs.get(&id).and_then(|j| j.result.clone())
     }
 
-    /// The job's parked checkpoint, if it is currently checkpointed —
-    /// e.g. to persist it with [`Checkpoint::write_file`].
-    pub fn checkpoint_of(&self, id: JobId) -> Option<Checkpoint> {
-        let st = self.inner.state.lock().unwrap();
-        st.jobs.get(&id).and_then(|j| j.checkpoint.clone())
-    }
-
     /// Compiled problems currently cached.
     pub fn cached_problems(&self) -> usize {
         self.inner.cache.lock().unwrap().len()

@@ -329,7 +329,7 @@ mod tests {
         (
             words,
             OpCounters::default(),
-            PeTracer::null(),
+            PeTracer::Null,
             Dsd::contiguous(0, len),
             Dsd::contiguous(len, len),
             Dsd::contiguous(2 * len, len),
@@ -512,7 +512,7 @@ mod tests {
         for i in 0..3 {
             mem.write_f32(p.at(i), 1.0e7 + i as f32 * 1.0e5);
         }
-        let mut tr = PeTracer::null();
+        let mut tr = PeTracer::Null;
         eos_density(
             &mut mem,
             &mut ctr,

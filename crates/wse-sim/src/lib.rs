@@ -48,7 +48,7 @@ pub mod stats;
 pub mod wavelet;
 
 /// The tracing subsystem (re-export of the `wse-trace` crate): event kinds,
-/// sinks, sorted traces, Chrome/Perfetto export and summaries.
+/// per-PE rings, sorted traces and Chrome/Perfetto export.
 pub use wse_trace as trace;
 
 /// Commonly used types.
@@ -61,9 +61,9 @@ pub mod prelude {
     pub use crate::pe::{PeContext, PeProgram};
     pub use crate::route::{ColorConfig, DirMask, Router, RouterPosition};
     pub use crate::snapshot::{FabricSnapshot, RestoreError};
-    pub use crate::stats::{stats_from_trace, FabricStats, OpCounters};
+    pub use crate::stats::{FabricStats, OpCounters};
     pub use crate::wavelet::{Color, Wavelet, WaveletKind, MAX_COLORS};
-    pub use wse_trace::{Trace, TraceSpec, TraceSummary};
+    pub use wse_trace::{Trace, TraceSpec};
 }
 
 pub use prelude::*;

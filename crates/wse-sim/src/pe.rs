@@ -98,14 +98,6 @@ impl<'a> PeContext<'a> {
         }
     }
 
-    /// The active switch position of `color` on this PE's router.
-    pub fn switch_position(&self, color: Color) -> Option<usize> {
-        match &self.phase {
-            Phase::Init { routes, .. } => routes.config(color).map(|c| c.current_index()),
-            Phase::Loaded(router) => router.position_index(color),
-        }
-    }
-
     /// Allocates `len` words of PE memory. Only `init` may allocate: an
     /// allocation past the PE's capacity, or one from a task handler after
     /// load, is refused with a [`MemoryError`] the fabric reports for this

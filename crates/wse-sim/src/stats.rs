@@ -7,9 +7,7 @@
 //! so the reproduction *measures* the table instead of asserting it.
 
 use serde::{Deserialize, Serialize};
-use wse_trace::{Trace, TraceEventKind, TraceOp};
-
-use crate::fault::FaultClass;
+use wse_trace::TraceOp;
 
 /// Per-PE (or aggregated) operation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -173,9 +171,10 @@ impl FabricStats {
 
 /// Applies one traced DSD op of `len` elements to a counter set, using the
 /// same accounting rules as [`crate::dsd`]. The inverse of the simulator's
-/// instrumentation: replaying every [`TraceEventKind::DsdOp`] event of a PE
-/// reconstructs that PE's [`OpCounters`] exactly. Public so profilers
-/// (`wse-prof`) can attribute per-region counters with the same rules.
+/// instrumentation: replaying every `DsdOp` trace event of a PE
+/// reconstructs that PE's [`OpCounters`] exactly. Public so the trace
+/// replay in `wse-prof` rebuilds per-PE and per-region counters with the
+/// same rules.
 pub fn apply_traced_op(ctr: &mut OpCounters, op: TraceOp, len: u64) {
     match op {
         TraceOp::Fmul | TraceOp::FmulGate => {
@@ -225,53 +224,6 @@ pub fn apply_traced_op(ctr: &mut OpCounters, op: TraceOp, len: u64) {
             ctr.compute_cycles += 4 * len;
         }
     }
-}
-
-/// Reconstructs fabric-wide statistics from a *complete* trace (one recorded
-/// with a ring capacity large enough that no events were dropped).
-///
-/// The result matches [`crate::fabric::Fabric::stats`] exactly: per-PE
-/// counters are rebuilt by replaying DSD-op events, per-PE cycle maxima come
-/// from the rebuilt counters, and the traffic totals come from the
-/// wavelet/stall/drop events. This is the cross-check that the trace stream
-/// is a lossless account of what the simulator did.
-///
-/// With a truncated trace (`trace.dropped > 0`) the reconstruction is a
-/// lower bound, not an equality.
-pub fn stats_from_trace(trace: &Trace) -> FabricStats {
-    let mut per_pe: Vec<OpCounters> = vec![OpCounters::default(); trace.num_pes()];
-    let mut stats = FabricStats {
-        num_pes: trace.num_pes(),
-        ..FabricStats::default()
-    };
-    for ev in &trace.events {
-        match ev.kind {
-            TraceEventKind::DsdOp => {
-                if let (Some(ctr), Some(op)) =
-                    (per_pe.get_mut(ev.pe as usize), TraceOp::from_code(ev.a))
-                {
-                    apply_traced_op(ctr, op, u64::from(ev.payload));
-                }
-            }
-            TraceEventKind::WaveletSend => stats.fabric_hops += 1,
-            TraceEventKind::WaveletRecv => stats.ramp_deliveries += 1,
-            TraceEventKind::EdgeDrop => stats.edge_drops += 1,
-            TraceEventKind::FlowStall => stats.flow_stalls += 1,
-            TraceEventKind::Fault => match FaultClass::from_code(ev.a) {
-                Some(FaultClass::LinkDown | FaultClass::PeHalt) => stats.fault_drops += 1,
-                Some(FaultClass::CorruptDetected) => stats.checksum_drops += 1,
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-    for ctr in &per_pe {
-        stats.total.merge(ctr);
-        stats.max_pe_cycles = stats.max_pe_cycles.max(ctr.cycles());
-        stats.max_pe_compute_cycles = stats.max_pe_compute_cycles.max(ctr.compute_cycles);
-        stats.max_pe_comm_cycles = stats.max_pe_comm_cycles.max(ctr.comm_cycles);
-    }
-    stats
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ proptest! {
         let (mut words, a, b, d) = setup(&va, &vb);
         let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
-        let mut tr = PeTracer::null();
+        let mut tr = PeTracer::Null;
         dsd::fmuls(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a), Operand::Mem(b));
         for i in 0..va.len() {
             prop_assert_eq!(mem.read_f32(d.at(i)).to_bits(), (va[i] * vb[i]).to_bits());
@@ -57,7 +57,7 @@ proptest! {
         let (mut words, a, b, d) = setup(&va, &vb);
         let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
-        let mut tr = PeTracer::null();
+        let mut tr = PeTracer::Null;
         dsd::fsubs(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a), Operand::Mem(b));
         for i in 0..va.len() {
             prop_assert_eq!(mem.read_f32(d.at(i)).to_bits(), (va[i] - vb[i]).to_bits());
@@ -77,7 +77,7 @@ proptest! {
             mem.write_f32(d.at(i), 10.0);
         }
         let mut ctr = OpCounters::default();
-        let mut tr = PeTracer::null();
+        let mut tr = PeTracer::Null;
         dsd::fmacs(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a), Operand::Mem(b));
         for i in 0..va.len() {
             let expect = va[i].mul_add(vb[i], 10.0);
@@ -91,7 +91,7 @@ proptest! {
         let (mut words, a, _b, d) = setup(&va, &vb);
         let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
-        let mut tr = PeTracer::null();
+        let mut tr = PeTracer::Null;
         dsd::fnegs(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a));
         for (i, v) in va.iter().enumerate() {
             prop_assert_eq!(mem.read_f32(d.at(i)).to_bits(), (-*v).to_bits());
@@ -104,7 +104,7 @@ proptest! {
         let (mut words, a, b, d) = setup(&va, &vb);
         let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
-        let mut tr = PeTracer::null();
+        let mut tr = PeTracer::Null;
         dsd::fmuls_gate(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a), Operand::Mem(b));
         for i in 0..va.len() {
             let expect = if vb[i] > 0.0 { va[i] } else { 0.0 };
@@ -119,7 +119,7 @@ proptest! {
         let (mut words, a, _b, d) = setup(&va, &vb);
         let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
-        let mut tr = PeTracer::null();
+        let mut tr = PeTracer::Null;
         let sent: Vec<f32> = dsd::fmov_send(&mem, &mut ctr, &mut tr, a).collect();
         for (i, v) in sent.iter().enumerate() {
             dsd::fmov_recv(&mut mem, &mut ctr, &mut tr, d.at(i), *v);
@@ -137,7 +137,7 @@ proptest! {
         let (mut words, a, _b, d) = setup(&va, &vb);
         let mut mem = PeMemory::new(&mut words);
         let mut ctr = OpCounters::default();
-        let mut tr = PeTracer::null();
+        let mut tr = PeTracer::Null;
         dsd::fmuls(&mut mem, &mut ctr, &mut tr, d, Operand::Mem(a), Operand::Scalar(s));
         for (i, v) in va.iter().enumerate() {
             prop_assert_eq!(mem.read_f32(d.at(i)).to_bits(), (v * s).to_bits());

@@ -396,7 +396,12 @@ fn reconfiguring_a_loaded_route_is_a_typed_error() {
         let memories: Vec<u32> = (0..WIDTH)
             .map(|x| f.memory(PeCoord::new(0, x))[0])
             .collect();
-        let errors = f.trace().map(|t| t.count(TraceEventKind::Error));
+        let errors = f.trace().map(|t| {
+            t.events
+                .iter()
+                .filter(|e| e.kind == TraceEventKind::Error)
+                .count()
+        });
         (result, f.stats(), f.time(), memories, errors)
     };
     let engines = [

@@ -1,4 +1,4 @@
-//! `wse-trace`: zero-overhead-when-off tracing & metrics for the `wse-sim`
+//! `wse-trace`: zero-overhead-when-off tracing for the `wse-sim`
 //! fabric simulator.
 //!
 //! The simulator's aggregate [`OpCounters`]-style accounting answers *how
@@ -17,11 +17,13 @@
 //! sequential and sharded engines process each PE's events in the same
 //! causal order, the sorted stream is **bit-identical across engines** —
 //! used as a determinism probe far stronger than residual equality.
-//! Exporters render a trace as Chrome `trace_event` JSON
-//! ([`chrome::chrome_trace_json`], openable in `chrome://tracing` or
-//! Perfetto) or as a compact load summary ([`summary::TraceSummary`]) with
-//! per-PE utilization, per-color wavelet histograms, per-shard busy/idle
-//! timelines and the top-K hottest PEs.
+//! [`chrome::chrome_trace_json`] renders a trace as Chrome `trace_event`
+//! JSON, openable in `chrome://tracing` or Perfetto.
+//!
+//! That is all this crate does: recording and Chrome export. Everything
+//! read *out of* a trace — the per-PE counters, utilization, traffic and
+//! load summary, the cycle attribution and the critical path — is one
+//! replay in `wse-prof` (`wse_prof::Profile`).
 //!
 //! This crate is dependency-free and knows nothing about `wse-sim`; the
 //! simulator depends on it and re-exports it as `wse_sim::trace`.
@@ -32,23 +34,15 @@
 #![warn(clippy::all)]
 
 pub mod chrome;
-pub mod cli;
 pub mod event;
 pub mod sink;
-pub mod summary;
 pub mod trace;
 
 pub use chrome::{check_json, chrome_trace_json, validate};
-pub use cli::{
-    profile_request_from_arg_slice, trace_request_from_arg_slice, ProfileRequest, TraceRequest,
-};
 pub use event::{
     link_name, TraceEvent, TraceEventKind, TraceOp, TraceRegion, LINK_CONTROL_BIT, NUM_REGIONS,
 };
-pub use sink::{
-    EventRing, NullSink, PeTracer, RingSink, TraceSink, TraceSpec, DEFAULT_RING_CAPACITY,
-};
-pub use summary::TraceSummary;
+pub use sink::{EventRing, PeTracer, TraceSpec, DEFAULT_RING_CAPACITY};
 pub use trace::Trace;
 
 /// Pseudo-PE index used for host/engine meta events (barriers, host phases,

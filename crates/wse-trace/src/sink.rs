@@ -1,10 +1,10 @@
-//! Trace sinks: where events go at record time.
+//! Where events go at record time.
 //!
-//! The simulator's hot path holds a [`PeTracer`] per PE — an enum over
-//! [`NullSink`] (tracing off, every record is a no-op the optimizer deletes)
-//! and [`EventRing`] (tracing on, bounded drop-oldest ring buffer). Enum
-//! dispatch instead of `dyn TraceSink` keeps the off path free of virtual
-//! calls and lets the whole record body inline away.
+//! The simulator's hot path holds a [`PeTracer`] per PE — an enum whose
+//! `Null` arm is tracing off (every record is a no-op the optimizer deletes)
+//! and whose `Ring` arm is a bounded drop-oldest [`EventRing`]. Enum
+//! dispatch keeps the off path free of virtual calls and lets the whole
+//! record body inline away.
 
 use crate::event::{TraceEvent, TraceEventKind, TraceOp, TraceRegion};
 
@@ -44,33 +44,6 @@ impl TraceSpec {
 impl Default for TraceSpec {
     fn default() -> Self {
         Self::OFF
-    }
-}
-
-/// Minimal sink interface: accept a fully-formed event, report drops.
-///
-/// The simulator's per-PE hot path does not go through this trait (it uses
-/// [`PeTracer`]'s inherent methods so the off arm stays branch-only); the
-/// trait exists for exporters, tests, and out-of-band consumers that want to
-/// feed pre-built events into a sink generically.
-pub trait TraceSink {
-    /// Record one event (the sink may drop it if bounded and full).
-    fn record(&mut self, ev: TraceEvent);
-    /// Number of events dropped so far because the sink was full.
-    fn dropped(&self) -> u64;
-}
-
-/// Sink that discards everything. All methods compile to no-ops.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline(always)]
-    fn record(&mut self, _ev: TraceEvent) {}
-
-    #[inline(always)]
-    fn dropped(&self) -> u64 {
-        0
     }
 }
 
@@ -138,6 +111,12 @@ impl EventRing {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Events evicted so far because the ring was full.
+    #[inline]
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// Set the time base for the task now starting: `start` is the fabric
@@ -226,105 +205,27 @@ impl EventRing {
     }
 }
 
-impl TraceSink for EventRing {
-    /// Insert a pre-built event verbatim (the caller owns `pe`/`seq`),
-    /// still honouring drop-oldest.
-    fn record(&mut self, ev: TraceEvent) {
-        self.push(ev);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-/// A whole fabric's worth of rings plus one host/meta ring, routable by the
-/// `pe` field of incoming events. This is the "RingSink" the simulator
-/// assembles a [`crate::Trace`] from.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    rings: Vec<EventRing>,
-    host: EventRing,
-}
-
-impl RingSink {
-    /// One ring per PE (linear index order) plus a host ring, each with
-    /// `per_pe_capacity` slots.
-    pub fn new(num_pes: usize, per_pe_capacity: usize) -> Self {
-        Self {
-            rings: (0..num_pes)
-                .map(|pe| EventRing::new(pe as u32, per_pe_capacity))
-                .collect(),
-            host: EventRing::new(crate::HOST_PE, per_pe_capacity),
-        }
-    }
-
-    /// Ring for linear PE index `pe`.
-    pub fn ring(&self, pe: usize) -> &EventRing {
-        &self.rings[pe]
-    }
-
-    /// Mutable ring for linear PE index `pe`.
-    pub fn ring_mut(&mut self, pe: usize) -> &mut EventRing {
-        &mut self.rings[pe]
-    }
-
-    /// The host/meta ring (PE index [`crate::HOST_PE`]).
-    pub fn host(&self) -> &EventRing {
-        &self.host
-    }
-
-    /// Mutable host/meta ring.
-    pub fn host_mut(&mut self) -> &mut EventRing {
-        &mut self.host
-    }
-
-    /// Number of per-PE rings.
-    pub fn num_pes(&self) -> usize {
-        self.rings.len()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: TraceEvent) {
-        if (ev.pe as usize) < self.rings.len() {
-            self.rings[ev.pe as usize].record(ev);
-        } else {
-            self.host.record(ev);
-        }
-    }
-
-    fn dropped(&self) -> u64 {
-        self.rings.iter().map(|r| r.dropped).sum::<u64>() + self.host.dropped
-    }
-}
-
 /// Per-PE tracer held on the simulator hot path: either a no-op or a ring.
 ///
 /// Every method is `#[inline]` and starts with the enum match, so with
 /// tracing off each instrumentation site costs a single well-predicted
 /// branch and the argument computation folds away.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum PeTracer {
     /// Tracing off — all records are no-ops.
-    Null(NullSink),
+    #[default]
+    Null,
     /// Tracing on — records land in this PE's bounded ring.
     Ring(Box<EventRing>),
 }
 
 impl PeTracer {
-    /// A disabled tracer.
-    #[inline]
-    pub fn null() -> Self {
-        Self::Null(NullSink)
-    }
-
     /// Build from a [`TraceSpec`] for linear PE index `pe`.
     pub fn for_spec(spec: TraceSpec, pe: u32) -> Self {
         if spec.enabled {
             Self::Ring(Box::new(EventRing::new(pe, spec.per_pe_capacity)))
         } else {
-            Self::null()
+            Self::Null
         }
     }
 
@@ -337,7 +238,7 @@ impl PeTracer {
     /// The ring, if tracing is on.
     pub fn ring(&self) -> Option<&EventRing> {
         match self {
-            Self::Null(_) => None,
+            Self::Null => None,
             Self::Ring(r) => Some(r),
         }
     }
@@ -346,7 +247,7 @@ impl PeTracer {
     #[inline]
     pub fn record_at(&mut self, time: u64, kind: TraceEventKind, a: u8, b: u16, payload: u32) {
         match self {
-            Self::Null(_) => {}
+            Self::Null => {}
             Self::Ring(r) => r.record_at(time, kind, a, b, payload),
         }
     }
@@ -356,7 +257,7 @@ impl PeTracer {
     #[inline]
     pub fn task_begin(&mut self, start: u64, cycles: u64) {
         match self {
-            Self::Null(_) => {}
+            Self::Null => {}
             Self::Ring(r) => r.task_begin(start, cycles),
         }
     }
@@ -367,7 +268,7 @@ impl PeTracer {
     #[inline]
     pub fn dsd(&mut self, cycles_before: u64, op: TraceOp, len: u32) {
         match self {
-            Self::Null(_) => {}
+            Self::Null => {}
             Self::Ring(r) => {
                 let t = r.now(cycles_before);
                 r.record_at(t, TraceEventKind::DsdOp, op.code(), 0, len);
@@ -381,7 +282,7 @@ impl PeTracer {
     #[inline]
     pub fn region_begin(&mut self, cycles_now: u64, region: TraceRegion) {
         match self {
-            Self::Null(_) => {}
+            Self::Null => {}
             Self::Ring(r) => {
                 let t = r.now(cycles_now);
                 r.record_at(t, TraceEventKind::RegionStart, region.code(), 0, 0);
@@ -394,7 +295,7 @@ impl PeTracer {
     #[inline]
     pub fn region_end(&mut self, cycles_now: u64, region: TraceRegion) {
         match self {
-            Self::Null(_) => {}
+            Self::Null => {}
             Self::Ring(r) => {
                 let t = r.now(cycles_now);
                 r.record_at(t, TraceEventKind::RegionEnd, region.code(), 0, 0);
@@ -406,7 +307,7 @@ impl PeTracer {
     #[inline]
     pub fn dropped(&self) -> u64 {
         match self {
-            Self::Null(_) => 0,
+            Self::Null => 0,
             Self::Ring(r) => r.dropped,
         }
     }
@@ -415,7 +316,7 @@ impl PeTracer {
     /// off (zeros restore as a no-op, so off-tracer snapshots round-trip).
     pub fn seq_state(&self) -> (u32, u64, u64, u64) {
         match self {
-            Self::Null(_) => (0, 0, 0, 0),
+            Self::Null => (0, 0, 0, 0),
             Self::Ring(r) => r.seq_state(),
         }
     }
@@ -430,15 +331,9 @@ impl PeTracer {
         base_cycles: u64,
     ) {
         match self {
-            Self::Null(_) => {}
+            Self::Null => {}
             Self::Ring(r) => r.restore_seq_state(next_seq, dropped, base_time, base_cycles),
         }
-    }
-}
-
-impl Default for PeTracer {
-    fn default() -> Self {
-        Self::null()
     }
 }
 
@@ -492,7 +387,7 @@ mod tests {
 
     #[test]
     fn null_tracer_records_nothing() {
-        let mut t = PeTracer::null();
+        let mut t = PeTracer::Null;
         t.task_begin(5, 10);
         t.record_at(6, TraceEventKind::Error, 1, 0, 0);
         t.dsd(11, TraceOp::Fmul, 8);
@@ -535,26 +430,5 @@ mod tests {
         let times: Vec<_> = ring.ordered().iter().map(|e| e.time).collect();
         assert_eq!(times, vec![100, 108]);
         assert_eq!(ring.ordered()[1].a, TraceOp::Fadd.code());
-    }
-
-    #[test]
-    fn ring_sink_routes_by_pe() {
-        let mut sink = RingSink::new(2, 4);
-        let ev = |pe| TraceEvent {
-            time: 0,
-            seq: 0,
-            pe,
-            payload: 0,
-            kind: TraceEventKind::TaskStart,
-            a: 0,
-            b: 0,
-        };
-        sink.record(ev(0));
-        sink.record(ev(1));
-        sink.record(ev(crate::HOST_PE));
-        assert_eq!(sink.ring(0).len(), 1);
-        assert_eq!(sink.ring(1).len(), 1);
-        assert_eq!(sink.host().len(), 1);
-        assert_eq!(sink.dropped(), 0);
     }
 }

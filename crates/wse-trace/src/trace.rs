@@ -1,6 +1,6 @@
 //! An assembled, sorted trace of one fabric run.
 
-use crate::event::{TraceEvent, TraceEventKind};
+use crate::event::TraceEvent;
 use crate::sink::EventRing;
 
 /// Everything the per-PE rings held, merged into one deterministically
@@ -48,7 +48,6 @@ impl Trace {
         rings: &[&EventRing],
         host: &EventRing,
     ) -> Self {
-        use crate::sink::TraceSink;
         let mut events = Vec::with_capacity(rings.iter().map(|r| r.len()).sum());
         let mut dropped_by_pe = Vec::with_capacity(rings.len());
         for ring in rings {
@@ -77,17 +76,9 @@ impl Trace {
         self.cols * self.rows
     }
 
-    /// Events of one PE in causal (`seq`) order.
-    pub fn events_for_pe(&self, pe: u32) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self.events.iter().filter(|e| e.pe == pe).copied().collect();
-        out.sort_unstable_by_key(|e| e.seq);
-        out
-    }
-
     /// All per-PE streams in one pass: `result[pe]` holds PE `pe`'s retained
-    /// events in causal (`seq`) order. This is the bulk form of
-    /// [`Trace::events_for_pe`] — O(events) grouping instead of one full scan
-    /// per PE — and the entry point profilers iterate from.
+    /// events in causal (`seq`) order — the entry point profilers iterate
+    /// from.
     pub fn by_pe(&self) -> Vec<Vec<TraceEvent>> {
         let mut streams: Vec<Vec<TraceEvent>> = vec![Vec::new(); self.num_pes()];
         for ev in &self.events {
@@ -100,26 +91,12 @@ impl Trace {
         }
         streams
     }
-
-    /// Iterate `(linear pe, seq-ordered events)` pairs for every PE that
-    /// retained at least one event (built on [`Trace::by_pe`]).
-    pub fn iter_pe_streams(&self) -> impl Iterator<Item = (u32, Vec<TraceEvent>)> {
-        self.by_pe()
-            .into_iter()
-            .enumerate()
-            .filter(|(_, evs)| !evs.is_empty())
-            .map(|(pe, evs)| (pe as u32, evs))
-    }
-
-    /// Count of retained events of a given kind.
-    pub fn count(&self, kind: TraceEventKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TraceEventKind;
     use crate::sink::EventRing;
 
     #[test]
@@ -138,8 +115,7 @@ mod tests {
         assert_eq!(t.dropped, 1);
         assert_eq!(t.dropped_by_pe, vec![1, 0]);
         assert_eq!(t.meta.len(), 1);
-        assert_eq!(t.count(TraceEventKind::TaskStart), 2);
-        assert_eq!(t.events_for_pe(0).len(), 2);
+        assert_eq!(t.by_pe()[0].len(), 2);
     }
 
     #[test]
@@ -153,15 +129,20 @@ mod tests {
         let t = Trace::from_rings(2, 1, 1, vec![0, 0], 5, &[&r0, &r1], &host);
         let streams = t.by_pe();
         assert_eq!(streams.len(), 2);
-        for pe in 0..2u32 {
-            assert_eq!(streams[pe as usize], t.events_for_pe(pe));
+        for (pe, stream) in streams.iter().enumerate() {
+            let mut own: Vec<TraceEvent> = t
+                .events
+                .iter()
+                .filter(|e| e.pe == pe as u32)
+                .copied()
+                .collect();
+            own.sort_unstable_by_key(|e| e.seq);
+            assert_eq!(*stream, own);
         }
         // seq order, not time order.
         assert_eq!(
             streams[0].iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![0, 1]
         );
-        let pairs: Vec<u32> = t.iter_pe_streams().map(|(pe, _)| pe).collect();
-        assert_eq!(pairs, vec![0, 1]);
     }
 }

@@ -14,11 +14,11 @@
 //! With `--trace`, both engine runs record per-PE event traces; the sorted
 //! traces are asserted bit-identical (the determinism probe), a Chrome
 //! `trace_event` JSON is written (open in Perfetto or `chrome://tracing`),
-//! and a load summary is printed. With `--profile`, the trace is analyzed
-//! instead: per-region cycle attribution plus the recovered critical path,
-//! both asserted bit-identical across engines, exported as JSON. With
-//! `--metrics`, both engine runs publish `fabric_*`/`driver_*` telemetry
-//! into one live hub, written out as Prometheus text on exit. With
+//! and the profile's load summary is printed. With `--profile`, the trace
+//! is analyzed instead: per-region cycle attribution plus the recovered
+//! critical path, both asserted bit-identical across engines, exported as
+//! JSON. With `--metrics`, both engine runs publish `fabric_*`/`driver_*`
+//! telemetry into one live hub, written out as Prometheus text on exit. With
 //! `--checkpoint`, a run is stopped half-way and its fabric state written
 //! out; `--resume` restores such a file on any engine, finishes the run and
 //! asserts the residual bit-identical to an uninterrupted one. An unknown
@@ -31,20 +31,14 @@ use mdfv::fv::validate::Validation;
 use mdfv::gpu::problem::{GpuFluxProblem, GpuModel};
 use mdfv::prof::{critical_path, profile_json, Profile};
 use mdfv::wse::fabric::Execution;
-use mdfv::wse::trace::{chrome_trace_json, TraceSummary};
+use mdfv::wse::trace::chrome_trace_json;
 
 fn main() {
     // The shared benchmark flag family (`--trace`, `--profile`,
     // `--trace-cap`, `--shards`, ...), parsed once.
     let args = CommonArgs::parse();
     let hub = bench::metrics_hub(&args);
-    let trace_req = args.trace.clone();
-    let profile_req = args.profile.clone();
-    let trace_spec = trace_req
-        .as_ref()
-        .map(|r| r.spec())
-        .or_else(|| profile_req.as_ref().map(|r| r.spec()))
-        .unwrap_or_default();
+    let trace_spec = args.trace_spec();
     // 1. A 16×12×8 Cartesian mesh with heterogeneous (log-normal)
     //    permeability and a water-like slightly-compressible fluid.
     let mesh = CartesianMesh3::new(Extents::new(16, 12, 8), Spacing::new(10.0, 10.0, 4.0));
@@ -151,7 +145,7 @@ fn main() {
     // 8. Tracing (only with `--trace`): the sorted per-PE event streams of
     //    the two engines must be bit-identical — a determinism probe far
     //    stronger than residual equality — then export for Perfetto.
-    if let Some(req) = trace_req {
+    if let Some(path) = &args.trace {
         let seq_trace = fabric.trace().expect("tracing was enabled");
         let sh_trace = sharded_sim.trace().expect("tracing was enabled");
         assert_eq!(
@@ -162,12 +156,11 @@ fn main() {
             "\ntrace determinism: {} events bit-identical across engines",
             seq_trace.events.len()
         );
-        std::fs::write(&req.path, chrome_trace_json(&sh_trace))
-            .unwrap_or_else(|e| panic!("writing {}: {e}", req.path));
-        print!("{}", TraceSummary::from_trace(&sh_trace, 5));
+        std::fs::write(path, chrome_trace_json(&sh_trace))
+            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        print!("{}", Profile::from_trace(&sh_trace).summary(&sh_trace, 5));
         println!(
-            "trace written to {} ({} events, {} dropped)",
-            req.path,
+            "trace written to {path} ({} events, {} dropped)",
             sh_trace.events.len(),
             sh_trace.dropped
         );
@@ -177,18 +170,18 @@ fn main() {
     //    named region and recover the critical path bounding the makespan.
     //    Both are pure functions of the engine-invariant per-PE streams, so
     //    both must be bit-identical across engines too.
-    if let Some(req) = profile_req {
+    if let Some(path) = &args.profile {
         let seq_trace = fabric.trace().expect("tracing was enabled");
         let sh_trace = sharded_sim.trace().expect("tracing was enabled");
         let profile = Profile::from_trace(&seq_trace);
-        let path = critical_path(&seq_trace, 1);
+        let cp = critical_path(&seq_trace, 1);
         assert_eq!(
             profile,
             Profile::from_trace(&sh_trace),
             "attribution must be bit-identical across engines"
         );
         assert_eq!(
-            path,
+            cp,
             critical_path(&sh_trace, 1),
             "critical path must be bit-identical across engines"
         );
@@ -196,12 +189,12 @@ fn main() {
             "\nprofiler determinism: attribution + critical path bit-identical across engines\n"
         );
         print!("{profile}");
-        if let Some(cp) = &path {
+        if let Some(cp) = &cp {
             print!("{cp}");
         }
-        std::fs::write(&req.path, profile_json(&profile, path.as_ref()))
-            .unwrap_or_else(|e| panic!("writing {}: {e}", req.path));
-        println!("profile written to {}", req.path);
+        std::fs::write(path, profile_json(&profile, cp.as_ref()))
+            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("profile written to {path}");
     }
 
     // 10. Fault injection (only with `--faults <seed>`): one faulted run

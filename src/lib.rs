@@ -14,10 +14,11 @@
 //!   workload of the generic simulator, alongside Laplacian and wave)
 //! * [`gpu`] — RAJA-like and CUDA-like reference implementations
 //! * [`perf`] — CS-2 / A100 machine models, rooflines, energy
-//! * [`prof`] — critical-path profiling, cycle attribution, JSON profile export
+//! * [`prof`] — the one trace replay: per-PE counters, cycle attribution,
+//!   load summary, critical path, JSON profile export
 //! * [`serve`] — checkpoint/restore of fabric state + the simulation job
 //!   server with compiled-layout caching
-//! * [`metrics`] — runtime telemetry: lock-free registry, Prometheus/JSON
+//! * [`metrics`] — runtime telemetry: lock-free registry, Prometheus
 //!   exposition, failure flight recorder
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
