@@ -421,7 +421,7 @@ mod tests {
         );
         assert_eq!(
             old_schema.unwrap_err().to_string(),
-            "unsupported schema version 1 (expected 5)"
+            "unsupported schema version 1 (expected 6)"
         );
     }
 }

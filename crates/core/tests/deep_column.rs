@@ -55,9 +55,15 @@ const PINNED_RESIDUAL_FNV: u64 = 0xac81_68ae_2d33_298d;
 // the payload unchanged: was 0xefaa_4ede_4f0b_eb3e. Only the header's
 // version and spec hash moved, as the spec hash now encodes the fault plan
 // field by field; the payload (bytes 32..) is pinned on its own.
+//
+// Re-pinned for checkpoint schema 6, with the paused state and the length
+// unchanged: was 0x5d2d_aaed_592f_8854 / payload 0x1d2e_3267_7357_7f20.
+// Only the event order moved: pending events are listed in the engine's
+// pop order `(time, pe, seq, src)` instead of `(time, seq, src)`, each
+// record byte-for-byte as before, and the header's version field with it.
 const PINNED_HALF_CHECKPOINT_LEN: usize = 1_233_818;
-const PINNED_HALF_CHECKPOINT_FNV: u64 = 0x5d2d_aaed_592f_8854;
-const PINNED_HALF_CHECKPOINT_PAYLOAD_FNV: u64 = 0x1d2e_3267_7357_7f20;
+const PINNED_HALF_CHECKPOINT_FNV: u64 = 0x6c4a_a5af_00dd_3857;
+const PINNED_HALF_CHECKPOINT_PAYLOAD_FNV: u64 = 0x0b8c_cfb0_f400_71fa;
 
 /// Events per `step_events` call; prime, so the limit trips mid-cycle and
 /// the pause runs that cycle out.

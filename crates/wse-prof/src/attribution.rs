@@ -119,7 +119,7 @@ impl Profile {
             .final_time
             .max(trace.events.last().map_or(0, |e| e.time))
             .max(1);
-        let streams = trace.by_pe();
+        let streams = trace.streams();
         let n = streams.len();
         let mut p = Self {
             horizon,

@@ -126,7 +126,7 @@ struct PeIndex {
 
 fn index_streams(trace: &Trace) -> Vec<PeIndex> {
     trace
-        .by_pe()
+        .streams()
         .iter()
         .map(|stream| {
             let mut idx = PeIndex::default();

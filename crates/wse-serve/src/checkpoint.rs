@@ -18,9 +18,11 @@
 //! to 32 bits.
 //!
 //! The payload serializes the driver counters followed by the fabric
-//! snapshot field by field (length-prefixed vectors, tagged options).
-//! Pending events carry their source and target PE as `u32`, the width of
-//! the engine's own event, with `u32::MAX` for the host. The wavelet
+//! snapshot field by field (length-prefixed vectors, tagged options): the
+//! pending events, in the engine's pop order `(time, pe, seq, src)` since
+//! schema 6, then one record per PE in PE order. Pending events carry
+//! their source and target PE as `u32`, the width of the engine's own
+//! event, with `u32::MAX` for the host. The wavelet
 //! checksum word is persisted verbatim via
 //! [`wse_sim::wavelet::Wavelet::raw_crc`]: a corrupted-in-flight wavelet
 //! carries a deliberately stale checksum, and re-sealing it on restore
@@ -56,8 +58,11 @@ pub const MAGIC: [u8; 8] = *b"MDFVCKPT";
 /// lives in PE memory; version 4 replaced the murmur3 payload checksum and
 /// the FNV-1a spec hash with the content hash; version 5 hashes the spec's
 /// fault plan field by field instead of its `Debug` text, which moves every
-/// spec hash. Older files are refused, not migrated.
-pub const SCHEMA_VERSION: u32 = 5;
+/// spec hash; version 6 lists pending events in the engine's pop order
+/// `(time, pe, seq, src)` instead of `(time, seq, src)`, with every record
+/// and the payload length unchanged. Older files are refused, not
+/// migrated.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Header size in bytes (magic + version + spec hash + payload length +
 /// payload checksum).
@@ -304,12 +309,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// An event's PE index as `u32`; the host's `usize::MAX` becomes
-/// `u32::MAX`.
-fn put_pe_index(out: &mut Vec<u8>, i: usize) {
-    put_u32(out, u32::try_from(i).unwrap_or(u32::MAX));
-}
-
 /// Bytes of one pending-event record: time, seq, source and target PE, the
 /// route tag and a 10-byte wavelet.
 const EVENT_BYTES: usize = 8 + 8 + 4 + 4 + 1 + 10;
@@ -321,11 +320,30 @@ fn put_report(out: &mut Vec<u8>, r: &RunReport) {
     put_u64(out, r.faults);
 }
 
+/// A wavelet's 10 bytes: color id, control flag, payload, checksum word.
+fn wavelet_bytes(w: &Wavelet) -> [u8; 10] {
+    let mut b = [0; 10];
+    b[0] = w.color.id();
+    b[1] = matches!(w.kind, WaveletKind::Control) as u8;
+    b[2..6].copy_from_slice(&w.payload.to_le_bytes());
+    b[6..].copy_from_slice(&w.raw_crc().to_le_bytes());
+    b
+}
+
 fn put_wavelet(out: &mut Vec<u8>, w: &Wavelet) {
-    out.push(w.color.id());
-    out.push(matches!(w.kind, WaveletKind::Control) as u8);
-    put_u32(out, w.payload);
-    put_u32(out, w.raw_crc());
+    out.extend_from_slice(&wavelet_bytes(w));
+}
+
+/// One pending-event record, written in one piece.
+fn put_event(out: &mut Vec<u8>, ev: &EventRecord) {
+    let mut b = [0; EVENT_BYTES];
+    b[..8].copy_from_slice(&ev.time.to_le_bytes());
+    b[8..16].copy_from_slice(&ev.seq.to_le_bytes());
+    b[16..20].copy_from_slice(&ev.src.to_le_bytes());
+    b[20..24].copy_from_slice(&ev.pe.to_le_bytes());
+    b[24] = ev.route_input.map_or(0, |d| 1 + d.index() as u8);
+    b[25..].copy_from_slice(&wavelet_bytes(&ev.wavelet));
+    out.extend_from_slice(&b);
 }
 
 fn put_trace_seq(out: &mut Vec<u8>, t: &TraceSeqRecord) {
@@ -390,15 +408,7 @@ fn encode_fabric(out: &mut Vec<u8>, s: &FabricSnapshot, hashed: &mut Hashed) {
     put_trace_seq(out, &s.host_trace_seq);
     put_u64(out, s.events.len() as u64);
     for ev in &s.events {
-        put_u64(out, ev.time);
-        put_u64(out, ev.seq);
-        put_pe_index(out, ev.src);
-        put_pe_index(out, ev.pe);
-        match ev.route_input {
-            None => out.push(0),
-            Some(d) => out.push(1 + d.index() as u8),
-        }
-        put_wavelet(out, &ev.wavelet);
+        put_event(out, ev);
     }
     hashed.catch_up(out);
     put_u64(out, s.pes.len() as u64);
@@ -413,9 +423,18 @@ fn encode_fabric(out: &mut Vec<u8>, s: &FabricSnapshot, hashed: &mut Hashed) {
 /// on decode, so a small payload cannot claim a huge fabric.
 const PE_RECORD_MIN_BYTES: usize = 296;
 
+/// Writes `words` little-endian, as one slice.
+fn put_words(out: &mut Vec<u8>, words: &[u32]) {
+    let at = out.len();
+    out.resize(at + 4 * words.len(), 0);
+    for (bytes, w) in out[at..].chunks_exact_mut(4).zip(words) {
+        bytes.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
 fn encode_pe(out: &mut Vec<u8>, pe: &PeRecord) {
     put_u64(out, pe.memory_words.len() as u64);
-    out.extend(pe.memory_words.iter().flat_map(|w| w.to_le_bytes()));
+    put_words(out, &pe.memory_words);
     put_u64(out, pe.memory_allocated as u64);
     for v in counters_to_array(&pe.counters) {
         put_u64(out, v);
@@ -554,6 +573,10 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<&'a [u8; N], CheckpointError> {
+        Ok(self.take(N)?.try_into().unwrap())
+    }
+
     fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
@@ -567,19 +590,19 @@ impl<'a> Reader<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(*self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(*self.array()?))
     }
 
-    /// An event's PE index; `u32::MAX` is the host's `usize::MAX`.
-    fn pe_index(&mut self) -> Result<usize, CheckpointError> {
-        Ok(match self.u32()? {
-            u32::MAX => usize::MAX,
-            i => i as usize,
-        })
+    /// `N` consecutive `u64`s, bounds-checked once.
+    fn u64s<const N: usize>(&mut self) -> Result<[u64; N], CheckpointError> {
+        let b = self.take(8 * N)?;
+        Ok(std::array::from_fn(|i| {
+            u64::from_le_bytes(b[8 * i..8 * i + 8].try_into().unwrap())
+        }))
     }
 
     /// A vector length; rejected if that many elements of at least
@@ -619,7 +642,10 @@ fn read_report(r: &mut Reader) -> Result<RunReport, CheckpointError> {
 }
 
 fn read_color(r: &mut Reader) -> Result<Color, CheckpointError> {
-    let id = r.u8()?;
+    color_from_id(r.u8()?)
+}
+
+fn color_from_id(id: u8) -> Result<Color, CheckpointError> {
     if (id as usize) >= MAX_COLORS {
         return Err(CheckpointError::Malformed(format!("color id {id}")));
     }
@@ -655,17 +681,37 @@ fn fault_class_from_code(code: u8) -> Result<FaultClass, CheckpointError> {
 }
 
 fn read_wavelet(r: &mut Reader) -> Result<Wavelet, CheckpointError> {
-    let color = read_color(r)?;
-    let control = r.bool()?;
-    let payload = r.u32()?;
-    let crc = r.u32()?;
-    let mut w = if control {
-        Wavelet::control(color, payload)
-    } else {
-        Wavelet::data(color, payload)
+    wavelet_from(r.array()?)
+}
+
+/// The wavelet [`wavelet_bytes`] wrote.
+fn wavelet_from(b: &[u8; 10]) -> Result<Wavelet, CheckpointError> {
+    let color = color_from_id(b[0])?;
+    let payload = u32::from_le_bytes(b[2..6].try_into().unwrap());
+    let mut w = match b[1] {
+        0 => Wavelet::data(color, payload),
+        1 => Wavelet::control(color, payload),
+        v => return Err(CheckpointError::Malformed(format!("boolean tag {v}"))),
     };
-    w.set_raw_crc(crc);
+    w.set_raw_crc(u32::from_le_bytes(b[6..].try_into().unwrap()));
     Ok(w)
+}
+
+/// The pending-event record [`put_event`] wrote.
+fn event_from(b: &[u8; EVENT_BYTES]) -> Result<EventRecord, CheckpointError> {
+    let u64_at = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
+    let u32_at = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
+    Ok(EventRecord {
+        time: u64_at(0),
+        seq: u64_at(8),
+        src: u32_at(16),
+        pe: u32_at(20),
+        route_input: match b[24] {
+            0 => None,
+            i => Some(direction_from_index(i - 1)?),
+        },
+        wavelet: wavelet_from(b[25..].try_into().unwrap())?,
+    })
 }
 
 fn read_trace_seq(r: &mut Reader) -> Result<TraceSeqRecord, CheckpointError> {
@@ -724,24 +770,8 @@ fn decode_fabric(r: &mut Reader) -> Result<FabricSnapshot, CheckpointError> {
     let host_trace_seq = read_trace_seq(r)?;
     let n_events = r.len(EVENT_BYTES)?;
     let mut events = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
-        let time = r.u64()?;
-        let seq = r.u64()?;
-        let src = r.pe_index()?;
-        let pe = r.pe_index()?;
-        let route_input = match r.u8()? {
-            0 => None,
-            i => Some(direction_from_index(i - 1)?),
-        };
-        let wavelet = read_wavelet(r)?;
-        events.push(EventRecord {
-            time,
-            seq,
-            src,
-            pe,
-            route_input,
-            wavelet,
-        });
+    for b in r.take(EVENT_BYTES * n_events)?.chunks_exact(EVENT_BYTES) {
+        events.push(event_from(b.try_into().unwrap())?);
     }
     let n_pes = r.len(PE_RECORD_MIN_BYTES)?;
     if cols.checked_mul(rows) != Some(n_pes) {
@@ -771,21 +801,14 @@ fn decode_pe(r: &mut Reader) -> Result<PeRecord, CheckpointError> {
         .chunks_exact(4)
         .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
         .collect();
-    let memory_allocated = r.u64()? as usize;
-    let mut counters = [0u64; 14];
-    for c in &mut counters {
-        *c = r.u64()?;
-    }
+    let [memory_allocated, counters @ ..] = r.u64s::<15>()?;
     let n_positions = r.len(2)?;
-    let mut router_positions = Vec::with_capacity(n_positions);
-    for _ in 0..n_positions {
-        let color = r.u8()?;
-        let pos = r.u8()?;
-        router_positions.push((color, pos));
-    }
-    let fabric_hops = r.u64()?;
-    let ramp_deliveries = r.u64()?;
-    let busy_until = r.u64()?;
+    let router_positions = r
+        .take(2 * n_positions)?
+        .chunks_exact(2)
+        .map(|p| (p[0], p[1]))
+        .collect();
+    let [fabric_hops, ramp_deliveries, busy_until] = r.u64s()?;
     let n_parked = r.len(11)?;
     let mut parked = Vec::with_capacity(n_parked);
     for _ in 0..n_parked {
@@ -793,17 +816,11 @@ fn decode_pe(r: &mut Reader) -> Result<PeRecord, CheckpointError> {
         let w = read_wavelet(r)?;
         parked.push((dir, w));
     }
-    let seq = r.u64()?;
-    let edge_drops = r.u64()?;
-    let flow_stalls = r.u64()?;
-    let queue_wait_cycles = r.u64()?;
-    let fault_drops = r.u64()?;
-    let checksum_drops = r.u64()?;
-    let faults = decode_faults(r)?;
-    let trace_seq = read_trace_seq(r)?;
+    let [seq, edge_drops, flow_stalls, queue_wait_cycles, fault_drops, checksum_drops] =
+        r.u64s()?;
     Ok(PeRecord {
         memory_words,
-        memory_allocated,
+        memory_allocated: memory_allocated as usize,
         counters: counters_from_array(counters),
         router_positions,
         fabric_hops,
@@ -816,8 +833,8 @@ fn decode_pe(r: &mut Reader) -> Result<PeRecord, CheckpointError> {
         queue_wait_cycles,
         fault_drops,
         checksum_drops,
-        faults,
-        trace_seq,
+        faults: decode_faults(r)?,
+        trace_seq: read_trace_seq(r)?,
     })
 }
 
@@ -958,7 +975,7 @@ mod tests {
         ckpt.driver.fabric.events.push(EventRecord {
             time: TIME,
             seq: 7,
-            src: usize::MAX,
+            src: u32::MAX,
             pe: 3,
             route_input: Some(Direction::West),
             wavelet: Wavelet::data(Color::new(2), 0xdead_beef),

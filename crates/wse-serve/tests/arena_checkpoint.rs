@@ -73,10 +73,11 @@ fn encoded_bytes_are_independent_of_the_engine() {
     // Version 2 (from 1) dropped the router version and narrowed event
     // PE ids to `u32`; version 3 dropped the per-PE program state record,
     // whose words now travel in the arena; version 4 changed the header's
-    // checksum and spec hash, and version 5 the spec hash's fault-plan
-    // encoding. The arena layout itself never forced a bump.
+    // checksum and spec hash, version 5 the spec hash's fault-plan
+    // encoding, and version 6 the order of the pending events. The arena
+    // layout itself never forced a bump.
     assert_eq!(
-        SCHEMA_VERSION, 5,
+        SCHEMA_VERSION, 6,
         "only a payload or header change moves the schema"
     );
 }

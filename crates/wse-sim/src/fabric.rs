@@ -175,8 +175,8 @@ impl Default for FabricConfig {
 }
 
 /// `src` value for events injected by the host (sorts after all PEs:
-/// [`Fabric::new`] keeps every linear PE index below it). Snapshots widen
-/// it to `usize::MAX`.
+/// [`Fabric::new`] keeps every linear PE index below it). Snapshots keep it
+/// as is.
 const HOST_SRC: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,81 +239,19 @@ impl PartialOrd for Event {
 // Events carry Wavelet (PartialEq only via derive); provide Eq manually.
 impl Eq for Wavelet {}
 
-/// A pending set spread over more than this many cycles per event is
-/// sorted by its full key instead of being bucketed by cycle.
-const CYCLES_PER_EVENT: u64 = 4;
-
 /// A pending event as a snapshot records it.
 fn event_record(e: &Event) -> EventRecord {
     EventRecord {
         time: e.time,
         seq: e.seq,
-        src: if e.src == HOST_SRC {
-            usize::MAX
-        } else {
-            e.src as usize
-        },
-        pe: e.pe as usize,
+        src: e.src,
+        pe: e.pe,
         route_input: match e.kind {
             EventKind::Route(d) => Some(d),
             EventKind::Deliver => None,
         },
         wavelet: e.wavelet,
     }
-}
-
-/// The pending `events` as snapshot records in canonical key order `(time,
-/// seq, src)`. Keys are unique, so this is the one order a sort by key
-/// gives.
-///
-/// A pending set spans few cycles for its size (878 cycles hold 342,526
-/// events half-way through a 32×32×64 apply), so a counting pass groups the
-/// events by cycle, and each cycle's run is ordered by `(seq, src)` alone,
-/// as packed 16-byte keys `seq << 64 | src << 32 | index`. A set spread
-/// over more than [`CYCLES_PER_EVENT`] cycles per event — far-future fault
-/// schedules, saturated `u64::MAX` times — is sorted by the full key. A
-/// plain sort of the events, stable or not, measured slower on the
-/// benchmark's round trips (DESIGN.md, "Capture order").
-fn in_canonical_order(mut events: Vec<Event>) -> Vec<EventRecord> {
-    let n = events.len();
-    let (lo, hi) = events.iter().fold((u64::MAX, 0), |(lo, hi), e| {
-        (lo.min(e.time), hi.max(e.time))
-    });
-    let Some(span) = hi.checked_sub(lo) else {
-        return Vec::new();
-    };
-    if span / CYCLES_PER_EVENT >= n as u64 {
-        events.sort_unstable_by_key(Event::key);
-        debug_assert!(events.windows(2).all(|w| w[0].key() != w[1].key()));
-        return events.iter().map(event_record).collect();
-    }
-    // Indices and cursors are `u32`: 2^32 events would be 160 GiB.
-    assert!(u32::try_from(n).is_ok(), "{n} pending events");
-    // Per cycle, its first slot; after the scatter below, its end.
-    let mut cursor = vec![0u32; span as usize + 1];
-    for e in &events {
-        cursor[(e.time - lo) as usize] += 1;
-    }
-    let mut at = 0;
-    for c in &mut cursor {
-        (*c, at) = (at, at + *c);
-    }
-    let mut keys = vec![0u128; n];
-    for (i, e) in events.iter().enumerate() {
-        let slot = &mut cursor[(e.time - lo) as usize];
-        keys[*slot as usize] = u128::from(e.seq) << 64 | u128::from(e.src) << 32 | i as u128;
-        *slot += 1;
-    }
-    let mut start = 0;
-    for &end in &cursor {
-        let run = &mut keys[start..end as usize];
-        run.sort_unstable();
-        debug_assert!(run.windows(2).all(|w| w[0] >> 32 != w[1] >> 32));
-        start = end as usize;
-    }
-    keys.iter()
-        .map(|&k| event_record(&events[k as u32 as usize]))
-        .collect()
 }
 
 /// Per-PE state that does *not* fit the struct-of-arrays arena: the things
@@ -1959,18 +1897,25 @@ impl Fabric {
     }
 
     /// Captures complete fabric state between runs as plain data: the
-    /// pending event list in canonical `(time, seq, src)` order, every PE's
+    /// pending event list in pop order `(time, pe, seq, src)`, every PE's
     /// memory (program state included)/counters/router positions/fault
-    /// progress/trace sequence counters, and the host clock and sequence state. Works
-    /// identically under both engines — between `run()` calls every pending
-    /// event is in its owner strip's wheel (a run ends with the mailboxes
-    /// taken in), so the ordered event list is engine-independent. The
-    /// wheels are read in storage order and the events put in key order by
-    /// grouping them by cycle and ordering each cycle's run by `(seq, src)`
-    /// (`in_canonical_order`), not by a comparison sort on the full key.
+    /// progress/trace sequence counters, and the host clock and sequence
+    /// state. Works identically under both engines — between `run()` calls
+    /// every pending event is in its owner strip's wheel (a run ends with
+    /// the mailboxes taken in). Each wheel is walked in its own pop order
+    /// ([`CalendarQueue::visit_in_order`]) and, as strips own contiguous,
+    /// ascending PE ranges, the strips' runs merge by `(time, strip)` into
+    /// the one engine-independent list.
     pub fn snapshot(&self) -> FabricSnapshot {
-        let pending = self.strips.iter().flat_map(|s| s.queue.iter());
-        let events = in_canonical_order(pending.copied().collect());
+        let pending = self.strips.iter().map(|s| s.queue.len()).sum();
+        let mut events = Vec::with_capacity(pending);
+        for strip in &self.strips {
+            strip.queue.visit_in_order(|e| events.push(event_record(e)));
+        }
+        if self.strips.len() > 1 {
+            // Sorted runs in strip order: a stable sort by time merges them.
+            events.sort_by_key(|e: &EventRecord| e.time);
+        }
         let pes = self
             .pes
             .iter()
@@ -2030,18 +1975,27 @@ impl Fabric {
             });
         }
         let num_pes = self.pes.len();
+        // Records may come in any order, and one earlier than its wheel's
+        // cursor would refile everything filed before it. So the checks
+        // also find each strip's earliest record, which goes in first,
+        // anchoring its emptied wheel, and the rest are filed in one pass.
+        let mut earliest: Vec<Option<usize>> = vec![None; self.strips.len()];
         for (i, er) in snap.events.iter().enumerate() {
-            if er.pe >= num_pes {
+            if er.pe as usize >= num_pes {
                 return Err(RestoreError::Event {
                     index: i,
                     detail: format!("target PE {} out of range ({num_pes} PEs)", er.pe),
                 });
             }
-            if er.src != usize::MAX && er.src >= num_pes {
+            if er.src != HOST_SRC && er.src as usize >= num_pes {
                 return Err(RestoreError::Event {
                     index: i,
                     detail: format!("source PE {} out of range ({num_pes} PEs)", er.src),
                 });
+            }
+            let first = &mut earliest[owner_of(&self.strips, er.pe as usize)];
+            if first.is_none_or(|j| er.time < snap.events[j].time) {
+                *first = Some(i);
             }
         }
         let installed =
@@ -2087,33 +2041,18 @@ impl Fabric {
         let event = |er: &EventRecord| Event {
             time: er.time,
             seq: er.seq,
-            src: if er.src == usize::MAX {
-                HOST_SRC
-            } else {
-                er.src as u32
-            },
-            pe: er.pe as u32,
+            src: er.src,
+            pe: er.pe,
             kind: er.route_input.map_or(EventKind::Deliver, EventKind::Route),
             wavelet: er.wavelet,
         };
-        // Records may come in any order, and one earlier than its wheel's
-        // cursor would refile everything filed before it. So each strip's
-        // earliest record goes in first, anchoring its emptied wheel, and
-        // the rest are filed in one pass.
-        let mut earliest: Vec<Option<usize>> = vec![None; self.strips.len()];
-        for (i, er) in snap.events.iter().enumerate() {
-            let first = &mut earliest[owner_of(&self.strips, er.pe)];
-            if first.is_none_or(|j| er.time < snap.events[j].time) {
-                *first = Some(i);
-            }
-        }
         for (strip, first) in self.strips.iter_mut().zip(&earliest) {
             if let Some(i) = *first {
                 strip.queue.push(event(&snap.events[i]));
             }
         }
         for (i, er) in snap.events.iter().enumerate() {
-            let owner = owner_of(&self.strips, er.pe);
+            let owner = owner_of(&self.strips, er.pe as usize);
             if earliest[owner] != Some(i) {
                 self.strips[owner].queue.push(event(er));
             }
@@ -3222,25 +3161,18 @@ mod tests {
             .collect()
     }
 
-    /// Checks the capture order against the reference: the records in a
-    /// stable sort by the full key.
-    fn assert_key_order(events: &[Event]) {
-        let mut reference: Vec<EventRecord> = events.iter().map(event_record).collect();
-        reference.sort_by_key(|r| (r.time, r.seq, r.src));
-        assert_eq!(in_canonical_order(events.to_vec()), reference);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
-        /// Same-cycle runs of thousands of events (host events among them)
-        /// come out in key order from the cycle buckets; with overflow-tier
-        /// times and a saturated `u64::MAX` time beside time 0 added, from
-        /// the full-key sort.
+        /// A snapshot lists the pending events of every strip's wheel in pop
+        /// order `(time, pe, seq, src)`: same-cycle runs of thousands of
+        /// events (host events among them) in level 0 and level 1, and
+        /// overflow-tier times, a saturated `u64::MAX` time and time 0
+        /// beside them, on one strip and on four.
         #[test]
-        fn pending_events_come_out_in_key_order(
+        fn snapshot_lists_pending_events_in_pop_order(
             base in 0u64..1 << 40,
-            cycles in proptest::collection::vec((0u64..900, 1_000u64..3_000), 1..5),
+            cycles in proptest::collection::vec((0u64..3_000, 1_000u64..3_000), 1..5),
             seed in 0u64..u64::MAX,
         ) {
             let mut events = Vec::new();
@@ -3249,21 +3181,26 @@ mod tests {
                     events.push(pending_event(base + offset, mix(seed, (c as u64) << 32 | i)));
                 }
             }
-            let dense = unique(events);
-            let lo = dense.iter().map(|e| e.time).min().unwrap();
-            let span = dense.iter().map(|e| e.time).max().unwrap() - lo;
-            proptest::prop_assert!(span / CYCLES_PER_EVENT < dense.len() as u64, "bucketed");
-            assert_key_order(&dense);
-
-            let mut wide = dense;
             for i in 0..64 {
                 let far = base + (1 << 20) + mix(seed, !i) % (1 << 24);
-                wide.push(pending_event(far, mix(seed, i)));
+                events.push(pending_event(far, mix(seed, i)));
             }
-            wide.push(pending_event(u64::MAX, mix(seed, 1 << 40)));
-            wide.push(pending_event(0, mix(seed, 1 << 41)));
-            wide.push(pending_event(u64::MAX, mix(seed, 1 << 42)));
-            assert_key_order(&unique(wide));
+            events.push(pending_event(u64::MAX, mix(seed, 1 << 40)));
+            events.push(pending_event(0, mix(seed, 1 << 41)));
+            events.push(pending_event(u64::MAX, mix(seed, 1 << 42)));
+            let events = unique(events);
+            let mut reference: Vec<EventRecord> = events.iter().map(event_record).collect();
+            reference.sort_by_key(|r| (r.time, r.pe, r.seq, r.src));
+            for config in [FabricConfig::default(), sharded(4, 2)] {
+                let mut f = Fabric::new(FabricDims::new(8, 8), config, |_| {
+                    Box::new(Shifter::new(0.0))
+                });
+                for &e in &events {
+                    let owner = owner_of(&f.strips, e.pe as usize);
+                    f.strips[owner].queue.push(e);
+                }
+                proptest::prop_assert_eq!(&f.snapshot().events, &reference);
+            }
         }
     }
 }

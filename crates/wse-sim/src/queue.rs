@@ -43,6 +43,11 @@
 //! drain, and each block of a few items is then insertion-sorted by the
 //! full `Ord`. No comparison sort over the bucket, no gather copy, no
 //! scratch allocation per activation.
+//!
+//! **In-order walk.** [`CalendarQueue::visit_in_order`] lists what is
+//! pending in pop order without popping: the same lane-block scatter lays
+//! each bucket out in a scratch buffer (a level-1 bucket is first dealt by
+//! cycle), which is how the fabric's snapshot lists its pending events.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -384,11 +389,8 @@ impl<T: Timestamped + Ord + Copy> CalendarQueue<T> {
         self.scatter(slot);
     }
 
-    /// Lays level-0 bucket `slot` out as the drain, descending, and empties
-    /// it. The lane range is cut into about n / [`ITEMS_PER_BLOCK`] blocks
-    /// of `2^shift` lanes; blocks hold disjoint lane intervals, and lanes
-    /// order a cycle's items before anything else does, so blocks laid out
-    /// highest first and each sorted on its own make the whole drain sorted.
+    /// Lays level-0 bucket `slot` out as the drain, descending (see
+    /// [`scatter_descending`]), and empties it.
     fn scatter(&mut self, slot: usize) {
         let Self {
             chunks,
@@ -403,54 +405,8 @@ impl<T: Timestamped + Ord + Copy> CalendarQueue<T> {
         } = self;
         let head = std::mem::replace(&mut heads[slot], NIL);
         debug_assert!(head != NIL, "activated an empty bucket");
-        // The chain runs newest chunk first.
-        let chain = || {
-            std::iter::successors(Some(head), |&c| {
-                Some(chunks[c as usize].next).filter(|&n| n != NIL)
-            })
-            .map(|c| &chunks[c as usize].items)
-        };
-        let n: usize = chain().map(Vec::len).sum();
-        // Block cursors are `u32`: 2^32 items would be tens of gigabytes.
-        assert!(u32::try_from(n).is_ok(), "{n} items in one cycle");
-        let lo = *lane_lo;
-        let span = u64::from(*lane_hi - lo);
-        let target = (n / ITEMS_PER_BLOCK).clamp(1, MAX_BLOCKS) as u64;
-        let shift = (0..64).find(|&s| span >> s < target).expect("span < 2^64");
-        let block = |item: &T| (u64::from(item.lane() - lo) >> shift) as usize;
-        // Histogram, then each block's first slot: the highest block first.
-        blocks.clear();
-        blocks.resize((span >> shift) as usize + 1, 0);
-        for item in chain().flatten() {
-            blocks[block(item)] += 1;
-        }
-        let mut at = 0u32;
-        for b in blocks.iter_mut().rev() {
-            (*b, at) = (at, at + *b);
-        }
-        if drain.len() < n {
-            let fill = chain().flatten().next().copied().expect("n > 0");
-            drain.resize(n, fill);
-        }
-        // Straight from the chunks to the final slots. Each chunk reversed
-        // as well makes a block's items arrive in reverse push order, and a
-        // PE-major engine pushes a PE's events nearly ascending, so the
-        // insertion sorts below find their blocks nearly sorted.
-        for items in chain() {
-            for item in items.iter().rev() {
-                let cursor = &mut blocks[block(item)];
-                drain[*cursor as usize] = *item;
-                *cursor += 1;
-            }
-        }
-        // Each cursor now ends its block, which the next-higher block's
-        // cursor starts.
-        let mut start = 0;
-        for &end in blocks.iter().rev() {
-            sort_descending(&mut drain[start..end as usize]);
-            start = end as usize;
-        }
-        *drain_len = n;
+        let runs = || chain_items(chunks, head).map(Vec::as_slice);
+        *drain_len = scatter_descending(runs, (*lane_lo, *lane_hi), blocks, drain);
         let mut c = head;
         while c != NIL {
             let chunk = &mut chunks[c as usize];
@@ -500,9 +456,7 @@ impl<T: Timestamped + Ord + Copy> CalendarQueue<T> {
         self.pop()
     }
 
-    /// Visits every pending item, in no particular order (the fabric's
-    /// snapshot groups what it collects by cycle and orders each cycle's
-    /// items by key).
+    /// Visits every pending item, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.chunks
             .iter()
@@ -510,6 +464,72 @@ impl<T: Timestamped + Ord + Copy> CalendarQueue<T> {
             .chain(self.drain[..self.drain_len].iter())
             .chain(self.side.iter().map(|Reverse(e)| e))
             .chain(self.overflow.iter().map(|Reverse(e)| e))
+    }
+
+    /// Hands every pending item to `visit` in pop order — the order popping
+    /// the queue dry would give — without removing any: the active cycle,
+    /// then level 0 cycle by cycle, level 1 epoch by epoch, then the
+    /// overflow. Each bucket is ordered into a scratch buffer by the lane-block
+    /// scatter activation uses; a level-1 bucket is first dealt by cycle.
+    pub fn visit_in_order(&self, mut visit: impl FnMut(&T)) {
+        // The active cycle (empty between the fabric's runs, which end a
+        // cycle): the drain's rest and the side heap.
+        let side = self.side.iter().map(|Reverse(e)| e);
+        let mut active: Vec<T> = self.drain[..self.drain_len]
+            .iter()
+            .chain(side)
+            .copied()
+            .collect();
+        active.sort_unstable();
+        active.iter().for_each(&mut visit);
+        let lanes = (self.lane_lo, self.lane_hi);
+        let (mut blocks, mut out, mut dealt) = (Vec::new(), Vec::new(), Vec::new());
+        for slot in (self.cursor & WHEEL_MASK) as usize..WHEEL_BUCKETS {
+            let head = self.heads[slot];
+            if head != NIL {
+                let runs = || chain_items(&self.chunks, head).map(Vec::as_slice);
+                let n = scatter_descending(runs, lanes, &mut blocks, &mut out);
+                out[..n].iter().rev().for_each(&mut visit);
+            }
+        }
+        let mut cycle_ends = vec![0u32; WHEEL_BUCKETS];
+        for ahead in 1..=WHEEL_BUCKETS as u64 {
+            let head = self.heads[WHEEL_BUCKETS + ((self.epoch() + ahead) & WHEEL_MASK) as usize];
+            if head == NIL {
+                continue;
+            }
+            // Deal the epoch's items by cycle, then order each cycle.
+            let items = || chain_items(&self.chunks, head).flatten();
+            cycle_ends.fill(0);
+            for item in items() {
+                cycle_ends[(item.time() & WHEEL_MASK) as usize] += 1;
+            }
+            let mut at = 0;
+            for c in &mut cycle_ends {
+                (*c, at) = (at, at + *c);
+            }
+            if dealt.len() < at as usize {
+                let fill = *items().next().expect("a non-empty bucket");
+                dealt.resize(at as usize, fill);
+            }
+            for item in items() {
+                let cursor = &mut cycle_ends[(item.time() & WHEEL_MASK) as usize];
+                dealt[*cursor as usize] = *item;
+                *cursor += 1;
+            }
+            let mut start = 0;
+            for &end in &cycle_ends {
+                let run = &dealt[start..end as usize];
+                if !run.is_empty() {
+                    scatter_descending(|| std::iter::once(run), lanes, &mut blocks, &mut out);
+                    out[..run.len()].iter().rev().for_each(&mut visit);
+                }
+                start = end as usize;
+            }
+        }
+        let mut far: Vec<T> = self.overflow.iter().map(|Reverse(e)| *e).collect();
+        far.sort_unstable();
+        far.iter().for_each(visit);
     }
 
     /// Drops every pending item in place, keeping the storage: the queue
@@ -531,6 +551,75 @@ impl<T: Timestamped + Ord + Copy> CalendarQueue<T> {
         self.occupied1 = Occupancy::default();
         self.len = 0;
     }
+}
+
+/// Bucket `head`'s chunks' items, newest chunk first.
+fn chain_items<T>(chunks: &[Chunk<T>], head: u32) -> impl Iterator<Item = &Vec<T>> {
+    std::iter::successors(Some(head).filter(|&c| c != NIL), |&c| {
+        Some(chunks[c as usize].next).filter(|&n| n != NIL)
+    })
+    .map(|c| &chunks[c as usize].items)
+}
+
+/// Writes the items of the `runs()` — all of one cycle — into `out`,
+/// descending, growing `out` if it is shorter, and returns how many there
+/// are. The lane range `(lo, hi)` is cut into about n / [`ITEMS_PER_BLOCK`]
+/// blocks of `2^shift` lanes; blocks hold disjoint lane intervals, and lanes
+/// order a cycle's items before anything else does, so blocks laid out
+/// highest first and each sorted on its own make the whole run sorted. One
+/// walk counts each block, a second writes every item straight to its final
+/// slot.
+fn scatter_descending<'a, T, I>(
+    runs: impl Fn() -> I,
+    (lo, hi): (u32, u32),
+    blocks: &mut Vec<u32>,
+    out: &mut Vec<T>,
+) -> usize
+where
+    T: Timestamped + Ord + Copy + 'a,
+    I: Iterator<Item = &'a [T]>,
+{
+    let n: usize = runs().map(<[T]>::len).sum();
+    // Block cursors are `u32`: 2^32 items would be tens of gigabytes.
+    assert!(u32::try_from(n).is_ok(), "{n} items in one cycle");
+    let span = u64::from(hi - lo);
+    let target = (n / ITEMS_PER_BLOCK).clamp(1, MAX_BLOCKS) as u64;
+    let shift = (0..64).find(|&s| span >> s < target).expect("span < 2^64");
+    let block = |item: &T| (u64::from(item.lane() - lo) >> shift) as usize;
+    // Histogram, then each block's first slot: the highest block first.
+    blocks.clear();
+    blocks.resize((span >> shift) as usize + 1, 0);
+    for run in runs() {
+        for item in run {
+            blocks[block(item)] += 1;
+        }
+    }
+    let mut at = 0u32;
+    for b in blocks.iter_mut().rev() {
+        (*b, at) = (at, at + *b);
+    }
+    if out.len() < n {
+        let fill = *runs().flatten().next().expect("n > 0");
+        out.resize(n, fill);
+    }
+    // Each run walked backwards makes a block's items arrive in reverse push
+    // order, and a PE-major engine pushes a PE's events nearly ascending, so
+    // the insertion sorts below find their blocks nearly sorted.
+    for run in runs() {
+        for item in run.iter().rev() {
+            let cursor = &mut blocks[block(item)];
+            out[*cursor as usize] = *item;
+            *cursor += 1;
+        }
+    }
+    // Each cursor now ends its block, which the next-higher block's cursor
+    // starts.
+    let mut start = 0;
+    for &end in blocks.iter().rev() {
+        sort_descending(&mut out[start..end as usize]);
+        start = end as usize;
+    }
+    n
 }
 
 /// Sorts one lane block descending: by insertion while it is as short as

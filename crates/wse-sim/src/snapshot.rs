@@ -1,14 +1,15 @@
 //! Plain-data snapshots of complete fabric state.
 //!
 //! A [`FabricSnapshot`] captures everything the simulator needs to resume a
-//! run bit-identically: the pending event list in canonical `(time, seq,
-//! src)` order, every PE's memory arena (which holds its program state),
-//! counters, router switch positions, fault-plan progress and trace
-//! sequence counters, plus the
-//! host-side clock and sequence state. The parallel engine needs no extra
-//! fields: a run ends (or pauses) between simulated cycles with every
-//! cross-strip mailbox taken in, so each pending event is in its owner
-//! strip's wheel and the sorted list of them is engine-independent.
+//! run bit-identically: the pending event list in the engine's own pop
+//! order `(time, pe, seq, src)`, every PE's memory arena (which holds its
+//! program state), counters, router switch positions, fault-plan progress
+//! and trace sequence counters, plus the host-side clock and sequence
+//! state. The parallel engine needs no extra fields: a run ends (or
+//! pauses) between simulated cycles with every cross-strip mailbox taken
+//! in, so each pending event is in its owner strip's wheel, and as strips
+//! own contiguous, ascending PE ranges the pop-ordered list is
+//! engine-independent.
 //!
 //! These types are deliberately plain data with public fields — the binary
 //! encoding (versioned header, payload checksum) lives in `wse-serve`,
@@ -22,17 +23,17 @@ use crate::geometry::Direction;
 use crate::stats::OpCounters;
 use crate::wavelet::Wavelet;
 
-/// One pending event, in the canonical queue order.
+/// One pending event, as the engine pops it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Fabric time the event fires.
     pub time: u64,
     /// Tie-breaking sequence number (private to the creating PE).
     pub seq: u64,
-    /// Linear index of the creating PE, or `usize::MAX` for host events.
-    pub src: usize,
+    /// Linear index of the creating PE, or `u32::MAX` for host events.
+    pub src: u32,
     /// Linear index of the PE the event targets.
-    pub pe: usize,
+    pub pe: u32,
     /// `Some(input link)` for a router hop, `None` for a ramp delivery.
     pub route_input: Option<Direction>,
     /// The wavelet in flight, checksum word included verbatim (a stale
@@ -40,6 +41,8 @@ pub struct EventRecord {
     /// round-trip or fault detection would change).
     pub wavelet: Wavelet,
 }
+
+const _: () = assert!(std::mem::size_of::<EventRecord>() <= 40);
 
 /// A PE's fault-injection state: both the schedule slice assigned to this
 /// PE and the progress already made through it (logged events, consumed
@@ -157,7 +160,7 @@ pub struct FabricSnapshot {
     pub host_seq: u64,
     /// Host/meta tracer sequence counters.
     pub host_trace_seq: TraceSeqRecord,
-    /// Pending events in canonical `(time, seq, src)` order.
+    /// Pending events in pop order `(time, pe, seq, src)`.
     pub events: Vec<EventRecord>,
     /// Per-PE state, in linear (row-major) order.
     pub pes: Vec<PeRecord>,

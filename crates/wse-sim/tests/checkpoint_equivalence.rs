@@ -263,11 +263,11 @@ fn foreign_schema_version_is_rejected() {
 #[test]
 fn schema_v1_is_refused_without_a_reader() {
     // Neither schema 1, schema 2 (a per-PE program state record), schema 3
-    // (murmur3 checksum, FNV-1a spec hash) nor schema 4 (a spec hash over
-    // the fault plan's `Debug` text) has a reader: old files are refused,
-    // not migrated.
+    // (murmur3 checksum, FNV-1a spec hash), schema 4 (a spec hash over the
+    // fault plan's `Debug` text) nor schema 5 (events in `(time, seq, src)`
+    // order) has a reader: old files are refused, not migrated.
     let (_, bytes) = small_checkpoint();
-    for found in [1u32, 2, 3, 4] {
+    for found in [1u32, 2, 3, 4, 5] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&found.to_le_bytes());
         assert_eq!(

@@ -5,7 +5,9 @@
 //! in the future to sit in level 1 or the overflow heap and move inward as
 //! the cursor advances, pushes interleaved with pops (the fabric pushes new
 //! events for the cycle it is currently draining), and every lane
-//! distribution the activation scatter has to cut into blocks.
+//! distribution the activation scatter has to cut into blocks. The queue's
+//! in-order walk (`visit_in_order`) must list what is pending in that same
+//! order at every point of those schedules.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -82,6 +84,17 @@ impl Timestamped for Key {
 
 /// A stand-in for the fabric's `hop_latency`.
 const HOP: u64 = 2;
+
+/// Asserts that the calendar queue's in-order walk lists exactly the
+/// oracle's pending items in pop order, without removing any.
+fn assert_walk_in_pop_order(cal: &CalendarQueue<Key>, heap: &HeapQueue<Key>) {
+    let mut walked = Vec::new();
+    cal.visit_in_order(|k| walked.push(*k));
+    let mut pending: Vec<Key> = heap.heap.iter().map(|Reverse(k)| *k).collect();
+    pending.sort();
+    assert_eq!(walked, pending, "the walk is not the pop order");
+    assert_eq!(cal.len(), pending.len());
+}
 
 /// Pops everything from both queues, asserting identical sequences.
 fn assert_same_drain(cal: &mut CalendarQueue<Key>, heap: &mut HeapQueue<Key>) {
@@ -331,6 +344,7 @@ proptest! {
             prop_assert_eq!(cal.len(), heap.len());
             prop_assert_eq!(cal.next_time(), heap.next_time());
             prop_assert_eq!(cal.iter().count(), heap.len());
+            assert_walk_in_pop_order(&cal, &heap);
         }
         assert_same_drain(&mut cal, &mut heap);
     }
@@ -419,6 +433,7 @@ proptest! {
                 }
             }
         }
+        assert_walk_in_pop_order(&cal, &heap);
         let shapes: Vec<Lanes> = cycles.iter().map(|c| c.0).collect();
         let mut spawns = spawns.into_iter();
         let mut i = 0u64;
@@ -438,6 +453,10 @@ proptest! {
                 }
             }
             prop_assert_eq!(cal.len(), heap.len());
+            if i % 97 == 1 {
+                // Mid-cycle: a partly popped drain and its side heap.
+                assert_walk_in_pop_order(&cal, &heap);
+            }
         }
         prop_assert!(cal.is_empty());
     }

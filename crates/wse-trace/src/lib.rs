@@ -43,7 +43,7 @@ pub use event::{
     link_name, TraceEvent, TraceEventKind, TraceOp, TraceRegion, LINK_CONTROL_BIT, NUM_REGIONS,
 };
 pub use sink::{EventRing, PeTracer, TraceSpec, DEFAULT_RING_CAPACITY};
-pub use trace::Trace;
+pub use trace::{PeStreams, Trace};
 
 /// Pseudo-PE index used for host/engine meta events (barriers, host phases,
 /// run-level errors).

@@ -1,4 +1,4 @@
-//! An assembled, sorted trace of one fabric run.
+//! An assembled, sorted trace of one fabric run, and its per-PE grouping.
 
 use crate::event::TraceEvent;
 use crate::sink::EventRing;
@@ -76,20 +76,95 @@ impl Trace {
         self.cols * self.rows
     }
 
-    /// All per-PE streams in one pass: `result[pe]` holds PE `pe`'s retained
-    /// events in causal (`seq`) order — the entry point profilers iterate
-    /// from.
-    pub fn by_pe(&self) -> Vec<Vec<TraceEvent>> {
-        let mut streams: Vec<Vec<TraceEvent>> = vec![Vec::new(); self.num_pes()];
+    /// Every PE's retained events grouped by PE, each PE's in causal
+    /// (`seq`) order — the entry point profilers iterate from. One counting
+    /// pass sizes each PE's run of one buffer and a second fills it. A PE's
+    /// retained `seq`s are consecutive (its ring drops the oldest first and
+    /// numbers gaplessly), so each event goes straight to its run's slot
+    /// `seq − lowest seq`; a run whose `seq`s do not span exactly its length
+    /// (events removed from `events`) is filled in `events` order and
+    /// sorted. Events of a PE outside the fabric are left out.
+    pub fn streams(&self) -> PeStreams {
+        let n = self.num_pes();
+        // Per PE: events, lowest and highest `seq`.
+        let mut runs = vec![(0usize, u32::MAX, 0u32); n];
         for ev in &self.events {
-            if let Some(stream) = streams.get_mut(ev.pe as usize) {
-                stream.push(*ev);
+            if let Some((len, lo, hi)) = runs.get_mut(ev.pe as usize) {
+                *len += 1;
+                *lo = (*lo).min(ev.seq);
+                *hi = (*hi).max(ev.seq);
             }
         }
-        for stream in &mut streams {
-            stream.sort_unstable_by_key(|e| e.seq);
+        let consecutive = |&(len, lo, hi): &(usize, u32, u32)| (hi - lo) as usize + 1 == len;
+        let mut starts = vec![0; n + 1];
+        for (pe, &(len, ..)) in runs.iter().enumerate() {
+            starts[pe + 1] = starts[pe] + len;
         }
-        streams
+        let Some(&fill) = self.events.first() else {
+            return PeStreams {
+                events: Vec::new(),
+                starts,
+            };
+        };
+        let mut events = vec![fill; starts[n]];
+        // Per PE, where a run filled in `events` order continues.
+        let mut next = starts[..n].to_vec();
+        for ev in &self.events {
+            let pe = ev.pe as usize;
+            let Some(run) = runs.get(pe) else { continue };
+            let at = if consecutive(run) {
+                starts[pe] + (ev.seq - run.1) as usize
+            } else {
+                next[pe] += 1;
+                next[pe] - 1
+            };
+            events[at] = *ev;
+        }
+        for (pe, run) in runs.iter().enumerate() {
+            if run.0 > 0 && !consecutive(run) {
+                events[starts[pe]..starts[pe + 1]].sort_unstable_by_key(|e| e.seq);
+            }
+        }
+        PeStreams { events, starts }
+    }
+
+    /// [`Trace::streams`] as one owned vector per PE: `result[pe]` holds PE
+    /// `pe`'s retained events in causal (`seq`) order.
+    pub fn by_pe(&self) -> Vec<Vec<TraceEvent>> {
+        self.streams().iter().map(<[TraceEvent]>::to_vec).collect()
+    }
+}
+
+/// Every PE's retained events in one buffer, grouped by PE in PE order,
+/// each PE's run in causal (`seq`) order ([`Trace::streams`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PeStreams {
+    events: Vec<TraceEvent>,
+    /// PE `pe`'s run is `events[starts[pe]..starts[pe + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl PeStreams {
+    /// Number of PEs.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// True for a fabric of no PEs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// PE `pe`'s stream.
+    pub fn get(&self, pe: usize) -> &[TraceEvent] {
+        &self.events[self.starts[pe]..self.starts[pe + 1]]
+    }
+
+    /// Every PE's stream, in PE order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[TraceEvent]> {
+        self.starts
+            .windows(2)
+            .map(|run| &self.events[run[0]..run[1]])
     }
 }
 
@@ -129,7 +204,10 @@ mod tests {
         let t = Trace::from_rings(2, 1, 1, vec![0, 0], 5, &[&r0, &r1], &host);
         let streams = t.by_pe();
         assert_eq!(streams.len(), 2);
+        let grouped = t.streams();
+        assert_eq!(grouped.len(), 2);
         for (pe, stream) in streams.iter().enumerate() {
+            assert_eq!(grouped.get(pe), stream.as_slice());
             let mut own: Vec<TraceEvent> = t
                 .events
                 .iter()
@@ -144,5 +222,20 @@ mod tests {
             streams[0].iter().map(|e| e.seq).collect::<Vec<_>>(),
             vec![0, 1]
         );
+    }
+
+    #[test]
+    fn streams_with_a_gap_in_seq_are_sorted() {
+        let mut r0 = EventRing::new(0, 8);
+        let host = EventRing::new(crate::HOST_PE, 1);
+        for time in [7, 3, 9, 1] {
+            r0.record_at(time, TraceEventKind::TaskStart, 0, 0, 0);
+        }
+        let mut t = Trace::from_rings(1, 1, 1, vec![0], 9, &[&r0], &host);
+        let seqs = |t: &Trace| t.streams().get(0).iter().map(|e| e.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(&t), [0, 1, 2, 3], "placed by seq");
+        // Without seq 2 the run no longer spans its length.
+        t.events.retain(|e| e.seq != 2);
+        assert_eq!(seqs(&t), [0, 1, 3], "filled in time order, then sorted");
     }
 }
